@@ -38,17 +38,34 @@ class TransitionParams:
             )
 
 
+def _clamp(epsilon, eta):
+    """Clamp broadcast (epsilon, eta) arrays into the valid domain."""
+    eps = np.minimum(np.maximum(epsilon, 0.0), EPSILON_MAX)
+    cap = np.minimum(eps, 1.0 - 3.0 * eps)
+    return eps, np.minimum(np.maximum(eta, -cap), cap)
+
+
 def clamp_params(params: TransitionParams) -> tuple[TransitionParams, bool]:
     """Clamp (epsilon, eta) into the domain where all matrix entries are
     valid probabilities: epsilon in [0, 0.3], |eta| <= min(epsilon, 1 - 3 epsilon).
 
     Returns the clamped parameters and whether anything changed.
     """
-    eps = min(max(params.epsilon, 0.0), EPSILON_MAX)
-    cap = min(eps, 1.0 - 3.0 * eps)
-    eta = min(max(params.eta, -cap), cap)
-    clamped = TransitionParams(eps, eta)
+    eps, eta = _clamp(params.epsilon, params.eta)
+    clamped = TransitionParams(float(eps), float(eta))
     return clamped, clamped != params
+
+
+_BAND = np.abs(np.subtract.outer(np.arange(N_PATHS), np.arange(N_PATHS))) <= 1
+
+
+def _matrix_violations(entries: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Masks over the leading axes of (..., 5, 5) entries: an entry outside
+    [0, 1], a column not summing to 1, a nonzero entry off the band."""
+    outside = ((entries < -1e-12) | (entries > 1.0 + 1e-12)).any(axis=(-2, -1))
+    unnormalized = (np.abs(entries.sum(axis=-2) - 1.0) > 1e-12).any(axis=-1)
+    off_band = (entries != 0.0)[..., ~_BAND].any(axis=-1)
+    return outside, unnormalized, off_band
 
 
 @dataclass(frozen=True)
@@ -62,14 +79,34 @@ class TransitionMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.shape != (N_PATHS, N_PATHS):
             raise InputDomainError(f"matrix must be 5x5, got {entries.shape}")
-        if ((entries < -1e-12) | (entries > 1.0 + 1e-12)).any():
+        outside, unnormalized, off_band = _matrix_violations(entries)
+        if outside:
             raise InputDomainError("matrix entries must lie in [0, 1]")
-        if np.abs(entries.sum(axis=0) - 1.0).max() > 1e-12:
+        if unnormalized:
             raise InputDomainError("matrix columns must each sum to 1")
-        band = np.abs(np.subtract.outer(np.arange(N_PATHS), np.arange(N_PATHS))) <= 1
-        if entries[~band].any():
+        if off_band:
             raise InputDomainError("matrix must be tridiagonal in the path index")
         object.__setattr__(self, "entries", entries)
+
+
+def _transition_entries(epsilon, eta) -> np.ndarray:
+    """Entries of the transition matrix for clamped, broadcast (epsilon, eta)
+    arrays, shape (..., 5, 5)."""
+    eps, eta = np.broadcast_arrays(np.asarray(epsilon, float), np.asarray(eta, float))
+    half = 0.5 * np.abs(eta)
+    up = eps + half + eta  # toward higher index
+    down = eps + half - eta  # toward lower index
+    stay = 1.0 - 2.0 * eps - np.abs(eta)
+    entries = np.zeros(eps.shape + (N_PATHS, N_PATHS))
+    entries[..., 0, 0] = 1.0 - eps - eta
+    entries[..., 1, 0] = eps + eta
+    entries[..., 3, 4] = eps - eta
+    entries[..., 4, 4] = 1.0 - eps + eta
+    for j in (1, 2, 3):
+        entries[..., j - 1, j] = down
+        entries[..., j, j] = stay
+        entries[..., j + 1, j] = up
+    return entries
 
 
 def build_transition_matrix(params: TransitionParams) -> TransitionMatrix:
@@ -81,21 +118,9 @@ def build_transition_matrix(params: TransitionParams) -> TransitionMatrix:
     the drift term enters with a bare minus sign.
     """
     valid, clamped = clamp_params(params)
-    eps, eta = valid.epsilon, valid.eta
-    half = 0.5 * abs(eta)
-    up = eps + half + eta  # toward higher index
-    down = eps + half - eta  # toward lower index
-    stay = 1.0 - 2.0 * eps - abs(eta)
-    entries = np.array(
-        [
-            [1.0 - eps - eta, down, 0.0, 0.0, 0.0],
-            [eps + eta, stay, down, 0.0, 0.0],
-            [0.0, up, stay, down, 0.0],
-            [0.0, 0.0, up, stay, eps - eta],
-            [0.0, 0.0, 0.0, up, 1.0 - eps + eta],
-        ]
+    return TransitionMatrix(
+        _transition_entries(valid.epsilon, valid.eta), clamped=clamped
     )
-    return TransitionMatrix(entries, clamped=clamped)
 
 
 def predict(prior: PathPosterior, matrix: TransitionMatrix) -> PathPosterior:
@@ -138,21 +163,18 @@ def step(
 class DiscretePathFilter:
     """Stateful per-object wrapper around predict/update.
 
-    The drift eta is recomputed every step as eta_gain * lateral_velocity
-    plus a constant indicator term (e.g. from a turn signal), then clamped
-    together with epsilon.
+    The drift eta is recomputed every step as eta_gain * lateral_velocity,
+    then clamped together with epsilon.
     """
 
     def __init__(
         self,
         epsilon: float,
         eta_gain: float = 0.05,
-        indicator_eta: float = 0.0,
         initial: PathPosterior | None = None,
     ):
         self.epsilon = epsilon
         self.eta_gain = eta_gain
-        self.indicator_eta = indicator_eta
         self.posterior = initial if initial is not None else PathPosterior.uniform()
         self.resets = 0
 
@@ -162,9 +184,7 @@ class DiscretePathFilter:
         bounds: BoundarySet,
         lateral_velocity: float = 0.0,
     ) -> PathPosterior:
-        params = TransitionParams(
-            self.epsilon, self.eta_gain * lateral_velocity + self.indicator_eta
-        )
+        params = TransitionParams(self.epsilon, self.eta_gain * lateral_velocity)
         matrix = build_transition_matrix(params)
         predicted = predict(self.posterior, matrix)
         self.posterior, was_reset = _bayes_update(

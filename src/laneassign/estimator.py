@@ -29,19 +29,27 @@ class Assignment:
     accepted: bool
 
 
+def _median_indices(probs: np.ndarray) -> np.ndarray:
+    """Vectorized `median_index` over the last axis; -1 where no index
+    qualifies (a vector that violates the posterior invariants)."""
+    cumulative = np.cumsum(probs, axis=-1)
+    below = np.concatenate(
+        [np.zeros(cumulative.shape[:-1] + (1,)), cumulative[..., :-1]], axis=-1
+    )
+    qualifies = (cumulative >= 0.5) & (1.0 - below >= 0.5)
+    return np.where(qualifies.any(axis=-1), qualifies.argmax(axis=-1), -1)
+
+
 def median_index(posterior: PathPosterior) -> int:
     """Median path index: the first l with P(X <= l) >= 0.5 and P(X >= l) >= 0.5.
 
     Scanning from the lowest index makes the exact-0.5 tie resolve to the
     lower of the two qualifying indices, deterministically.
     """
-    cumulative = np.cumsum(posterior.probs)
-    for index in range(N_PATHS):
-        mass_left = cumulative[index]
-        mass_right = 1.0 - (cumulative[index - 1] if index > 0 else 0.0)
-        if mass_left >= 0.5 and mass_right >= 0.5:
-            return index
-    raise RuntimeError("no median index; posterior violates its invariants")
+    index = int(_median_indices(posterior.probs))
+    if index < 0:
+        raise RuntimeError("no median index; posterior violates its invariants")
+    return index
 
 
 def map_index(posterior: PathPosterior) -> int:

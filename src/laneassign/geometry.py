@@ -147,14 +147,16 @@ class InputVector:
         object.__setattr__(self, "covariance", cov)
 
 
-def _lateral_offset_arrays(v, yaw_rate, x, y, alpha: float) -> np.ndarray:
-    """Vectorized signed lateral offset; inputs broadcast, no validation."""
+def _lateral_offset_arrays(v, yaw_rate, x, y, sin_a, cos_a) -> np.ndarray:
+    """Vectorized signed lateral offset; inputs broadcast, no validation.
+
+    The heading offset enters as its sine and cosine, taken with `math.sin`
+    and `math.cos` by every caller so that scalar and array paths agree.
+    """
     v = np.asarray(v, dtype=float)
     yaw_rate = np.asarray(yaw_rate, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    sin_a = math.sin(alpha)
-    cos_a = math.cos(alpha)
 
     straight = np.abs(yaw_rate) < STRAIGHT_YAW_THRESHOLD
     safe_yaw = np.where(straight, 1.0, yaw_rate)
@@ -167,6 +169,40 @@ def _lateral_offset_arrays(v, yaw_rate, x, y, alpha: float) -> np.ndarray:
     curved = -(x * x + y * y + 2.0 * r * along) / (sgn * (dist + np.abs(r)))
     line = y * cos_a - x * sin_a
     return np.where(straight, line, curved)
+
+
+def _jacobian_arrays(v, yaw_rate, x, y, sin_a, cos_a) -> np.ndarray:
+    """Vectorized `jacobian_lateral_offset`: the gradient over broadcast
+    inputs, shape (..., 4), with the same branches and formulas.
+
+    At the circle center, where the scalar function raises SingularityError,
+    the curved components are 0/0 and the row comes out NaN; the caller
+    validates.
+    """
+    v, yaw_rate, x, y, sin_a, cos_a = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (v, yaw_rate, x, y, sin_a, cos_a))
+    )
+    across = x * cos_a + y * sin_a
+    straight = np.abs(yaw_rate) < STRAIGHT_YAW_THRESHOLD
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d_yaw_line = np.where(v == 0.0, 0.0, -across * across / (2.0 * v))
+        safe_yaw = np.where(straight, 1.0, yaw_rate)
+        r = v / safe_yaw
+        sgn = np.where(r >= 0.0, 1.0, -1.0)
+        along = x * sin_a - y * cos_a
+        cx = x + sin_a * r
+        cy = y - cos_a * r
+        dist = np.hypot(cx, cy)
+        # Cancellation-free d(offset)/dr, as in the scalar function.
+        w = sgn * (r + along)
+        num = np.where(w > 0.0, across * across / (dist + w), dist - w)
+        d_r = num / dist
+        curved = np.stack(
+            [d_r / safe_yaw, -d_r * r / safe_yaw, -sgn * cx / dist, -sgn * cy / dist],
+            axis=-1,
+        )
+    line = np.stack([np.zeros_like(v), d_yaw_line, -sin_a, cos_a], axis=-1)
+    return np.where(straight[..., None], line, curved)
 
 
 def lateral_path_offset(host: HostState, x: float, y: float) -> float:
@@ -185,7 +221,11 @@ def lateral_path_offset(host: HostState, x: float, y: float) -> float:
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InputDomainError(f"object position must be finite, got ({x}, {y})")
-    return float(_lateral_offset_arrays(host.v, host.yaw_rate, x, y, host.alpha))
+    return float(
+        _lateral_offset_arrays(
+            host.v, host.yaw_rate, x, y, math.sin(host.alpha), math.cos(host.alpha)
+        )
+    )
 
 
 def jacobian_lateral_offset(host: HostState, x: float, y: float) -> np.ndarray:
@@ -267,6 +307,26 @@ def transform_to_path(
             diagnostics.variance_clamps += 1
         var = 0.0
     return GaussianScalar(mean, math.sqrt(var))
+
+
+def _transform_arrays(
+    inputs: np.ndarray, variances: np.ndarray, sin_a, cos_a
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized `transform_to_path` for diagonal input covariances.
+
+    `inputs` and `variances` are (..., 4) in InputVector order.  Returns the
+    offset mean and standard deviation; both are NaN or infinite wherever
+    `transform_to_path` would raise (invalid variance, circle center,
+    non-finite result), and the caller validates.
+    """
+    v, yaw_rate, x, y = np.moveaxis(inputs, -1, 0)
+    mean = _lateral_offset_arrays(v, yaw_rate, x, y, sin_a, cos_a)
+    jac = _jacobian_arrays(v, yaw_rate, x, y, sin_a, cos_a)
+    with np.errstate(invalid="ignore", over="ignore"):
+        var = ((jac * variances) * jac).sum(axis=-1)
+    var = np.maximum(var, 0.0)  # clamp rounding negatives, keep NaN
+    invalid = ~np.isfinite(variances).all(axis=-1) | (variances < 0.0).any(axis=-1)
+    return np.where(invalid, np.nan, mean), np.sqrt(var)
 
 
 def hellinger_distance(p: Sequence[float], q: Sequence[float]) -> float:
@@ -396,6 +456,7 @@ def mc_validate(
     if grid is None:
         grid = GridSpec()
     points = grid.points() if isinstance(grid, GridSpec) else iter(grid)
+    sin_a, cos_a = math.sin(alpha), math.cos(alpha)
 
     results: list[McPointResult] = []
     for index, (x, y, v, yaw_rate) in enumerate(points):
@@ -412,7 +473,9 @@ def mc_validate(
             draw_yaw = rng.normal(yaw_rate, math.sqrt(var_yaw), samples)
             draw_x = rng.normal(x, math.sqrt(var_x), samples)
             draw_y = rng.normal(y, math.sqrt(var_y), samples)
-            offsets = _lateral_offset_arrays(draw_v, draw_yaw, draw_x, draw_y, alpha)
+            offsets = _lateral_offset_arrays(
+                draw_v, draw_yaw, draw_x, draw_y, sin_a, cos_a
+            )
             mu = float(offsets.mean())
             sd = float(offsets.std())
             span = 6.0 * sd if sd > 0.0 else 1.0

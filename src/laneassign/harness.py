@@ -19,7 +19,6 @@ camera cues); without them the default boundary layout is used.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -27,17 +26,9 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .continuous_filter import ContinuousPathFilter
-from .discrete_filter import DiscretePathFilter
-from .estimator import DEFAULT_P_MIN, Assignment, assign
-from .geometry import (
-    GaussianScalar,
-    HostState,
-    InputDomainError,
-    InputVector,
-    ObjectMeasurement,
-    transform_to_path,
-)
+from ._engine import filter_batch
+from .estimator import DEFAULT_P_MIN, Assignment
+from .geometry import GaussianScalar, HostState, InputDomainError, ObjectMeasurement
 from .likelihood import (
     HOST_PATH_INDEX,
     N_PATHS,
@@ -46,6 +37,11 @@ from .likelihood import (
     PathPosterior,
     extrapolate_boundaries,
 )
+
+# The per-object stages the engine replaces stay importable from here, where
+# the benchmark's tracer (bench/tracing.py) counts their calls.
+from .estimator import assign  # noqa: F401
+from .geometry import transform_to_path  # noqa: F401
 
 
 class ScenarioFormatError(ValueError):
@@ -499,7 +495,6 @@ class PipelineConfig:
 
     epsilon: float = 0.05
     eta_gain: float = 0.05
-    indicator_eta: float = 0.0
     sigma_nu: float = 0.1
     p_min: float = DEFAULT_P_MIN
     absence_timeout: float = 1.0  # s without detections before state is dropped
@@ -520,6 +515,20 @@ class ObjectResult:
     ground_truth: int | None
 
 
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise InputDomainError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
+def _default_bounds(config: PipelineConfig) -> BoundarySet:
+    return extrapolate_boundaries(
+        None,
+        default_width=config.default_width,
+        default_center_halfwidth=config.default_halfwidth,
+        default_std=config.default_boundary_std,
+    )
+
+
 def run_pipeline(
     frames: Sequence[ScenarioFrame],
     method: str = "discrete",
@@ -531,68 +540,30 @@ def run_pipeline(
     that object's filter (created on first sight, dropped after
     absence_timeout seconds without detections), and assign by the gated
     median.  Objects are independent; their order within a frame does not
-    affect any per-object output.
+    affect any per-object output.  A ValueError names the earliest frame
+    that fails.
     """
-    if method not in METHODS:
-        raise InputDomainError(f"unknown method {method!r}; expected one of {METHODS}")
-    default_bounds = extrapolate_boundaries(
-        None,
-        default_width=config.default_width,
-        default_center_halfwidth=config.default_halfwidth,
-        default_std=config.default_boundary_std,
-    )
-    filters: dict[str, DiscretePathFilter | ContinuousPathFilter] = {}
-    last_seen: dict[str, float] = {}
-    results: list[ObjectResult] = []
-    for frame_index, frame in enumerate(frames):
-        try:
-            for object_id in [
-                oid
-                for oid, seen in last_seen.items()
-                if frame.t - seen > config.absence_timeout
-            ]:
-                del filters[object_id]
-                del last_seen[object_id]
-            bounds = frame.bounds if frame.bounds is not None else default_bounds
-            for obj in frame.objects:
-                meas = obj.measurement
-                inputs = InputVector(
-                    np.array([frame.host.v, frame.host.yaw_rate, meas.x, meas.y]),
-                    np.diag([frame.var_v, frame.var_yaw, obj.var_x, obj.var_y]),
-                )
-                z = transform_to_path(inputs, frame.host.alpha)
-                u = (
-                    meas.lateral_velocity_input
-                    if meas.lateral_velocity_input is not None
-                    else 0.0
-                )
-                filt = filters.get(obj.object_id)
-                if method == "discrete":
-                    if filt is None:
-                        filt = DiscretePathFilter(
-                            config.epsilon, config.eta_gain, config.indicator_eta
-                        )
-                        filters[obj.object_id] = filt
-                    posterior = filt.step(z, bounds, u)
-                else:
-                    if filt is None:
-                        filt = ContinuousPathFilter(config.sigma_nu)
-                        filters[obj.object_id] = filt
-                    posterior = filt.step(z, bounds, frame.t, u)
-                last_seen[obj.object_id] = frame.t
-                results.append(
-                    ObjectResult(
-                        t=frame.t,
-                        object_id=obj.object_id,
-                        method=method,
-                        assignment=assign(posterior, config.p_min),
-                        posterior=posterior,
-                        ground_truth=obj.ground_truth,
-                    )
-                )
-        except ValueError as exc:
-            raise type(exc)(f"frame {frame_index} (t={frame.t}): {exc}") from exc
-    return results
+    _check_method(method)
+    value = config.epsilon if method == "discrete" else config.sigma_nu
+    batch = filter_batch(frames, method, config, [value], _default_bounds(config))
+    return [
+        ObjectResult(
+            t=frames[frame_index].t,
+            object_id=obj.object_id,
+            method=method,
+            assignment=Assignment(index, probability, accepted),
+            posterior=PathPosterior._validated(posterior),
+            ground_truth=obj.ground_truth,
+        )
+        for frame_index, obj, posterior, index, probability, accepted in zip(
+            batch.frame_of.tolist(),
+            batch.objects,
+            batch.posteriors[:, 0],
+            batch.index[:, 0].tolist(),
+            batch.probability[:, 0].tolist(),
+            batch.accepted[:, 0].tolist(),
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +582,23 @@ class RocPoint:
     frames_evaluated: int
 
 
+def _roc_point(
+    parameter_label: str, ground_truth: np.ndarray, assigned_host: np.ndarray
+) -> RocPoint:
+    on_host = ground_truth == HOST_PATH_INDEX
+    tp_total = int(on_host.sum())
+    fp_total = len(on_host) - tp_total
+    tp_hits = int((assigned_host & on_host).sum())
+    fp_hits = int((assigned_host & ~on_host).sum())
+    tp_rate = tp_hits / tp_total if tp_total else None
+    fp_rate = fp_hits / fp_total if fp_total else None
+    return RocPoint(parameter_label, tp_rate, fp_rate, tp_total + fp_total)
+
+
+def _no_ground_truth(object_id: str, t: float) -> InputDomainError:
+    return InputDomainError(f"object {object_id!r} at t={t} has no ground truth")
+
+
 def compute_roc(results: Iterable[ObjectResult], parameter_label: str = "") -> RocPoint:
     """Host-lane TP/FP rates at object-frame granularity.
 
@@ -619,25 +607,19 @@ def compute_roc(results: Iterable[ObjectResult], parameter_label: str = "") -> R
     elsewhere, the fraction with an accepted host-path assignment.  Rejected
     assignments count as non-assignments on both sides.
     """
-    tp_hits = tp_total = fp_hits = fp_total = 0
+    ground_truth, assigned_host = [], []
     for result in results:
         if result.ground_truth is None:
-            raise InputDomainError(
-                f"object {result.object_id!r} at t={result.t} has no ground truth"
-            )
-        assigned_host = (
-            result.assignment.accepted
-            and result.assignment.index == HOST_PATH_INDEX
+            raise _no_ground_truth(result.object_id, result.t)
+        ground_truth.append(result.ground_truth)
+        assigned_host.append(
+            result.assignment.accepted and result.assignment.index == HOST_PATH_INDEX
         )
-        if result.ground_truth == HOST_PATH_INDEX:
-            tp_total += 1
-            tp_hits += assigned_host
-        else:
-            fp_total += 1
-            fp_hits += assigned_host
-    tp_rate = tp_hits / tp_total if tp_total else None
-    fp_rate = fp_hits / fp_total if fp_total else None
-    return RocPoint(parameter_label, tp_rate, fp_rate, tp_total + fp_total)
+    return _roc_point(
+        parameter_label,
+        np.array(ground_truth, dtype=int),
+        np.array(assigned_host, dtype=bool),
+    )
 
 
 EPSILON_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -669,23 +651,33 @@ def sweep_parameters(
     sigma_nu for the continuous one; the default grids cover six decades of
     epsilon and 0.04..0.4 m/s of sigma_nu.
     """
-    if method not in METHODS:
-        raise InputDomainError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_method(method)
     parameter = "epsilon" if method == "discrete" else "sigma_nu"
     if grid is None:
         grid = EPSILON_GRID if method == "discrete" else SIGMA_NU_GRID
     grid = list(grid)
     if not grid:
         raise InputDomainError("parameter grid must be nonempty")
-    scenarios = _as_scenarios(frames)
-    points = []
-    for value in grid:
-        run_config = dataclasses.replace(config, **{parameter: value})
-        pooled: list[ObjectResult] = []
-        for scenario in scenarios:
-            pooled.extend(run_pipeline(scenario, method, run_config))
-        points.append(compute_roc(pooled, f"{parameter}={value:g}"))
-    return points
+    default_bounds = _default_bounds(config)
+    ground_truth, assigned_host = [], []
+    missing = None  # the first object-frame without ground truth
+    for scenario in _as_scenarios(frames):
+        batch = filter_batch(scenario, method, config, grid, default_bounds)
+        for frame_index, obj in zip(batch.frame_of.tolist(), batch.objects):
+            if obj.ground_truth is None and missing is None:
+                missing = _no_ground_truth(obj.object_id, scenario[frame_index].t)
+            ground_truth.append(obj.ground_truth)
+        assigned_host.append(batch.accepted & (batch.index == HOST_PATH_INDEX))
+    if missing is not None:
+        raise missing
+    ground_truth = np.array(ground_truth, dtype=int)
+    if not assigned_host:
+        assigned_host = [np.zeros((0, len(grid)), dtype=bool)]
+    assigned_host = np.concatenate(assigned_host)
+    return [
+        _roc_point(f"{parameter}={value:g}", ground_truth, assigned_host[:, g])
+        for g, value in enumerate(grid)
+    ]
 
 
 def build_suite(

@@ -59,6 +59,13 @@ class BoundarySet:
                 f"boundary means must be strictly increasing, got {means}"
             )
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Boundary means and standard deviations, each of shape (4,)."""
+        return (
+            np.array([b.mean for b in self.boundaries]),
+            np.array([b.std for b in self.boundaries]),
+        )
+
 
 @dataclass(frozen=True)
 class PathPosterior:
@@ -77,6 +84,13 @@ class PathPosterior:
         object.__setattr__(self, "probs", probs)
 
     @classmethod
+    def _validated(cls, probs: np.ndarray) -> "PathPosterior":
+        """Wrap a float vector that was already checked as part of an array."""
+        posterior = object.__new__(cls)
+        object.__setattr__(posterior, "probs", probs)
+        return posterior
+
+    @classmethod
     def uniform(cls) -> "PathPosterior":
         return cls(np.full(N_PATHS, 1.0 / N_PATHS))
 
@@ -91,21 +105,41 @@ def std_normal_cdf(t: float) -> float:
     return float(ndtr(t))
 
 
-def _standardized(delta: float, sigma: float) -> float:
-    # Degenerate sigma = 0 uses the limit convention: 0/0 -> 0 (so the CDF
-    # gives 0.5, splitting mass across the boundary), x/0 -> signed infinity.
-    if sigma > 0.0:
-        return delta / sigma
-    if delta == 0.0:
-        return 0.0
-    return math.inf if delta > 0.0 else -math.inf
-
-
 @dataclass
 class OccupancyDiagnostics:
     """Counters filled in by lane_occupancy when passed in."""
 
     negative_mass_clamps: int = 0
+
+
+def _occupancy_arrays(
+    mean, std, bound_means, bound_stds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized `lane_occupancy`.
+
+    `mean` and `std` describe the objects, shape (...); the boundary arrays
+    have shape (..., 4) and broadcast against them.  Returns the (..., 5)
+    occupancy vectors and the mask of clamped negative entries.  Rows whose
+    standardized argument is NaN come out NaN; the caller validates.
+    """
+    mean = np.asarray(mean, dtype=float)[..., None]
+    std = np.asarray(std, dtype=float)[..., None]
+    delta = bound_means - mean
+    sigma = np.hypot(std, bound_stds)
+    # Degenerate sigma = 0 uses the limit convention: 0/0 -> 0 (so the CDF
+    # gives 0.5, splitting mass across the boundary), x/0 -> signed infinity.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(
+            sigma > 0.0,
+            delta / sigma,
+            np.where(delta == 0.0, 0.0, np.copysign(np.inf, delta)),
+        )
+    cdf = ndtr(t)
+    edges = np.zeros(cdf.shape[:-1] + (1,))
+    raw = np.diff(np.concatenate([edges, cdf, edges + 1.0], axis=-1), axis=-1)
+    negative = raw < 0.0
+    raw = np.where(negative, 0.0, raw)
+    return raw / raw.sum(axis=-1, keepdims=True), negative
 
 
 def lane_occupancy(
@@ -122,19 +156,12 @@ def lane_occupancy(
     come out slightly negative; such mass is clamped to zero and the vector
     renormalized.
     """
-    cdf_values = [
-        std_normal_cdf(
-            _standardized(b.mean - obj.mean, math.hypot(obj.std, b.std))
-        )
-        for b in bounds.boundaries
-    ]
-    raw = np.diff(np.concatenate(([0.0], cdf_values, [1.0])))
-    negative = raw < 0.0
-    if negative.any():
-        if diagnostics is not None:
-            diagnostics.negative_mass_clamps += int(negative.sum())
-        raw = np.where(negative, 0.0, raw)
-    return PathPosterior(raw / raw.sum())
+    probs, negative = _occupancy_arrays(obj.mean, obj.std, *bounds.arrays())
+    if np.isnan(probs).any():
+        raise InputDomainError("standardized argument is NaN")
+    if diagnostics is not None:
+        diagnostics.negative_mass_clamps += int(negative.sum())
+    return PathPosterior(probs)
 
 
 def extrapolate_boundaries(

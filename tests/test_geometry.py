@@ -26,7 +26,7 @@ from laneassign import (
     transform_to_path,
     write_mc_csv,
 )
-from laneassign.geometry import STRAIGHT_YAW_THRESHOLD
+from laneassign.geometry import STRAIGHT_YAW_THRESHOLD, _jacobian_arrays
 
 
 def exact_offset(v, yaw_rate, x, y, alpha=0.0):
@@ -255,6 +255,69 @@ def test_jacobian_stable_at_tiny_yaw():
     assert jac[2] == pytest.approx(ref[2], rel=1e-6)
     assert jac[3] == pytest.approx(ref[3], rel=1e-6)
     assert jac[1] == pytest.approx(-(50.0**2) / (2.0 * 20.0), rel=1e-4)
+
+
+def vectorized_jacobian(cases):
+    """_jacobian_arrays over (v, yaw_rate, x, y, alpha) rows."""
+    v, yaw, x, y, alpha = np.array(cases, dtype=float).T
+    sin_a = np.array([math.sin(a) for a in alpha])
+    cos_a = np.array([math.cos(a) for a in alpha])
+    return _jacobian_arrays(v, yaw, x, y, sin_a, cos_a)
+
+
+def scalar_jacobians(cases):
+    return np.array(
+        [jacobian_lateral_offset(make_host(v, yaw, alpha), x, y)
+         for v, yaw, x, y, alpha in cases]
+    )
+
+
+def jacobian_cases(rng, n, v, yaw):
+    return [
+        (v(), yaw(), rng.uniform(1.0, 110.0), rng.uniform(-30.0, 30.0),
+         rng.uniform(-0.3, 0.3))
+        for _ in range(n)
+    ]
+
+
+def test_vectorized_jacobian_matches_scalar_on_every_branch():
+    rng = np.random.default_rng(23)
+    sign = lambda: rng.choice([-1.0, 1.0])  # noqa: E731
+    branches = {
+        "straight": jacobian_cases(
+            rng, 50, lambda: rng.uniform(1.0, 60.0),
+            lambda: sign() * rng.uniform(0.0, 0.9) * STRAIGHT_YAW_THRESHOLD),
+        "standstill": jacobian_cases(
+            rng, 50, lambda: 0.0, lambda: rng.choice([0.0, sign() * 0.3])),
+        "left curve, r > 0": jacobian_cases(
+            rng, 100, lambda: rng.uniform(1.0, 60.0), lambda: rng.uniform(1e-3, 0.7)),
+        "right curve, r < 0": jacobian_cases(
+            rng, 100, lambda: rng.uniform(1.0, 60.0), lambda: -rng.uniform(1e-3, 0.7)),
+        "large |r|": jacobian_cases(
+            rng, 100, lambda: rng.uniform(1.0, 60.0),
+            lambda: sign() * rng.uniform(1e-11, 1e-6)),
+    }
+    for name, cases in branches.items():
+        got = vectorized_jacobian(cases)
+        want = scalar_jacobians(cases)
+        assert got.shape == (len(cases), 4)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
+    # The large-|r| rows take the cancellation-free branch (w > 0).
+    for v, yaw, x, y, alpha in branches["large |r|"]:
+        r = v / yaw
+        assert math.copysign(1.0, r) * (r + x * math.sin(alpha) - y * math.cos(alpha)) > 0
+
+
+def test_vectorized_jacobian_marks_the_circle_center():
+    # v = 10, yaw = 1, alpha = -0.5 puts the center ahead of the host.
+    r, alpha = 10.0, -0.5
+    center = (10.0, 1.0, -(math.sin(alpha) * r), math.cos(alpha) * r, alpha)
+    other = (10.0, 1.0, 20.0, 3.0, alpha)
+    with pytest.raises(SingularityError):
+        scalar_jacobians([center])
+    got = vectorized_jacobian([other, center])
+    assert np.isnan(got[1]).all()
+    np.testing.assert_allclose(got[0], scalar_jacobians([other])[0], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
