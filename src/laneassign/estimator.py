@@ -33,10 +33,8 @@ def _median_indices(probs: np.ndarray) -> np.ndarray:
     """Vectorized `median_index` over the last axis; -1 where no index
     qualifies (a vector that violates the posterior invariants)."""
     cumulative = np.cumsum(probs, axis=-1)
-    below = np.concatenate(
-        [np.zeros(cumulative.shape[:-1] + (1,)), cumulative[..., :-1]], axis=-1
-    )
-    qualifies = (cumulative >= 0.5) & (1.0 - below >= 0.5)
+    qualifies = cumulative >= 0.5
+    qualifies[..., 1:] &= 1.0 - cumulative[..., :-1] >= 0.5
     return np.where(qualifies.any(axis=-1), qualifies.argmax(axis=-1), -1)
 
 

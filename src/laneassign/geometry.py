@@ -301,7 +301,8 @@ def transform_to_path(
     host = HostState(v=v, yaw_rate=yaw_rate, alpha=alpha)
     mean = lateral_path_offset(host, x, y)
     jac = jacobian_lateral_offset(host, x, y)
-    var = float(jac @ inputs.covariance @ jac)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float(jac @ inputs.covariance @ jac)
     if var < 0.0:
         if diagnostics is not None:
             diagnostics.variance_clamps += 1

@@ -80,27 +80,38 @@ class ScenarioFrame:
 # Parsing and serialization
 # ---------------------------------------------------------------------------
 
-_FRAME_KEYS = {"t": True, "host": True, "objects": True, "bounds": False}
-_HOST_KEYS = {"v": True, "yaw_rate": True, "var_v": True, "var_yaw": True,
-              "alpha": False}
-_OBJECT_KEYS = {"id": True, "x": True, "y": True, "var_x": True, "var_y": True,
-                "v_lat": False, "gt": False}
-_BOUND_KEYS = {"mu": True, "sigma": True}
+def _schema(**fields: bool) -> tuple[dict[str, bool], frozenset, frozenset]:
+    """Fields of one record kind (name -> required), with the allowed and the
+    required names as sets."""
+    required = frozenset(key for key, needed in fields.items() if needed)
+    return fields, frozenset(fields), required
 
 
-def _check_keys(record: dict, schema: dict[str, bool], where: str, line: int) -> None:
+_FRAME_KEYS = _schema(t=True, host=True, objects=True, bounds=False)
+_HOST_KEYS = _schema(v=True, yaw_rate=True, var_v=True, var_yaw=True, alpha=False)
+_OBJECT_KEYS = _schema(id=True, x=True, y=True, var_x=True, var_y=True,
+                       v_lat=False, gt=False)
+_BOUND_KEYS = _schema(mu=True, sigma=True)
+
+
+def _check_keys(record: dict, schema: tuple, where: str, line: int) -> None:
+    fields, allowed, required = schema
     if not isinstance(record, dict):
         raise ScenarioFormatError(f"line {line}: {where} must be an object")
+    if required <= record.keys() <= allowed:
+        return
     for key in record:
-        if key not in schema:
+        if key not in fields:
             raise ScenarioFormatError(f"line {line}: unknown field {key!r} in {where}")
-    for key, required in schema.items():
-        if required and key not in record:
+    for key, needed in fields.items():
+        if needed and key not in record:
             raise ScenarioFormatError(f"line {line}: missing field {key!r} in {where}")
 
 
 def _number(record: dict, key: str, where: str, line: int) -> float:
     value = record[key]
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(
             f"line {line}: field {key!r} in {where} must be a number"
@@ -545,7 +556,7 @@ def run_pipeline(
     """
     _check_method(method)
     value = config.epsilon if method == "discrete" else config.sigma_nu
-    batch = filter_batch(frames, method, config, [value], _default_bounds(config))
+    batch = filter_batch([frames], method, config, [value], _default_bounds(config))
     return [
         ObjectResult(
             t=frames[frame_index].t,
@@ -658,22 +669,13 @@ def sweep_parameters(
     grid = list(grid)
     if not grid:
         raise InputDomainError("parameter grid must be nonempty")
-    default_bounds = _default_bounds(config)
-    ground_truth, assigned_host = [], []
-    missing = None  # the first object-frame without ground truth
-    for scenario in _as_scenarios(frames):
-        batch = filter_batch(scenario, method, config, grid, default_bounds)
-        for frame_index, obj in zip(batch.frame_of.tolist(), batch.objects):
-            if obj.ground_truth is None and missing is None:
-                missing = _no_ground_truth(obj.object_id, scenario[frame_index].t)
-            ground_truth.append(obj.ground_truth)
-        assigned_host.append(batch.accepted & (batch.index == HOST_PATH_INDEX))
-    if missing is not None:
-        raise missing
-    ground_truth = np.array(ground_truth, dtype=int)
-    if not assigned_host:
-        assigned_host = [np.zeros((0, len(grid)), dtype=bool)]
-    assigned_host = np.concatenate(assigned_host)
+    scenarios = _as_scenarios(frames)
+    batch = filter_batch(scenarios, method, config, grid, _default_bounds(config))
+    for frame_index, obj in zip(batch.frame_of.tolist(), batch.objects):
+        if obj.ground_truth is None:
+            raise _no_ground_truth(obj.object_id, batch.frames[frame_index].t)
+    ground_truth = np.array([obj.ground_truth for obj in batch.objects], dtype=int)
+    assigned_host = batch.accepted & (batch.index == HOST_PATH_INDEX)
     return [
         _roc_point(f"{parameter}={value:g}", ground_truth, assigned_host[:, g])
         for g, value in enumerate(grid)

@@ -135,7 +135,7 @@ def assert_batch_matches_loop(frames, method, config, values):
     results per value.  When loop runs fail, the batch must raise the error
     of the earliest failing frame over all values."""
     batch, error = outcome(
-        lambda: filter_batch(frames, method, config, values, default_bounds(config))
+        lambda: filter_batch([frames], method, config, values, default_bounds(config))
     )
     transforms = {}
     runs = [
@@ -222,6 +222,27 @@ def test_run_is_the_single_value_batch(method):
     assert_run_matches_loop(frames, method, PipelineConfig())
 
 
+@pytest.mark.parametrize(
+    "method, values", [("discrete", (0.2, 1e-2, 1e-5)), ("continuous", (0.04, 0.1, 0.4))]
+)
+def test_multi_scenario_batch_keeps_tracks_per_scenario(method, values):
+    # The scenarios share one depth schedule, and `lead` is an object of
+    # three of them: each scenario must still start its tracks afresh.
+    kinds = ("straight_follow", "host_curve", "target_lane_change", "straight_follow")
+    scenarios = [
+        generate_synthetic(SynthSpec(kind, duration=2.0, seed=seed))
+        for seed, kind in enumerate(kinds)
+    ]
+    config = PipelineConfig(eta_gain=0.05)
+    batch = filter_batch(scenarios, method, config, values, default_bounds(config))
+    for g, value in enumerate(values):
+        per_value = dataclasses.replace(config, **{parameter_of(method): value})
+        expected = [r for frames in scenarios for r in loop_run(frames, method, per_value)]
+        assert_results_equal(
+            batch.posteriors[:, g], batch.index[:, g], batch.accepted[:, g], expected
+        )
+
+
 # ---------------------------------------------------------------------------
 # generated scenarios
 # ---------------------------------------------------------------------------
@@ -231,10 +252,13 @@ IDS = ("a", "b", "c", "d", "e")
 
 @st.composite
 def scenarios(draw):
-    """Scenarios with id churn, gaps longer than the absence timeout, frames
-    with and without bounds, heading offsets and lateral velocities."""
+    """Scenarios with id churn, ids repeated within a frame (the parser
+    rejects them, the pipeline does not), gaps longer than the absence
+    timeout, frames with and without bounds, heading offsets and lateral
+    velocities."""
     finite = dict(allow_nan=False, allow_infinity=False)
     n_frames = draw(st.integers(1, 12))
+    repeats = draw(st.booleans())
     frames, t = [], 0.0
     for _ in range(n_frames):
         t += draw(st.sampled_from([0.02, 0.05, 0.1, 0.4, 1.5]))
@@ -243,7 +267,7 @@ def scenarios(draw):
             yaw_rate=draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5, **finite))),
             alpha=draw(st.one_of(st.just(0.0), st.floats(-0.4, 0.4, **finite))),
         )
-        ids = draw(st.lists(st.sampled_from(IDS), max_size=4, unique=True))
+        ids = draw(st.lists(st.sampled_from(IDS), max_size=4, unique=not repeats))
         objects = []
         for object_id in ids:
             v_lat = draw(st.one_of(st.none(), st.floats(-3.0, 3.0, **finite)))
@@ -355,6 +379,16 @@ def test_sweep_error_names_the_earliest_failing_frame():
         sweep_parameters(frames, "discrete", EPSILON_GRID)
 
 
+def test_sweep_error_names_the_first_failing_scenario():
+    # The second scenario fails at frame 3 and the third already at frame
+    # 1; scenarios are checked in order, so the second one's error wins.
+    scenarios = [straight_frames(5) for _ in range(3)]
+    scenarios[1][3] = dataclasses.replace(scenarios[1][3], var_v=-1.0)
+    scenarios[2][1] = dataclasses.replace(scenarios[2][1], var_v=-1.0)
+    with pytest.raises(InputDomainError, match=r"^frame 3 \(t=0\.15\): covariance"):
+        sweep_parameters(scenarios, "discrete", EPSILON_GRID)
+
+
 @pytest.mark.parametrize(
     "method, config",
     [
@@ -422,3 +456,42 @@ def test_zero_overlap_resets_to_the_measurement(caplog):
     assert results[1].posterior.probs.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
     assert any("zero overlap" in record.message for record in caplog.records)
     assert_run_matches_loop(frames, "discrete", config)
+
+
+def test_zero_overlap_resets_some_values_of_one_depth(caplog):
+    # Three objects in one depth: "jump" moves from region 0 to region 1,
+    # which resets at epsilon = 0 only; "flip" moves from region 4 to
+    # region 0, out of reach of one predict, and resets at every epsilon;
+    # "stay" never resets.
+    bounds = BoundarySet(
+        tuple(GaussianScalar(mean, 0.0) for mean in (-5.0, -1.0, 1.0, 5.0))
+    )
+    host = HostState(v=20.0, yaw_rate=0.0)
+
+    def frame(t, offsets):
+        objects = tuple(
+            TrackedObject(oid, ObjectMeasurement(x=30.0, y=y), 0.0, 0.0, 0)
+            for oid, y in zip(("jump", "flip", "stay"), offsets)
+        )
+        return ScenarioFrame(t, host, 0.0, 0.0, objects, bounds)
+
+    frames = [frame(0.0, (-8.0, 8.0, 0.0)), frame(0.05, (-3.0, -8.0, 0.0))]
+    config = PipelineConfig(eta_gain=0.0)
+    values = (0.0, 0.1)
+
+    def resets():
+        return sum("zero overlap" in record.message for record in caplog.records)
+
+    with caplog.at_level("WARNING"):
+        filter_batch([frames], "discrete", config, values, default_bounds(config))
+        assert resets() == 2  # one per object-frame with a reset at any value
+        for value, expected in zip(values, (2, 1)):
+            per_value = dataclasses.replace(config, epsilon=value)
+            caplog.clear()
+            results = run_pipeline(frames, "discrete", per_value)
+            assert resets() == expected
+            caplog.clear()
+            assert_run_matches_loop(frames, "discrete", per_value)
+            assert resets() == 2 * expected  # the run and the loop
+    assert results[4].posterior.probs.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert_batch_matches_loop(frames, "discrete", config, values)

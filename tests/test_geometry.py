@@ -369,6 +369,17 @@ def test_transform_clamps_indefinite_covariance():
     assert diag.variance_clamps == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v", [1e-300, 5e-324])
+def test_transform_rejects_an_overflowing_variance_without_warnings(v):
+    # Near v = 0 the straight branch's yaw-rate gradient is huge (1e-300) or
+    # infinite (5e-324), so the variance overflows or is NaN: the input is
+    # rejected, and no numpy warning escapes before the error.
+    vec = InputVector(np.array([v, 0.0, 40.0, 1.0]), np.diag([0.25, 1e-4, 0.04, 0.04]))
+    with pytest.raises(InputDomainError, match="std must be finite"):
+        transform_to_path(vec)
+
+
 def test_input_vector_validation():
     mean = np.array([20.0, 0.1, 40.0, 1.0])
     bad = np.eye(4)
