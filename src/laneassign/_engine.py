@@ -41,9 +41,13 @@ from .discrete_filter import (
 )
 from .estimator import _median_indices, assign
 from .geometry import InputVector, _transform_arrays, transform_to_path
-from .likelihood import N_PATHS, PathPosterior, _occupancy_arrays
+from .likelihood import _DEFAULT_BOUNDS, N_PATHS, PathPosterior, _occupancy_arrays
 
 logger = logging.getLogger(__name__)
+
+# Seconds without a detection after which a track is dropped; the object
+# starts a new track when it is seen again.
+ABSENCE_TIMEOUT = 1.0
 
 
 @dataclass
@@ -85,8 +89,8 @@ class Batch:
     accepted: np.ndarray  # (N, G)
 
 
-def flatten(scenarios, default_bounds, absence_timeout: float) -> Flat:
-    """Arrays of the scenarios, with the tracks `absence_timeout` defines;
+def flatten(scenarios) -> Flat:
+    """Arrays of the scenarios, with the tracks `ABSENCE_TIMEOUT` defines;
     no track continues from one scenario into the next."""
     frames = [frame for scenario in scenarios for frame in scenario]
     frame_number = [number for scenario in scenarios for number in range(len(scenario))]
@@ -102,7 +106,7 @@ def flatten(scenarios, default_bounds, absence_timeout: float) -> Flat:
             tracks.clear()
             last_seen.clear()
         for object_id in [
-            oid for oid, seen in last_seen.items() if frame.t - seen > absence_timeout
+            oid for oid, seen in last_seen.items() if frame.t - seen > ABSENCE_TIMEOUT
         ]:
             del tracks[object_id]
             del last_seen[object_id]
@@ -111,7 +115,7 @@ def flatten(scenarios, default_bounds, absence_timeout: float) -> Flat:
             (host.v, host.yaw_rate, frame.var_v, frame.var_yaw,
              math.sin(host.alpha), math.cos(host.alpha))
         )
-        bounds = frame.bounds if frame.bounds is not None else default_bounds
+        bounds = frame.bounds if frame.bounds is not None else _DEFAULT_BOUNDS
         if id(bounds) not in bounds_cache:
             bounds_cache[id(bounds)] = bounds.arrays()
         bounds_of_frame.append(bounds_cache[id(bounds)])
@@ -276,7 +280,7 @@ def _continuous(flat: Flat, z_mean, z_std, sigma_nu: np.ndarray):
     return posteriors, failed, np.stack([mean, var], axis=-1)
 
 
-def filter_batch(scenarios, method: str, config, values, default_bounds) -> Batch:
+def filter_batch(scenarios, method: str, config, values) -> Batch:
     """Run `method` over the scenarios for every value of its parameter.
 
     `values` are the epsilons (discrete) or the sigma_nus (continuous) of
@@ -284,7 +288,7 @@ def filter_batch(scenarios, method: str, config, values, default_bounds) -> Batc
     the earliest failing frame of the first scenario that fails.
     """
     values = np.asarray(values, dtype=float)
-    flat = flatten(scenarios, default_bounds, config.absence_timeout)
+    flat = flatten(scenarios)
     with np.errstate(all="ignore"):
         z_mean, z_std = _transform_arrays(
             flat.inputs, flat.variances, flat.sin_a, flat.cos_a
@@ -306,7 +310,7 @@ def filter_batch(scenarios, method: str, config, values, default_bounds) -> Batc
         failed[0] = True
     if failed.any():
         k, g = (int(i) for i in np.argwhere(failed)[0])
-        _replay(flat, k, method, config, float(values[g]), default_bounds, states[:, g])
+        _replay(flat, k, method, config, float(values[g]), states[:, g])
     probability = np.take_along_axis(posteriors, index[..., None], axis=2)[..., 0]
     accepted = probability >= config.p_min
     return Batch(
@@ -314,12 +318,12 @@ def filter_batch(scenarios, method: str, config, values, default_bounds) -> Batc
     )
 
 
-def _replay(flat, k, method, config, value, default_bounds, states):
+def _replay(flat, k, method, config, value, states):
     """Run object-frame k, the earliest that failed a check, through the
     per-object API and re-raise its error with the frame context."""
     frame = flat.frames[flat.frame_of[k]]
     frame_index = flat.frame_number[flat.frame_of[k]]
-    bounds = frame.bounds if frame.bounds is not None else default_bounds
+    bounds = frame.bounds if frame.bounds is not None else _DEFAULT_BOUNDS
     u = float(flat.lateral_velocity[k])
     p = flat.previous[k]
     try:

@@ -40,18 +40,12 @@ def _out_stream(path: str):
 
 
 def _add_filter_flags(parser: argparse.ArgumentParser, eta_gain_default: float) -> None:
-    parser.add_argument(
-        "--epsilon", type=float, default=0.05,
-        help="discrete filter neighbor-transition rate (default 0.05)",
-    )
+    """The flags `run` and `sweep` share; `sweep` takes its swept parameter
+    from --grid."""
     parser.add_argument(
         "--eta-gain", type=float, default=eta_gain_default,
         help="drift gain applied to the lateral-velocity input "
         f"(default {eta_gain_default})",
-    )
-    parser.add_argument(
-        "--sigma-nu", type=float, default=0.1,
-        help="continuous filter process noise in m/s (default 0.1)",
     )
     parser.add_argument(
         "--p-min", type=float, default=0.3,
@@ -59,18 +53,10 @@ def _add_filter_flags(parser: argparse.ArgumentParser, eta_gain_default: float) 
     )
 
 
-def _config_from(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(
-        epsilon=args.epsilon,
-        eta_gain=args.eta_gain,
-        sigma_nu=args.sigma_nu,
-        p_min=args.p_min,
-    )
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     frames = load_scenario(args.scenario)
-    results = run_pipeline(frames, args.method, _config_from(args))
+    config = PipelineConfig(args.epsilon, args.eta_gain, args.sigma_nu, args.p_min)
+    results = run_pipeline(frames, args.method, config)
     with _out_stream(args.out) as out:
         write_run_csv(results, out)
     return 0
@@ -85,7 +71,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = None
     if args.grid:
         grid = [float(part) for part in args.grid.split(",") if part.strip()]
-    points = sweep_parameters(scenarios, args.method, grid, _config_from(args))
+    config = PipelineConfig(eta_gain=args.eta_gain, p_min=args.p_min)
+    points = sweep_parameters(scenarios, args.method, grid, config)
     with _out_stream(args.out) as out:
         write_roc_csv(points, out)
     return 0
@@ -130,6 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--method", choices=harness.METHODS, default="discrete",
         help="filter method (default discrete)",
+    )
+    run.add_argument(
+        "--epsilon", type=float, default=0.05,
+        help="discrete filter neighbor-transition rate (default 0.05)",
+    )
+    run.add_argument(
+        "--sigma-nu", type=float, default=0.1,
+        help="continuous filter process noise in m/s (default 0.1)",
     )
     _add_filter_flags(run, eta_gain_default=0.05)
     run.add_argument("--out", default="-", help="output CSV path, '-' for stdout")

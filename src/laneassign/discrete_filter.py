@@ -149,17 +149,6 @@ def update(predicted: PathPosterior, measurement: PathPosterior) -> PathPosterio
     return posterior
 
 
-def step(
-    prior: PathPosterior,
-    params: TransitionParams,
-    obj: GaussianScalar,
-    bounds: BoundarySet,
-) -> PathPosterior:
-    """One predict + update cycle for one object."""
-    matrix = build_transition_matrix(params)
-    return update(predict(prior, matrix), lane_occupancy(obj, bounds))
-
-
 class DiscretePathFilter:
     """Stateful per-object wrapper around predict/update.
 

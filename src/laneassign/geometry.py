@@ -69,14 +69,11 @@ class HostState:
     alpha : float
         Heading offset of the path tangent at the host position, rad,
         restricted to (-pi/2, pi/2).
-    timestamp : float
-        Measurement time in seconds.
     """
 
     v: float
     yaw_rate: float
     alpha: float = 0.0
-    timestamp: float = 0.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.v) or self.v < 0.0:
@@ -87,8 +84,6 @@ class HostState:
             raise InputDomainError(
                 f"heading offset must lie in (-pi/2, pi/2), got {self.alpha}"
             )
-        if not math.isfinite(self.timestamp):
-            raise InputDomainError(f"timestamp must be finite, got {self.timestamp}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +96,6 @@ class ObjectMeasurement:
 
     x: float
     y: float
-    timestamp: float = 0.0
     lateral_velocity_input: float | None = None
 
     def __post_init__(self) -> None:
@@ -111,8 +105,6 @@ class ObjectMeasurement:
             )
         if self.x <= 0.0:
             raise InputDomainError(f"objects must be ahead of the host, got x={self.x}")
-        if not math.isfinite(self.timestamp):
-            raise InputDomainError(f"timestamp must be finite, got {self.timestamp}")
         if self.lateral_velocity_input is not None and not math.isfinite(
             self.lateral_velocity_input
         ):

@@ -35,13 +35,13 @@ from .likelihood import (
     BoundarySet,
     BoundarySource,
     PathPosterior,
-    extrapolate_boundaries,
 )
 
 # The per-object stages the engine replaces stay importable from here, where
 # the benchmark's tracer (bench/tracing.py) counts their calls.
 from .estimator import assign  # noqa: F401
 from .geometry import transform_to_path  # noqa: F401
+from .likelihood import extrapolate_boundaries  # noqa: F401
 
 
 class ScenarioFormatError(ValueError):
@@ -128,7 +128,7 @@ def _variance(record: dict, key: str, where: str, line: int) -> float:
     return value
 
 
-def _parse_object(record: dict, t: float, line: int) -> TrackedObject:
+def _parse_object(record: dict, line: int) -> TrackedObject:
     _check_keys(record, _OBJECT_KEYS, "object", line)
     object_id = record["id"]
     if isinstance(object_id, bool) or not isinstance(object_id, (str, int)):
@@ -147,7 +147,6 @@ def _parse_object(record: dict, t: float, line: int) -> TrackedObject:
         measurement = ObjectMeasurement(
             x=_number(record, "x", "object", line),
             y=_number(record, "y", "object", line),
-            timestamp=t,
             lateral_velocity_input=v_lat,
         )
     except InputDomainError as exc:
@@ -215,15 +214,18 @@ def parse_scenario(stream: str | Iterable[str]) -> list[ScenarioFrame]:
                 v=_number(host_record, "v", "host", line_no),
                 yaw_rate=_number(host_record, "yaw_rate", "host", line_no),
                 alpha=alpha,
-                timestamp=t,
             )
         except InputDomainError as exc:
             raise ScenarioFormatError(f"line {line_no}: {exc}") from exc
+        if not math.isfinite(t):
+            raise ScenarioFormatError(
+                f"line {line_no}: timestamp must be finite, got {t}"
+            )
 
         object_records = record["objects"]
         if not isinstance(object_records, list):
             raise ScenarioFormatError(f"line {line_no}: 'objects' must be a list")
-        objects = tuple(_parse_object(rec, t, line_no) for rec in object_records)
+        objects = tuple(_parse_object(rec, line_no) for rec in object_records)
         seen_ids = set()
         for obj in objects:
             if obj.object_id in seen_ids:
@@ -469,7 +471,6 @@ def generate_synthetic(spec: SynthSpec) -> list[ScenarioFrame]:
                     measurement=ObjectMeasurement(
                         x=x_meas,
                         y=y_meas,
-                        timestamp=t,
                         lateral_velocity_input=v_lat,
                     ),
                     var_x=noise.sigma_x**2,
@@ -483,7 +484,7 @@ def generate_synthetic(spec: SynthSpec) -> list[ScenarioFrame]:
         frames.append(
             ScenarioFrame(
                 t=t,
-                host=HostState(v=v_meas, yaw_rate=yaw_meas, alpha=0.0, timestamp=t),
+                host=HostState(v=v_meas, yaw_rate=yaw_meas, alpha=0.0),
                 var_v=noise.sigma_v**2,
                 var_yaw=noise.sigma_yaw**2 + var_yaw_extra,
                 objects=tuple(objects),
@@ -508,10 +509,6 @@ class PipelineConfig:
     eta_gain: float = 0.05
     sigma_nu: float = 0.1
     p_min: float = DEFAULT_P_MIN
-    absence_timeout: float = 1.0  # s without detections before state is dropped
-    default_halfwidth: float = 1.75
-    default_width: float = 3.5
-    default_boundary_std: float = 0.3
 
 
 @dataclass(frozen=True)
@@ -531,15 +528,6 @@ def _check_method(method: str) -> None:
         raise InputDomainError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _default_bounds(config: PipelineConfig) -> BoundarySet:
-    return extrapolate_boundaries(
-        None,
-        default_width=config.default_width,
-        default_center_halfwidth=config.default_halfwidth,
-        default_std=config.default_boundary_std,
-    )
-
-
 def run_pipeline(
     frames: Sequence[ScenarioFrame],
     method: str = "discrete",
@@ -549,14 +537,14 @@ def run_pipeline(
 
     Per object: transform the measurement into a path-offset Gaussian, step
     that object's filter (created on first sight, dropped after
-    absence_timeout seconds without detections), and assign by the gated
-    median.  Objects are independent; their order within a frame does not
-    affect any per-object output.  A ValueError names the earliest frame
+    `_engine.ABSENCE_TIMEOUT` = 1 s without detections), and assign by the
+    gated median.  Objects are independent; their order within a frame does
+    not affect any per-object output.  A ValueError names the earliest frame
     that fails.
     """
     _check_method(method)
     value = config.epsilon if method == "discrete" else config.sigma_nu
-    batch = filter_batch([frames], method, config, [value], _default_bounds(config))
+    batch = filter_batch([frames], method, config, [value])
     return [
         ObjectResult(
             t=frames[frame_index].t,
@@ -637,30 +625,18 @@ EPSILON_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 SIGMA_NU_GRID = tuple(float(s) for s in np.geomspace(0.04, 0.4, 6))
 
 
-def _as_scenarios(
-    frames: Sequence[ScenarioFrame] | Sequence[Sequence[ScenarioFrame]],
-) -> list[list[ScenarioFrame]]:
-    frames = list(frames)
-    if not frames:
-        return []
-    if isinstance(frames[0], ScenarioFrame):
-        return [frames]  # a single scenario
-    return [list(scenario) for scenario in frames]
-
-
 def sweep_parameters(
-    frames: Sequence[ScenarioFrame] | Sequence[Sequence[ScenarioFrame]],
+    scenarios: Sequence[Sequence[ScenarioFrame]],
     method: str,
     grid: Sequence[float] | None = None,
     config: PipelineConfig = PipelineConfig(),
 ) -> list[RocPoint]:
     """One RocPoint per grid value, pooling results over all given scenarios.
 
-    `frames` may be a single scenario or a sequence of scenarios; each
-    scenario is filtered independently (fresh state), results are pooled per
-    grid value.  The swept parameter is epsilon for the discrete method and
-    sigma_nu for the continuous one; the default grids cover six decades of
-    epsilon and 0.04..0.4 m/s of sigma_nu.
+    Each scenario is filtered independently (fresh state); results are
+    pooled per grid value.  The swept parameter is epsilon for the discrete
+    method and sigma_nu for the continuous one; the default grids cover six
+    decades of epsilon and 0.04..0.4 m/s of sigma_nu.
     """
     _check_method(method)
     parameter = "epsilon" if method == "discrete" else "sigma_nu"
@@ -669,8 +645,7 @@ def sweep_parameters(
     grid = list(grid)
     if not grid:
         raise InputDomainError("parameter grid must be nonempty")
-    scenarios = _as_scenarios(frames)
-    batch = filter_batch(scenarios, method, config, grid, _default_bounds(config))
+    batch = filter_batch(scenarios, method, config, grid)
     for frame_index, obj in zip(batch.frame_of.tolist(), batch.objects):
         if obj.ground_truth is None:
             raise _no_ground_truth(obj.object_id, batch.frames[frame_index].t)

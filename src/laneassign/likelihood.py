@@ -164,40 +164,38 @@ def lane_occupancy(
     return PathPosterior(probs)
 
 
+# The synthesized outer boundaries are less certain than the inner pair
+# they extend; their deviations are the inner ones times this factor.
+_OUTER_STD_INFLATION = 1.5
+
+# Without measured boundaries the host path is centered and 3.5 m wide.
+_DEFAULT_INNER = (GaussianScalar(-1.75, 0.3), GaussianScalar(1.75, 0.3))
+
+
 def extrapolate_boundaries(
     inner: tuple[GaussianScalar, GaussianScalar] | None = None,
-    default_width: float = 3.5,
-    default_center_halfwidth: float = 1.75,
-    default_std: float = 0.3,
-    std_inflation: float = 1.5,
 ) -> BoundarySet:
-    """Build a full boundary set from the inner pair, or from defaults.
+    """Build a full boundary set from the inner pair.
 
     Args:
         inner: Measured (right, left) host-path boundaries.  When None, the
-            host path is centered with half width default_center_halfwidth and
-            deviation default_std, and the outer paths are default_width wide.
-        default_width: Outer path width used when inner is None.
-        std_inflation: Factor applied to the inner deviations for the
-            synthesized outer boundaries (they are less certain).
+            default pair is used: half width 1.75 m, deviation 0.3 m.
 
     The outer boundaries are placed one inner-width outward from the inner
-    pair, so all three path regions share the measured width.
+    pair, so all three path regions share the inner width.
     """
-    if inner is None:
-        right = GaussianScalar(-default_center_halfwidth, default_std)
-        left = GaussianScalar(default_center_halfwidth, default_std)
-        width = default_width
-        source = BoundarySource.DEFAULT
-    else:
-        right, left = inner
-        width = left.mean - right.mean
-        if width <= 0.0:
-            raise InputDomainError(
-                f"inner boundaries must be ordered right < left, got "
-                f"{right.mean} >= {left.mean}"
-            )
-        source = BoundarySource.EXTRAPOLATED
-    outer_right = GaussianScalar(right.mean - width, right.std * std_inflation)
-    outer_left = GaussianScalar(left.mean + width, left.std * std_inflation)
+    right, left = inner if inner is not None else _DEFAULT_INNER
+    width = left.mean - right.mean
+    if width <= 0.0:
+        raise InputDomainError(
+            f"inner boundaries must be ordered right < left, got "
+            f"{right.mean} >= {left.mean}"
+        )
+    outer_right = GaussianScalar(right.mean - width, right.std * _OUTER_STD_INFLATION)
+    outer_left = GaussianScalar(left.mean + width, left.std * _OUTER_STD_INFLATION)
+    source = BoundarySource.DEFAULT if inner is None else BoundarySource.EXTRAPOLATED
     return BoundarySet((outer_right, right, left, outer_left), source)
+
+
+# The boundaries of every frame that carries none.
+_DEFAULT_BOUNDS = extrapolate_boundaries()

@@ -106,6 +106,30 @@ def test_sweep_builtin_suite_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("flag", ["--epsilon", "--sigma-nu"])
+def test_sweep_rejects_the_run_only_parameter_flags(tmp_path, flag):
+    # The swept parameter comes from --grid.
+    scenario = tmp_path / "s.jsonl"
+    write_minimal_scenario(scenario)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--method", "discrete", "--scenario", str(scenario),
+              flag, "0.1"])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "method, flag", [("discrete", "--epsilon"), ("continuous", "--sigma-nu")]
+)
+def test_run_parameter_flags_change_the_output(tmp_path, method, flag):
+    scenario = tmp_path / "s.jsonl"
+    write_minimal_scenario(scenario)
+    default, changed = tmp_path / "default.csv", tmp_path / "changed.csv"
+    args = ["run", "--scenario", str(scenario), "--method", method]
+    assert main(args + ["--out", str(default)]) == 0
+    assert main(args + [flag, "0.2", "--out", str(changed)]) == 0
+    assert read_csv(changed) != read_csv(default)
+
+
 def test_mc_validate_csv(tmp_path):
     out = tmp_path / "mc.csv"
     code = main(["mc-validate", "--samples", "200", "--x-steps", "2",

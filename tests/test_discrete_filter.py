@@ -19,7 +19,7 @@ from laneassign import (
     extrapolate_boundaries,
     lane_occupancy,
 )
-from laneassign.discrete_filter import _bayes_update, predict, step, update
+from laneassign.discrete_filter import _bayes_update, predict, update
 
 
 def posterior(*probs):
@@ -134,7 +134,7 @@ def test_transition_matrix_validation():
 
 
 # ---------------------------------------------------------------------------
-# predict / update / step
+# predict / update
 # ---------------------------------------------------------------------------
 
 
@@ -197,18 +197,6 @@ def test_update_zero_product_resets_to_measurement(caplog):
     assert reset
     np.testing.assert_allclose(out.probs, meas.probs)
     assert any("reset" in rec.message for rec in caplog.records)
-
-
-def test_step_is_predict_then_update():
-    rng = np.random.default_rng(37)
-    bounds = extrapolate_boundaries()
-    prior = PathPosterior(rng.dirichlet(np.ones(5)))
-    params = TransitionParams(0.08, 0.02)
-    obj = GaussianScalar(0.9, 0.5)
-    got = step(prior, params, obj, bounds)
-    pred = predict(prior, build_transition_matrix(params))
-    want = update(pred, lane_occupancy(obj, bounds))
-    np.testing.assert_array_equal(got.probs, want.probs)
 
 
 def test_filter_reversal_symmetry():
@@ -297,5 +285,6 @@ def test_filter_clamps_out_of_range_epsilon():
     bounds = extrapolate_boundaries()
     z = GaussianScalar(0.5, 0.6)
     got = DiscretePathFilter(epsilon=0.9).step(z, bounds)
-    want = step(PathPosterior.uniform(), TransitionParams(EPSILON_MAX, 0.0), z, bounds)
+    matrix = build_transition_matrix(TransitionParams(EPSILON_MAX, 0.0))
+    want = update(predict(PathPosterior.uniform(), matrix), lane_occupancy(z, bounds))
     np.testing.assert_allclose(got.probs, want.probs, atol=1e-15)

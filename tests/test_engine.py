@@ -42,19 +42,10 @@ from laneassign import (
     sweep_parameters,
     transform_to_path,
 )
-from laneassign._engine import filter_batch
+from laneassign._engine import ABSENCE_TIMEOUT, filter_batch
 from laneassign.harness import EPSILON_GRID, SIGMA_NU_GRID
 
 POSTERIOR_TOL = 1e-12
-
-
-def default_bounds(config):
-    return extrapolate_boundaries(
-        None,
-        default_width=config.default_width,
-        default_center_halfwidth=config.default_halfwidth,
-        default_std=config.default_boundary_std,
-    )
 
 
 def loop_run(frames, method, config, transforms=None):
@@ -64,13 +55,13 @@ def loop_run(frames, method, config, transforms=None):
     sweep transforms each object-frame once; errors carry the frame context.
     """
     transforms = {} if transforms is None else transforms
-    bounds_default = default_bounds(config)
+    bounds_default = extrapolate_boundaries()
     filters, last_seen, results = {}, {}, []
     for frame_index, frame in enumerate(frames):
         try:
             for oid in [
                 oid for oid, seen in last_seen.items()
-                if frame.t - seen > config.absence_timeout
+                if frame.t - seen > ABSENCE_TIMEOUT
             ]:
                 del filters[oid]
                 del last_seen[oid]
@@ -135,7 +126,7 @@ def assert_batch_matches_loop(frames, method, config, values):
     results per value.  When loop runs fail, the batch must raise the error
     of the earliest failing frame over all values."""
     batch, error = outcome(
-        lambda: filter_batch([frames], method, config, values, default_bounds(config))
+        lambda: filter_batch([frames], method, config, values)
     )
     transforms = {}
     runs = [
@@ -210,7 +201,7 @@ def test_discrete_sweep_with_lateral_velocity_drift_matches_loop():
     assert len(drifts) > 1
     config = PipelineConfig(eta_gain=0.05)
     runs = assert_batch_matches_loop(frames, "discrete", config, EPSILON_GRID)
-    assert sweep_parameters(frames, "discrete", EPSILON_GRID, config) == [
+    assert sweep_parameters([frames], "discrete", EPSILON_GRID, config) == [
         compute_roc(results, f"epsilon={value:g}")
         for results, value in zip(runs, EPSILON_GRID)
     ]
@@ -234,7 +225,7 @@ def test_multi_scenario_batch_keeps_tracks_per_scenario(method, values):
         for seed, kind in enumerate(kinds)
     ]
     config = PipelineConfig(eta_gain=0.05)
-    batch = filter_batch(scenarios, method, config, values, default_bounds(config))
+    batch = filter_batch(scenarios, method, config, values)
     for g, value in enumerate(values):
         per_value = dataclasses.replace(config, **{parameter_of(method): value})
         expected = [r for frames in scenarios for r in loop_run(frames, method, per_value)]
@@ -376,7 +367,7 @@ def test_sweep_error_names_the_earliest_failing_frame():
     frames = straight_frames(5)
     frames[3] = dataclasses.replace(frames[3], var_v=-1.0)
     with pytest.raises(InputDomainError, match=r"^frame 3 \(t=0\.15\): covariance"):
-        sweep_parameters(frames, "discrete", EPSILON_GRID)
+        sweep_parameters([frames], "discrete", EPSILON_GRID)
 
 
 def test_sweep_error_names_the_first_failing_scenario():
@@ -483,7 +474,7 @@ def test_zero_overlap_resets_some_values_of_one_depth(caplog):
         return sum("zero overlap" in record.message for record in caplog.records)
 
     with caplog.at_level("WARNING"):
-        filter_batch([frames], "discrete", config, values, default_bounds(config))
+        filter_batch([frames], "discrete", config, values)
         assert resets() == 2  # one per object-frame with a reset at any value
         for value, expected in zip(values, (2, 1)):
             per_value = dataclasses.replace(config, epsilon=value)

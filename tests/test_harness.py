@@ -164,6 +164,18 @@ def test_parse_rejects_non_increasing_time():
         parse_scenario(as_stream(a, c))
 
 
+def test_parse_rejects_non_finite_time():
+    frame = json.dumps(minimal_frame_dict())
+    with pytest.raises(
+        ScenarioFormatError, match=r"^line 1: timestamp must be finite, got nan$"
+    ):
+        parse_scenario(frame.replace('"t": 0.0', '"t": NaN'))
+    with pytest.raises(
+        ScenarioFormatError, match=r"^line 2: timestamp must be finite, got inf$"
+    ):
+        parse_scenario([frame, frame.replace('"t": 0.0', '"t": Infinity')])
+
+
 def test_parse_rejects_duplicate_object_ids():
     d = minimal_frame_dict()
     d["objects"].append(dict(d["objects"][0]))
@@ -470,7 +482,7 @@ def test_compute_roc_requires_ground_truth():
 
 def test_sweep_single_point_matches_direct_run():
     frames = generate_synthetic(SynthSpec(kind="straight_follow", duration=1.0))
-    points = sweep_parameters(frames, method="discrete", grid=(0.05,))
+    points = sweep_parameters([frames], method="discrete", grid=(0.05,))
     want = compute_roc(
         run_pipeline(frames, "discrete", PipelineConfig(epsilon=0.05)), "epsilon=0.05"
     )
@@ -479,11 +491,11 @@ def test_sweep_single_point_matches_direct_run():
 
 def test_sweep_default_grids():
     frames = generate_synthetic(SynthSpec(kind="straight_follow", duration=1.0))
-    eps_points = sweep_parameters(frames, method="discrete")
+    eps_points = sweep_parameters([frames], method="discrete")
     assert [p.parameter_label for p in eps_points] == [
         f"epsilon={v:g}" for v in EPSILON_GRID
     ]
-    nu_points = sweep_parameters(frames, method="continuous")
+    nu_points = sweep_parameters([frames], method="continuous")
     assert [p.parameter_label for p in nu_points] == [
         f"sigma_nu={v:g}" for v in SIGMA_NU_GRID
     ]
@@ -497,15 +509,15 @@ def test_sweep_accepts_multiple_scenarios():
     b = generate_synthetic(SynthSpec(kind="adjacent_lane", duration=1.0))
     merged = sweep_parameters([a, b], method="discrete", grid=(0.05,))
     assert merged[0].frames_evaluated == (
-        sweep_parameters(a, method="discrete", grid=(0.05,))[0].frames_evaluated
-        + sweep_parameters(b, method="discrete", grid=(0.05,))[0].frames_evaluated
+        sweep_parameters([a], method="discrete", grid=(0.05,))[0].frames_evaluated
+        + sweep_parameters([b], method="discrete", grid=(0.05,))[0].frames_evaluated
     )
 
 
 def test_sweep_rejects_empty_grid():
     frames = generate_synthetic(SynthSpec(kind="straight_follow", duration=0.5))
     with pytest.raises(InputDomainError):
-        sweep_parameters(frames, method="discrete", grid=())
+        sweep_parameters([frames], method="discrete", grid=())
 
 
 def test_zero_noise_adjacent_lane_has_no_false_positives():
@@ -515,7 +527,7 @@ def test_zero_noise_adjacent_lane_has_no_false_positives():
         SynthSpec(kind="adjacent_lane", duration=3.0, noise=QUIET)
     )
     for method, grid in (("discrete", (0.1, 0.01)), ("continuous", (0.05, 0.4))):
-        for point in sweep_parameters(frames, method=method, grid=grid):
+        for point in sweep_parameters([frames], method=method, grid=grid):
             assert point.fp_rate == 0.0, method
             assert point.tp_rate is None  # nothing is ever truly in-lane
 
