@@ -44,7 +44,8 @@ def _add_filter_flags(parser: argparse.ArgumentParser, eta_gain_default: float) 
     from --grid."""
     parser.add_argument(
         "--eta-gain", type=float, default=eta_gain_default,
-        help="drift gain applied to the lateral-velocity input "
+        help="discrete method only: drift gain applied to the lateral-velocity "
+        "input; the continuous method drifts by the raw v_lat "
         f"(default {eta_gain_default})",
     )
     parser.add_argument(
@@ -120,11 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--epsilon", type=float, default=0.05,
-        help="discrete filter neighbor-transition rate (default 0.05)",
+        help="discrete method only: neighbor-transition rate (default 0.05)",
     )
     run.add_argument(
         "--sigma-nu", type=float, default=0.1,
-        help="continuous filter process noise in m/s (default 0.1)",
+        help="continuous method only: process noise in m/s (default 0.1)",
     )
     _add_filter_flags(run, eta_gain_default=0.05)
     run.add_argument("--out", default="-", help="output CSV path, '-' for stdout")

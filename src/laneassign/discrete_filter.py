@@ -56,15 +56,26 @@ def clamp_params(params: TransitionParams) -> tuple[TransitionParams, bool]:
     return clamped, clamped != params
 
 
-_BAND = np.abs(np.subtract.outer(np.arange(N_PATHS), np.arange(N_PATHS))) <= 1
+# Row-major positions of a 5x5 matrix that lie off the band.
+_OFF_BAND = (
+    np.abs(np.subtract.outer(np.arange(N_PATHS), np.arange(N_PATHS))).ravel() > 1
+)
 
 
 def _matrix_violations(entries: np.ndarray) -> tuple[np.ndarray, ...]:
     """Masks over the leading axes of (..., 5, 5) entries: an entry outside
     [0, 1], a column not summing to 1, a nonzero entry off the band."""
-    outside = ((entries < -1e-12) | (entries > 1.0 + 1e-12)).any(axis=(-2, -1))
-    unnormalized = (np.abs(entries.sum(axis=-2) - 1.0) > 1e-12).any(axis=-1)
-    off_band = (entries != 0.0)[..., ~_BAND].any(axis=-1)
+    flat = entries.reshape(entries.shape[:-2] + (N_PATHS * N_PATHS,))
+    outside = np.logical_or.reduce((flat < -1e-12) | (flat > 1.0 + 1e-12), axis=-1)
+    # Row by row, the order np.add.reduce(entries, axis=-2) adds in, but
+    # faster on a batch.
+    column_sum = entries[..., 0, :]
+    for row in range(1, N_PATHS):
+        column_sum = column_sum + entries[..., row, :]
+    # fmax skips NaN, so the largest error passes the test exactly where
+    # one of the columns does.
+    unnormalized = np.fmax.reduce(np.abs(column_sum - 1.0), axis=-1) > 1e-12
+    off_band = (flat != 0.0) @ _OFF_BAND  # a boolean product: any of them
     return outside, unnormalized, off_band
 
 
@@ -90,18 +101,18 @@ class TransitionMatrix:
 
 
 def _transition_entries(epsilon, eta) -> np.ndarray:
-    """Entries of the transition matrix for clamped, broadcast (epsilon, eta)
-    arrays, shape (..., 5, 5)."""
-    eps, eta = np.broadcast_arrays(np.asarray(epsilon, float), np.asarray(eta, float))
-    half = 0.5 * np.abs(eta)
-    up = eps + half + eta  # toward higher index
-    down = eps + half - eta  # toward lower index
-    stay = 1.0 - 2.0 * eps - np.abs(eta)
-    entries = np.zeros(eps.shape + (N_PATHS, N_PATHS))
-    entries[..., 0, 0] = 1.0 - eps - eta
-    entries[..., 1, 0] = eps + eta
-    entries[..., 3, 4] = eps - eta
-    entries[..., 4, 4] = 1.0 - eps + eta
+    """Entries of the transition matrix for clamped (epsilon, eta), floats or
+    arrays that broadcast together, shape (..., 5, 5)."""
+    half = 0.5 * abs(eta)
+    up = epsilon + half + eta  # toward higher index
+    down = epsilon + half - eta  # toward lower index
+    stay = 1.0 - 2.0 * epsilon - abs(eta)
+    # Not np.shape: it converts a float to an array first, about 2 us.
+    entries = np.zeros(getattr(stay, "shape", ()) + (N_PATHS, N_PATHS))
+    entries[..., 0, 0] = 1.0 - epsilon - eta
+    entries[..., 1, 0] = epsilon + eta
+    entries[..., 3, 4] = epsilon - eta
+    entries[..., 4, 4] = 1.0 - epsilon + eta
     for j in (1, 2, 3):
         entries[..., j - 1, j] = down
         entries[..., j, j] = stay
@@ -162,6 +173,8 @@ class DiscretePathFilter:
         eta_gain: float = 0.05,
         initial: PathPosterior | None = None,
     ):
+        if not math.isfinite(eta_gain):
+            raise InputDomainError(f"eta_gain must be finite, got {eta_gain}")
         self.epsilon = epsilon
         self.eta_gain = eta_gain
         self.posterior = initial if initial is not None else PathPosterior.uniform()

@@ -18,6 +18,7 @@ camera cues); without them the default boundary layout is used.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
@@ -361,8 +362,7 @@ def _ramp(t: float, start: float, duration: float, y0: float, y1: float) -> floa
 def _ground_truth(lateral: float, half: float) -> int:
     # Region edges at -3h, -h, h, 3h; a value exactly on an edge stays in
     # the lower region, so the truth flips on the first strict crossing.
-    edges = (-3.0 * half, -half, half, 3.0 * half)
-    return int(np.searchsorted(edges, lateral, side="left"))
+    return bisect.bisect_left((-3.0 * half, -half, half, 3.0 * half), lateral)
 
 
 def generate_synthetic(spec: SynthSpec) -> list[ScenarioFrame]:
@@ -388,6 +388,8 @@ def generate_synthetic(spec: SynthSpec) -> list[ScenarioFrame]:
         raise InputDomainError(f"step must be positive, got {spec.step}")
     if spec.duration < spec.step:
         raise InputDomainError("duration must cover at least one step")
+    if not math.isfinite(spec.duration):
+        raise InputDomainError(f"duration must be finite, got {spec.duration}")
 
     rng = np.random.default_rng(spec.seed)
     half = spec.lane_width / 2.0
@@ -407,88 +409,91 @@ def generate_synthetic(spec: SynthSpec) -> list[ScenarioFrame]:
         BoundarySource.MEASURED,
     )
 
-    frames: list[ScenarioFrame] = []
-    for k in range(n_frames):
-        t = round(k * spec.step, 9)
-
-        yaw_true = 0.0
-        yaw_extra = 0.0  # deterministic corruption on the measured yaw rate
-        var_yaw_extra = 0.0
+    def placed(object_id, x_true, lateral, v_lat=None):
+        """(id, x, y, emitted v_lat, truth) of an object at arc length
+        x_true and path offset `lateral`."""
+        x, y = x_true, lateral
         if spec.kind == "host_curve":
-            yaw_true = spec.host_speed / spec.curve_radius
-        elif spec.kind == "noisy_yaw":
-            yaw_extra = spec.yaw_amplitude * math.sin(
-                2.0 * math.pi * spec.yaw_frequency * t
-            )
-            var_yaw_extra = spec.yaw_amplitude**2 / 2.0
+            # On the curve the path-relative construction is the
+            # ground-truth oracle.
+            radius = spec.curve_radius
+            phi = x_true / radius
+            x = (radius - lateral) * math.sin(phi)
+            y = radius - (radius - lateral) * math.cos(phi)
+        return object_id, x, y, v_lat, _ground_truth(lateral, half)
 
-        # (id, x_true, lateral_true, emitted v_lat or None)
-        if spec.kind == "straight_follow":
-            truth = [
-                ("lead", spec.object_range, 0.0, None),
-                ("neighbor", 0.6 * spec.object_range, width, None),
-            ]
-        elif spec.kind == "adjacent_lane":
-            truth = [
-                ("left", 0.8 * spec.object_range, width, None),
-                ("right", 1.2 * spec.object_range, -width, None),
-            ]
-        elif spec.kind == "target_lane_change":
+    # What does not change from frame to frame, once per scenario.
+    r = spec.object_range
+    yaw_true = 0.0
+    var_yaw_extra = 0.0
+    if spec.kind == "straight_follow":
+        fixed = [placed("lead", r, 0.0), placed("neighbor", 0.6 * r, width)]
+    elif spec.kind == "adjacent_lane":
+        fixed = [placed("left", 0.8 * r, width), placed("right", 1.2 * r, -width)]
+    elif spec.kind == "target_lane_change":
+        fixed = []
+    elif spec.kind == "host_curve":
+        yaw_true = spec.host_speed / spec.curve_radius
+        fixed = [placed("lead", r, 0.0), placed("adjacent", 0.8 * r, -width)]
+    else:  # noisy_yaw
+        var_yaw_extra = spec.yaw_amplitude**2 / 2.0
+        fixed = [placed("far", 1.6 * r, width)]
+
+    def objects_at(t):
+        """The lane changer or the cut-in, whose offset ramps, then the
+        fixed objects."""
+        if spec.kind == "target_lane_change":
             lateral = _ramp(t, change_start, spec.change_duration, 0.0, width)
             in_ramp = change_start < t < change_start + spec.change_duration
             v_lat = width / spec.change_duration if in_ramp else 0.0
-            truth = [("changer", spec.object_range, lateral, v_lat)]
-        elif spec.kind == "host_curve":
-            truth = [
-                ("lead", spec.object_range, 0.0, None),
-                ("adjacent", 0.8 * spec.object_range, -width, None),
-            ]
-        else:  # noisy_yaw
+            return [placed("changer", r, lateral, v_lat)]
+        if spec.kind == "noisy_yaw":
             lateral = _ramp(t, change_start, spec.change_duration, width, 0.0)
-            truth = [
-                ("cutin", 0.8 * spec.object_range, lateral, None),
-                ("far", 1.6 * spec.object_range, width, None),
-            ]
+            return [placed("cutin", 0.8 * r, lateral)] + fixed
+        return fixed
 
-        objects = []
-        for object_id, x_true, lateral_true, v_lat in truth:
-            if spec.kind == "host_curve":
-                # Place the object on the curve at arc length x_true with the
-                # given lateral offset; the path-relative construction is the
-                # ground-truth oracle.
-                radius = spec.curve_radius
-                phi = x_true / radius
-                x_cart = (radius - lateral_true) * math.sin(phi)
-                y_cart = radius - (radius - lateral_true) * math.cos(phi)
-            else:
-                x_cart = x_true
-                y_cart = lateral_true
-            x_meas = max(x_cart + rng.normal(0.0, noise.sigma_x), 0.01)
-            y_meas = y_cart + rng.normal(0.0, noise.sigma_y)
-            objects.append(
-                TrackedObject(
-                    object_id=object_id,
-                    measurement=ObjectMeasurement(
-                        x=x_meas,
-                        y=y_meas,
-                        lateral_velocity_input=v_lat,
-                    ),
-                    var_x=noise.sigma_x**2,
-                    var_y=noise.sigma_y**2,
-                    ground_truth=_ground_truth(lateral_true, half),
-                )
+    # All the scenario's noise in one draw, in the order of one draw per
+    # value: x and y of each object, then the host's v and yaw rate, frame
+    # by frame.  Row k holds frame k.
+    scales = [noise.sigma_x, noise.sigma_y] * len(objects_at(0.0))
+    scales += [noise.sigma_v, noise.sigma_yaw]
+    draws = rng.normal(0.0, np.tile(scales, n_frames)).reshape(n_frames, -1).tolist()
+    var_x, var_y = noise.sigma_x**2, noise.sigma_y**2
+    var_v, var_yaw = noise.sigma_v**2, noise.sigma_yaw**2 + var_yaw_extra
+
+    frames: list[ScenarioFrame] = []
+    for k, draw in enumerate(draws):
+        t = round(k * spec.step, 9)
+        # Positional arguments: keywords made the build about a fifth slower.
+        objects = tuple([
+            TrackedObject(
+                object_id,
+                ObjectMeasurement(
+                    max(x + draw[2 * i], 0.01), y + draw[2 * i + 1], v_lat
+                ),
+                var_x,
+                var_y,
+                truth,
             )
-
-        v_meas = max(spec.host_speed + rng.normal(0.0, noise.sigma_v), 0.0)
-        yaw_meas = yaw_true + yaw_extra + rng.normal(0.0, noise.sigma_yaw)
+            for i, (object_id, x, y, v_lat, truth) in enumerate(objects_at(t))
+        ])
+        yaw_extra = 0.0  # deterministic corruption on the measured yaw rate
+        if spec.kind == "noisy_yaw":
+            yaw_extra = spec.yaw_amplitude * math.sin(
+                2.0 * math.pi * spec.yaw_frequency * t
+            )
         frames.append(
             ScenarioFrame(
-                t=t,
-                host=HostState(v=v_meas, yaw_rate=yaw_meas, alpha=0.0),
-                var_v=noise.sigma_v**2,
-                var_yaw=noise.sigma_yaw**2 + var_yaw_extra,
-                objects=tuple(objects),
-                bounds=bounds,
+                t,
+                HostState(
+                    max(spec.host_speed + draw[-2], 0.0),
+                    yaw_true + yaw_extra + draw[-1],
+                    0.0,
+                ),
+                var_v,
+                var_yaw,
+                objects,
+                bounds,
             )
         )
     return frames

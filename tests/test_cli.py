@@ -54,6 +54,15 @@ def test_synth_noise_scale_zero_is_noiseless(tmp_path):
     assert all(o.measurement.y in (0.0, 3.5) for f in frames for o in f.objects)
 
 
+@pytest.mark.parametrize("duration", ["inf", "nan"])
+def test_synth_rejects_a_non_finite_duration(tmp_path, capsys, duration):
+    out = tmp_path / "scenario.jsonl"
+    assert main(["synth", "--kind", "straight_follow", "--duration", duration,
+                 "--out", str(out)]) == 2
+    error = capsys.readouterr().err
+    assert error == f"error: duration must be finite, got {duration}\n"
+
+
 def test_run_produces_assignment_csv(tmp_path):
     scenario = tmp_path / "s.jsonl"
     write_minimal_scenario(scenario)

@@ -19,7 +19,12 @@ from laneassign import (
     extrapolate_boundaries,
     lane_occupancy,
 )
-from laneassign.discrete_filter import _bayes_update, predict, update
+from laneassign.discrete_filter import (
+    _bayes_update,
+    _matrix_violations,
+    predict,
+    update,
+)
 
 
 def posterior(*probs):
@@ -131,6 +136,42 @@ def test_transition_matrix_validation():
     off_band[2, 0] += 0.05
     with pytest.raises(InputDomainError):
         TransitionMatrix(off_band)
+
+
+def _violations_by_entry(m):
+    """The three checks of one 5x5 matrix, entry by entry."""
+    values = m.tolist()
+    outside = any(v < -1e-12 or v > 1.0 + 1e-12 for row in values for v in row)
+    sums = values[0]
+    for row in values[1:]:
+        sums = [total + v for total, v in zip(sums, row)]
+    unnormalized = any(abs(total - 1.0) > 1e-12 for total in sums)
+    off_band = any(
+        values[i][j] != 0.0 for i in range(5) for j in range(5) if abs(i - j) > 1
+    )
+    return outside, unnormalized, off_band
+
+
+def test_matrix_violations_match_an_entry_by_entry_check():
+    rng = np.random.default_rng(11)
+    matrices = np.stack(
+        [build_transition_matrix(random_params(rng)).entries for _ in range(400)]
+    )
+    # Nudge two entries of most matrices across or short of a tolerance;
+    # a NaN must not hide a fault elsewhere in the matrix.
+    for nudges in (
+        [0.0, 5e-13, 2e-12, -2e-12, 1e-300, 0.5, -0.5],
+        [0.0, 1e-9, math.nan],
+    ):
+        rows, columns = rng.integers(0, 5, (2, len(matrices)))
+        matrices[np.arange(len(matrices)), rows, columns] += rng.choice(
+            nudges, len(matrices)
+        )
+    batch = _matrix_violations(matrices.reshape(20, 20, 5, 5))
+    for k, m in enumerate(matrices):
+        expected = _violations_by_entry(m)
+        assert tuple(bool(mask) for mask in _matrix_violations(m)) == expected
+        assert tuple(bool(mask[k // 20, k % 20]) for mask in batch) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,21 @@ def test_parameter_errors_match_loop(method, config):
     assert_run_matches_loop(frames, method, config)
 
 
+@pytest.mark.parametrize("eta_gain", [math.inf, math.nan])
+@pytest.mark.parametrize("kind", ["straight_follow", "target_lane_change"])
+def test_non_finite_eta_gain_is_named(kind, eta_gain):
+    # target_lane_change reports v_lat on every object, straight_follow none
+    frames = generate_synthetic(SynthSpec(kind=kind, duration=0.15))
+    config = PipelineConfig(eta_gain=eta_gain)
+    message = f"frame 0 (t=0.0): eta_gain must be finite, got {eta_gain}"
+    for call in (
+        lambda: run_pipeline(frames, "discrete", config),
+        lambda: sweep_parameters([frames], "discrete", EPSILON_GRID, config),
+    ):
+        assert outcome(call)[1] == (InputDomainError, message)
+    assert_run_matches_loop(frames, "discrete", config)
+
+
 def test_non_increasing_timestamps_fail_the_kalman_filter_only():
     frames = straight_frames(3)
     frames = [frames[0], frames[1], dataclasses.replace(frames[2], t=frames[1].t)]

@@ -10,6 +10,7 @@ import pytest
 from laneassign import (
     HOST_PATH_INDEX,
     Assignment,
+    BoundarySet,
     BoundarySource,
     GaussianScalar,
     HostState,
@@ -35,7 +36,12 @@ from laneassign import (
     write_run_csv,
     write_scenario,
 )
-from laneassign.harness import EPSILON_GRID, SCENARIO_KINDS, SIGMA_NU_GRID
+from laneassign.harness import (
+    EPSILON_GRID,
+    SCENARIO_KINDS,
+    SIGMA_NU_GRID,
+    _ground_truth,
+)
 
 QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
 
@@ -219,6 +225,9 @@ def test_synthetic_rejects_bad_spec():
         generate_synthetic(SynthSpec(kind="straight_follow", step=0.0))
     with pytest.raises(InputDomainError):
         generate_synthetic(SynthSpec(kind="straight_follow", duration=0.01, step=0.05))
+    for duration in (math.inf, math.nan):
+        with pytest.raises(InputDomainError, match="duration must be finite"):
+            generate_synthetic(SynthSpec(kind="straight_follow", duration=duration))
 
 
 def test_synthetic_frame_grid():
@@ -302,6 +311,139 @@ def test_synthetic_noisy_yaw_reports_flap_power():
     yaw = [f.host.yaw_rate for f in frames]
     assert max(yaw) > 0.02
     assert min(yaw) < -0.02
+
+
+def _reference_synthetic(spec):
+    """The generator as one scalar draw per noise value, frame by frame: the
+    reference that `generate_synthetic`'s single draw must reproduce."""
+    from laneassign.harness import _ramp
+
+    rng = np.random.default_rng(spec.seed)
+    half = spec.lane_width / 2.0
+    width = spec.lane_width
+    change_start = (
+        spec.change_time if spec.change_time is not None else spec.duration / 2.0
+    )
+    noise = spec.noise
+    bounds = BoundarySet(
+        tuple(
+            GaussianScalar(mean, factor * spec.boundary_std)
+            for mean, factor in ((-3.0 * half, 1.5), (-half, 1.0), (half, 1.0),
+                                 (3.0 * half, 1.5))
+        ),
+        BoundarySource.MEASURED,
+    )
+    frames = []
+    for k in range(int(round(spec.duration / spec.step))):
+        t = round(k * spec.step, 9)
+        yaw_true = yaw_extra = var_yaw_extra = 0.0
+        if spec.kind == "host_curve":
+            yaw_true = spec.host_speed / spec.curve_radius
+        elif spec.kind == "noisy_yaw":
+            yaw_extra = spec.yaw_amplitude * math.sin(
+                2.0 * math.pi * spec.yaw_frequency * t
+            )
+            var_yaw_extra = spec.yaw_amplitude**2 / 2.0
+        r = spec.object_range
+        if spec.kind == "straight_follow":
+            truth = [("lead", r, 0.0, None), ("neighbor", 0.6 * r, width, None)]
+        elif spec.kind == "adjacent_lane":
+            truth = [("left", 0.8 * r, width, None), ("right", 1.2 * r, -width, None)]
+        elif spec.kind == "target_lane_change":
+            lateral = _ramp(t, change_start, spec.change_duration, 0.0, width)
+            in_ramp = change_start < t < change_start + spec.change_duration
+            v_lat = width / spec.change_duration if in_ramp else 0.0
+            truth = [("changer", r, lateral, v_lat)]
+        elif spec.kind == "host_curve":
+            truth = [("lead", r, 0.0, None), ("adjacent", 0.8 * r, -width, None)]
+        else:
+            lateral = _ramp(t, change_start, spec.change_duration, width, 0.0)
+            truth = [("cutin", 0.8 * r, lateral, None), ("far", 1.6 * r, width, None)]
+        objects = []
+        for object_id, x_true, lateral_true, v_lat in truth:
+            x_cart, y_cart = x_true, lateral_true
+            if spec.kind == "host_curve":
+                radius = spec.curve_radius
+                phi = x_true / radius
+                x_cart = (radius - lateral_true) * math.sin(phi)
+                y_cart = radius - (radius - lateral_true) * math.cos(phi)
+            x_meas = max(x_cart + rng.normal(0.0, noise.sigma_x), 0.01)
+            y_meas = y_cart + rng.normal(0.0, noise.sigma_y)
+            edges = (-3.0 * half, -half, half, 3.0 * half)
+            objects.append(
+                TrackedObject(
+                    object_id,
+                    ObjectMeasurement(x_meas, y_meas, v_lat),
+                    noise.sigma_x**2,
+                    noise.sigma_y**2,
+                    int(np.searchsorted(edges, lateral_true, side="left")),
+                )
+            )
+        v_meas = max(spec.host_speed + rng.normal(0.0, noise.sigma_v), 0.0)
+        yaw_meas = yaw_true + yaw_extra + rng.normal(0.0, noise.sigma_yaw)
+        frames.append(
+            ScenarioFrame(
+                t,
+                HostState(v_meas, yaw_meas, 0.0),
+                noise.sigma_v**2,
+                noise.sigma_yaw**2 + var_yaw_extra,
+                tuple(objects),
+                bounds,
+            )
+        )
+    return frames
+
+
+def _serialized(frames):
+    out = io.StringIO()
+    write_scenario(frames, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_synthetic_matches_the_per_draw_reference(kind):
+    for seed in (0, 7, 12):
+        for scale in (0.0, 1.0, 2.5):
+            for step in (0.05, 0.1):
+                for change_time in (None, 3.0):
+                    spec = SynthSpec(
+                        kind, duration=6.0, step=step, seed=seed,
+                        noise=NoiseSpec().scaled(scale), change_time=change_time,
+                    )
+                    frames = generate_synthetic(spec)
+                    reference = _reference_synthetic(spec)
+                    assert frames == reference, spec
+                    # repr round-trips every float, so equal text is equal bits
+                    assert _serialized(frames) == _serialized(reference), spec
+
+
+def test_synthetic_noise_errors_match_the_reference():
+    for noise, error, match in (
+        (NoiseSpec().scaled(-1.0), ValueError, "scale < 0"),
+        (NoiseSpec().scaled(math.nan), InputDomainError,
+         r"object position must be finite, got \(nan, nan\)"),
+    ):
+        spec = SynthSpec("straight_follow", duration=1.0, noise=noise)
+        for generate in (generate_synthetic, _reference_synthetic):
+            with pytest.raises(error, match=match):
+                generate(spec)
+
+
+def test_ground_truth_edges_stay_in_the_lower_region():
+    half = 1.75
+    below, above = math.nextafter(half, 0.0), math.nextafter(half, 10.0)
+    cases = {
+        -3.0 * half: 0, math.nextafter(-3.0 * half, -10.0): 0,
+        math.nextafter(-3.0 * half, 0.0): 1,
+        -half: 1, math.nextafter(-half, -10.0): 1, math.nextafter(-half, 0.0): 2,
+        below: 2, half: 2, above: 3,
+        3.0 * half: 3, math.nextafter(3.0 * half, 0.0): 3,
+        math.nextafter(3.0 * half, 10.0): 4,
+    }
+    edges = (-3.0 * half, -half, half, 3.0 * half)
+    for lateral, region in cases.items():
+        assert _ground_truth(lateral, half) == region, lateral
+        assert region == int(np.searchsorted(edges, lateral, side="left"))
 
 
 def test_build_suite_covers_all_kinds():
