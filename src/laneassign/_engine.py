@@ -13,28 +13,36 @@ otherwise, so the object-frames of one depth depend only on those of the
 depth before.  Sorted by depth once, the object-frames of each depth form a
 contiguous slice, a level, and each level takes one vectorized
 predict/update for all its object-frames and all G values of the swept
-parameter (epsilon or sigma_nu; G = 1 for a plain run).  A sweep flattens
-all its scenarios into one schedule, so a level carries the tracks of every
-scenario.  The results go back to processing order, and the gated median is
-taken on the whole result.
+parameter (epsilon or sigma_nu; G = 1 for a plain run).  The step's formulas
+are the filter modules' array functions, which the per-object API calls
+with one row.  A sweep flattens all its scenarios into one schedule, so a
+level carries the tracks of every scenario.  The results go back to
+processing order, and the gated median is taken on the whole result.
 
 Invariants are checked once per array, not per step.  Where a check fails,
 the earliest failing object-frame is replayed through the per-object API
-(`transform_to_path`, the filter classes, `assign`), which raises the same
-error with the same message that a per-object loop would have raised.
+(`transform_to_path`, the filter classes, `assign`).  That replay runs the
+same formulas on the one object-frame, so its input checks raise the error,
+with the message, that a per-object loop would have raised.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous_filter import ContinuousPathFilter, KalmanState
+from .continuous_filter import (
+    ContinuousPathFilter,
+    KalmanState,
+    _kf_motion_arrays,
+    _kf_predict_arrays,
+    _kf_update_arrays,
+)
 from .discrete_filter import (
     DiscretePathFilter,
+    _bayes_update_arrays,
     _clamp,
     _matrix_violations,
     _transition_entries,
@@ -42,8 +50,6 @@ from .discrete_filter import (
 from .estimator import _median_indices, assign
 from .geometry import InputVector, _transform_arrays, transform_to_path
 from .likelihood import _DEFAULT_BOUNDS, N_PATHS, PathPosterior, _occupancy_arrays
-
-logger = logging.getLogger(__name__)
 
 # Seconds without a detection after which a track is dropped; the object
 # starts a new track when it is seen again.
@@ -193,7 +199,7 @@ def _discrete(flat: Flat, z_mean, z_std, epsilon: np.ndarray, eta_gain: float):
     """Bayes filter over the batch: posteriors (N, G, 5), which are also the
     filter states, and the object-frames whose transition parameters fail."""
     n, g = len(flat.order), len(epsilon)
-    occupancy, _ = _occupancy_arrays(z_mean, z_std, flat.bound_means, flat.bound_stds)
+    occupancy = _occupancy_arrays(z_mean, z_std, flat.bound_means, flat.bound_stds)
     eta = eta_gain * flat.lateral_velocity
     etas, eta_index = np.unique(eta, return_inverse=True)
     eps, drift = _clamp(epsilon[None, :], etas[:, None])
@@ -215,20 +221,9 @@ def _discrete(flat: Flat, z_mean, z_std, epsilon: np.ndarray, eta_gain: float):
     for start, stop, rare in _levels(flat, tiny):
         # Level 0 holds exactly the object-frames that start a track.
         prior = uniform if start == 0 else posteriors[flat.source[start:stop]]
-        product = (matrices[pair[start:stop]] @ prior) * measured[start:stop]
-        total = product.sum(axis=2, keepdims=True)
-        posteriors[start:stop] = product / total
-        if rare:
-            reset = (total <= 0.0)[:, :, 0, 0]
-            for row in np.flatnonzero(reset.any(axis=1)):
-                # Prior and measurement have disjoint support; restart from
-                # the measurement rather than producing an undefined posterior.
-                logger.warning(
-                    "path posterior and measurement have zero overlap; "
-                    "resetting filter to the measurement"
-                )
-                k = start + row
-                posteriors[k, reset[row]] = measured[k, 0] / measured[k, 0].sum()
+        posteriors[start:stop], _ = _bayes_update_arrays(
+            matrices[pair[start:stop]] @ prior, measured[start:stop], rare
+        )
     posteriors = posteriors[flat.rank, ..., 0]
     return posteriors, bad_pair[eta_index], posteriors
 
@@ -241,8 +236,9 @@ def _continuous(flat: Flat, z_mean, z_std, sigma_nu: np.ndarray):
     order = flat.order
     z = z_mean[order, None]
     r = (z_std * z_std)[order, None]
-    drift = (flat.dt * flat.lateral_velocity)[order, None]
-    process = (flat.dt[order, None] * sigma_nu[None, :]) ** 2
+    drift, process = _kf_motion_arrays(
+        flat.dt[order, None], flat.lateral_velocity[order, None], sigma_nu
+    )
     mean = np.empty((n, g))
     var = np.empty((n, g))
     contradiction = np.zeros((n, g), dtype=bool)
@@ -253,21 +249,17 @@ def _continuous(flat: Flat, z_mean, z_std, sigma_nu: np.ndarray):
             var[level] = r[level]
             continue
         prior = flat.source[level]
-        m = mean[prior] + drift[level]
-        v = var[prior] + process[level]
-        gain = v / (v + r[level])
+        m, v = _kf_predict_arrays(mean[prior], var[prior], drift[level], process[level])
+        mean[level], var[level], clash = _kf_update_arrays(
+            m, v, z[level], r[level], rare
+        )
         if rare:
-            # Both sides claim certainty: keep the state where they agree.
-            certain = (r[level] == 0.0) & (v == 0.0)
-            gain[certain] = 0.0
-            contradiction[level] = certain & (z[level] != m)
-        mean[level] = m + gain * (z[level] - m)
-        var[level] = (1.0 - gain) * v
+            contradiction[level] = clash
     mean, var = mean[flat.rank], var[flat.rank]
     # One value at a time, which keeps the temporaries at (N, 4).
     posteriors = np.empty((n, g, N_PATHS))
     for column in range(g):
-        posteriors[:, column], _ = _occupancy_arrays(
+        posteriors[:, column] = _occupancy_arrays(
             mean[:, column], np.sqrt(var[:, column]), flat.bound_means, flat.bound_stds
         )
     new_track = (flat.previous < 0)[:, None]

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import GaussianScalar, InputDomainError
 from .likelihood import BoundarySet, PathPosterior, lane_occupancy
 
@@ -50,35 +52,62 @@ def kf_init(z: GaussianScalar, timestamp: float) -> KalmanState:
     return KalmanState(z.mean, z.variance, timestamp)
 
 
+def _kf_motion_arrays(dt, u, sigma_nu):
+    """Drift and process-noise variance of dt seconds at offset rate u with
+    process noise sigma_nu, over broadcast arrays."""
+    noise = dt * sigma_nu
+    return dt * u, noise * noise
+
+
+def _kf_predict_arrays(mean, var, drift, process):
+    """Kalman prediction over broadcast arrays, with the drift and process
+    variance of `_kf_motion_arrays`."""
+    return mean + drift, var + process
+
+
+def _kf_update_arrays(mean, var, z, r, may_contradict=True):
+    """Kalman update of the predicted (mean, var) with measurements (z, r)
+    over broadcast arrays: the updated mean and variance, and the mask where
+    a certain state (var = 0) contradicts a certain measurement (r = 0)
+    (False when that case is skipped).
+
+    Where both sides are certain the state is kept; only exact agreement is
+    consistent.  `may_contradict=False` skips that case for measurements
+    that are all uncertain.  The caller passes `var` as a numpy value, so
+    that the 0/0 gain of such a case is a NaN, and silences its warning.
+    """
+    gain = var / (var + r)
+    contradiction = False
+    if may_contradict:
+        certain = (r == 0.0) & (var == 0.0)
+        gain = np.where(certain, 0.0, gain)
+        contradiction = certain & (z != mean)
+    return mean + gain * (z - mean), (1.0 - gain) * var, contradiction
+
+
 def kf_predict(
     state: KalmanState, u: float, dt: float, noise: ProcessNoise
 ) -> KalmanState:
     """Propagate by dt seconds with offset rate u."""
     if dt <= 0.0 or not math.isfinite(dt):
         raise InputDomainError(f"dt must be positive, got {dt}")
-    return KalmanState(
-        state.mean + dt * u,
-        state.variance + (dt * noise.sigma_nu) ** 2,
-        state.timestamp + dt,
+    mean, var = _kf_predict_arrays(
+        state.mean, state.variance, *_kf_motion_arrays(dt, u, noise.sigma_nu)
     )
+    return KalmanState(mean, var, state.timestamp + dt)
 
 
 def kf_update(state: KalmanState, z: GaussianScalar) -> KalmanState:
     """Fuse a measurement; the timestamp is unchanged."""
-    r = z.variance
-    if state.variance == 0.0 and r == 0.0:
-        # Both sides claim certainty; only exact agreement is consistent.
-        if z.mean != state.mean:
-            raise InputDomainError(
-                f"certain state {state.mean} contradicts certain measurement {z.mean}"
-            )
-        return state
-    gain = state.variance / (state.variance + r)
-    return KalmanState(
-        state.mean + gain * (z.mean - state.mean),
-        (1.0 - gain) * state.variance,
-        state.timestamp,
-    )
+    with np.errstate(invalid="ignore"):
+        mean, var, contradiction = _kf_update_arrays(
+            state.mean, np.float64(state.variance), z.mean, z.variance
+        )
+    if contradiction:
+        raise InputDomainError(
+            f"certain state {state.mean} contradicts certain measurement {z.mean}"
+        )
+    return KalmanState(float(mean), float(var), state.timestamp)
 
 
 def discretize_posterior(state: KalmanState, bounds: BoundarySet) -> PathPosterior:

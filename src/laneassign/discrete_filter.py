@@ -64,9 +64,11 @@ _OFF_BAND = (
 
 def _matrix_violations(entries: np.ndarray) -> tuple[np.ndarray, ...]:
     """Masks over the leading axes of (..., 5, 5) entries: an entry outside
-    [0, 1], a column not summing to 1, a nonzero entry off the band."""
+    [0, 1] (NaN included), a column not summing to 1, a nonzero entry off
+    the band."""
     flat = entries.reshape(entries.shape[:-2] + (N_PATHS * N_PATHS,))
-    outside = np.logical_or.reduce((flat < -1e-12) | (flat > 1.0 + 1e-12), axis=-1)
+    inside = (flat >= -1e-12) & (flat <= 1.0 + 1e-12)
+    outside = np.logical_or.reduce(~inside, axis=-1)
     # Row by row, the order np.add.reduce(entries, axis=-2) adds in, but
     # faster on a batch.
     column_sum = entries[..., 0, :]
@@ -138,20 +140,45 @@ def predict(prior: PathPosterior, matrix: TransitionMatrix) -> PathPosterior:
     return PathPosterior(matrix.entries @ prior.probs)
 
 
+def _bayes_update_arrays(predicted, measured, may_reset=True):
+    """Bayes update of predicted column vectors (..., G, 5, 1) with the
+    measurement column vectors that broadcast against them: the posteriors
+    and the mask (..., G) of those reset to the measurement (False when
+    the check is skipped).
+
+    Where prior and measurement have disjoint support the product vanishes;
+    such a posterior restarts from the measurement rather than coming out
+    undefined, with one warning per row of G values.  `may_reset=False`
+    skips that check for measurements that cannot cancel a prediction.  The
+    caller silences the 0/0 of such a posterior.
+    """
+    product = predicted * measured
+    total = product.sum(axis=-2, keepdims=True)
+    posterior = product / total
+    reset = False
+    if may_reset:
+        reset = total[..., 0, 0] <= 0.0
+        if reset.any():
+            for _ in range(np.count_nonzero(reset.any(axis=-1))):
+                logger.warning(
+                    "path posterior and measurement have zero overlap; "
+                    "resetting filter to the measurement"
+                )
+            restart = measured / measured.sum(axis=-2, keepdims=True)
+            posterior = np.where(reset[..., None, None], restart, posterior)
+    return posterior, reset
+
+
 def _bayes_update(
     predicted: PathPosterior, measurement: PathPosterior
 ) -> tuple[PathPosterior, bool]:
-    product = predicted.probs * measurement.probs
-    total = float(product.sum())
-    if total <= 0.0:
-        # Prior and measurement have disjoint support; restart from the
-        # measurement rather than producing an undefined posterior.
-        logger.warning(
-            "path posterior and measurement have zero overlap; "
-            "resetting filter to the measurement"
+    """`_bayes_update_arrays` for one posterior: it and whether it was reset."""
+    with np.errstate(invalid="ignore"):
+        posterior, reset = _bayes_update_arrays(
+            predicted.probs.reshape(1, N_PATHS, 1),
+            measurement.probs.reshape(1, N_PATHS, 1),
         )
-        return PathPosterior(measurement.probs / measurement.probs.sum()), True
-    return PathPosterior(product / total), False
+    return PathPosterior(posterior.reshape(N_PATHS)), bool(np.any(reset))
 
 
 def update(predicted: PathPosterior, measurement: PathPosterior) -> PathPosterior:

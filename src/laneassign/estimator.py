@@ -2,8 +2,7 @@
 
 The median is robust against posteriors with several similar peaks, where the
 argmax flips between distant indices and the mean lands between them on an
-index nobody believes in.  Mean and MAP extractors are provided for
-diagnostics and comparison only; the pipeline assigns by the median.
+index nobody believes in.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import InputDomainError
-from .likelihood import N_PATHS, PathPosterior
+from .likelihood import PathPosterior
 
 DEFAULT_P_MIN = 0.3
 
@@ -48,16 +47,6 @@ def median_index(posterior: PathPosterior) -> int:
     if index < 0:
         raise RuntimeError("no median index; posterior violates its invariants")
     return index
-
-
-def map_index(posterior: PathPosterior) -> int:
-    """Diagnostic only: argmax index, lowest index on exact ties."""
-    return int(np.argmax(posterior.probs))
-
-
-def mean_index(posterior: PathPosterior) -> float:
-    """Diagnostic only: posterior expectation of the index, not an integer."""
-    return float(np.arange(N_PATHS) @ posterior.probs)
 
 
 def assign(posterior: PathPosterior, p_min: float = DEFAULT_P_MIN) -> Assignment:

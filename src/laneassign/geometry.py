@@ -164,12 +164,11 @@ def _lateral_offset_arrays(v, yaw_rate, x, y, sin_a, cos_a) -> np.ndarray:
 
 
 def _jacobian_arrays(v, yaw_rate, x, y, sin_a, cos_a) -> np.ndarray:
-    """Vectorized `jacobian_lateral_offset`: the gradient over broadcast
-    inputs, shape (..., 4), with the same branches and formulas.
+    """Gradient of the lateral offset w.r.t. (v, yaw_rate, x, y) over
+    broadcast inputs, shape (..., 4); no validation.
 
-    At the circle center, where the scalar function raises SingularityError,
-    the curved components are 0/0 and the row comes out NaN; the caller
-    validates.
+    At the circle center the position components are 0/0 and come out NaN;
+    the caller validates.
     """
     v, yaw_rate, x, y, sin_a, cos_a = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (v, yaw_rate, x, y, sin_a, cos_a))
@@ -185,7 +184,9 @@ def _jacobian_arrays(v, yaw_rate, x, y, sin_a, cos_a) -> np.ndarray:
         cx = x + sin_a * r
         cy = y - cos_a * r
         dist = np.hypot(cx, cy)
-        # Cancellation-free d(offset)/dr, as in the scalar function.
+        # d(offset)/dr = 1 - sgn * (r + along) / dist; when the two terms
+        # nearly cancel (large |r|) use dist^2 - (r + along)^2 = across^2
+        # instead.
         w = sgn * (r + along)
         num = np.where(w > 0.0, across * across / (dist + w), dist - w)
         d_r = num / dist
@@ -235,59 +236,25 @@ def jacobian_lateral_offset(host: HostState, x: float, y: float) -> np.ndarray:
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InputDomainError(f"object position must be finite, got ({x}, {y})")
-    sin_a = math.sin(host.alpha)
-    cos_a = math.cos(host.alpha)
-    across = x * cos_a + y * sin_a
-
-    if abs(host.yaw_rate) < STRAIGHT_YAW_THRESHOLD:
-        d_yaw = 0.0 if host.v == 0.0 else -across * across / (2.0 * host.v)
-        return np.array([0.0, d_yaw, -sin_a, cos_a])
-
-    r = host.v / host.yaw_rate
-    sgn = 1.0 if r >= 0.0 else -1.0
-    along = x * sin_a - y * cos_a
-    cx = x + sin_a * r
-    cy = y - cos_a * r
-    dist = math.hypot(cx, cy)
-    if dist == 0.0:
-        raise SingularityError(
-            "offset gradient is undefined at the path circle center"
-        )
-    # d(offset)/dr = 1 - sgn * (r + along) / dist; when the two terms nearly
-    # cancel (large |r|) use dist^2 - (r + along)^2 = across^2 instead.
-    w = sgn * (r + along)
-    if w > 0.0:
-        num = across * across / (dist + w)
-    else:
-        num = dist - w
-    d_r = num / dist
-    return np.array(
-        [
-            d_r / host.yaw_rate,
-            -d_r * r / host.yaw_rate,
-            -sgn * cx / dist,
-            -sgn * cy / dist,
-        ]
-    )
+    sin_a, cos_a = math.sin(host.alpha), math.cos(host.alpha)
+    jac = _jacobian_arrays(host.v, host.yaw_rate, x, y, sin_a, cos_a)
+    # The position components are NaN at the circle center (0/0), and also
+    # where the center's coordinates overflow; only the first is singular.
+    if np.isnan(jac[2:]).any():
+        r = host.v / host.yaw_rate
+        if math.hypot(x + sin_a * r, y - cos_a * r) == 0.0:
+            raise SingularityError(
+                "offset gradient is undefined at the path circle center"
+            )
+    return jac
 
 
-@dataclass
-class TransformDiagnostics:
-    """Mutable counters filled in by transform_to_path when passed in."""
-
-    variance_clamps: int = 0
-
-
-def transform_to_path(
-    inputs: InputVector,
-    alpha: float = 0.0,
-    diagnostics: TransformDiagnostics | None = None,
-) -> GaussianScalar:
+def transform_to_path(inputs: InputVector, alpha: float = 0.0) -> GaussianScalar:
     """First-order propagation of a Gaussian input through the offset map.
 
     The mean is the offset evaluated at the input mean; the variance is
     J V J^T with J the offset gradient at the mean.  A variance that comes
-    out negative by rounding is clamped to zero (counted in diagnostics).
+    out negative by rounding is clamped to zero.
     """
     v, yaw_rate, x, y = (float(c) for c in inputs.mean)
     host = HostState(v=v, yaw_rate=yaw_rate, alpha=alpha)
@@ -296,8 +263,6 @@ def transform_to_path(
     with np.errstate(over="ignore", invalid="ignore"):
         var = float(jac @ inputs.covariance @ jac)
     if var < 0.0:
-        if diagnostics is not None:
-            diagnostics.variance_clamps += 1
         var = 0.0
     return GaussianScalar(mean, math.sqrt(var))
 
@@ -308,9 +273,10 @@ def _transform_arrays(
     """Vectorized `transform_to_path` for diagonal input covariances.
 
     `inputs` and `variances` are (..., 4) in InputVector order.  Returns the
-    offset mean and standard deviation; both are NaN or infinite wherever
-    `transform_to_path` would raise (invalid variance, circle center,
-    non-finite result), and the caller validates.
+    offset mean and standard deviation; one is NaN or infinite wherever
+    `transform_to_path` would raise for a valid heading offset (non-finite
+    input, negative speed, invalid variance, circle center, non-finite
+    result), and the caller validates.
     """
     v, yaw_rate, x, y = np.moveaxis(inputs, -1, 0)
     mean = _lateral_offset_arrays(v, yaw_rate, x, y, sin_a, cos_a)
@@ -318,7 +284,12 @@ def _transform_arrays(
     with np.errstate(invalid="ignore", over="ignore"):
         var = ((jac * variances) * jac).sum(axis=-1)
     var = np.maximum(var, 0.0)  # clamp rounding negatives, keep NaN
-    invalid = ~np.isfinite(variances).all(axis=-1) | (variances < 0.0).any(axis=-1)
+    invalid = (
+        ~np.isfinite(variances).all(axis=-1)
+        | (variances < 0.0).any(axis=-1)
+        | ~np.isfinite(inputs).all(axis=-1)
+        | (v < 0.0)
+    )
     return np.where(invalid, np.nan, mean), np.sqrt(var)
 
 
@@ -448,19 +419,32 @@ def mc_validate(
 
     if grid is None:
         grid = GridSpec()
-    points = grid.points() if isinstance(grid, GridSpec) else iter(grid)
+    points = list(grid.points() if isinstance(grid, GridSpec) else grid)
     sin_a, cos_a = math.sin(alpha), math.cos(alpha)
 
+    # The first-order Gaussians of all points at once.  A point is skipped
+    # where `transform_to_path` would raise: every point for a heading
+    # offset outside the host's domain, else where the mean or deviation is
+    # not finite.
+    valid_alpha = True
+    try:
+        HostState(0.0, 0.0, alpha)
+    except InputDomainError:
+        valid_alpha = False
+    xs, ys, vs, yaws = np.array(points, dtype=float).reshape(-1, 4).T
+    with np.errstate(all="ignore"):
+        means, stds = _transform_arrays(
+            np.stack([vs, yaws, xs, ys], axis=-1),
+            np.array([var_v, var_yaw, var_x, var_y]),
+            sin_a,
+            cos_a,
+        )
+    valid = np.isfinite(means) & np.isfinite(stds) & valid_alpha
+
     results: list[McPointResult] = []
-    for index, (x, y, v, yaw_rate) in enumerate(points):
-        status = "ok"
+    for index, ((x, y, v, yaw_rate), ok) in enumerate(zip(points, valid.tolist())):
         h = math.nan
-        try:
-            inputs = InputVector(
-                np.array([v, yaw_rate, x, y]),
-                np.diag([var_v, var_yaw, var_x, var_y]),
-            )
-            taylor = transform_to_path(inputs, alpha)
+        if ok:
             rng = np.random.default_rng([seed, index])
             draw_v = np.maximum(rng.normal(v, math.sqrt(var_v), samples), 0.0)
             draw_yaw = rng.normal(yaw_rate, math.sqrt(var_yaw), samples)
@@ -474,14 +458,15 @@ def mc_validate(
             span = 6.0 * sd if sd > 0.0 else 1.0
             edges = np.linspace(mu - span, mu + span, bins + 1)
             empirical = _empirical_bin_masses(offsets, edges)
-            linearized = _gaussian_bin_masses(taylor.mean, taylor.std, edges)
+            linearized = _gaussian_bin_masses(
+                float(means[index]), float(stds[index]), edges
+            )
             h = hellinger_distance(empirical, linearized)
-        except (SingularityError, InputDomainError):
-            # Point violates the transform's domain (e.g. circle-center
-            # singularity); record it rather than aborting the grid.
-            status = "skipped"
         results.append(
-            McPointResult(x, y, v, yaw_rate, var_x, var_y, var_v, var_yaw, h, status)
+            McPointResult(
+                x, y, v, yaw_rate, var_x, var_y, var_v, var_yaw, h,
+                "ok" if ok else "skipped",
+            )
         )
     return results
 

@@ -22,7 +22,7 @@ import bisect
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -256,40 +256,36 @@ def load_scenario(path: str) -> list[ScenarioFrame]:
         return parse_scenario(handle)
 
 
-def frame_to_dict(frame: ScenarioFrame) -> dict:
-    """Plain-dict form of a frame, inverse of the parser."""
-    host = {
-        "v": frame.host.v,
-        "yaw_rate": frame.host.yaw_rate,
-        "var_v": frame.var_v,
-        "var_yaw": frame.var_yaw,
-        "alpha": frame.host.alpha,
-    }
-    objects = []
-    for obj in frame.objects:
-        record = {
-            "id": obj.object_id,
-            "x": obj.measurement.x,
-            "y": obj.measurement.y,
-            "var_x": obj.var_x,
-            "var_y": obj.var_y,
-        }
-        if obj.measurement.lateral_velocity_input is not None:
-            record["v_lat"] = obj.measurement.lateral_velocity_input
-        if obj.ground_truth is not None:
-            record["gt"] = obj.ground_truth
-        objects.append(record)
-    record = {"t": frame.t, "host": host, "objects": objects}
-    if frame.bounds is not None:
-        record["bounds"] = [
-            {"mu": b.mean, "sigma": b.std} for b in frame.bounds.boundaries
-        ]
-    return record
-
-
 def write_scenario(frames: Iterable[ScenarioFrame], out: TextIO) -> None:
+    """Write frames as scenario lines, which `parse_scenario` reads back."""
     for frame in frames:
-        out.write(json.dumps(frame_to_dict(frame)))
+        host = {
+            "v": frame.host.v,
+            "yaw_rate": frame.host.yaw_rate,
+            "var_v": frame.var_v,
+            "var_yaw": frame.var_yaw,
+            "alpha": frame.host.alpha,
+        }
+        objects = []
+        for obj in frame.objects:
+            record = {
+                "id": obj.object_id,
+                "x": obj.measurement.x,
+                "y": obj.measurement.y,
+                "var_x": obj.var_x,
+                "var_y": obj.var_y,
+            }
+            if obj.measurement.lateral_velocity_input is not None:
+                record["v_lat"] = obj.measurement.lateral_velocity_input
+            if obj.ground_truth is not None:
+                record["gt"] = obj.ground_truth
+            objects.append(record)
+        record = {"t": frame.t, "host": host, "objects": objects}
+        if frame.bounds is not None:
+            record["bounds"] = [
+                {"mu": b.mean, "sigma": b.std} for b in frame.bounds.boundaries
+            ]
+        out.write(json.dumps(record))
         out.write("\n")
 
 
@@ -390,6 +386,12 @@ def generate_synthetic(spec: SynthSpec) -> list[ScenarioFrame]:
         raise InputDomainError("duration must cover at least one step")
     if not math.isfinite(spec.duration):
         raise InputDomainError(f"duration must be finite, got {spec.duration}")
+    for name, level in asdict(spec.noise).items():
+        # NaN fails the comparison; inf and overflowing levels the square.
+        if not (level >= 0.0 and math.isfinite(level * level)):
+            raise InputDomainError(
+                f"noise level {name} must be >= 0 with a finite square, got {level}"
+            )
 
     rng = np.random.default_rng(spec.seed)
     half = spec.lane_width / 2.0

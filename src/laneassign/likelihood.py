@@ -10,7 +10,6 @@ boundary blurred by the combined standard deviation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -98,29 +97,13 @@ class PathPosterior:
         return float(self.probs[index])
 
 
-def std_normal_cdf(t: float) -> float:
-    """Standard normal CDF; accepts +/-inf, rejects NaN."""
-    if math.isnan(t):
-        raise InputDomainError("standardized argument is NaN")
-    return float(ndtr(t))
-
-
-@dataclass
-class OccupancyDiagnostics:
-    """Counters filled in by lane_occupancy when passed in."""
-
-    negative_mass_clamps: int = 0
-
-
-def _occupancy_arrays(
-    mean, std, bound_means, bound_stds
-) -> tuple[np.ndarray, np.ndarray]:
+def _occupancy_arrays(mean, std, bound_means, bound_stds) -> np.ndarray:
     """Vectorized `lane_occupancy`.
 
     `mean` and `std` describe the objects, shape (...); the boundary arrays
     have shape (..., 4) and broadcast against them.  Returns the (..., 5)
-    occupancy vectors and the mask of clamped negative entries.  Rows whose
-    standardized argument is NaN come out NaN; the caller validates.
+    occupancy vectors.  Rows whose standardized argument is NaN come out
+    NaN; the caller validates.
     """
     mean = np.asarray(mean, dtype=float)[..., None]
     std = np.asarray(std, dtype=float)[..., None]
@@ -137,16 +120,11 @@ def _occupancy_arrays(
     cdf = ndtr(t)
     edges = np.zeros(cdf.shape[:-1] + (1,))
     raw = np.diff(np.concatenate([edges, cdf, edges + 1.0], axis=-1), axis=-1)
-    negative = raw < 0.0
-    raw = np.where(negative, 0.0, raw)
-    return raw / raw.sum(axis=-1, keepdims=True), negative
+    raw = np.where(raw < 0.0, 0.0, raw)
+    return raw / raw.sum(axis=-1, keepdims=True)
 
 
-def lane_occupancy(
-    obj: GaussianScalar,
-    bounds: BoundarySet,
-    diagnostics: OccupancyDiagnostics | None = None,
-) -> PathPosterior:
+def lane_occupancy(obj: GaussianScalar, bounds: BoundarySet) -> PathPosterior:
     """Occupancy probabilities of the five path regions for one object.
 
     The probability of region l is Phi(t_{l+1}) - Phi(t_l) where t_l
@@ -156,11 +134,9 @@ def lane_occupancy(
     come out slightly negative; such mass is clamped to zero and the vector
     renormalized.
     """
-    probs, negative = _occupancy_arrays(obj.mean, obj.std, *bounds.arrays())
+    probs = _occupancy_arrays(obj.mean, obj.std, *bounds.arrays())
     if np.isnan(probs).any():
         raise InputDomainError("standardized argument is NaN")
-    if diagnostics is not None:
-        diagnostics.negative_mass_clamps += int(negative.sum())
     return PathPosterior(probs)
 
 

@@ -63,6 +63,20 @@ def test_synth_rejects_a_non_finite_duration(tmp_path, capsys, duration):
     assert error == f"error: duration must be finite, got {duration}\n"
 
 
+@pytest.mark.parametrize(
+    "scale, level", [("-1", "-0.2"), ("nan", "nan"), ("inf", "inf"), ("1e200", "2e+199")]
+)
+def test_synth_rejects_bad_noise_levels(tmp_path, capsys, scale, level):
+    # Negative, non-finite, and finite but with a square that overflows.
+    out = tmp_path / "scenario.jsonl"
+    assert main(["synth", "--kind", "host_curve", f"--noise-scale={scale}",
+                 "--out", str(out)]) == 2
+    error = capsys.readouterr().err
+    assert error == (
+        f"error: noise level sigma_x must be >= 0 with a finite square, got {level}\n"
+    )
+
+
 def test_run_produces_assignment_csv(tmp_path):
     scenario = tmp_path / "s.jsonl"
     write_minimal_scenario(scenario)

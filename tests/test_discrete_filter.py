@@ -15,13 +15,13 @@ from laneassign import (
     TransitionMatrix,
     TransitionParams,
     build_transition_matrix,
-    clamp_params,
     extrapolate_boundaries,
     lane_occupancy,
 )
 from laneassign.discrete_filter import (
     _bayes_update,
     _matrix_violations,
+    clamp_params,
     predict,
     update,
 )
@@ -136,12 +136,18 @@ def test_transition_matrix_validation():
     off_band[2, 0] += 0.05
     with pytest.raises(InputDomainError):
         TransitionMatrix(off_band)
+    # NaN on the band is neither inside [0, 1] nor caught by its NaN
+    # column sum.
+    nan_on_band = np.eye(5)
+    nan_on_band[2, 2] = math.nan
+    with pytest.raises(InputDomainError, match=r"entries must lie in \[0, 1\]"):
+        TransitionMatrix(nan_on_band)
 
 
 def _violations_by_entry(m):
     """The three checks of one 5x5 matrix, entry by entry."""
     values = m.tolist()
-    outside = any(v < -1e-12 or v > 1.0 + 1e-12 for row in values for v in row)
+    outside = any(not -1e-12 <= v <= 1.0 + 1e-12 for row in values for v in row)
     sums = values[0]
     for row in values[1:]:
         sums = [total + v for total, v in zip(sums, row)]

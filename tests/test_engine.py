@@ -421,6 +421,16 @@ def test_non_increasing_timestamps_fail_the_kalman_filter_only():
     assert_run_matches_loop(frames, "continuous", PipelineConfig())
 
 
+def test_overflowing_process_noise_is_an_input_error():
+    # (dt * sigma_nu)^2 overflows to an infinite state variance, which the
+    # Kalman state rejects.
+    frames = straight_frames(3)
+    config = PipelineConfig(sigma_nu=1e200)
+    with pytest.raises(InputDomainError, match=r"^frame 1 .*state variance must be finite"):
+        run_pipeline(frames, "continuous", config)
+    assert_run_matches_loop(frames, "continuous", config)
+
+
 def test_certain_state_contradicting_certain_measurement():
     # Zero measurement noise and a process noise whose square underflows
     # leave both sides certain; a moved object then contradicts the state.

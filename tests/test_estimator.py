@@ -9,8 +9,6 @@ from laneassign import (
     InputDomainError,
     PathPosterior,
     assign,
-    map_index,
-    mean_index,
     median_index,
 )
 
@@ -53,17 +51,6 @@ def test_median_reversal_equivariance():
         med = median_index(PathPosterior(p))
         rev = median_index(PathPosterior(p[::-1].copy()))
         assert rev == 4 - med
-
-
-def test_map_index_breaks_ties_low():
-    assert map_index(posterior(0.3, 0.3, 0.2, 0.1, 0.1)) == 0
-    assert map_index(posterior(0.1, 0.2, 0.4, 0.2, 0.1)) == 2
-
-
-def test_mean_index_is_expectation():
-    assert mean_index(PathPosterior.uniform()) == pytest.approx(2.0)
-    assert mean_index(posterior(0.0, 0.0, 0.0, 0.0, 1.0)) == pytest.approx(4.0)
-    assert mean_index(posterior(0.5, 0.0, 0.0, 0.0, 0.5)) == pytest.approx(2.0)
 
 
 def test_assign_accepts_confident_posterior():

@@ -418,15 +418,25 @@ def test_synthetic_matches_the_per_draw_reference(kind):
 
 
 def test_synthetic_noise_errors_match_the_reference():
-    for noise, error, match in (
-        (NoiseSpec().scaled(-1.0), ValueError, "scale < 0"),
+    # The generator rejects the noise levels the reference fails on, up
+    # front and by name: the reference's errors came from numpy's sampler,
+    # from the frame it built, or (a square that overflows) from `**`.
+    for noise, reference_error, match, name in (
+        (NoiseSpec().scaled(-1.0), ValueError, "scale < 0", "sigma_x"),
         (NoiseSpec().scaled(math.nan), InputDomainError,
-         r"object position must be finite, got \(nan, nan\)"),
+         r"object position must be finite, got \(nan, nan\)", "sigma_x"),
+        (NoiseSpec().scaled(math.inf), InputDomainError,
+         "object position must be finite", "sigma_x"),
+        (NoiseSpec(sigma_yaw=1e160), OverflowError, None, "sigma_yaw"),
     ):
         spec = SynthSpec("straight_follow", duration=1.0, noise=noise)
-        for generate in (generate_synthetic, _reference_synthetic):
-            with pytest.raises(error, match=match):
-                generate(spec)
+        with pytest.raises(reference_error, match=match):
+            _reference_synthetic(spec)
+        with pytest.raises(
+            InputDomainError,
+            match=rf"^noise level {name} must be >= 0 with a finite square, got ",
+        ):
+            generate_synthetic(spec)
 
 
 def test_ground_truth_edges_stay_in_the_lower_region():

@@ -13,12 +13,11 @@ from laneassign import (
     BoundarySource,
     GaussianScalar,
     InputDomainError,
-    OccupancyDiagnostics,
     PathPosterior,
     extrapolate_boundaries,
     lane_occupancy,
-    std_normal_cdf,
 )
+from laneassign.likelihood import _occupancy_arrays
 
 
 def bounds_from_means(means, std=0.0):
@@ -31,8 +30,16 @@ def phi_exact(t):
 
 
 # ---------------------------------------------------------------------------
-# std_normal_cdf
+# the normal CDF inside the occupancy kernel
 # ---------------------------------------------------------------------------
+
+
+def std_normal_cdf(t):
+    """Phi(t) as the occupancy kernel evaluates it: the mass of region 0 for
+    a unit Gaussian at 0, with a sharp boundary at t and the other three at
+    +inf, so that region 1 holds the rest."""
+    bound_means = np.array([t, math.inf, math.inf, math.inf])
+    return float(_occupancy_arrays(0.0, 1.0, bound_means, np.zeros(4))[0])
 
 
 def test_cdf_anchor_values():
@@ -48,8 +55,18 @@ def test_cdf_matches_high_precision():
 
 
 def test_cdf_rejects_nan():
-    with pytest.raises(InputDomainError):
-        std_normal_cdf(math.nan)
+    # The kernel leaves a row with a NaN standardized argument NaN, and
+    # lane_occupancy rejects it.  Here the NaN is -inf / inf: the offset
+    # difference and the combined deviation both overflow.
+    assert math.isnan(std_normal_cdf(math.nan))
+    obj = GaussianScalar(1e308, 1.5e308)
+    bounds = BoundarySet(
+        (GaussianScalar(-1e308, 1.5e308),)
+        + tuple(GaussianScalar(m, 0.0) for m in (0.0, 1.0, 2.0))
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InputDomainError, match="standardized argument is NaN"):
+            lane_occupancy(obj, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +187,7 @@ def test_occupancy_monotone_in_offset():
 
 def test_occupancy_clamps_inconsistent_boundary_noise():
     # Wildly different boundary noise can make a raw CDF difference
-    # negative; the result must clamp it to zero and count the event.
+    # negative; the result must clamp it to zero and renormalize.
     bounds = BoundarySet(
         (
             GaussianScalar(-5.0, 0.0),
@@ -179,9 +196,11 @@ def test_occupancy_clamps_inconsistent_boundary_noise():
             GaussianScalar(5.0, 0.0),
         )
     )
-    diag = OccupancyDiagnostics()
-    p = lane_occupancy(GaussianScalar(3.0, 0.0), bounds, diagnostics=diag)
-    assert diag.negative_mass_clamps >= 1
+    p = lane_occupancy(GaussianScalar(3.0, 0.0), bounds)
+    # The raw masses are (0, Phi(-1.5), -Phi(-1.5), 1, 0).
+    phi = phi_exact(-1.5)
+    assert p[2] == 0.0
+    assert p[1] == pytest.approx(phi / (1.0 + phi), rel=1e-12)
     assert float(np.min(p.probs)) >= 0.0
     assert float(np.sum(p.probs)) == pytest.approx(1.0, abs=1e-12)
 
