@@ -1,11 +1,18 @@
-"""Array engine behind `run_pipeline` and `sweep_parameters` (private).
+"""Array engine behind `run_pipeline`, `sweep_parameters` and `laneassign run`
+(private).
 
-The scenarios are flattened into arrays of object-frames in processing
-order (scenario by scenario, frame by frame, objects in frame order); no
-track continues from one scenario into the next.  Everything that does not
-depend on the filter parameter runs once over all object-frames: the arc
-transform, its first-order variance, and for the discrete method the
-occupancy of each measurement.
+The engine reads scenarios as `Columns`: one entry per frame, and one per
+object-frame in processing order (scenario by scenario, frame by frame,
+objects in frame order).  The parser emits them directly; `columns_of` builds
+them from `ScenarioFrame` lists for library callers.  No track continues
+from one scenario into the next.
+
+`flatten` turns the columns into arrays and works out the tracks on them:
+integer codes for (scenario, id), a stable sort by code, and a new track
+where the gap since the id's previous detection exceeds `ABSENCE_TIMEOUT`.
+Everything that does not depend on the filter parameter runs once over all
+object-frames: the arc transform, its first-order variance, and for the
+discrete method the occupancy of each measurement.
 
 The filters then step by track depth.  An object-frame's depth is 0 on a
 new track and one more than the depth of the track's previous object-frame
@@ -29,7 +36,7 @@ with the message, that a per-object loop would have raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,14 +64,58 @@ ABSENCE_TIMEOUT = 1.0
 
 
 @dataclass
+class Columns:
+    """Scenarios column by column.  Values are kept as given, so timestamps,
+    ids and ground truths reach results and messages unchanged."""
+
+    # One entry per frame, the frames of every scenario in order.
+    frame_number: list = field(default_factory=list)  # index within its scenario
+    t: list = field(default_factory=list)
+    host: list = field(default_factory=list)  # HostState
+    var_v: list = field(default_factory=list)
+    var_yaw: list = field(default_factory=list)
+    bounds: list = field(default_factory=list)  # BoundarySet, None for the default layout
+    # One entry per object-frame, in processing order.
+    frame_of: list = field(default_factory=list)  # index into the frame entries
+    id: list = field(default_factory=list)
+    x: list = field(default_factory=list)
+    y: list = field(default_factory=list)
+    var_x: list = field(default_factory=list)
+    var_y: list = field(default_factory=list)
+    v_lat: list = field(default_factory=list)  # None where absent
+    gt: list = field(default_factory=list)  # None where absent
+
+
+def columns_of(scenarios) -> Columns:
+    """The columns of scenarios given as lists of `ScenarioFrame`."""
+    frames = [frame for scenario in scenarios for frame in scenario]
+    objects = [obj for frame in frames for obj in frame.objects]
+    measurements = [obj.measurement for obj in objects]
+    return Columns(
+        frame_number=[n for scenario in scenarios for n in range(len(scenario))],
+        t=[frame.t for frame in frames],
+        host=[frame.host for frame in frames],
+        var_v=[frame.var_v for frame in frames],
+        var_yaw=[frame.var_yaw for frame in frames],
+        bounds=[frame.bounds for frame in frames],
+        frame_of=[index for index, frame in enumerate(frames) for _ in frame.objects],
+        id=[obj.object_id for obj in objects],
+        x=[meas.x for meas in measurements],
+        y=[meas.y for meas in measurements],
+        var_x=[obj.var_x for obj in objects],
+        var_y=[obj.var_y for obj in objects],
+        v_lat=[meas.lateral_velocity_input for meas in measurements],
+        gt=[obj.ground_truth for obj in objects],
+    )
+
+
+@dataclass
 class Flat:
     """Scenarios as arrays over their N object-frames, in processing order,
     and the depth schedule of their tracks."""
 
-    frames: list  # every frame of every scenario, in order
-    frame_number: list[int]  # index of each frame within its scenario
-    frame_of: np.ndarray  # (N,) index into `frames`
-    objects: list  # (N,) TrackedObject
+    columns: Columns
+    frame_of: np.ndarray  # (N,) index into the frame entries of `columns`
     inputs: np.ndarray  # (N, 4) v, yaw_rate, x, y
     variances: np.ndarray  # (N, 4) in the same order
     sin_a: np.ndarray  # (N,) heading offset of the frame
@@ -86,104 +137,109 @@ class Flat:
 class Batch:
     """Per object-frame results for G parameter values."""
 
-    frames: list  # every frame of every scenario, in order
-    frame_of: np.ndarray  # (N,) index into `frames`
-    objects: list  # (N,) TrackedObject
+    columns: Columns
     posteriors: np.ndarray  # (N, G, 5)
     index: np.ndarray  # (N, G) median index
     probability: np.ndarray  # (N, G) posterior mass at the median index
     accepted: np.ndarray  # (N, G)
 
 
-def flatten(scenarios) -> Flat:
-    """Arrays of the scenarios, with the tracks `ABSENCE_TIMEOUT` defines;
-    no track continues from one scenario into the next."""
-    frames = [frame for scenario in scenarios for frame in scenario]
-    frame_number = [number for scenario in scenarios for number in range(len(scenario))]
-    per_frame, bounds_of_frame = [], []  # host values and bounds, one per frame
-    frame_of, objects, previous, depth = [], [], [], []
-    xs, ys, var_xs, var_ys, lateral_velocity = [], [], [], [], []
-    dt, kalman_t, bad_time = [], [], []
-    tracks: dict[str, tuple[int, float]] = {}  # id -> (object-frame, Kalman time)
-    last_seen: dict[str, float] = {}
-    bounds_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for frame_index, (frame, number) in enumerate(zip(frames, frame_number)):
-        if number == 0:
-            tracks.clear()
-            last_seen.clear()
-        for object_id in [
-            oid for oid, seen in last_seen.items() if frame.t - seen > ABSENCE_TIMEOUT
-        ]:
-            del tracks[object_id]
-            del last_seen[object_id]
-        host = frame.host
-        per_frame.append(
-            (host.v, host.yaw_rate, frame.var_v, frame.var_yaw,
-             math.sin(host.alpha), math.cos(host.alpha))
-        )
-        bounds = frame.bounds if frame.bounds is not None else _DEFAULT_BOUNDS
-        if id(bounds) not in bounds_cache:
-            bounds_cache[id(bounds)] = bounds.arrays()
-        bounds_of_frame.append(bounds_cache[id(bounds)])
-        for obj in frame.objects:
-            meas = obj.measurement
-            frame_of.append(frame_index)
-            objects.append(obj)
-            xs.append(meas.x)
-            ys.append(meas.y)
-            var_xs.append(obj.var_x)
-            var_ys.append(obj.var_y)
-            u = meas.lateral_velocity_input
-            lateral_velocity.append(u if u is not None else 0.0)
-            track = tracks.get(obj.object_id)
-            if track is None:
-                previous.append(-1)
-                depth.append(0)
-                dt.append(math.nan)
-                kalman_t.append(math.nan)
-                step_t = frame.t
-                bad = not math.isfinite(step_t)
-            else:
-                previous.append(track[0])
-                depth.append(depth[track[0]] + 1)
-                kalman_t.append(track[1])
-                step = frame.t - track[1]
-                dt.append(step)
-                step_t = track[1] + step
-                bad = not (step > 0.0 and math.isfinite(step) and math.isfinite(step_t))
-            bad_time.append(bad)
-            tracks[obj.object_id] = (len(frame_of) - 1, step_t)
-            last_seen[obj.object_id] = frame.t
+def _fmax_between(values: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """`np.fmax` over values[first:last + 1] for each pair (first, last),
+    -inf where that range is empty, from a sparse table of the values."""
+    length = last - first + 1
+    table = [values]  # row k: fmax over the 2**k values from each position
+    while 2 ** len(table) <= length.max(initial=0):
+        row, half = table[-1], 2 ** (len(table) - 1)
+        table.append(np.concatenate([np.fmax(row[:-half], row[half:]), row[-half:]]))
+    table = np.array(table)
+    ranged = length > 0
+    first, last = first[ranged], last[ranged]
+    k = np.frexp(length[ranged])[1] - 1  # floor(log2(length)), exact on integers
+    result = np.full(len(length), -np.inf)
+    result[ranged] = np.fmax(table[k, first], table[k, last + 1 - 2**k])
+    return result
 
-    frame_of = np.array(frame_of, dtype=np.intp)
-    v, yaw_rate, var_v, var_yaw, sin_a, cos_a = (
-        np.array(per_frame, dtype=float).reshape(-1, 6)[frame_of].T
-    )
-    previous = np.array(previous, dtype=np.intp)
-    depth = np.array(depth, dtype=np.intp)
+
+def flatten(columns: Columns) -> Flat:
+    """Arrays of the columns, with the tracks `ABSENCE_TIMEOUT` defines;
+    no track continues from one scenario into the next."""
+    t = np.array(columns.t, dtype=float)
+    frame_of = np.array(columns.frame_of, dtype=np.intp)
+    n = len(frame_of)
+
+    # Tracks.  Ids match by equality and hash, within one scenario; sorted by
+    # (scenario, id), each object-frame follows the id's previous detection.
+    codes: dict = {}
+    code = np.array([codes.setdefault(i, len(codes)) for i in columns.id], dtype=np.intp)
+    scenario = np.cumsum(np.equal(columns.frame_number, 0))[frame_of]
+    key = scenario * len(codes) + code
+    by_track = np.argsort(key, kind="stable")
+    earlier, later = by_track[:-1], by_track[1:]
+    seen, now = frame_of[earlier], frame_of[later]
+    # The track is dropped at the first frame after the detection whose
+    # timestamp lies more than the timeout past it; NaN timestamps never do.
+    gap = _fmax_between(t, seen + 1, now) - t[seen]
+    continues = (key[earlier] == key[later]) & ~(gap > ABSENCE_TIMEOUT)
+    previous = np.full(n, -1, dtype=np.intp)
+    previous[later[continues]] = earlier[continues]
+    position = np.arange(n)
+    new_track = np.concatenate([[True], ~continues])[:n]
+    depth = np.empty(n, dtype=np.intp)
+    depth[by_track] = position - np.maximum.accumulate(np.where(new_track, position, 0))
+
     order = np.argsort(depth, kind="stable")
     rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
+    rank[order] = position
+    source = np.where(previous < 0, -1, rank[previous])[order]
+    starts = np.concatenate([[0], np.cumsum(np.bincount(depth))]).astype(np.intp)
+
+    # Kalman timestamps, by level.  A step moves the filter's time to
+    # kalman_t + dt, which need not round to t, so each level reads the
+    # times the level before it left.
+    t_step = t[frame_of][order]
+    kalman_t = np.full(n, np.nan)
+    moved = t_step.copy()  # the filter's time after each step
+    for start, stop in zip(starts[1:-1].tolist(), starts[2:].tolist()):
+        before = moved[source[start:stop]]
+        kalman_t[start:stop] = before
+        moved[start:stop] = before + (t_step[start:stop] - before)
+    dt = t_step - kalman_t
+    bad_time = ~np.isfinite(moved) | ((source >= 0) & ~((dt > 0.0) & np.isfinite(dt)))
+
+    v, yaw_rate, var_v, var_yaw, sin_a, cos_a = np.array(
+        [
+            (host.v, host.yaw_rate, var_v, var_yaw,
+             math.sin(host.alpha), math.cos(host.alpha))
+            for host, var_v, var_yaw in zip(columns.host, columns.var_v, columns.var_yaw)
+        ],
+        dtype=float,
+    ).reshape(-1, 6)[frame_of].T
+    bounds = [b if b is not None else _DEFAULT_BOUNDS for b in columns.bounds]
+    distinct = {id(b): b for b in bounds}
+    arrays = {i: b.arrays() for i, b in distinct.items()}
+    x, y, var_x, var_y = np.array(
+        [columns.x, columns.y, columns.var_x, columns.var_y], dtype=float
+    ).reshape(4, -1)
+    lateral_velocity = [0.0 if u is None else u for u in columns.v_lat]
     return Flat(
-        frames=frames,
-        frame_number=frame_number,
+        columns=columns,
         frame_of=frame_of,
-        objects=objects,
-        inputs=np.column_stack([v, yaw_rate, np.array(xs), np.array(ys)]),
-        variances=np.column_stack([var_v, var_yaw, np.array(var_xs), np.array(var_ys)]),
+        inputs=np.column_stack([v, yaw_rate, x, y]),
+        variances=np.column_stack([var_v, var_yaw, var_x, var_y]),
         sin_a=sin_a,
         cos_a=cos_a,
-        bound_means=np.array([b[0] for b in bounds_of_frame]).reshape(-1, 4)[frame_of],
-        bound_stds=np.array([b[1] for b in bounds_of_frame]).reshape(-1, 4)[frame_of],
+        bound_means=np.array([arrays[id(b)][0] for b in bounds]).reshape(-1, 4)[frame_of],
+        bound_stds=np.array([arrays[id(b)][1] for b in bounds]).reshape(-1, 4)[frame_of],
         lateral_velocity=np.array(lateral_velocity, dtype=float),
         previous=previous,
-        dt=np.array(dt, dtype=float),
-        kalman_t=np.array(kalman_t, dtype=float),
-        bad_time=np.array(bad_time, dtype=bool),
+        dt=dt[rank],
+        kalman_t=kalman_t[rank],
+        bad_time=bad_time[rank],
         order=order,
         rank=rank,
-        source=np.where(previous < 0, -1, rank[previous])[order],
-        starts=np.concatenate([[0], np.cumsum(np.bincount(depth))]).astype(np.intp),
+        source=source,
+        starts=starts,
     )
 
 
@@ -272,15 +328,16 @@ def _continuous(flat: Flat, z_mean, z_std, sigma_nu: np.ndarray):
     return posteriors, failed, np.stack([mean, var], axis=-1)
 
 
-def filter_batch(scenarios, method: str, config, values) -> Batch:
-    """Run `method` over the scenarios for every value of its parameter.
+def filter_batch(columns: Columns, method: str, config, values) -> Batch:
+    """Run `method` over the scenarios of the columns for every value of its
+    parameter.
 
     `values` are the epsilons (discrete) or the sigma_nus (continuous) of
     the batch; the other settings come from `config`.  A ValueError names
     the earliest failing frame of the first scenario that fails.
     """
     values = np.asarray(values, dtype=float)
-    flat = flatten(scenarios)
+    flat = flatten(columns)
     with np.errstate(all="ignore"):
         z_mean, z_std = _transform_arrays(
             flat.inputs, flat.variances, flat.sin_a, flat.cos_a
@@ -305,22 +362,20 @@ def filter_batch(scenarios, method: str, config, values) -> Batch:
         _replay(flat, k, method, config, float(values[g]), states[:, g])
     probability = np.take_along_axis(posteriors, index[..., None], axis=2)[..., 0]
     accepted = probability >= config.p_min
-    return Batch(
-        flat.frames, flat.frame_of, flat.objects, posteriors, index, probability, accepted
-    )
+    return Batch(columns, posteriors, index, probability, accepted)
 
 
 def _replay(flat, k, method, config, value, states):
     """Run object-frame k, the earliest that failed a check, through the
     per-object API and re-raise its error with the frame context."""
-    frame = flat.frames[flat.frame_of[k]]
-    frame_index = flat.frame_number[flat.frame_of[k]]
-    bounds = frame.bounds if frame.bounds is not None else _DEFAULT_BOUNDS
+    columns, f = flat.columns, flat.frame_of[k]
+    t, frame_index = columns.t[f], columns.frame_number[f]
+    bounds = columns.bounds[f] if columns.bounds[f] is not None else _DEFAULT_BOUNDS
     u = float(flat.lateral_velocity[k])
     p = flat.previous[k]
     try:
         z = transform_to_path(
-            InputVector(flat.inputs[k], np.diag(flat.variances[k])), frame.host.alpha
+            InputVector(flat.inputs[k], np.diag(flat.variances[k])), columns.host[f].alpha
         )
         if method == "discrete":
             prior = PathPosterior(states[p]) if p >= 0 else None
@@ -331,11 +386,11 @@ def _replay(flat, k, method, config, value, states):
             if p >= 0:
                 mean, var = states[p].tolist()
                 filt.state = KalmanState(mean, var, float(flat.kalman_t[k]))
-            posterior = filt.step(z, bounds, frame.t, u)
+            posterior = filt.step(z, bounds, t, u)
         assign(posterior, config.p_min)
     except ValueError as exc:
-        raise type(exc)(f"frame {frame_index} (t={frame.t}): {exc}") from exc
+        raise type(exc)(f"frame {frame_index} (t={t}): {exc}") from exc
     raise RuntimeError(
-        f"frame {frame_index} (t={frame.t}): the batch check rejects an "
+        f"frame {frame_index} (t={t}): the batch check rejects an "
         "object-frame that the per-object filters accept"
     )

@@ -1,6 +1,14 @@
 """Scenario ingestion, synthetic scenario generation, pipeline execution and
 ROC evaluation over parameter sweeps.
 
+The parser emits columns (`_engine.Columns`), which the engine reads
+directly; `parse_scenario` and `load_scenario` build `ScenarioFrame` lists
+from them for library callers.  `laneassign run` goes from the columns
+through the engine to a CSV written from the engine's arrays, so no
+per-object dataclass is built on its path; `run_pipeline` builds
+`ObjectResult`s, and `write_run_csv` writes them through the same column
+writer.
+
 Scenario files are UTF-8 JSON lines, one frame per line:
 
     {"t": 0.0,
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -27,7 +36,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._engine import filter_batch
+from ._engine import Columns, columns_of, filter_batch
 from .estimator import DEFAULT_P_MIN, Assignment
 from .geometry import GaussianScalar, HostState, InputDomainError, ObjectMeasurement
 from .likelihood import (
@@ -129,7 +138,8 @@ def _variance(record: dict, key: str, where: str, line: int) -> float:
     return value
 
 
-def _parse_object(record: dict, line: int) -> TrackedObject:
+def _parse_object(record: dict, line: int, columns: Columns) -> None:
+    """Check one object record and append it to the object-frame columns."""
     _check_keys(record, _OBJECT_KEYS, "object", line)
     object_id = record["id"]
     if isinstance(object_id, bool) or not isinstance(object_id, (str, int)):
@@ -144,21 +154,26 @@ def _parse_object(record: dict, line: int) -> TrackedObject:
             raise ScenarioFormatError(
                 f"line {line}: field 'gt' must be an integer in 0..{N_PATHS - 1}"
             )
-    try:
-        measurement = ObjectMeasurement(
-            x=_number(record, "x", "object", line),
-            y=_number(record, "y", "object", line),
-            lateral_velocity_input=v_lat,
-        )
-    except InputDomainError as exc:
-        raise ScenarioFormatError(f"line {line}: {exc}") from exc
-    return TrackedObject(
-        object_id=str(object_id),
-        measurement=measurement,
-        var_x=_variance(record, "var_x", "object", line),
-        var_y=_variance(record, "var_y", "object", line),
-        ground_truth=gt,
-    )
+    x = _number(record, "x", "object", line)
+    y = _number(record, "y", "object", line)
+    if not (0.0 < x < math.inf and math.isfinite(y)) or (
+        v_lat is not None and not math.isfinite(v_lat)
+    ):
+        # ObjectMeasurement's domain, checked without building one; where
+        # it fails, the constructor words the error.
+        try:
+            ObjectMeasurement(x, y, v_lat)
+        except InputDomainError as exc:
+            raise ScenarioFormatError(f"line {line}: {exc}") from exc
+    var_x = _variance(record, "var_x", "object", line)
+    var_y = _variance(record, "var_y", "object", line)
+    columns.id.append(str(object_id))
+    columns.x.append(x)
+    columns.y.append(y)
+    columns.var_x.append(var_x)
+    columns.var_y.append(var_y)
+    columns.v_lat.append(v_lat)
+    columns.gt.append(gt)
 
 
 def _parse_bounds(records: list, line: int) -> BoundarySet:
@@ -179,15 +194,11 @@ def _parse_bounds(records: list, line: int) -> BoundarySet:
         raise ScenarioFormatError(f"line {line}: {exc}") from exc
 
 
-def parse_scenario(stream: str | Iterable[str]) -> list[ScenarioFrame]:
-    """Parse a JSON-lines scenario; blank lines are ignored.
-
-    Raises ScenarioFormatError naming the offending field and 1-based line
-    number on any schema violation, and on non-increasing timestamps.
-    """
+def _parse_columns(stream: str | Iterable[str]) -> Columns:
+    """`parse_scenario`'s checks, in one pass that appends to columns."""
     if isinstance(stream, str):
         stream = stream.splitlines()
-    frames: list[ScenarioFrame] = []
+    columns = Columns()
     previous_t: float | None = None
     for line_no, raw in enumerate(stream, start=1):
         if not raw.strip():
@@ -226,34 +237,70 @@ def parse_scenario(stream: str | Iterable[str]) -> list[ScenarioFrame]:
         object_records = record["objects"]
         if not isinstance(object_records, list):
             raise ScenarioFormatError(f"line {line_no}: 'objects' must be a list")
-        objects = tuple(_parse_object(rec, line_no) for rec in object_records)
+        first = len(columns.id)
+        for object_record in object_records:
+            _parse_object(object_record, line_no, columns)
         seen_ids = set()
-        for obj in objects:
-            if obj.object_id in seen_ids:
+        for object_id in columns.id[first:]:
+            if object_id in seen_ids:
                 raise ScenarioFormatError(
-                    f"line {line_no}: duplicate object id {obj.object_id!r}"
+                    f"line {line_no}: duplicate object id {object_id!r}"
                 )
-            seen_ids.add(obj.object_id)
+            seen_ids.add(object_id)
 
         bounds = None
         if "bounds" in record:
             bounds = _parse_bounds(record["bounds"], line_no)
-        frames.append(
-            ScenarioFrame(
-                t=t,
-                host=host,
-                var_v=_variance(host_record, "var_v", "host", line_no),
-                var_yaw=_variance(host_record, "var_yaw", "host", line_no),
-                objects=objects,
-                bounds=bounds,
-            )
+        var_v = _variance(host_record, "var_v", "host", line_no)
+        var_yaw = _variance(host_record, "var_yaw", "host", line_no)
+        frame_index = len(columns.t)
+        columns.frame_number.append(frame_index)
+        columns.t.append(t)
+        columns.host.append(host)
+        columns.var_v.append(var_v)
+        columns.var_yaw.append(var_yaw)
+        columns.bounds.append(bounds)
+        columns.frame_of.extend([frame_index] * (len(columns.id) - first))
+    return columns
+
+
+def _frames_of(columns: Columns) -> list[ScenarioFrame]:
+    """The frames of parsed columns, for library callers."""
+    objects = [
+        TrackedObject(object_id, ObjectMeasurement(x, y, v_lat), var_x, var_y, gt)
+        for object_id, x, y, v_lat, var_x, var_y, gt in zip(
+            columns.id, columns.x, columns.y, columns.v_lat,
+            columns.var_x, columns.var_y, columns.gt,
         )
+    ]
+    frames, first = [], 0
+    for index, (t, host, var_v, var_yaw, bounds) in enumerate(
+        zip(columns.t, columns.host, columns.var_v, columns.var_yaw, columns.bounds)
+    ):
+        stop = bisect.bisect_right(columns.frame_of, index, first)
+        frames.append(
+            ScenarioFrame(t, host, var_v, var_yaw, tuple(objects[first:stop]), bounds)
+        )
+        first = stop
     return frames
 
 
-def load_scenario(path: str) -> list[ScenarioFrame]:
+def parse_scenario(stream: str | Iterable[str]) -> list[ScenarioFrame]:
+    """Parse a JSON-lines scenario; blank lines are ignored.
+
+    Raises ScenarioFormatError naming the offending field and 1-based line
+    number on any schema violation, and on non-increasing timestamps.
+    """
+    return _frames_of(_parse_columns(stream))
+
+
+def _load_columns(path: str) -> Columns:
     with open(path, encoding="utf-8") as handle:
-        return parse_scenario(handle)
+        return _parse_columns(handle)
+
+
+def load_scenario(path: str) -> list[ScenarioFrame]:
+    return _frames_of(_load_columns(path))
 
 
 def write_scenario(frames: Iterable[ScenarioFrame], out: TextIO) -> None:
@@ -386,12 +433,22 @@ def generate_synthetic(spec: SynthSpec) -> list[ScenarioFrame]:
         raise InputDomainError("duration must cover at least one step")
     if not math.isfinite(spec.duration):
         raise InputDomainError(f"duration must be finite, got {spec.duration}")
-    for name, level in asdict(spec.noise).items():
+    levels = [(f"noise level {key}", value) for key, value in asdict(spec.noise).items()]
+    for name, level in levels + [("yaw_amplitude", spec.yaw_amplitude)]:
         # NaN fails the comparison; inf and overflowing levels the square.
         if not (level >= 0.0 and math.isfinite(level * level)):
             raise InputDomainError(
-                f"noise level {name} must be >= 0 with a finite square, got {level}"
+                f"{name} must be >= 0 with a finite square, got {level}"
             )
+    if not math.isfinite(2.0 * math.pi * spec.yaw_frequency * spec.duration):
+        raise InputDomainError(
+            "yaw_frequency must give a finite phase over the duration, "
+            f"got {spec.yaw_frequency}"
+        )
+    if not (math.isfinite(spec.curve_radius) and spec.curve_radius != 0.0):
+        raise InputDomainError(
+            f"curve_radius must be finite and non-zero, got {spec.curve_radius}"
+        )
 
     rng = np.random.default_rng(spec.seed)
     half = spec.lane_width / 2.0
@@ -535,6 +592,13 @@ def _check_method(method: str) -> None:
         raise InputDomainError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def _run_batch(columns: Columns, method: str, config: PipelineConfig):
+    """`run_pipeline`'s filtering, on columns: the engine's arrays, for the
+    one parameter value `config` gives the method."""
+    value = config.epsilon if method == "discrete" else config.sigma_nu
+    return filter_batch(columns, method, config, [value])
+
+
 def run_pipeline(
     frames: Sequence[ScenarioFrame],
     method: str = "discrete",
@@ -550,20 +614,22 @@ def run_pipeline(
     that fails.
     """
     _check_method(method)
-    value = config.epsilon if method == "discrete" else config.sigma_nu
-    batch = filter_batch([frames], method, config, [value])
+    batch = _run_batch(columns_of([frames]), method, config)
+    columns = batch.columns
     return [
         ObjectResult(
-            t=frames[frame_index].t,
-            object_id=obj.object_id,
+            t=columns.t[frame_index],
+            object_id=object_id,
             method=method,
             assignment=Assignment(index, probability, accepted),
             posterior=PathPosterior._validated(posterior),
-            ground_truth=obj.ground_truth,
+            ground_truth=ground_truth,
         )
-        for frame_index, obj, posterior, index, probability, accepted in zip(
-            batch.frame_of.tolist(),
-            batch.objects,
+        for frame_index, object_id, ground_truth, posterior, index, probability, accepted
+        in zip(
+            columns.frame_of,
+            columns.id,
+            columns.gt,
             batch.posteriors[:, 0],
             batch.index[:, 0].tolist(),
             batch.probability[:, 0].tolist(),
@@ -652,11 +718,12 @@ def sweep_parameters(
     grid = list(grid)
     if not grid:
         raise InputDomainError("parameter grid must be nonempty")
-    batch = filter_batch(scenarios, method, config, grid)
-    for frame_index, obj in zip(batch.frame_of.tolist(), batch.objects):
-        if obj.ground_truth is None:
-            raise _no_ground_truth(obj.object_id, batch.frames[frame_index].t)
-    ground_truth = np.array([obj.ground_truth for obj in batch.objects], dtype=int)
+    columns = columns_of(scenarios)
+    batch = filter_batch(columns, method, config, grid)
+    for k, truth in enumerate(columns.gt):
+        if truth is None:
+            raise _no_ground_truth(columns.id[k], columns.t[columns.frame_of[k]])
+    ground_truth = np.array(columns.gt, dtype=int)
     assigned_host = batch.accepted & (batch.index == HOST_PATH_INDEX)
     return [
         _roc_point(f"{parameter}={value:g}", ground_truth, assigned_host[:, g])
@@ -688,21 +755,55 @@ RUN_CSV_COLUMNS = (
 ROC_CSV_COLUMNS = ("param", "tp_rate", "fp_rate", "frames")
 
 
-def write_run_csv(results: Iterable[ObjectResult], out: TextIO) -> None:
-    """Per-object-frame results; `assigned` is empty on rejected assignments."""
+def _write_run_columns(out: TextIO, t, object_id, method, index, accepted, probability,
+                       posteriors) -> None:
+    """The run CSV from its columns, one entry per row: `t` as text, `index`
+    and `accepted` as lists, and `probability` (N,) and `posteriors` (N, 5)
+    as float arrays, written with `repr`."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(RUN_CSV_COLUMNS)
-    for result in results:
-        writer.writerow(
-            [
-                repr(float(result.t)),
-                result.object_id,
-                result.method,
-                result.assignment.index if result.assignment.accepted else "",
-                repr(float(result.assignment.probability)),
-                *(repr(float(p)) for p in result.posterior.probs),
-            ]
+    assigned = [i if a else "" for i, a in zip(index, accepted)]
+    writer.writerows(
+        zip(
+            t, object_id, method, assigned,
+            map(repr, probability.tolist()),
+            *(map(repr, column) for column in posteriors.T.tolist()),
         )
+    )
+
+
+def _write_batch_csv(batch, method: str, out: TextIO) -> None:
+    """The run CSV of `_run_batch`'s result, straight from its arrays."""
+    columns = batch.columns
+    frame_t = [repr(float(t)) for t in columns.t]
+    _write_run_columns(
+        out,
+        [frame_t[frame_index] for frame_index in columns.frame_of],
+        columns.id,
+        itertools.repeat(method),
+        batch.index[:, 0].tolist(),
+        batch.accepted[:, 0].tolist(),
+        batch.probability[:, 0],
+        batch.posteriors[:, 0],
+    )
+
+
+def write_run_csv(results: Iterable[ObjectResult], out: TextIO) -> None:
+    """Per-object-frame results; `assigned` is empty on rejected assignments."""
+    results = list(results)
+    assignments = [result.assignment for result in results]
+    _write_run_columns(
+        out,
+        [repr(float(result.t)) for result in results],
+        [result.object_id for result in results],
+        [result.method for result in results],
+        [assignment.index for assignment in assignments],
+        [assignment.accepted for assignment in assignments],
+        np.array([assignment.probability for assignment in assignments], dtype=float),
+        np.array([result.posterior.probs for result in results], dtype=float).reshape(
+            -1, N_PATHS
+        ),
+    )
 
 
 def write_roc_csv(points: Iterable[RocPoint], out: TextIO) -> None:

@@ -1,12 +1,25 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import io
 import json
 
 import pytest
 
-from laneassign import parse_scenario
+from laneassign import (
+    ObjectMeasurement,
+    ObjectResult,
+    SynthSpec,
+    TrackedObject,
+    build_suite,
+    generate_synthetic,
+    parse_scenario,
+    run_pipeline,
+    write_run_csv,
+    write_scenario,
+)
 from laneassign.cli import main
+from laneassign.harness import SCENARIO_KINDS
 
 
 def read_csv(path):
@@ -92,6 +105,57 @@ def test_run_produces_assignment_csv(tmp_path):
     probs = [float(p) for p in rows[-1][5:]]
     assert sum(probs) == pytest.approx(1.0)
     assert rows[-1][3] == "2"  # converged on the host path
+
+
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_run_csv_is_the_library_csv(tmp_path, kind, method):
+    # `run` writes from the engine's arrays; the library builds ObjectResults
+    # and writes those.  Both must give the same bytes.
+    scenario, out = tmp_path / "s.jsonl", tmp_path / "run.csv"
+    with open(scenario, "w", encoding="utf-8") as handle:
+        write_scenario(build_suite([kind], seed=0)[kind], handle)
+    assert main(["run", "--scenario", str(scenario), "--method", method,
+                 "--out", str(out)]) == 0
+    expected = io.StringIO(newline="")
+    write_run_csv(run_pipeline(parse_scenario(scenario.read_text()), method), expected)
+    assert out.read_bytes() == expected.getvalue().encode()
+
+
+def test_run_quotes_ids_as_csv_writer_does(tmp_path):
+    ids = ["a,b", 'q"t', "n\nl", " lead"]
+    quoted = ['"a,b"', '"q""t"', '"n\nl"', " lead"]
+    scenario, out = tmp_path / "s.jsonl", tmp_path / "run.csv"
+    write_minimal_scenario(scenario, n_frames=1)
+    frame = json.loads(scenario.read_text())
+    frame["objects"] = [dict(frame["objects"][0], id=i, x=20.0 + k) for k, i in enumerate(ids)]
+    scenario.write_text(json.dumps(frame) + "\n")
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    text = out.read_bytes().decode()
+    for cell in quoted:
+        assert f"\n0.0,{cell},discrete," in text
+    assert [row[1] for row in read_csv(out)[1:]] == ids
+
+
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+def test_run_builds_no_per_object_objects(tmp_path, monkeypatch, method):
+    # `run` stays columnar from file to CSV: no object of these classes is
+    # built, whatever the number of object-frames.
+    scenario = tmp_path / "s.jsonl"
+    with open(scenario, "w", encoding="utf-8") as handle:
+        write_scenario(generate_synthetic(SynthSpec("noisy_yaw", duration=2.0)), handle)
+    calls = []
+    for cls in (TrackedObject, ObjectMeasurement, ObjectResult):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            calls.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert main(["run", "--scenario", str(scenario), "--method", method,
+                 "--out", str(tmp_path / "run.csv")]) == 0
+    assert calls == []
+    ObjectMeasurement(1.0, 0.0)  # the count works
+    assert calls == ["ObjectMeasurement"]
 
 
 def test_run_continuous_method(tmp_path):

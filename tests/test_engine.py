@@ -42,7 +42,7 @@ from laneassign import (
     sweep_parameters,
     transform_to_path,
 )
-from laneassign._engine import ABSENCE_TIMEOUT, filter_batch
+from laneassign._engine import ABSENCE_TIMEOUT, columns_of, filter_batch, flatten
 from laneassign.harness import EPSILON_GRID, SIGMA_NU_GRID
 
 POSTERIOR_TOL = 1e-12
@@ -126,7 +126,7 @@ def assert_batch_matches_loop(frames, method, config, values):
     results per value.  When loop runs fail, the batch must raise the error
     of the earliest failing frame over all values."""
     batch, error = outcome(
-        lambda: filter_batch([frames], method, config, values)
+        lambda: filter_batch(columns_of([frames]), method, config, values)
     )
     transforms = {}
     runs = [
@@ -225,7 +225,7 @@ def test_multi_scenario_batch_keeps_tracks_per_scenario(method, values):
         for seed, kind in enumerate(kinds)
     ]
     config = PipelineConfig(eta_gain=0.05)
-    batch = filter_batch(scenarios, method, config, values)
+    batch = filter_batch(columns_of(scenarios), method, config, values)
     for g, value in enumerate(values):
         per_value = dataclasses.replace(config, **{parameter_of(method): value})
         expected = [r for frames in scenarios for r in loop_run(frames, method, per_value)]
@@ -238,21 +238,43 @@ def test_multi_scenario_batch_keeps_tracks_per_scenario(method, values):
 # generated scenarios
 # ---------------------------------------------------------------------------
 
-IDS = ("a", "b", "c", "d", "e")
+IDS = ("a", "b", "c", 1, "1")  # 1 and "1" are two objects
 
 
 @st.composite
 def scenarios(draw):
     """Scenarios with id churn, ids repeated within a frame (the parser
-    rejects them, the pipeline does not), gaps longer than the absence
-    timeout, frames with and without bounds, heading offsets and lateral
+    rejects them, the pipeline does not), int next to str ids, gaps longer
+    than the absence timeout and of exactly it or the next timestamp above,
+    optionally decreasing and NaN timestamps (library frames may have them),
+    frames with and without bounds, heading offsets and lateral
     velocities."""
     finite = dict(allow_nan=False, allow_infinity=False)
     n_frames = draw(st.integers(1, 12))
     repeats = draw(st.booleans())
-    frames, t = [], 0.0
+    steps = [0.02, 0.05, 0.1, 0.4, 1.5, "timeout"]
+    if draw(st.booleans()):
+        steps += ["back", "nan"]
+    frames, t, after_gap = [], 0.0, None
     for _ in range(n_frames):
-        t += draw(st.sampled_from([0.02, 0.05, 0.1, 0.4, 1.5]))
+        frame_t = None
+        if after_gap is not None:
+            t, after_gap = after_gap, None
+        else:
+            step = draw(st.sampled_from(steps))
+            if step == "timeout":
+                # An integer t, so that the next frame lies exactly
+                # ABSENCE_TIMEOUT after it, or at the next float above that.
+                t = float(math.ceil(t + 0.01))
+                after_gap = t + ABSENCE_TIMEOUT
+                if draw(st.booleans()):
+                    after_gap = math.nextafter(after_gap, math.inf)
+            elif step == "back":
+                t -= 0.3
+            elif step == "nan":
+                frame_t = math.nan
+            else:
+                t += step
         host = HostState(
             v=draw(st.floats(0.0, 40.0, **finite)),
             yaw_rate=draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5, **finite))),
@@ -288,7 +310,7 @@ def scenarios(draw):
             )
         frames.append(
             ScenarioFrame(
-                t=round(t, 9),
+                t=round(t, 9) if frame_t is None else frame_t,
                 host=host,
                 var_v=draw(st.floats(1e-4, 1.0, **finite)),
                 var_yaw=draw(st.floats(1e-8, 1e-3, **finite)),
@@ -323,6 +345,104 @@ def test_generated_run_matches_loop(frames, method, eta_gain):
 def test_generated_batch_matches_loop(frames, method):
     values = (0.2, 1e-2, 1e-5) if method == "discrete" else (0.04, 0.1, 0.4)
     assert_batch_matches_loop(frames, method, PipelineConfig(eta_gain=0.05), values)
+
+
+def reference_schedule(scenarios):
+    """The track schedule as the engine's per-object dict loop built it
+    before it worked on columns: the reference for `flatten`."""
+    previous, depth, dt, kalman_t, bad_time = [], [], [], [], []
+    for scenario in scenarios:
+        tracks = {}  # id -> (object-frame, Kalman time)
+        last_seen = {}
+        for frame in scenario:
+            for object_id in [
+                oid for oid, seen in last_seen.items() if frame.t - seen > ABSENCE_TIMEOUT
+            ]:
+                del tracks[object_id]
+                del last_seen[object_id]
+            for obj in frame.objects:
+                track = tracks.get(obj.object_id)
+                if track is None:
+                    previous.append(-1)
+                    depth.append(0)
+                    dt.append(math.nan)
+                    kalman_t.append(math.nan)
+                    step_t = frame.t
+                    bad = not math.isfinite(step_t)
+                else:
+                    previous.append(track[0])
+                    depth.append(depth[track[0]] + 1)
+                    kalman_t.append(track[1])
+                    step = frame.t - track[1]
+                    dt.append(step)
+                    step_t = track[1] + step
+                    bad = not (step > 0.0 and math.isfinite(step) and math.isfinite(step_t))
+                bad_time.append(bad)
+                tracks[obj.object_id] = (len(previous) - 1, step_t)
+                last_seen[obj.object_id] = frame.t
+    previous = np.array(previous, dtype=np.intp)
+    order = np.argsort(np.array(depth, dtype=np.intp), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return {
+        "previous": previous,
+        "dt": np.array(dt, dtype=float),
+        "kalman_t": np.array(kalman_t, dtype=float),
+        "bad_time": np.array(bad_time, dtype=bool),
+        "order": order,
+        "source": np.where(previous < 0, -1, rank[previous])[order],
+        "starts": np.concatenate([[0], np.cumsum(np.bincount(depth))]).astype(np.intp),
+    }
+
+
+def assert_schedule_matches(scenarios):
+    flat = flatten(columns_of(scenarios))
+    for name, expected in reference_schedule(scenarios).items():
+        got = getattr(flat, name)
+        assert got.dtype == expected.dtype, name
+        assert got.tobytes() == expected.tobytes(), name  # bit for bit, NaN included
+
+
+@GENERATED
+@given(frames=scenarios())
+def test_track_schedule_matches_the_dict_loop(frames):
+    # The scenario twice: the second run of an id must start a new track.
+    assert_schedule_matches([frames, frames])
+
+
+def timeline(*entries):
+    """Frames at the given times, each holding the given object ids."""
+    host = HostState(v=20.0, yaw_rate=0.0)
+    return [
+        ScenarioFrame(
+            t, host, 0.01, 1e-6,
+            tuple(TrackedObject(i, ObjectMeasurement(30.0, 0.0), 0.04, 0.04, 2) for i in ids),
+        )
+        for t, ids in entries
+    ]
+
+
+@pytest.mark.parametrize(
+    "frames",
+    [
+        # Dropped at a frame without the id, though the id's next detection
+        # lies within the timeout of the previous one.
+        timeline((0.0, "a"), (1.5, "b"), (1.2, "b"), (0.3, "a")),
+        # NaN timestamps between the detections hide no later gap...
+        timeline((0.0, "a"), (math.nan, "b"), (math.nan, "b"), (1.5, "a")),
+        # ...and a detection at a NaN timestamp is never timed out.
+        timeline((math.nan, "a"), (5.0, "b"), (9.0, "a"), (math.nan, "a"), (20.0, "a")),
+        # Exactly the timeout keeps the track; the next float drops it.
+        timeline((1.0, "a"), (2.0, "a"), (math.nextafter(3.0, 4.0), "a"), (3.5, ("a", "a"))),
+        # The filter's time moves to 0.03 + (0.29 - 0.03) = 0.29000000000000004,
+        # which the next step starts from.
+        timeline((0.03, "a"), (0.29, "a"), (0.34, "a")),
+        # 1 and "1" are two tracks.
+        timeline((0.0, (1, "1")), (0.05, ("1",)), (0.1, (1, "1"))),
+    ],
+)
+def test_track_schedule_edge_cases(frames):
+    assert_schedule_matches([frames, frames])
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +619,7 @@ def test_zero_overlap_resets_some_values_of_one_depth(caplog):
         return sum("zero overlap" in record.message for record in caplog.records)
 
     with caplog.at_level("WARNING"):
-        filter_batch([frames], "discrete", config, values)
+        filter_batch(columns_of([frames]), "discrete", config, values)
         assert resets() == 2  # one per object-frame with a reset at any value
         for value, expected in zip(values, (2, 1)):
             per_value = dataclasses.replace(config, epsilon=value)

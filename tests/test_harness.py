@@ -1,8 +1,10 @@
 """Tests for scenario I/O, synthesis, the pipeline, and ROC evaluation."""
 
+import importlib.util
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,10 +39,18 @@ from laneassign import (
     write_scenario,
 )
 from laneassign.harness import (
+    _FRAME_KEYS,
+    _HOST_KEYS,
+    _OBJECT_KEYS,
     EPSILON_GRID,
+    N_PATHS,
     SCENARIO_KINDS,
     SIGMA_NU_GRID,
+    _check_keys,
     _ground_truth,
+    _number,
+    _parse_bounds,
+    _variance,
 )
 
 QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
@@ -189,6 +199,237 @@ def test_parse_rejects_duplicate_object_ids():
         parse_scenario(as_stream(d))
 
 
+def _reference_parse_object(record, line):
+    """One object record as the parser built it before it emitted columns."""
+    _check_keys(record, _OBJECT_KEYS, "object", line)
+    object_id = record["id"]
+    if isinstance(object_id, bool) or not isinstance(object_id, (str, int)):
+        raise ScenarioFormatError(f"line {line}: field 'id' must be a string")
+    v_lat = None
+    if "v_lat" in record:
+        v_lat = _number(record, "v_lat", "object", line)
+    gt = None
+    if "gt" in record:
+        gt = record["gt"]
+        if isinstance(gt, bool) or not isinstance(gt, int) or not 0 <= gt < N_PATHS:
+            raise ScenarioFormatError(
+                f"line {line}: field 'gt' must be an integer in 0..{N_PATHS - 1}"
+            )
+    try:
+        measurement = ObjectMeasurement(
+            x=_number(record, "x", "object", line),
+            y=_number(record, "y", "object", line),
+            lateral_velocity_input=v_lat,
+        )
+    except InputDomainError as exc:
+        raise ScenarioFormatError(f"line {line}: {exc}") from exc
+    return TrackedObject(
+        object_id=str(object_id),
+        measurement=measurement,
+        var_x=_variance(record, "var_x", "object", line),
+        var_y=_variance(record, "var_y", "object", line),
+        ground_truth=gt,
+    )
+
+
+def _reference_parse(stream):
+    """The dataclass-building parser that the column parser replaced: the
+    reference for its frames and its error messages."""
+    if isinstance(stream, str):
+        stream = stream.splitlines()
+    frames = []
+    previous_t = None
+    for line_no, raw in enumerate(stream, start=1):
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ScenarioFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
+        _check_keys(record, _FRAME_KEYS, "frame", line_no)
+        t = _number(record, "t", "frame", line_no)
+        if previous_t is not None and t <= previous_t:
+            raise ScenarioFormatError(
+                f"line {line_no}: timestamps must strictly increase "
+                f"({t} after {previous_t})"
+            )
+        previous_t = t
+        host_record = record["host"]
+        _check_keys(host_record, _HOST_KEYS, "host", line_no)
+        alpha = 0.0
+        if "alpha" in host_record:
+            alpha = _number(host_record, "alpha", "host", line_no)
+        try:
+            host = HostState(
+                v=_number(host_record, "v", "host", line_no),
+                yaw_rate=_number(host_record, "yaw_rate", "host", line_no),
+                alpha=alpha,
+            )
+        except InputDomainError as exc:
+            raise ScenarioFormatError(f"line {line_no}: {exc}") from exc
+        if not math.isfinite(t):
+            raise ScenarioFormatError(
+                f"line {line_no}: timestamp must be finite, got {t}"
+            )
+        object_records = record["objects"]
+        if not isinstance(object_records, list):
+            raise ScenarioFormatError(f"line {line_no}: 'objects' must be a list")
+        objects = tuple(_reference_parse_object(rec, line_no) for rec in object_records)
+        seen_ids = set()
+        for obj in objects:
+            if obj.object_id in seen_ids:
+                raise ScenarioFormatError(
+                    f"line {line_no}: duplicate object id {obj.object_id!r}"
+                )
+            seen_ids.add(obj.object_id)
+        bounds = None
+        if "bounds" in record:
+            bounds = _parse_bounds(record["bounds"], line_no)
+        frames.append(
+            ScenarioFrame(
+                t=t,
+                host=host,
+                var_v=_variance(host_record, "var_v", "host", line_no),
+                var_yaw=_variance(host_record, "var_yaw", "host", line_no),
+                objects=objects,
+                bounds=bounds,
+            )
+        )
+    return frames
+
+
+def _replay_generator():
+    path = Path(__file__).resolve().parents[1] / "bench" / "replay_gen.py"
+    spec = importlib.util.spec_from_file_location("replay_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _valid_scenario(name):
+    """The text of one valid scenario: a suite kind, the benchmark's replay
+    scenario of a seed, or a hand-written one with int ids, int numbers and
+    optional fields."""
+    if name in SCENARIO_KINDS:
+        return _serialized(build_suite([name], seed=0)[name])
+    if name.startswith("replay-"):
+        records = _replay_generator().generate(int(name[len("replay-"):]))
+        return "\n".join(json.dumps(r) for r in records) + "\n"
+    first = minimal_frame_dict(t=0)
+    first["objects"] = [
+        {"id": 1, "x": 50, "y": 0, "var_x": 0, "var_y": 1, "gt": 0},
+        {"id": "2", "x": 1e-300, "y": -1.5, "var_x": 0.1, "var_y": 0.1, "v_lat": -0},
+    ]
+    second = minimal_frame_dict(t=0.5, objects=[])
+    second["host"]["alpha"] = -1
+    return "\n\n" + as_stream(first, second) + "\n  \n"
+
+
+@pytest.mark.parametrize(
+    "name", SCENARIO_KINDS + tuple(f"replay-{seed}" for seed in range(4)) + ("hand-written",)
+)
+def test_parser_matches_the_dataclass_reference(name):
+    text = _valid_scenario(name)
+    frames = parse_scenario(text)
+    assert frames == _reference_parse(text)
+    assert len(frames) > 0
+
+
+def _fault(**changes):
+    """One frame line, changed: `host`, `object` and `bound` update the first
+    such record; `frame` updates the frame; `drop_*` removes keys."""
+    frame = minimal_frame_dict()
+    frame["bounds"] = [
+        {"mu": -5.25, "sigma": 0.45}, {"mu": -1.75, "sigma": 0.3},
+        {"mu": 1.75, "sigma": 0.3}, {"mu": 5.25, "sigma": 0.45},
+    ]
+    for where, record in (("frame", frame), ("host", frame["host"]),
+                          ("object", frame["objects"][0]), ("bound", frame["bounds"][0])):
+        record.update(changes.get(where, {}))
+        for key in changes.get(f"drop_{where}", ()):
+            del record[key]
+    return json.dumps(frame)
+
+
+GOOD = _fault()
+FAULTS = {
+    "bad json": "{not json",
+    "truncated json": GOOD[:-1],
+    "frame not an object": "[1, 2]",
+    "unknown frame key": _fault(frame={"speed": 1.0}),
+    "missing frame key": _fault(drop_frame=["host"]),
+    "unknown host key": _fault(host={"curvature": 0.01}),
+    "missing host key": _fault(drop_host=["var_yaw"]),
+    "host not an object": _fault(frame={"host": [25.0]}),
+    "unknown object key": _fault(object={"vx": 1.0}),
+    "missing object key": _fault(drop_object=["var_x"]),
+    "object not an object": _fault(frame={"objects": ["lead"]}),
+    "objects not a list": _fault(frame={"objects": {"id": "lead"}}),
+    "unknown bounds key": _fault(bound={"nu": 1.0}),
+    "missing bounds key": _fault(drop_bound=["sigma"]),
+    "bounds entry not an object": _fault(frame={"bounds": [1, 2, 3, 4]}),
+    "bool number": _fault(host={"v": True}),
+    "bool t": _fault(frame={"t": False}),
+    "string number": _fault(object={"x": "50.0"}),
+    "string bound": _fault(bound={"mu": "-5"}),
+    "null number": _fault(object={"y": None}),
+    "NaN variance": _fault(object={"var_x": math.nan}),
+    "negative variance": _fault(object={"var_y": -0.1}),
+    "negative host variance": _fault(host={"var_v": -1e-9}),
+    "infinite host variance": _fault(host={"var_yaw": math.inf}),
+    "gt too large": _fault(object={"gt": 5}),
+    "gt negative": _fault(object={"gt": -1}),
+    "gt bool": _fault(object={"gt": True}),
+    "gt float": _fault(object={"gt": 2.0}),
+    "gt null": _fault(object={"gt": None}),
+    "id float": _fault(object={"id": 1.5}),
+    "id bool": _fault(object={"id": False}),
+    "object behind": _fault(object={"x": -5.0}),
+    "object at zero": _fault(object={"x": 0}),
+    "object x inf": _fault(object={"x": math.inf}),
+    "object y nan": _fault(object={"y": math.nan}),
+    "v_lat inf": _fault(object={"v_lat": -math.inf}),
+    "negative speed": _fault(host={"v": -1.0}),
+    "heading out of range": _fault(host={"alpha": 2.0}),
+    "yaw rate nan": _fault(host={"yaw_rate": math.nan}),
+    "bounds count": _fault(frame={"bounds": [{"mu": 0.0, "sigma": 0.1}] * 3}),
+    "bounds not a list": _fault(frame={"bounds": {"mu": 0.0, "sigma": 0.1}}),
+    "bounds not increasing": _fault(bound={"mu": 5.0}),
+    "negative bound sigma": _fault(bound={"sigma": -0.3}),
+    "t nan": _fault(frame={"t": math.nan}),
+    "t inf": _fault(frame={"t": math.inf}),
+    "t equal": GOOD + "\n" + GOOD,
+    "t decreasing": _fault(frame={"t": 1.0}) + "\n" + _fault(frame={"t": 0.5}),
+    "t nan after t": GOOD + "\n" + _fault(frame={"t": math.nan}),
+    "duplicate ids": _fault(frame={"objects": [
+        {"id": "a", "x": 50.0, "y": 0.1, "var_x": 0.04, "var_y": 0.04}] * 2}),
+    "int and str ids": _fault(frame={"objects": [
+        {"id": 1, "x": 50.0, "y": 0.1, "var_x": 0.04, "var_y": 0.04},
+        {"id": "1", "x": 20.0, "y": 3.5, "var_x": 0.04, "var_y": 0.04}]}),
+    "duplicate id before a bad object": _fault(frame={"objects": [
+        {"id": "a", "x": 50.0, "y": 0.1, "var_x": 0.04, "var_y": 0.04},
+        {"id": "a", "x": 50.0, "y": 0.1, "var_x": 0.04, "var_y": 0.04},
+        {"id": "b", "x": 50.0, "y": 0.1, "var_x": -1.0, "var_y": 0.04}]}),
+    "blank lines shift the line number": "\n  \n" + GOOD + "\n\n" + _fault(
+        frame={"t": 1.0}, object={"gt": 9}),
+    "two faults on one line": _fault(host={"var_v": -1.0}, object={"vx": 1.0}),
+    "two faults in one object": _fault(object={"x": -1.0, "var_x": -1.0}),
+    "host and time faults": _fault(frame={"t": math.nan}, host={"v": -1.0}),
+    "faults on two lines": _fault(frame={"t": 0.0}) + "\n" + _fault(
+        frame={"t": 1.0}, object={"gt": 7}) + "\n" + _fault(frame={"t": 2.0, "x": 1}),
+}
+
+
+@pytest.mark.parametrize("name", list(FAULTS))
+def test_parser_errors_match_the_dataclass_reference(name):
+    text = FAULTS[name]
+    with pytest.raises(ScenarioFormatError) as expected:
+        _reference_parse(text)
+    with pytest.raises(ScenarioFormatError) as got:
+        parse_scenario(text)
+    assert str(got.value) == str(expected.value)
+
+
 def test_round_trip_through_serialization():
     frames = generate_synthetic(SynthSpec(kind="target_lane_change", duration=2.0))
     buffer = io.StringIO()
@@ -228,6 +469,31 @@ def test_synthetic_rejects_bad_spec():
     for duration in (math.inf, math.nan):
         with pytest.raises(InputDomainError, match="duration must be finite"):
             generate_synthetic(SynthSpec(kind="straight_follow", duration=duration))
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(yaw_amplitude=1e200), "yaw_amplitude must be >= 0 with a finite square, got 1e+200"),
+        (dict(yaw_amplitude=math.inf), "yaw_amplitude must be >= 0 with a finite square, got inf"),
+        (dict(yaw_amplitude=-0.03), "yaw_amplitude must be >= 0 with a finite square, got -0.03"),
+        (dict(yaw_frequency=math.nan),
+         "yaw_frequency must give a finite phase over the duration, got nan"),
+        (dict(yaw_frequency=1e308),
+         "yaw_frequency must give a finite phase over the duration, got 1e+308"),
+        (dict(curve_radius=0.0), "curve_radius must be finite and non-zero, got 0.0"),
+        (dict(curve_radius=-math.inf), "curve_radius must be finite and non-zero, got -inf"),
+        (dict(curve_radius=math.nan), "curve_radius must be finite and non-zero, got nan"),
+    ],
+)
+@pytest.mark.parametrize("kind", ["noisy_yaw", "host_curve"])
+def test_synthetic_rejects_bad_shape_fields_by_name(kind, changes, message):
+    # Before these checks: OverflowError, ZeroDivisionError, a math domain
+    # error, or an error about the yaw rate that named no field.
+    spec = SynthSpec(kind, duration=2.0, **changes)
+    with pytest.raises(InputDomainError) as excinfo:
+        generate_synthetic(spec)
+    assert str(excinfo.value) == message
 
 
 def test_synthetic_frame_grid():
