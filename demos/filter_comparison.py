@@ -17,30 +17,32 @@ from laneassign import (
 )
 
 
-def crossing_frame(results, from_index=2, to_index=3):
+def crossing_frame(result, from_index=2, to_index=3):
     """First time the accepted assignment switches from from_index to to_index."""
     previous = None
-    for r in results:
-        accepted = r.assignment.index if r.assignment.accepted else None
-        if previous == from_index and accepted == to_index:
-            return r.t
-        if accepted is not None:
-            previous = accepted
+    for t, index, accepted in zip(result.t, result.index, result.accepted):
+        if not accepted:
+            continue
+        if previous == from_index and index == to_index:
+            return t
+        previous = index
     return None
 
 
-def print_timeline(results, t_lo, t_hi, label):
+def print_timeline(result, t_lo, t_hi, label):
     print(f"--- {label} ---")
     print(f"{'t':>6} {'gt':>3} {'assigned':>9} {'p(host)':>8} {'p(left)':>8}")
-    for r in results:
-        if not (t_lo <= r.t <= t_hi):
+    for t, truth, index, accepted, probs in zip(
+        result.t, result.ground_truth, result.index, result.accepted, result.posteriors
+    ):
+        if not (t_lo <= t <= t_hi):
             continue
-        if (round(r.t * 100)) % 50:  # print every 0.5 s
+        if (round(t * 100)) % 50:  # print every 0.5 s
             continue
-        assigned = r.assignment.index if r.assignment.accepted else "-"
+        assigned = index if accepted else "-"
         print(
-            f"{r.t:>6.2f} {r.ground_truth:>3} {assigned!s:>9} "
-            f"{r.posterior[2]:>8.3f} {r.posterior[3]:>8.3f}"
+            f"{t:>6.2f} {truth:>3} {assigned!s:>9} "
+            f"{probs[2]:>8.3f} {probs[3]:>8.3f}"
         )
     print()
 
@@ -55,8 +57,8 @@ def main():
         print_timeline(runs[method], 9.0, 15.0, f"{method} filter")
 
     print(f"true boundary crossing:            t = {truth_crossing:.2f} s")
-    for method, results in runs.items():
-        t = crossing_frame(results)
+    for method, result in runs.items():
+        t = crossing_frame(result)
         lag = t - truth_crossing
         print(f"{method:>10} hand-over to left lane: t = {t:.2f} s  (lag {lag:+.2f} s)")
 
@@ -65,10 +67,10 @@ def main():
     print()
     print("discrete hand-over vs drift gain (lateral velocity as control input)")
     for gain in (0.0, 0.05, 0.2, 0.5):
-        results = run_pipeline(
+        result = run_pipeline(
             frames, method="discrete", config=PipelineConfig(eta_gain=gain)
         )
-        t = crossing_frame(results)
+        t = crossing_frame(result)
         print(f"  eta gain {gain:>4}: hand-over at t = {t:.2f} s")
 
 

@@ -24,9 +24,13 @@ parameter (epsilon or sigma_nu; G = 1 for a plain run).  The step's formulas
 are the filter modules' array functions, which the per-object API calls
 with one row.  A sweep flattens all its scenarios into one schedule, so a
 level carries the tracks of every scenario.  The results go back to
-processing order, and the gated median is taken on the whole result.
+processing order, and the gated median is taken on the whole result;
+`harness` hands each parameter value's slice of it to callers as a
+`RunResult`.
 
-Invariants are checked once per array, not per step.  Where a check fails,
+The settings (p_min, and epsilon and eta_gain or sigma_nu) are checked
+first, since no frame is at fault where one is out of range.  Invariants
+of the data are checked once per array, not per step.  Where a check fails,
 the earliest failing object-frame is replayed through the per-object API
 (`transform_to_path`, the filter classes, `assign`).  That replay runs the
 same formulas on the one object-frame, so its input checks raise the error,
@@ -55,7 +59,7 @@ from .discrete_filter import (
     _transition_entries,
 )
 from .estimator import _median_indices, assign
-from .geometry import InputVector, _transform_arrays, transform_to_path
+from .geometry import InputDomainError, InputVector, _transform_arrays, transform_to_path
 from .likelihood import _DEFAULT_BOUNDS, N_PATHS, PathPosterior, _occupancy_arrays
 
 # Seconds without a detection after which a track is dropped; the object
@@ -260,8 +264,10 @@ def _discrete(flat: Flat, z_mean, z_std, epsilon: np.ndarray, eta_gain: float):
     etas, eta_index = np.unique(eta, return_inverse=True)
     eps, drift = _clamp(epsilon[None, :], etas[:, None])
     matrices = _transition_entries(eps, drift)  # (E, G, 5, 5), one per distinct pair
-    bad_pair = ~(np.isfinite(epsilon)[None, :] & np.isfinite(etas)[:, None])
-    bad_pair |= np.logical_or.reduce(_matrix_violations(matrices))
+    # eta_gain is finite, but eta_gain * v_lat can overflow.
+    bad_pair = ~np.isfinite(etas)[:, None] | np.logical_or.reduce(
+        _matrix_violations(matrices)
+    )
 
     # By level from here on, as column vectors, so that one matmul predicts
     # every posterior of a level for all G values.
@@ -318,12 +324,10 @@ def _continuous(flat: Flat, z_mean, z_std, sigma_nu: np.ndarray):
         posteriors[:, column] = _occupancy_arrays(
             mean[:, column], np.sqrt(var[:, column]), flat.bound_means, flat.bound_stds
         )
-    new_track = (flat.previous < 0)[:, None]
     failed = (
         ~(np.isfinite(mean) & np.isfinite(var))
         | contradiction[flat.rank]
         | flat.bad_time[:, None]
-        | (new_track & ~((sigma_nu > 0.0) & np.isfinite(sigma_nu)))
     )
     return posteriors, failed, np.stack([mean, var], axis=-1)
 
@@ -333,10 +337,24 @@ def filter_batch(columns: Columns, method: str, config, values) -> Batch:
     parameter.
 
     `values` are the epsilons (discrete) or the sigma_nus (continuous) of
-    the batch; the other settings come from `config`.  A ValueError names
-    the earliest failing frame of the first scenario that fails.
+    the batch; the other settings come from `config`.  The settings are
+    checked first, and an InputDomainError names the first one out of
+    range; otherwise a ValueError names the earliest failing frame of the
+    first scenario that fails.
     """
     values = np.asarray(values, dtype=float)
+    if not 0.0 <= config.p_min <= 1.0:
+        raise InputDomainError(f"p_min must lie in [0, 1], got {config.p_min}")
+    if method == "discrete":
+        for epsilon in values.tolist():
+            if not math.isfinite(epsilon):
+                raise InputDomainError(f"epsilon must be finite, got {epsilon}")
+        if not math.isfinite(config.eta_gain):
+            raise InputDomainError(f"eta_gain must be finite, got {config.eta_gain}")
+    else:
+        for sigma_nu in values.tolist():
+            if not (math.isfinite(sigma_nu) and sigma_nu > 0.0):
+                raise InputDomainError(f"sigma_nu must be finite and > 0, got {sigma_nu}")
     flat = flatten(columns)
     with np.errstate(all="ignore"):
         z_mean, z_std = _transform_arrays(
@@ -355,8 +373,6 @@ def filter_batch(columns: Columns, method: str, config, values) -> Batch:
             & (posteriors >= 0.0).all(axis=2)
             & (np.abs(posteriors.sum(axis=2) - 1.0) <= 1e-9)
         )
-    if len(failed) and not 0.0 <= config.p_min <= 1.0:
-        failed[0] = True
     if failed.any():
         k, g = (int(i) for i in np.argwhere(failed)[0])
         _replay(flat, k, method, config, float(values[g]), states[:, g])

@@ -27,13 +27,14 @@ from .harness import (
     load_scenario,
     sweep_parameters,
     write_roc_csv,
+    write_run_csv,
     write_scenario,
 )
 
-# `run` reads columns and writes its CSV from the engine's arrays.  The
-# library functions it bypasses stay importable from here, where the
-# benchmark's tracer (bench/tracing.py) looks them up.
-from .harness import run_pipeline, write_run_csv  # noqa: F401
+# `run` reads columns, not frames, so it calls the engine without
+# `run_pipeline`, which stays importable from here, where the benchmark's
+# tracer (bench/tracing.py) looks it up.
+from .harness import run_pipeline  # noqa: F401
 
 
 def _out_stream(path: str):
@@ -60,9 +61,9 @@ def _add_filter_flags(parser: argparse.ArgumentParser, eta_gain_default: float) 
 def _cmd_run(args: argparse.Namespace) -> int:
     columns = harness._load_columns(args.scenario)
     config = PipelineConfig(args.epsilon, args.eta_gain, args.sigma_nu, args.p_min)
-    batch = harness._run_batch(columns, args.method, config)
+    (result,) = harness._run_results(columns, args.method, config)
     with _out_stream(args.out) as out:
-        harness._write_batch_csv(batch, args.method, out)
+        write_run_csv(result, out)
     return 0
 
 

@@ -3,11 +3,11 @@ ROC evaluation over parameter sweeps.
 
 The parser emits columns (`_engine.Columns`), which the engine reads
 directly; `parse_scenario` and `load_scenario` build `ScenarioFrame` lists
-from them for library callers.  `laneassign run` goes from the columns
-through the engine to a CSV written from the engine's arrays, so no
-per-object dataclass is built on its path; `run_pipeline` builds
-`ObjectResult`s, and `write_run_csv` writes them through the same column
-writer.
+from them for library callers.  A run's result is columnar too: a
+`RunResult` holds the engine's arrays, one entry per object-frame.
+`run_pipeline`, `laneassign run` and `sweep_parameters` (one result per grid
+value) build it in one place, `write_run_csv` writes it and `compute_roc`
+counts it, so no per-object dataclass is built on their paths.
 
 Scenario files are UTF-8 JSON lines, one frame per line:
 
@@ -37,15 +37,9 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from ._engine import Columns, columns_of, filter_batch
-from .estimator import DEFAULT_P_MIN, Assignment
+from .estimator import DEFAULT_P_MIN
 from .geometry import GaussianScalar, HostState, InputDomainError, ObjectMeasurement
-from .likelihood import (
-    HOST_PATH_INDEX,
-    N_PATHS,
-    BoundarySet,
-    BoundarySource,
-    PathPosterior,
-)
+from .likelihood import HOST_PATH_INDEX, N_PATHS, BoundarySet, BoundarySource
 
 # The per-object stages the engine replaces stay importable from here, where
 # the benchmark's tracer (bench/tracing.py) counts their calls.
@@ -348,6 +342,9 @@ SCENARIO_KINDS = (
     "noisy_yaw",
 )
 
+# Most frames one synthetic scenario may have: about 14 h at 50 ms.
+MAX_SYNTH_FRAMES = 10**6
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -433,6 +430,12 @@ def generate_synthetic(spec: SynthSpec) -> list[ScenarioFrame]:
         raise InputDomainError("duration must cover at least one step")
     if not math.isfinite(spec.duration):
         raise InputDomainError(f"duration must be finite, got {spec.duration}")
+    # Compared before rounding, which overflows on an infinite quotient.
+    if spec.duration / spec.step > MAX_SYNTH_FRAMES + 0.5:
+        raise InputDomainError(
+            f"step {spec.step} over duration {spec.duration} gives more than "
+            f"{MAX_SYNTH_FRAMES} frames"
+        )
     levels = [(f"noise level {key}", value) for key, value in asdict(spec.noise).items()]
     for name, level in levels + [("yaw_amplitude", spec.yaw_amplitude)]:
         # NaN fails the comparison; inf and overflowing levels the square.
@@ -449,6 +452,23 @@ def generate_synthetic(spec: SynthSpec) -> list[ScenarioFrame]:
         raise InputDomainError(
             f"curve_radius must be finite and non-zero, got {spec.curve_radius}"
         )
+    for name, positive in (
+        ("host_speed", False),
+        ("lane_width", True),
+        ("boundary_std", False),
+        ("object_range", True),
+        ("change_duration", False),
+    ):
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+            bound = "> 0" if positive else ">= 0"
+            raise InputDomainError(f"{name} must be finite and {bound}, got {value}")
+    if spec.change_time is not None and not math.isfinite(spec.change_time):
+        raise InputDomainError(
+            f"change_time must be None or finite, got {spec.change_time}"
+        )
+    if spec.seed < 0:
+        raise InputDomainError(f"seed must be >= 0, got {spec.seed}")
 
     rng = np.random.default_rng(spec.seed)
     half = spec.lane_width / 2.0
@@ -575,16 +595,22 @@ class PipelineConfig:
     p_min: float = DEFAULT_P_MIN
 
 
-@dataclass(frozen=True)
-class ObjectResult:
-    """Assignment and posterior for one object in one frame."""
+@dataclass(frozen=True, eq=False)
+class RunResult:
+    """Results of one method, one entry per object-frame in processing order
+    (scenario by scenario, frame by frame, objects in frame order)."""
 
-    t: float
-    object_id: str
     method: str
-    assignment: Assignment
-    posterior: PathPosterior
-    ground_truth: int | None
+    t: list  # timestamp of the object-frame's frame, as given
+    object_id: list
+    ground_truth: list  # None where absent
+    index: np.ndarray  # (N,) gated median index
+    probability: np.ndarray  # (N,) posterior mass at the index
+    accepted: np.ndarray  # (N,) the mass reaches p_min
+    posteriors: np.ndarray  # (N, 5)
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
 def _check_method(method: str) -> None:
@@ -592,50 +618,40 @@ def _check_method(method: str) -> None:
         raise InputDomainError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _run_batch(columns: Columns, method: str, config: PipelineConfig):
-    """`run_pipeline`'s filtering, on columns: the engine's arrays, for the
-    one parameter value `config` gives the method."""
-    value = config.epsilon if method == "discrete" else config.sigma_nu
-    return filter_batch(columns, method, config, [value])
+def _run_results(
+    columns: Columns, method: str, config: PipelineConfig, grid=None
+) -> list[RunResult]:
+    """One RunResult per value in `grid` of the method's parameter (epsilon
+    or sigma_nu); without a grid, for the one value `config` gives it."""
+    if grid is None:
+        grid = [config.epsilon if method == "discrete" else config.sigma_nu]
+    batch = filter_batch(columns, method, config, grid)
+    t = [columns.t[frame_index] for frame_index in columns.frame_of]
+    return [
+        RunResult(
+            method, t, columns.id, columns.gt, batch.index[:, g],
+            batch.probability[:, g], batch.accepted[:, g], batch.posteriors[:, g],
+        )
+        for g in range(len(grid))
+    ]
 
 
 def run_pipeline(
     frames: Sequence[ScenarioFrame],
     method: str = "discrete",
     config: PipelineConfig = PipelineConfig(),
-) -> list[ObjectResult]:
+) -> RunResult:
     """Run one filter method over a scenario.
 
     Per object: transform the measurement into a path-offset Gaussian, step
     that object's filter (created on first sight, dropped after
     `_engine.ABSENCE_TIMEOUT` = 1 s without detections), and assign by the
     gated median.  Objects are independent; their order within a frame does
-    not affect any per-object output.  A ValueError names the earliest frame
-    that fails.
+    not affect any per-object output.  A ValueError names the out-of-range
+    setting, or else the earliest frame that fails.
     """
     _check_method(method)
-    batch = _run_batch(columns_of([frames]), method, config)
-    columns = batch.columns
-    return [
-        ObjectResult(
-            t=columns.t[frame_index],
-            object_id=object_id,
-            method=method,
-            assignment=Assignment(index, probability, accepted),
-            posterior=PathPosterior._validated(posterior),
-            ground_truth=ground_truth,
-        )
-        for frame_index, object_id, ground_truth, posterior, index, probability, accepted
-        in zip(
-            columns.frame_of,
-            columns.id,
-            columns.gt,
-            batch.posteriors[:, 0],
-            batch.index[:, 0].tolist(),
-            batch.probability[:, 0].tolist(),
-            batch.accepted[:, 0].tolist(),
-        )
-    ]
+    return _run_results(columns_of([frames]), method, config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -654,24 +670,7 @@ class RocPoint:
     frames_evaluated: int
 
 
-def _roc_point(
-    parameter_label: str, ground_truth: np.ndarray, assigned_host: np.ndarray
-) -> RocPoint:
-    on_host = ground_truth == HOST_PATH_INDEX
-    tp_total = int(on_host.sum())
-    fp_total = len(on_host) - tp_total
-    tp_hits = int((assigned_host & on_host).sum())
-    fp_hits = int((assigned_host & ~on_host).sum())
-    tp_rate = tp_hits / tp_total if tp_total else None
-    fp_rate = fp_hits / fp_total if fp_total else None
-    return RocPoint(parameter_label, tp_rate, fp_rate, tp_total + fp_total)
-
-
-def _no_ground_truth(object_id: str, t: float) -> InputDomainError:
-    return InputDomainError(f"object {object_id!r} at t={t} has no ground truth")
-
-
-def compute_roc(results: Iterable[ObjectResult], parameter_label: str = "") -> RocPoint:
+def compute_roc(result: RunResult, parameter_label: str = "") -> RocPoint:
     """Host-lane TP/FP rates at object-frame granularity.
 
     TP rate: of the object-frames truly on the host path, the fraction with
@@ -679,19 +678,20 @@ def compute_roc(results: Iterable[ObjectResult], parameter_label: str = "") -> R
     elsewhere, the fraction with an accepted host-path assignment.  Rejected
     assignments count as non-assignments on both sides.
     """
-    ground_truth, assigned_host = [], []
-    for result in results:
-        if result.ground_truth is None:
-            raise _no_ground_truth(result.object_id, result.t)
-        ground_truth.append(result.ground_truth)
-        assigned_host.append(
-            result.assignment.accepted and result.assignment.index == HOST_PATH_INDEX
+    if None in result.ground_truth:
+        k = result.ground_truth.index(None)
+        raise InputDomainError(
+            f"object {result.object_id[k]!r} at t={result.t[k]} has no ground truth"
         )
-    return _roc_point(
-        parameter_label,
-        np.array(ground_truth, dtype=int),
-        np.array(assigned_host, dtype=bool),
-    )
+    on_host = np.array(result.ground_truth, dtype=int) == HOST_PATH_INDEX
+    assigned_host = result.accepted & (result.index == HOST_PATH_INDEX)
+    tp_total = int(on_host.sum())
+    fp_total = len(on_host) - tp_total
+    tp_hits = int((assigned_host & on_host).sum())
+    fp_hits = int((assigned_host & ~on_host).sum())
+    tp_rate = tp_hits / tp_total if tp_total else None
+    fp_rate = fp_hits / fp_total if fp_total else None
+    return RocPoint(parameter_label, tp_rate, fp_rate, tp_total + fp_total)
 
 
 EPSILON_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -718,16 +718,10 @@ def sweep_parameters(
     grid = list(grid)
     if not grid:
         raise InputDomainError("parameter grid must be nonempty")
-    columns = columns_of(scenarios)
-    batch = filter_batch(columns, method, config, grid)
-    for k, truth in enumerate(columns.gt):
-        if truth is None:
-            raise _no_ground_truth(columns.id[k], columns.t[columns.frame_of[k]])
-    ground_truth = np.array(columns.gt, dtype=int)
-    assigned_host = batch.accepted & (batch.index == HOST_PATH_INDEX)
+    results = _run_results(columns_of(scenarios), method, config, grid)
     return [
-        _roc_point(f"{parameter}={value:g}", ground_truth, assigned_host[:, g])
-        for g, value in enumerate(grid)
+        compute_roc(result, f"{parameter}={value:g}")
+        for result, value in zip(results, grid)
     ]
 
 
@@ -755,54 +749,22 @@ RUN_CSV_COLUMNS = (
 ROC_CSV_COLUMNS = ("param", "tp_rate", "fp_rate", "frames")
 
 
-def _write_run_columns(out: TextIO, t, object_id, method, index, accepted, probability,
-                       posteriors) -> None:
-    """The run CSV from its columns, one entry per row: `t` as text, `index`
-    and `accepted` as lists, and `probability` (N,) and `posteriors` (N, 5)
-    as float arrays, written with `repr`."""
+def write_run_csv(result: RunResult, out: TextIO) -> None:
+    """Per-object-frame results; `assigned` is empty on rejected assignments."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(RUN_CSV_COLUMNS)
-    assigned = [i if a else "" for i, a in zip(index, accepted)]
+    assigned = [
+        i if a else "" for i, a in zip(result.index.tolist(), result.accepted.tolist())
+    ]
     writer.writerows(
         zip(
-            t, object_id, method, assigned,
-            map(repr, probability.tolist()),
-            *(map(repr, column) for column in posteriors.T.tolist()),
+            [repr(float(t)) for t in result.t],
+            result.object_id,
+            itertools.repeat(result.method),
+            assigned,
+            map(repr, result.probability.tolist()),
+            *(map(repr, column) for column in result.posteriors.T.tolist()),
         )
-    )
-
-
-def _write_batch_csv(batch, method: str, out: TextIO) -> None:
-    """The run CSV of `_run_batch`'s result, straight from its arrays."""
-    columns = batch.columns
-    frame_t = [repr(float(t)) for t in columns.t]
-    _write_run_columns(
-        out,
-        [frame_t[frame_index] for frame_index in columns.frame_of],
-        columns.id,
-        itertools.repeat(method),
-        batch.index[:, 0].tolist(),
-        batch.accepted[:, 0].tolist(),
-        batch.probability[:, 0],
-        batch.posteriors[:, 0],
-    )
-
-
-def write_run_csv(results: Iterable[ObjectResult], out: TextIO) -> None:
-    """Per-object-frame results; `assigned` is empty on rejected assignments."""
-    results = list(results)
-    assignments = [result.assignment for result in results]
-    _write_run_columns(
-        out,
-        [repr(float(result.t)) for result in results],
-        [result.object_id for result in results],
-        [result.method for result in results],
-        [assignment.index for assignment in assignments],
-        [assignment.accepted for assignment in assignments],
-        np.array([assignment.probability for assignment in assignments], dtype=float),
-        np.array([result.posterior.probs for result in results], dtype=float).reshape(
-            -1, N_PATHS
-        ),
     )
 
 

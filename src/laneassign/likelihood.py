@@ -83,13 +83,6 @@ class PathPosterior:
         object.__setattr__(self, "probs", probs)
 
     @classmethod
-    def _validated(cls, probs: np.ndarray) -> "PathPosterior":
-        """Wrap a float vector that was already checked as part of an array."""
-        posterior = object.__new__(cls)
-        object.__setattr__(posterior, "probs", probs)
-        return posterior
-
-    @classmethod
     def uniform(cls) -> "PathPosterior":
         return cls(np.full(N_PATHS, 1.0 / N_PATHS))
 

@@ -24,12 +24,12 @@ EXPORTS = [
     "N_PATHS",
     "NoiseSpec",
     "ObjectMeasurement",
-    "ObjectResult",
     "PATH_LABELS",
     "PathPosterior",
     "PipelineConfig",
     "ProcessNoise",
     "RocPoint",
+    "RunResult",
     "SCENARIO_KINDS",
     "SIGMA_NU_GRID",
     "STRAIGHT_YAW_THRESHOLD",

@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
 from laneassign import (
+    Assignment,
     ObjectMeasurement,
-    ObjectResult,
+    PathPosterior,
     SynthSpec,
     TrackedObject,
     build_suite,
@@ -27,7 +29,7 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def write_minimal_scenario(path, n_frames=5):
+def write_minimal_scenario(path, n_frames=5, objects=1):
     frames = []
     for k in range(n_frames):
         frames.append(
@@ -43,7 +45,7 @@ def write_minimal_scenario(path, n_frames=5):
                         "var_y": 0.04,
                         "gt": 2,
                     }
-                ],
+                ][:objects],
             }
         )
     path.write_text("\n".join(json.dumps(f) for f in frames) + "\n")
@@ -90,6 +92,23 @@ def test_synth_rejects_bad_noise_levels(tmp_path, capsys, scale, level):
     )
 
 
+@pytest.mark.parametrize("step", ["1e-300", "1e-9"])
+def test_synth_rejects_too_many_frames(tmp_path, capsys, step):
+    # 1e-300 overflowed the frame count; 1e-9 asks for 10^9 frames.
+    tracemalloc.start()
+    try:
+        code = main(["synth", "--kind", "straight_follow", "--step", step,
+                     "--duration", "1", "--out", str(tmp_path / "s.jsonl")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 10**6  # failed before allocating the frames
+    assert capsys.readouterr().err == (
+        f"error: step {float(step)} over duration 1.0 gives more than 1000000 frames\n"
+    )
+
+
 def test_run_produces_assignment_csv(tmp_path):
     scenario = tmp_path / "s.jsonl"
     write_minimal_scenario(scenario)
@@ -110,8 +129,8 @@ def test_run_produces_assignment_csv(tmp_path):
 @pytest.mark.parametrize("method", ["discrete", "continuous"])
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
 def test_run_csv_is_the_library_csv(tmp_path, kind, method):
-    # `run` writes from the engine's arrays; the library builds ObjectResults
-    # and writes those.  Both must give the same bytes.
+    # `run` reads columns from the file, the library frames; both write
+    # the engine's RunResult and must give the same bytes.
     scenario, out = tmp_path / "s.jsonl", tmp_path / "run.csv"
     with open(scenario, "w", encoding="utf-8") as handle:
         write_scenario(build_suite([kind], seed=0)[kind], handle)
@@ -145,7 +164,7 @@ def test_run_builds_no_per_object_objects(tmp_path, monkeypatch, method):
     with open(scenario, "w", encoding="utf-8") as handle:
         write_scenario(generate_synthetic(SynthSpec("noisy_yaw", duration=2.0)), handle)
     calls = []
-    for cls in (TrackedObject, ObjectMeasurement, ObjectResult):
+    for cls in (TrackedObject, ObjectMeasurement, PathPosterior, Assignment):
         def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             calls.append(_name)
             _init(self, *args, **kwargs)
@@ -247,6 +266,26 @@ def test_error_exit_code_on_bad_parameter(tmp_path):
     scenario = tmp_path / "s.jsonl"
     write_minimal_scenario(scenario)
     assert main(["run", "--scenario", str(scenario), "--p-min", "2.0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--p-min", "2"], "p_min must lie in [0, 1], got 2.0"),
+        (["--epsilon", "nan"], "epsilon must be finite, got nan"),
+        (["--method", "continuous", "--sigma-nu", "0"],
+         "sigma_nu must be finite and > 0, got 0.0"),
+        (["--eta-gain", "inf"], "eta_gain must be finite, got inf"),
+    ],
+)
+@pytest.mark.parametrize("objects", [0, 1])
+def test_run_names_the_out_of_range_setting(tmp_path, capsys, flags, message, objects):
+    # Checked before filtering: a scenario without objects fails too, and
+    # the message names the flag's setting, not a frame or a derived value.
+    scenario = tmp_path / "s.jsonl"
+    write_minimal_scenario(scenario, objects=objects)
+    assert main(["run", "--scenario", str(scenario), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_error_exit_code_on_bad_grid(tmp_path):

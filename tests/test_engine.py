@@ -27,8 +27,8 @@ from laneassign import (
     InputVector,
     NoiseSpec,
     ObjectMeasurement,
-    ObjectResult,
     PipelineConfig,
+    RunResult,
     ScenarioFrame,
     SingularityError,
     SynthSpec,
@@ -56,7 +56,7 @@ def loop_run(frames, method, config, transforms=None):
     """
     transforms = {} if transforms is None else transforms
     bounds_default = extrapolate_boundaries()
-    filters, last_seen, results = {}, {}, []
+    filters, last_seen, rows = {}, {}, []
     for frame_index, frame in enumerate(frames):
         try:
             for oid in [
@@ -86,15 +86,42 @@ def loop_run(frames, method, config, transforms=None):
                     posterior = filt.step(z, bounds, frame.t, u)
                 filters[obj.object_id] = filt
                 last_seen[obj.object_id] = frame.t
-                results.append(
-                    ObjectResult(
-                        frame.t, obj.object_id, method,
-                        assign(posterior, config.p_min), posterior, obj.ground_truth,
-                    )
+                assignment = assign(posterior, config.p_min)
+                rows.append(
+                    (frame.t, obj.object_id, obj.ground_truth, assignment.index,
+                     assignment.probability, assignment.accepted, posterior.probs)
                 )
         except ValueError as exc:
             raise type(exc)(f"frame {frame_index} (t={frame.t}): {exc}") from exc
-    return results
+    return result_of(method, rows)
+
+
+def result_of(method, rows):
+    """The RunResult of (t, object_id, ground_truth, index, probability,
+    accepted, posterior) rows."""
+    t, object_id, ground_truth, index, probability, accepted, posteriors = [
+        list(column) for column in zip(*rows)
+    ] or [[]] * 7
+    return RunResult(
+        method, t, object_id, ground_truth,
+        np.array(index, dtype=int), np.array(probability, dtype=float),
+        np.array(accepted, dtype=bool), np.array(posteriors, dtype=float).reshape(-1, 5),
+    )
+
+
+def concatenated(results):
+    """One RunResult of several, in order."""
+    return result_of(
+        results[0].method,
+        [
+            row
+            for result in results
+            for row in zip(
+                result.t, result.object_id, result.ground_truth, result.index,
+                result.probability, result.accepted, result.posteriors,
+            )
+        ],
+    )
 
 
 def parameter_of(method):
@@ -114,11 +141,10 @@ def frame_named(error):
 
 
 def assert_results_equal(posteriors, index, accepted, expected):
-    """Batch columns of one parameter value against loop results."""
-    want = np.array([r.posterior.probs for r in expected]).reshape(-1, 5)
-    np.testing.assert_allclose(posteriors, want, rtol=0, atol=POSTERIOR_TOL)
-    assert index.tolist() == [r.assignment.index for r in expected]
-    assert accepted.tolist() == [r.assignment.accepted for r in expected]
+    """Batch columns of one parameter value against a loop result."""
+    np.testing.assert_allclose(posteriors, expected.posteriors, rtol=0, atol=POSTERIOR_TOL)
+    assert index.tolist() == expected.index.tolist()
+    assert accepted.tolist() == expected.accepted.tolist()
 
 
 def assert_batch_matches_loop(frames, method, config, values):
@@ -155,17 +181,11 @@ def assert_run_matches_loop(frames, method, config):
     assert got_error == want_error
     if want is None:
         return
-    assert [(r.t, r.object_id, r.ground_truth) for r in got] == [
-        (r.t, r.object_id, r.ground_truth) for r in want
-    ]
-    assert_results_equal(
-        np.array([r.posterior.probs for r in got]).reshape(-1, 5),
-        np.array([r.assignment.index for r in got]),
-        np.array([r.assignment.accepted for r in got]),
-        want,
+    assert (got.method, got.t, got.object_id, got.ground_truth) == (
+        want.method, want.t, want.object_id, want.ground_truth
     )
-    for a, b in zip(got, want):
-        assert abs(a.assignment.probability - b.assignment.probability) <= POSTERIOR_TOL
+    assert_results_equal(got.posteriors, got.index, got.accepted, want)
+    assert (np.abs(got.probability - want.probability) <= POSTERIOR_TOL).all()
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +201,14 @@ SWEEP_CONFIG = PipelineConfig(eta_gain=0.0)  # the CLI's sweep default
 )
 def test_suite_sweep_matches_loop(method, grid):
     scenarios = list(build_suite(seed=0).values())
-    pooled = [[] for _ in grid]
-    for frames in scenarios:
-        runs = assert_batch_matches_loop(frames, method, SWEEP_CONFIG, grid)
-        for results, expected in zip(pooled, runs):
-            results.extend(expected)
+    runs = [
+        assert_batch_matches_loop(frames, method, SWEEP_CONFIG, grid)
+        for frames in scenarios
+    ]
     parameter = parameter_of(method)
     assert sweep_parameters(scenarios, method, grid, SWEEP_CONFIG) == [
-        compute_roc(results, f"{parameter}={value:g}")
-        for results, value in zip(pooled, grid)
+        compute_roc(concatenated(results), f"{parameter}={value:g}")
+        for results, value in zip(zip(*runs), grid)
     ]
 
 
@@ -228,7 +247,7 @@ def test_multi_scenario_batch_keeps_tracks_per_scenario(method, values):
     batch = filter_batch(columns_of(scenarios), method, config, values)
     for g, value in enumerate(values):
         per_value = dataclasses.replace(config, **{parameter_of(method): value})
-        expected = [r for frames in scenarios for r in loop_run(frames, method, per_value)]
+        expected = concatenated([loop_run(frames, method, per_value) for frames in scenarios])
         assert_results_equal(
             batch.posteriors[:, g], batch.index[:, g], batch.accepted[:, g], expected
         )
@@ -500,21 +519,28 @@ def test_sweep_error_names_the_first_failing_scenario():
         sweep_parameters(scenarios, "discrete", EPSILON_GRID)
 
 
-@pytest.mark.parametrize(
-    "method, config",
-    [
-        ("discrete", PipelineConfig(epsilon=math.nan)),
-        ("discrete", PipelineConfig(eta_gain=math.inf)),
-        ("continuous", PipelineConfig(sigma_nu=0.0)),
-        ("continuous", PipelineConfig(sigma_nu=math.nan)),
-        ("discrete", PipelineConfig(p_min=1.5)),
-    ],
-)
+PARAMETER_ERRORS = [
+    ("discrete", PipelineConfig(epsilon=math.nan), "epsilon must be finite, got nan"),
+    ("discrete", PipelineConfig(eta_gain=math.inf), "eta_gain must be finite, got inf"),
+    ("continuous", PipelineConfig(sigma_nu=0.0), "sigma_nu must be finite and > 0, got 0.0"),
+    ("continuous", PipelineConfig(sigma_nu=math.nan), "sigma_nu must be finite and > 0, got nan"),
+    ("discrete", PipelineConfig(p_min=1.5), "p_min must lie in [0, 1], got 1.5"),
+]
+
+
+@pytest.mark.parametrize("method, config", [case[:2] for case in PARAMETER_ERRORS])
 def test_parameter_errors_match_loop(method, config):
+    # The settings are checked before any frame is filtered, so the error
+    # names the setting and no frame, with or without object-frames; the
+    # per-object loop fails on the same setting at its first step.
+    message = next(m for _, c, m in PARAMETER_ERRORS if c is config)
     frames = straight_frames(3)
-    _, error = outcome(lambda: run_pipeline(frames, method, config))
-    assert error is not None and error[1].startswith("frame 0 (t=0.0): ")
-    assert_run_matches_loop(frames, method, config)
+    for scenario in (frames, [], [dataclasses.replace(frames[0], objects=())]):
+        _, error = outcome(lambda: run_pipeline(scenario, method, config))
+        assert error == (InputDomainError, message)
+    _, loop_error = outcome(lambda: loop_run(frames, method, config))
+    assert loop_error[0] is InputDomainError
+    assert loop_error[1].startswith("frame 0 (t=0.0): ")
 
 
 @pytest.mark.parametrize("eta_gain", [math.inf, math.nan])
@@ -523,13 +549,15 @@ def test_non_finite_eta_gain_is_named(kind, eta_gain):
     # target_lane_change reports v_lat on every object, straight_follow none
     frames = generate_synthetic(SynthSpec(kind=kind, duration=0.15))
     config = PipelineConfig(eta_gain=eta_gain)
-    message = f"frame 0 (t=0.0): eta_gain must be finite, got {eta_gain}"
+    message = f"eta_gain must be finite, got {eta_gain}"
     for call in (
         lambda: run_pipeline(frames, "discrete", config),
         lambda: sweep_parameters([frames], "discrete", EPSILON_GRID, config),
     ):
         assert outcome(call)[1] == (InputDomainError, message)
-    assert_run_matches_loop(frames, "discrete", config)
+    assert outcome(lambda: loop_run(frames, "discrete", config))[1] == (
+        InputDomainError, f"frame 0 (t=0.0): {message}"
+    )
 
 
 def test_non_increasing_timestamps_fail_the_kalman_filter_only():
@@ -589,7 +617,7 @@ def test_zero_overlap_resets_to_the_measurement(caplog):
     config = PipelineConfig(epsilon=0.0, eta_gain=0.0)
     with caplog.at_level("WARNING"):
         results = run_pipeline(frames, "discrete", config)
-    assert results[1].posterior.probs.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+    assert results.posteriors[1].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
     assert any("zero overlap" in record.message for record in caplog.records)
     assert_run_matches_loop(frames, "discrete", config)
 
@@ -629,5 +657,5 @@ def test_zero_overlap_resets_some_values_of_one_depth(caplog):
             caplog.clear()
             assert_run_matches_loop(frames, "discrete", per_value)
             assert resets() == 2 * expected  # the run and the loop
-    assert results[4].posterior.probs.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert results.posteriors[4].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
     assert_batch_matches_loop(frames, "discrete", config, values)

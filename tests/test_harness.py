@@ -1,5 +1,6 @@
 """Tests for scenario I/O, synthesis, the pipeline, and ROC evaluation."""
 
+import dataclasses
 import importlib.util
 import io
 import json
@@ -11,7 +12,6 @@ import pytest
 
 from laneassign import (
     HOST_PATH_INDEX,
-    Assignment,
     BoundarySet,
     BoundarySource,
     GaussianScalar,
@@ -19,9 +19,8 @@ from laneassign import (
     InputDomainError,
     NoiseSpec,
     ObjectMeasurement,
-    ObjectResult,
-    PathPosterior,
     PipelineConfig,
+    RunResult,
     ScenarioFormatError,
     ScenarioFrame,
     SynthSpec,
@@ -484,12 +483,27 @@ def test_synthetic_rejects_bad_spec():
         (dict(curve_radius=0.0), "curve_radius must be finite and non-zero, got 0.0"),
         (dict(curve_radius=-math.inf), "curve_radius must be finite and non-zero, got -inf"),
         (dict(curve_radius=math.nan), "curve_radius must be finite and non-zero, got nan"),
+        (dict(host_speed=-5.0), "host_speed must be finite and >= 0, got -5.0"),
+        (dict(host_speed=math.nan), "host_speed must be finite and >= 0, got nan"),
+        (dict(lane_width=0.0), "lane_width must be finite and > 0, got 0.0"),
+        (dict(lane_width=math.nan), "lane_width must be finite and > 0, got nan"),
+        (dict(boundary_std=-1.0), "boundary_std must be finite and >= 0, got -1.0"),
+        (dict(boundary_std=math.inf), "boundary_std must be finite and >= 0, got inf"),
+        (dict(object_range=0.0), "object_range must be finite and > 0, got 0.0"),
+        (dict(object_range=math.inf), "object_range must be finite and > 0, got inf"),
+        (dict(change_time=math.nan), "change_time must be None or finite, got nan"),
+        (dict(change_time=-math.inf), "change_time must be None or finite, got -inf"),
+        (dict(change_duration=-1.0), "change_duration must be finite and >= 0, got -1.0"),
+        (dict(change_duration=math.nan), "change_duration must be finite and >= 0, got nan"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
     ],
 )
 @pytest.mark.parametrize("kind", ["noisy_yaw", "host_curve"])
 def test_synthetic_rejects_bad_shape_fields_by_name(kind, changes, message):
     # Before these checks: OverflowError, ZeroDivisionError, a math domain
-    # error, or an error about the yaw rate that named no field.
+    # error, an error about a derived value that named no field, numpy's
+    # seed error, or a silent clamp (a negative host_speed became a
+    # standstill, object_range=0 put the objects at x = 0.01).
     spec = SynthSpec(kind, duration=2.0, **changes)
     with pytest.raises(InputDomainError) as excinfo:
         generate_synthetic(spec)
@@ -744,16 +758,10 @@ def test_pipeline_straight_follow_assigns_host():
         SynthSpec(kind="straight_follow", duration=5.0, noise=QUIET)
     )
     for method in ("discrete", "continuous"):
-        results = [
-            r
-            for r in run_pipeline(frames, method=method)
-            if r.object_id == "lead" and r.t > 0.5
-        ]
-        accepted_host = [
-            r.assignment.accepted and r.assignment.index == HOST_PATH_INDEX
-            for r in results
-        ]
-        assert np.mean(accepted_host) > 0.99, method
+        result = run_pipeline(frames, method=method)
+        lead = (np.array(result.object_id) == "lead") & (np.array(result.t) > 0.5)
+        accepted_host = result.accepted & (result.index == HOST_PATH_INDEX)
+        assert np.mean(accepted_host[lead]) > 0.99, method
 
 
 def test_pipeline_first_step_semantics():
@@ -767,9 +775,9 @@ def test_pipeline_first_step_semantics():
     )
     want = lane_occupancy(z, frame.bounds)
     for method in ("discrete", "continuous"):
-        results = run_pipeline(frames, method=method)
-        got = next(r for r in results if r.object_id == "lead")
-        np.testing.assert_allclose(got.posterior.probs, want.probs, atol=1e-12)
+        result = run_pipeline(frames, method=method)
+        got = result.posteriors[result.object_id.index("lead")]
+        np.testing.assert_allclose(got, want.probs, atol=1e-12)
 
 
 def _noisy_inputs(frame, obj):
@@ -796,13 +804,16 @@ def test_pipeline_object_order_does_not_matter():
         )
         for f in frames
     ]
+    def rows(result):
+        return sorted(
+            zip(result.t, result.object_id, result.posteriors.tolist(),
+                result.index.tolist(), result.probability.tolist(),
+                result.accepted.tolist())
+        )
+
     a = run_pipeline(frames, method="discrete")
     b = run_pipeline(swapped, method="discrete")
-    key = lambda r: (r.t, r.object_id)
-    for x, y in zip(sorted(a, key=key), sorted(b, key=key)):
-        assert x.object_id == y.object_id
-        np.testing.assert_array_equal(x.posterior.probs, y.posterior.probs)
-        assert x.assignment == y.assignment
+    assert rows(a) == rows(b)
 
 
 def test_pipeline_drops_stale_tracks():
@@ -819,11 +830,12 @@ def test_pipeline_drops_stale_tracks():
         objects=base[0].objects,
         bounds=base[0].bounds,
     )
-    results = run_pipeline(list(base) + [late], method="discrete")
-    first = next(r for r in results if r.object_id == "lead")
-    reappeared = next(r for r in results if r.object_id == "lead" and r.t == 5.0)
+    result = run_pipeline(list(base) + [late], method="discrete")
+    lead = [k for k, oid in enumerate(result.object_id) if oid == "lead"]
+    first, reappeared = lead[0], lead[-1]
+    assert result.t[reappeared] == 5.0
     np.testing.assert_allclose(
-        reappeared.posterior.probs, first.posterior.probs, atol=1e-15
+        result.posteriors[reappeared], result.posteriors[first], atol=1e-15
     )
 
 
@@ -831,11 +843,11 @@ def test_pipeline_keeps_fresh_tracks():
     frames = generate_synthetic(
         SynthSpec(kind="straight_follow", duration=0.15, noise=QUIET)
     )
-    results = run_pipeline(frames, method="discrete")
-    lead = [r for r in results if r.object_id == "lead"]
+    result = run_pipeline(frames, method="discrete")
+    lead = result.posteriors[np.array(result.object_id) == "lead", HOST_PATH_INDEX]
     # Posterior sharpens step over step while the track persists.
-    assert lead[1].posterior[HOST_PATH_INDEX] >= lead[0].posterior[HOST_PATH_INDEX]
-    assert lead[2].posterior[HOST_PATH_INDEX] >= lead[1].posterior[HOST_PATH_INDEX]
+    assert lead[1] >= lead[0]
+    assert lead[2] >= lead[1]
 
 
 def test_pipeline_wraps_errors_with_frame_context():
@@ -852,29 +864,30 @@ def test_pipeline_wraps_errors_with_frame_context():
 # ---------------------------------------------------------------------------
 
 
-def result_stub(gt, index, accepted, t=0.0, oid="o"):
-    probs = np.full(5, 0.025)
-    probs[index] = 0.9
-    return ObjectResult(
-        t=t,
-        object_id=oid,
-        method="discrete",
-        assignment=Assignment(index=index, probability=0.9, accepted=accepted),
-        posterior=PathPosterior(probs),
-        ground_truth=gt,
+def result_stub(rows):
+    """A discrete RunResult of (ground truth, index, accepted) rows at t=0,
+    each with mass 0.9 at its index."""
+    ground_truth = [gt for gt, _, _ in rows]
+    index = np.array([i for _, i, _ in rows], dtype=int)
+    posteriors = np.full((len(rows), 5), 0.025)
+    posteriors[np.arange(len(rows)), index] = 0.9
+    return RunResult(
+        "discrete", [0.0] * len(rows), ["o"] * len(rows), ground_truth, index,
+        np.full(len(rows), 0.9), np.array([a for _, _, a in rows], dtype=bool),
+        posteriors,
     )
 
 
 def test_compute_roc_counts():
-    results = [
-        result_stub(gt=2, index=2, accepted=True),   # TP
-        result_stub(gt=2, index=2, accepted=False),  # miss (gate)
-        result_stub(gt=2, index=3, accepted=True),   # miss (wrong index)
-        result_stub(gt=3, index=2, accepted=True),   # FP
-        result_stub(gt=3, index=3, accepted=True),   # correct rejection
-        result_stub(gt=0, index=2, accepted=False),  # correct rejection (gate)
-    ]
-    point = compute_roc(results, "demo")
+    result = result_stub([
+        (2, 2, True),   # TP
+        (2, 2, False),  # miss (gate)
+        (2, 3, True),   # miss (wrong index)
+        (3, 2, True),   # FP
+        (3, 3, True),   # correct rejection
+        (0, 2, False),  # correct rejection (gate)
+    ])
+    point = compute_roc(result, "demo")
     assert point.parameter_label == "demo"
     assert point.tp_rate == pytest.approx(1.0 / 3.0)
     assert point.fp_rate == pytest.approx(1.0 / 3.0)
@@ -882,20 +895,19 @@ def test_compute_roc_counts():
 
 
 def test_compute_roc_undefined_rates_are_none():
-    only_host = [result_stub(gt=2, index=2, accepted=True)]
-    point = compute_roc(only_host)
+    point = compute_roc(result_stub([(2, 2, True)]))
     assert point.tp_rate == 1.0
     assert point.fp_rate is None
-    only_other = [result_stub(gt=3, index=3, accepted=True)]
-    point = compute_roc(only_other)
+    point = compute_roc(result_stub([(3, 3, True)]))
     assert point.tp_rate is None
     assert point.fp_rate == 0.0
-    assert compute_roc([]).frames_evaluated == 0
+    assert compute_roc(result_stub([])).frames_evaluated == 0
 
 
 def test_compute_roc_requires_ground_truth():
-    with pytest.raises(InputDomainError):
-        compute_roc([result_stub(gt=None, index=2, accepted=True)])
+    result = result_stub([(2, 2, True), (None, 2, True)])
+    with pytest.raises(InputDomainError, match=r"^object 'o' at t=0.0 has no ground truth$"):
+        compute_roc(result)
 
 
 def test_sweep_single_point_matches_direct_run():
@@ -956,12 +968,11 @@ def test_zero_noise_adjacent_lane_has_no_false_positives():
 
 
 def test_write_run_csv():
-    results = [
-        result_stub(gt=2, index=2, accepted=True, t=0.1, oid="a"),
-        result_stub(gt=3, index=3, accepted=False, t=0.2, oid="b"),
-    ]
+    result = dataclasses.replace(
+        result_stub([(2, 2, True), (3, 3, False)]), t=[0.1, 0.2], object_id=["a", "b"]
+    )
     buffer = io.StringIO()
-    write_run_csv(results, buffer)
+    write_run_csv(result, buffer)
     lines = buffer.getvalue().splitlines()
     assert lines[0] == "t,object_id,method,assigned,prob,p0,p1,p2,p3,p4"
     first = lines[1].split(",")
