@@ -1,11 +1,12 @@
-"""Array engine behind `run_pipeline`, `sweep_parameters` and `laneassign run`
-(private).
+"""Array engine behind `run_pipeline`, `sweep_parameters`, `laneassign run` and
+`laneassign sweep` (private).
 
 The engine reads scenarios as `Columns`: one entry per frame, and one per
 object-frame in processing order (scenario by scenario, frame by frame,
-objects in frame order).  The parser emits them directly; `columns_of` builds
-them from `ScenarioFrame` lists for library callers.  No track continues
-from one scenario into the next.
+objects in frame order).  The parser and the synthetic generator emit them
+directly, one scenario each, and `joined` puts scenarios one after another;
+`columns_of` builds them from `ScenarioFrame` lists for library callers.  No
+track continues from one scenario into the next.
 
 `flatten` turns the columns into arrays and works out the tracks on them:
 integer codes for (scenario, id), a stable sort by code, and a new track
@@ -111,6 +112,17 @@ def columns_of(scenarios) -> Columns:
         v_lat=[meas.lateral_velocity_input for meas in measurements],
         gt=[obj.ground_truth for obj in objects],
     )
+
+
+def joined(parts) -> Columns:
+    """The scenarios of several `Columns`, one after another, as one."""
+    whole = Columns()
+    for part in parts:
+        whole.frame_of += [index + len(whole.t) for index in part.frame_of]
+        for name, values in vars(part).items():
+            if name != "frame_of":
+                getattr(whole, name).extend(values)
+    return whole
 
 
 @dataclass

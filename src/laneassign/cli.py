@@ -22,19 +22,17 @@ from .harness import (
     NoiseSpec,
     PipelineConfig,
     SynthSpec,
-    build_suite,
     generate_synthetic,
-    load_scenario,
-    sweep_parameters,
     write_roc_csv,
     write_run_csv,
     write_scenario,
 )
 
-# `run` reads columns, not frames, so it calls the engine without
-# `run_pipeline`, which stays importable from here, where the benchmark's
-# tracer (bench/tracing.py) looks it up.
-from .harness import run_pipeline  # noqa: F401
+# `run` and `sweep` read columns, not frames, so they call the engine without
+# these four, which stay importable from here, where the benchmark's tracer
+# (bench/tracing.py) looks them up.
+from .harness import build_suite, load_scenario  # noqa: F401
+from .harness import run_pipeline, sweep_parameters  # noqa: F401
 
 
 def _out_stream(path: str):
@@ -69,15 +67,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.scenario:
-        scenarios = [load_scenario(path) for path in args.scenario]
+        parts = [harness._load_columns(path) for path in args.scenario]
     else:
         kinds = SCENARIO_KINDS if args.suite == "all" else (args.suite,)
-        scenarios = list(build_suite(kinds, seed=args.seed, step=args.step).values())
+        specs = harness._suite_specs(kinds, seed=args.seed, step=args.step)
+        parts = [harness._synthetic_columns(spec) for spec in specs]
     grid = None
     if args.grid:
         grid = [float(part) for part in args.grid.split(",") if part.strip()]
     config = PipelineConfig(eta_gain=args.eta_gain, p_min=args.p_min)
-    points = sweep_parameters(scenarios, args.method, grid, config)
+    points = harness._sweep_columns(parts, args.method, grid, config)
     with _out_stream(args.out) as out:
         write_roc_csv(points, out)
     return 0
@@ -141,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="method to sweep: discrete sweeps epsilon, continuous sigma_nu",
     )
     sweep.add_argument(
-        "--scenario", nargs="*", default=None,
+        "--scenario", nargs="+", default=None,
         help="scenario files to pool; omit to use the bundled synthetic suite",
     )
     sweep.add_argument(

@@ -337,6 +337,12 @@ class GridSpec:
     v_range: tuple[float, float] = (1.0, 70.0)
     yaw_range: tuple[float, float] = (-0.7, 0.7)
 
+    def __post_init__(self) -> None:
+        for name in ("x_steps", "bearing_steps", "v_steps", "yaw_steps"):
+            steps = getattr(self, name)
+            if steps < 1:
+                raise InputDomainError(f"{name} must be >= 1, got {steps}")
+
     def points(self) -> Iterator[tuple[float, float, float, float]]:
         """Yield (x, y, v, yaw_rate) grid points in row-major order."""
         xs = np.linspace(*self.x_range, self.x_steps)
@@ -411,6 +417,8 @@ def mc_validate(
         raise InputDomainError(f"samples must be >= 2, got {samples}")
     if bins < 2:
         raise InputDomainError(f"bins must be >= 2, got {bins}")
+    if seed < 0:
+        raise InputDomainError(f"seed must be >= 0, got {seed}")
     var_v, var_yaw, var_x, var_y = (float(s) for s in variances)
     for name, value in (("var_v", var_v), ("var_yaw", var_yaw),
                         ("var_x", var_x), ("var_y", var_y)):

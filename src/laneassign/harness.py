@@ -1,13 +1,14 @@
 """Scenario ingestion, synthetic scenario generation, pipeline execution and
 ROC evaluation over parameter sweeps.
 
-The parser emits columns (`_engine.Columns`), which the engine reads
-directly; `parse_scenario` and `load_scenario` build `ScenarioFrame` lists
-from them for library callers.  A run's result is columnar too: a
-`RunResult` holds the engine's arrays, one entry per object-frame.
-`run_pipeline`, `laneassign run` and `sweep_parameters` (one result per grid
-value) build it in one place, `write_run_csv` writes it and `compute_roc`
-counts it, so no per-object dataclass is built on their paths.
+Both scenario producers, the parser and the synthetic generator, emit
+columns (`_engine.Columns`), which the engine reads directly; one frame
+builder turns them into `ScenarioFrame` lists for library callers.  A run's
+result is columnar too: a `RunResult` holds the engine's arrays, one entry
+per object-frame.  `run_pipeline`, `laneassign run` and `sweep_parameters`
+(one result per grid value) build it in one place, `write_run_csv` writes it
+and `compute_roc` counts it, so `laneassign run` and `laneassign sweep`
+build no per-object dataclass.
 
 Scenario files are UTF-8 JSON lines, one frame per line:
 
@@ -26,7 +27,6 @@ camera cues); without them the default boundary layout is used.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import itertools
 import json
@@ -36,7 +36,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._engine import Columns, columns_of, filter_batch
+from ._engine import Columns, columns_of, filter_batch, joined
 from .estimator import DEFAULT_P_MIN
 from .geometry import GaussianScalar, HostState, InputDomainError, ObjectMeasurement
 from .likelihood import HOST_PATH_INDEX, N_PATHS, BoundarySet, BoundarySource
@@ -259,24 +259,22 @@ def _parse_columns(stream: str | Iterable[str]) -> Columns:
 
 
 def _frames_of(columns: Columns) -> list[ScenarioFrame]:
-    """The frames of parsed columns, for library callers."""
-    objects = [
-        TrackedObject(object_id, ObjectMeasurement(x, y, v_lat), var_x, var_y, gt)
-        for object_id, x, y, v_lat, var_x, var_y, gt in zip(
-            columns.id, columns.x, columns.y, columns.v_lat,
-            columns.var_x, columns.var_y, columns.gt,
+    """The frames of one scenario's columns, for library callers."""
+    objects = [[] for _ in columns.t]
+    for frame_index, object_id, x, y, v_lat, var_x, var_y, gt in zip(
+        columns.frame_of, columns.id, columns.x, columns.y, columns.v_lat,
+        columns.var_x, columns.var_y, columns.gt,
+    ):
+        objects[frame_index].append(
+            TrackedObject(object_id, ObjectMeasurement(x, y, v_lat), var_x, var_y, gt)
+        )
+    return [
+        ScenarioFrame(t, host, var_v, var_yaw, tuple(frame_objects), bounds)
+        for t, host, var_v, var_yaw, bounds, frame_objects in zip(
+            columns.t, columns.host, columns.var_v, columns.var_yaw, columns.bounds,
+            objects,
         )
     ]
-    frames, first = [], 0
-    for index, (t, host, var_v, var_yaw, bounds) in enumerate(
-        zip(columns.t, columns.host, columns.var_v, columns.var_yaw, columns.bounds)
-    ):
-        stop = bisect.bisect_right(columns.frame_of, index, first)
-        frames.append(
-            ScenarioFrame(t, host, var_v, var_yaw, tuple(objects[first:stop]), bounds)
-        )
-        first = stop
-    return frames
 
 
 def parse_scenario(stream: str | Iterable[str]) -> list[ScenarioFrame]:
@@ -391,35 +389,9 @@ class SynthSpec:
     yaw_frequency: float = 0.25
 
 
-def _ramp(t: float, start: float, duration: float, y0: float, y1: float) -> float:
-    if t <= start:
-        return y0
-    if t >= start + duration:
-        return y1
-    return y0 + (y1 - y0) * (t - start) / duration
-
-
-def _ground_truth(lateral: float, half: float) -> int:
-    # Region edges at -3h, -h, h, 3h; a value exactly on an edge stays in
-    # the lower region, so the truth flips on the first strict crossing.
-    return bisect.bisect_left((-3.0 * half, -half, half, 3.0 * half), lateral)
-
-
-def generate_synthetic(spec: SynthSpec) -> list[ScenarioFrame]:
-    """Deterministically generate one synthetic scenario.
-
-    Kinds:
-      straight_follow    lead in the host lane plus a neighbor one lane left
-      adjacent_lane      objects one lane left and right, never in the host lane
-      target_lane_change object ramps from the host lane into the left lane
-      host_curve         constant-radius left curve, objects placed on the arc
-      noisy_yaw          straight road with an oscillating yaw-rate corruption;
-                         a cut-in object merges into the host lane and a far
-                         object holds the left lane
-
-    Ground truth indices come from the construction's true lateral offsets,
-    never from the noisy measurements.
-    """
+def _synthetic_columns(spec: SynthSpec) -> Columns:
+    """The columns of the scenario `generate_synthetic(spec)` describes, built
+    on whole-scenario arrays; no per-object value is constructed."""
     if spec.kind not in SCENARIO_KINDS:
         raise InputDomainError(
             f"unknown scenario kind {spec.kind!r}; expected one of {SCENARIO_KINDS}"
@@ -477,105 +449,100 @@ def generate_synthetic(spec: SynthSpec) -> list[ScenarioFrame]:
         spec.change_time if spec.change_time is not None else spec.duration / 2.0
     )
     n_frames = int(round(spec.duration / spec.step))
+    t = [round(k * spec.step, 9) for k in range(n_frames)]
+    times = np.array(t)
     noise = spec.noise
+    # The lane markings lie on the region edges, at -3h, -h, h and 3h.
+    edges = (-3.0 * half, -half, half, 3.0 * half)
     bounds = BoundarySet(
-        (
-            GaussianScalar(-3.0 * half, 1.5 * spec.boundary_std),
-            GaussianScalar(-half, spec.boundary_std),
-            GaussianScalar(half, spec.boundary_std),
-            GaussianScalar(3.0 * half, 1.5 * spec.boundary_std),
-        ),
+        tuple(GaussianScalar(mean, factor * spec.boundary_std)
+              for mean, factor in zip(edges, (1.5, 1.0, 1.0, 1.5))),
         BoundarySource.MEASURED,
     )
 
-    def placed(object_id, x_true, lateral, v_lat=None):
-        """(id, x, y, emitted v_lat, truth) of an object at arc length
-        x_true and path offset `lateral`."""
-        x, y = x_true, lateral
-        if spec.kind == "host_curve":
-            # On the curve the path-relative construction is the
-            # ground-truth oracle.
-            radius = spec.curve_radius
-            phi = x_true / radius
-            x = (radius - lateral) * math.sin(phi)
-            y = radius - (radius - lateral) * math.cos(phi)
-        return object_id, x, y, v_lat, _ground_truth(lateral, half)
+    # Over the change, the lane changer's offset goes linearly from 0 to one
+    # lane width, and the cut-in's from one lane width to 0.  An instant
+    # change has no frame inside it.
+    moving = (change_start < times) & (times < change_start + spec.change_duration)
+    crossed = np.where(times <= change_start, 0.0, width)
+    crossed[moving] = width * (times[moving] - change_start) / spec.change_duration
 
-    # What does not change from frame to frame, once per scenario.
+    # (id, arc length, path offset) of each object.
     r = spec.object_range
-    yaw_true = 0.0
-    var_yaw_extra = 0.0
+    v_lat = None
+    yaw_true = yaw_extra = var_yaw_extra = 0.0
     if spec.kind == "straight_follow":
-        fixed = [placed("lead", r, 0.0), placed("neighbor", 0.6 * r, width)]
+        objects = [("lead", r, 0.0), ("neighbor", 0.6 * r, width)]
     elif spec.kind == "adjacent_lane":
-        fixed = [placed("left", 0.8 * r, width), placed("right", 1.2 * r, -width)]
+        objects = [("left", 0.8 * r, width), ("right", 1.2 * r, -width)]
     elif spec.kind == "target_lane_change":
-        fixed = []
+        objects = [("changer", r, crossed)]
+        v_lat = [width / spec.change_duration if m else 0.0 for m in moving.tolist()]
     elif spec.kind == "host_curve":
         yaw_true = spec.host_speed / spec.curve_radius
-        fixed = [placed("lead", r, 0.0), placed("adjacent", 0.8 * r, -width)]
+        objects = [("lead", r, 0.0), ("adjacent", 0.8 * r, -width)]
     else:  # noisy_yaw
+        objects = [("cutin", 0.8 * r, width - crossed), ("far", 1.6 * r, width)]
+        # A deterministic corruption on the measured yaw rate.
+        phase_rate = 2.0 * math.pi * spec.yaw_frequency
+        yaw_extra = np.array([spec.yaw_amplitude * math.sin(phase_rate * tk) for tk in t])
         var_yaw_extra = spec.yaw_amplitude**2 / 2.0
-        fixed = [placed("far", 1.6 * r, width)]
-
-    def objects_at(t):
-        """The lane changer or the cut-in, whose offset ramps, then the
-        fixed objects."""
-        if spec.kind == "target_lane_change":
-            lateral = _ramp(t, change_start, spec.change_duration, 0.0, width)
-            in_ramp = change_start < t < change_start + spec.change_duration
-            v_lat = width / spec.change_duration if in_ramp else 0.0
-            return [placed("changer", r, lateral, v_lat)]
-        if spec.kind == "noisy_yaw":
-            lateral = _ramp(t, change_start, spec.change_duration, width, 0.0)
-            return [placed("cutin", 0.8 * r, lateral)] + fixed
-        return fixed
+    ids, along, offsets = zip(*objects)
+    x = np.array(along)
+    y = lateral = np.column_stack([np.broadcast_to(o, n_frames) for o in offsets])
+    if spec.kind == "host_curve":
+        # On the curve the path-relative construction is the ground-truth
+        # oracle.
+        radius = spec.curve_radius
+        phi = (x / radius).tolist()
+        x = (radius - lateral) * [math.sin(angle) for angle in phi]
+        y = radius - (radius - lateral) * [math.cos(angle) for angle in phi]
 
     # All the scenario's noise in one draw, in the order of one draw per
     # value: x and y of each object, then the host's v and yaw rate, frame
     # by frame.  Row k holds frame k.
-    scales = [noise.sigma_x, noise.sigma_y] * len(objects_at(0.0))
-    scales += [noise.sigma_v, noise.sigma_yaw]
-    draws = rng.normal(0.0, np.tile(scales, n_frames)).reshape(n_frames, -1).tolist()
-    var_x, var_y = noise.sigma_x**2, noise.sigma_y**2
-    var_v, var_yaw = noise.sigma_v**2, noise.sigma_yaw**2 + var_yaw_extra
+    scales = [noise.sigma_x, noise.sigma_y] * len(ids) + [noise.sigma_v, noise.sigma_yaw]
+    draws = rng.normal(0.0, np.tile(scales, n_frames)).reshape(n_frames, -1)
+    x = np.maximum(x + draws[:, 0:-2:2], 0.01)
+    speed = np.maximum(spec.host_speed + draws[:, -2], 0.0)
+    yaw = yaw_true + yaw_extra + draws[:, -1]
+    n = len(ids) * n_frames
+    return Columns(
+        frame_number=list(range(n_frames)),
+        t=t,
+        host=[HostState(v, w, 0.0) for v, w in zip(speed.tolist(), yaw.tolist())],
+        var_v=[noise.sigma_v**2] * n_frames,
+        var_yaw=[noise.sigma_yaw**2 + var_yaw_extra] * n_frames,
+        bounds=[bounds] * n_frames,
+        frame_of=np.repeat(np.arange(n_frames), len(ids)).tolist(),
+        id=list(ids) * n_frames,
+        x=x.ravel().tolist(),
+        y=(y + draws[:, 1:-2:2]).ravel().tolist(),
+        var_x=[noise.sigma_x**2] * n,
+        var_y=[noise.sigma_y**2] * n,
+        v_lat=[None] * n if v_lat is None else v_lat,
+        # A value exactly on an edge stays in the lower region, so the truth
+        # flips on the first strict crossing.
+        gt=np.searchsorted(edges, lateral, side="left").ravel().tolist(),
+    )
 
-    frames: list[ScenarioFrame] = []
-    for k, draw in enumerate(draws):
-        t = round(k * spec.step, 9)
-        # Positional arguments: keywords made the build about a fifth slower.
-        objects = tuple([
-            TrackedObject(
-                object_id,
-                ObjectMeasurement(
-                    max(x + draw[2 * i], 0.01), y + draw[2 * i + 1], v_lat
-                ),
-                var_x,
-                var_y,
-                truth,
-            )
-            for i, (object_id, x, y, v_lat, truth) in enumerate(objects_at(t))
-        ])
-        yaw_extra = 0.0  # deterministic corruption on the measured yaw rate
-        if spec.kind == "noisy_yaw":
-            yaw_extra = spec.yaw_amplitude * math.sin(
-                2.0 * math.pi * spec.yaw_frequency * t
-            )
-        frames.append(
-            ScenarioFrame(
-                t,
-                HostState(
-                    max(spec.host_speed + draw[-2], 0.0),
-                    yaw_true + yaw_extra + draw[-1],
-                    0.0,
-                ),
-                var_v,
-                var_yaw,
-                objects,
-                bounds,
-            )
-        )
-    return frames
+
+def generate_synthetic(spec: SynthSpec) -> list[ScenarioFrame]:
+    """Deterministically generate one synthetic scenario.
+
+    Kinds:
+      straight_follow    lead in the host lane plus a neighbor one lane left
+      adjacent_lane      objects one lane left and right, never in the host lane
+      target_lane_change object ramps from the host lane into the left lane
+      host_curve         constant-radius left curve, objects placed on the arc
+      noisy_yaw          straight road with an oscillating yaw-rate corruption;
+                         a cut-in object merges into the host lane and a far
+                         object holds the left lane
+
+    Ground truth indices come from the construction's true lateral offsets,
+    never from the noisy measurements.
+    """
+    return _frames_of(_synthetic_columns(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +678,14 @@ def sweep_parameters(
     method and sigma_nu for the continuous one; the default grids cover six
     decades of epsilon and 0.04..0.4 m/s of sigma_nu.
     """
+    return _sweep_columns([columns_of(scenarios)], method, grid, config)
+
+
+def _sweep_columns(
+    parts: Sequence[Columns], method: str,
+    grid: Sequence[float] | None, config: PipelineConfig,
+) -> list[RocPoint]:
+    """`sweep_parameters` over scenarios given as `Columns`, pooled in order."""
     _check_method(method)
     parameter = "epsilon" if method == "discrete" else "sigma_nu"
     if grid is None:
@@ -718,10 +693,18 @@ def sweep_parameters(
     grid = list(grid)
     if not grid:
         raise InputDomainError("parameter grid must be nonempty")
-    results = _run_results(columns_of(scenarios), method, config, grid)
+    results = _run_results(joined(parts), method, config, grid)
     return [
         compute_roc(result, f"{parameter}={value:g}")
         for result, value in zip(results, grid)
+    ]
+
+
+def _suite_specs(kinds: Sequence[str], seed: int, step: float) -> list[SynthSpec]:
+    """The specs of the bundled suite: defaults, and 30 s of `noisy_yaw`."""
+    return [
+        SynthSpec(kind, 30.0 if kind == "noisy_yaw" else SynthSpec.duration, step, seed)
+        for kind in kinds
     ]
 
 
@@ -729,14 +712,9 @@ def build_suite(
     kinds: Sequence[str] = SCENARIO_KINDS, seed: int = 0, step: float = 0.05
 ) -> dict[str, list[ScenarioFrame]]:
     """The bundled synthetic suite: one scenario per kind, fixed defaults."""
-    suite = {}
-    for kind in kinds:
-        if kind == "noisy_yaw":
-            spec = SynthSpec(kind, duration=30.0, step=step, seed=seed)
-        else:
-            spec = SynthSpec(kind, step=step, seed=seed)
-        suite[kind] = generate_synthetic(spec)
-    return suite
+    return {
+        spec.kind: generate_synthetic(spec) for spec in _suite_specs(kinds, seed, step)
+    }
 
 
 # ---------------------------------------------------------------------------

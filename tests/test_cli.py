@@ -11,12 +11,16 @@ from laneassign import (
     Assignment,
     ObjectMeasurement,
     PathPosterior,
+    PipelineConfig,
+    ScenarioFrame,
     SynthSpec,
     TrackedObject,
     build_suite,
     generate_synthetic,
     parse_scenario,
     run_pipeline,
+    sweep_parameters,
+    write_roc_csv,
     write_run_csv,
     write_scenario,
 )
@@ -156,6 +160,18 @@ def test_run_quotes_ids_as_csv_writer_does(tmp_path):
     assert [row[1] for row in read_csv(out)[1:]] == ids
 
 
+def count_constructions(monkeypatch):
+    """The class names of the per-object values built from here on."""
+    calls = []
+    for cls in (TrackedObject, ObjectMeasurement, ScenarioFrame, PathPosterior, Assignment):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            calls.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return calls
+
+
 @pytest.mark.parametrize("method", ["discrete", "continuous"])
 def test_run_builds_no_per_object_objects(tmp_path, monkeypatch, method):
     # `run` stays columnar from file to CSV: no object of these classes is
@@ -163,18 +179,59 @@ def test_run_builds_no_per_object_objects(tmp_path, monkeypatch, method):
     scenario = tmp_path / "s.jsonl"
     with open(scenario, "w", encoding="utf-8") as handle:
         write_scenario(generate_synthetic(SynthSpec("noisy_yaw", duration=2.0)), handle)
-    calls = []
-    for cls in (TrackedObject, ObjectMeasurement, PathPosterior, Assignment):
-        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-            calls.append(_name)
-            _init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counting)
+    calls = count_constructions(monkeypatch)
     assert main(["run", "--scenario", str(scenario), "--method", method,
                  "--out", str(tmp_path / "run.csv")]) == 0
     assert calls == []
     ObjectMeasurement(1.0, 0.0)  # the count works
     assert calls == ["ObjectMeasurement"]
+
+
+def write_synth_files(tmp_path):
+    """Two generated scenarios as files; both hold a `lead`, whose tracks
+    must stay apart."""
+    paths = []
+    for kind, seed in (("straight_follow", 3), ("host_curve", 5)):
+        path = tmp_path / f"{kind}.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            write_scenario(generate_synthetic(SynthSpec(kind, duration=8.0, seed=seed)), handle)
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("source", ["suite", "files"])
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+def test_sweep_csv_is_the_library_csv(tmp_path, method, source):
+    # `sweep` reads columns from the generator or the files, the library
+    # frames; both must give the same bytes.
+    out = tmp_path / "roc.csv"
+    argv = ["sweep", "--method", method, "--out", str(out)]
+    if source == "suite":
+        scenarios = list(build_suite().values())
+    else:
+        paths = write_synth_files(tmp_path)
+        argv += ["--scenario", *map(str, paths)]
+        scenarios = [parse_scenario(path.read_text()) for path in paths]
+    assert main(argv) == 0
+    expected = io.StringIO(newline="")
+    config = PipelineConfig(eta_gain=0.0, p_min=0.3)  # the `sweep` defaults
+    write_roc_csv(sweep_parameters(scenarios, method, config=config), expected)
+    assert out.read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize("source", ["suite", "files"])
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+def test_sweep_builds_no_per_object_objects(tmp_path, monkeypatch, method, source):
+    # Like `run`, `sweep` stays columnar from the generator or the files to
+    # the CSV.
+    argv = ["sweep", "--method", method, "--out", str(tmp_path / "roc.csv")]
+    if source == "files":
+        argv += ["--scenario", *map(str, write_synth_files(tmp_path))]
+    calls = count_constructions(monkeypatch)
+    assert main(argv) == 0
+    assert calls == []
+    generate_synthetic(SynthSpec("straight_follow", duration=0.05))  # the count works
+    assert calls == ["ObjectMeasurement", "TrackedObject"] * 2 + ["ScenarioFrame"]
 
 
 def test_run_continuous_method(tmp_path):
@@ -200,6 +257,15 @@ def test_sweep_over_file_scenario(tmp_path):
     for row in rows[1:]:
         assert row[1] == "" or 0.0 <= float(row[1]) <= 1.0
         assert row[2] == "" or 0.0 <= float(row[2]) <= 1.0
+
+
+def test_sweep_scenario_flag_needs_a_path(tmp_path):
+    # A bare --scenario would otherwise sweep the bundled suite.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--method", "discrete", "--scenario",
+              "--out", str(tmp_path / "roc.csv")])
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "roc.csv").exists()
 
 
 def test_sweep_builtin_suite_is_deterministic(tmp_path):
@@ -247,6 +313,24 @@ def test_mc_validate_csv(tmp_path):
                        "var_v", "var_yaw", "hellinger", "status"]
     assert len(rows) == 5
     assert all(r[-1] in ("ok", "skipped") for r in rows[1:])
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--x-steps", "-3"], "x_steps must be >= 1, got -3"),
+        (["--x-steps", "0"], "x_steps must be >= 1, got 0"),
+        (["--bearing-steps", "0"], "bearing_steps must be >= 1, got 0"),
+        (["--v-steps", "0"], "v_steps must be >= 1, got 0"),
+        (["--yaw-steps", "-1"], "yaw_steps must be >= 1, got -1"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ],
+)
+def test_mc_validate_names_the_out_of_range_flag(tmp_path, capsys, flags, message):
+    out = tmp_path / "mc.csv"
+    assert main(["mc-validate", "--samples", "10", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_error_exit_code_on_malformed_scenario(tmp_path, capsys):

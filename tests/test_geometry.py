@@ -542,6 +542,19 @@ def test_grid_spec_default_is_512_points():
         assert -0.7 <= yaw <= 0.7
 
 
+@pytest.mark.parametrize("name", ["x_steps", "bearing_steps", "v_steps", "yaw_steps"])
+@pytest.mark.parametrize("steps", [0, -3])
+def test_grid_spec_rejects_fewer_than_one_step(name, steps):
+    with pytest.raises(InputDomainError, match=rf"^{name} must be >= 1, got {steps}$"):
+        GridSpec(**{name: steps})
+
+
+def test_mc_validate_rejects_a_negative_seed():
+    grid = GridSpec(x_steps=1, bearing_steps=1, v_steps=1, yaw_steps=1)
+    with pytest.raises(InputDomainError, match=r"^seed must be >= 0, got -1$"):
+        mc_validate(grid=grid, samples=10, seed=-1)
+
+
 def test_mc_validate_small_grid_runs_clean():
     grid = GridSpec(x_steps=2, bearing_steps=2, v_steps=2, yaw_steps=2)
     results = mc_validate(grid=grid, samples=2000, bins=60, seed=1)

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -46,7 +47,6 @@ from laneassign.harness import (
     SCENARIO_KINDS,
     SIGMA_NU_GRID,
     _check_keys,
-    _ground_truth,
     _number,
     _parse_bounds,
     _variance,
@@ -593,11 +593,19 @@ def test_synthetic_noisy_yaw_reports_flap_power():
     assert min(yaw) < -0.02
 
 
+def _ramp(t, start, duration, y0, y1):
+    """The reference's offset ramp, scalar, with no division where the
+    change is instant."""
+    if t <= start:
+        return y0
+    if t >= start + duration:
+        return y1
+    return y0 + (y1 - y0) * (t - start) / duration
+
+
 def _reference_synthetic(spec):
     """The generator as one scalar draw per noise value, frame by frame: the
     reference that `generate_synthetic`'s single draw must reproduce."""
-    from laneassign.harness import _ramp
-
     rng = np.random.default_rng(spec.seed)
     half = spec.lane_width / 2.0
     width = spec.lane_width
@@ -682,19 +690,20 @@ def _serialized(frames):
 
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
 def test_synthetic_matches_the_per_draw_reference(kind):
-    for seed in (0, 7, 12):
-        for scale in (0.0, 1.0, 2.5):
-            for step in (0.05, 0.1):
-                for change_time in (None, 3.0):
-                    spec = SynthSpec(
-                        kind, duration=6.0, step=step, seed=seed,
-                        noise=NoiseSpec().scaled(scale), change_time=change_time,
-                    )
-                    frames = generate_synthetic(spec)
-                    reference = _reference_synthetic(spec)
-                    assert frames == reference, spec
-                    # repr round-trips every float, so equal text is equal bits
-                    assert _serialized(frames) == _serialized(reference), spec
+    # An instant change (change_duration 0) at t = 0 included: the ramp must
+    # not divide by its duration there.
+    for seed, scale, step, change_time, change_duration in itertools.product(
+        (0, 7, 12), (0.0, 1.0, 2.5), (0.05, 0.1), (None, 0.0, 3.0), (3.0, 0.0)
+    ):
+        spec = SynthSpec(
+            kind, duration=6.0, step=step, seed=seed, noise=NoiseSpec().scaled(scale),
+            change_time=change_time, change_duration=change_duration,
+        )
+        frames = generate_synthetic(spec)
+        reference = _reference_synthetic(spec)
+        assert frames == reference, spec
+        # repr round-trips every float, so equal text is equal bits
+        assert _serialized(frames) == _serialized(reference), spec
 
 
 def test_synthetic_noise_errors_match_the_reference():
@@ -732,8 +741,17 @@ def test_ground_truth_edges_stay_in_the_lower_region():
     }
     edges = (-3.0 * half, -half, half, 3.0 * half)
     for lateral, region in cases.items():
-        assert _ground_truth(lateral, half) == region, lateral
-        assert region == int(np.searchsorted(edges, lateral, side="left"))
+        assert region == int(np.searchsorted(edges, lateral, side="left")), lateral
+    # The generator itself: without noise, the lane changer's offset is
+    # exactly the edge 1.75 at t = 11.5 (the ramp runs over 10..13 s), so
+    # its truth is still the host path there and the left lane one step on.
+    frames = generate_synthetic(
+        SynthSpec("target_lane_change", noise=NoiseSpec().scaled(0.0))
+    )
+    by_t = {frame.t: frame.objects[0] for frame in frames}
+    assert by_t[11.5].measurement.y == 1.75
+    assert by_t[11.5].ground_truth == 2
+    assert by_t[11.55].ground_truth == 3
 
 
 def test_build_suite_covers_all_kinds():
