@@ -48,12 +48,12 @@ def print_timeline(result, t_lo, t_hi, label):
 
 
 def main():
-    frames = generate_synthetic(SynthSpec(kind="target_lane_change", seed=4))
+    scenario = generate_synthetic(SynthSpec(kind="target_lane_change", seed=4))
     truth_crossing = 11.5  # construction: ramp from t=10 crosses the edge here
 
     runs = {}
     for method in ("discrete", "continuous"):
-        runs[method] = run_pipeline(frames, method=method)
+        runs[method] = run_pipeline(scenario, method=method)
         print_timeline(runs[method], 9.0, 15.0, f"{method} filter")
 
     print(f"true boundary crossing:            t = {truth_crossing:.2f} s")
@@ -68,7 +68,7 @@ def main():
     print("discrete hand-over vs drift gain (lateral velocity as control input)")
     for gain in (0.0, 0.05, 0.2, 0.5):
         result = run_pipeline(
-            frames, method="discrete", config=PipelineConfig(eta_gain=gain)
+            scenario, method="discrete", config=PipelineConfig(eta_gain=gain)
         )
         t = crossing_frame(result)
         print(f"  eta gain {gain:>4}: hand-over at t = {t:.2f} s")

@@ -1,12 +1,11 @@
-"""Array engine behind `run_pipeline`, `sweep_parameters`, `laneassign run` and
-`laneassign sweep` (private).
+"""Array engine behind `run_pipeline` and `sweep_parameters` (private).
 
-The engine reads scenarios as `Columns`: one entry per frame, and one per
-object-frame in processing order (scenario by scenario, frame by frame,
-objects in frame order).  The parser and the synthetic generator emit them
-directly, one scenario each, and `joined` puts scenarios one after another;
-`columns_of` builds them from `ScenarioFrame` lists for library callers.  No
-track continues from one scenario into the next.
+The engine reads the columns of a `harness.Scenario`: one entry per frame,
+and one per object-frame in processing order (scenario by scenario, frame by
+frame, objects in frame order).  `run_pipeline` hands it one scenario, and
+`sweep_parameters` all of its scenarios one after another, with
+`frame_number` restarting at 0 with each; no track continues from one
+scenario into the next.
 
 `flatten` turns the columns into arrays and works out the tracks on them:
 integer codes for (scenario, id), a stable sort by code, and a new track
@@ -31,17 +30,19 @@ processing order, and the gated median is taken on the whole result;
 
 The settings (p_min, and epsilon and eta_gain or sigma_nu) are checked
 first, since no frame is at fault where one is out of range.  Invariants
-of the data are checked once per array, not per step.  Where a check fails,
-the earliest failing object-frame is replayed through the per-object API
-(`transform_to_path`, the filter classes, `assign`).  That replay runs the
-same formulas on the one object-frame, so its input checks raise the error,
-with the message, that a per-object loop would have raised.
+of the data, the domains of `ObjectMeasurement` and `HostState` among them,
+are checked once per array, not per step.  Where a check fails, the
+earliest failing object-frame is replayed through the per-object API
+(`ObjectMeasurement`, `transform_to_path`, the filter classes, `assign`).
+That replay runs the same formulas on the one object-frame, so its input
+checks raise the error, with the message, that a per-object loop would
+have raised.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +61,13 @@ from .discrete_filter import (
     _transition_entries,
 )
 from .estimator import _median_indices, assign
-from .geometry import InputDomainError, InputVector, _transform_arrays, transform_to_path
+from .geometry import (
+    InputDomainError,
+    InputVector,
+    ObjectMeasurement,
+    _transform_arrays,
+    transform_to_path,
+)
 from .likelihood import _DEFAULT_BOUNDS, N_PATHS, PathPosterior, _occupancy_arrays
 
 # Seconds without a detection after which a track is dropped; the object
@@ -69,69 +76,12 @@ ABSENCE_TIMEOUT = 1.0
 
 
 @dataclass
-class Columns:
-    """Scenarios column by column.  Values are kept as given, so timestamps,
-    ids and ground truths reach results and messages unchanged."""
-
-    # One entry per frame, the frames of every scenario in order.
-    frame_number: list = field(default_factory=list)  # index within its scenario
-    t: list = field(default_factory=list)
-    host: list = field(default_factory=list)  # HostState
-    var_v: list = field(default_factory=list)
-    var_yaw: list = field(default_factory=list)
-    bounds: list = field(default_factory=list)  # BoundarySet, None for the default layout
-    # One entry per object-frame, in processing order.
-    frame_of: list = field(default_factory=list)  # index into the frame entries
-    id: list = field(default_factory=list)
-    x: list = field(default_factory=list)
-    y: list = field(default_factory=list)
-    var_x: list = field(default_factory=list)
-    var_y: list = field(default_factory=list)
-    v_lat: list = field(default_factory=list)  # None where absent
-    gt: list = field(default_factory=list)  # None where absent
-
-
-def columns_of(scenarios) -> Columns:
-    """The columns of scenarios given as lists of `ScenarioFrame`."""
-    frames = [frame for scenario in scenarios for frame in scenario]
-    objects = [obj for frame in frames for obj in frame.objects]
-    measurements = [obj.measurement for obj in objects]
-    return Columns(
-        frame_number=[n for scenario in scenarios for n in range(len(scenario))],
-        t=[frame.t for frame in frames],
-        host=[frame.host for frame in frames],
-        var_v=[frame.var_v for frame in frames],
-        var_yaw=[frame.var_yaw for frame in frames],
-        bounds=[frame.bounds for frame in frames],
-        frame_of=[index for index, frame in enumerate(frames) for _ in frame.objects],
-        id=[obj.object_id for obj in objects],
-        x=[meas.x for meas in measurements],
-        y=[meas.y for meas in measurements],
-        var_x=[obj.var_x for obj in objects],
-        var_y=[obj.var_y for obj in objects],
-        v_lat=[meas.lateral_velocity_input for meas in measurements],
-        gt=[obj.ground_truth for obj in objects],
-    )
-
-
-def joined(parts) -> Columns:
-    """The scenarios of several `Columns`, one after another, as one."""
-    whole = Columns()
-    for part in parts:
-        whole.frame_of += [index + len(whole.t) for index in part.frame_of]
-        for name, values in vars(part).items():
-            if name != "frame_of":
-                getattr(whole, name).extend(values)
-    return whole
-
-
-@dataclass
 class Flat:
     """Scenarios as arrays over their N object-frames, in processing order,
     and the depth schedule of their tracks."""
 
-    columns: Columns
-    frame_of: np.ndarray  # (N,) index into the frame entries of `columns`
+    scenario: object  # the `harness.Scenario` flattened
+    frame_of: np.ndarray  # (N,) index into the frame entries of `scenario`
     inputs: np.ndarray  # (N, 4) v, yaw_rate, x, y
     variances: np.ndarray  # (N, 4) in the same order
     sin_a: np.ndarray  # (N,) heading offset of the frame
@@ -153,7 +103,6 @@ class Flat:
 class Batch:
     """Per object-frame results for G parameter values."""
 
-    columns: Columns
     posteriors: np.ndarray  # (N, G, 5)
     index: np.ndarray  # (N, G) median index
     probability: np.ndarray  # (N, G) posterior mass at the median index
@@ -177,19 +126,19 @@ def _fmax_between(values: np.ndarray, first: np.ndarray, last: np.ndarray) -> np
     return result
 
 
-def flatten(columns: Columns) -> Flat:
-    """Arrays of the columns, with the tracks `ABSENCE_TIMEOUT` defines;
-    no track continues from one scenario into the next."""
-    t = np.array(columns.t, dtype=float)
-    frame_of = np.array(columns.frame_of, dtype=np.intp)
+def flatten(scenario) -> Flat:
+    """Arrays of a scenario's columns, with the tracks `ABSENCE_TIMEOUT`
+    defines; no track continues from one scenario into the next."""
+    t = np.array(scenario.t, dtype=float)
+    frame_of = np.array(scenario.frame_of, dtype=np.intp)
     n = len(frame_of)
 
     # Tracks.  Ids match by equality and hash, within one scenario; sorted by
     # (scenario, id), each object-frame follows the id's previous detection.
     codes: dict = {}
-    code = np.array([codes.setdefault(i, len(codes)) for i in columns.id], dtype=np.intp)
-    scenario = np.cumsum(np.equal(columns.frame_number, 0))[frame_of]
-    key = scenario * len(codes) + code
+    code = np.array([codes.setdefault(i, len(codes)) for i in scenario.id], dtype=np.intp)
+    part = np.cumsum(np.equal(scenario.frame_number, 0))[frame_of]
+    key = part * len(codes) + code
     by_track = np.argsort(key, kind="stable")
     earlier, later = by_track[:-1], by_track[1:]
     seen, now = frame_of[earlier], frame_of[later]
@@ -223,23 +172,25 @@ def flatten(columns: Columns) -> Flat:
     dt = t_step - kalman_t
     bad_time = ~np.isfinite(moved) | ((source >= 0) & ~((dt > 0.0) & np.isfinite(dt)))
 
+    # The heading offset enters by its sine and cosine, from math as in the
+    # per-object transform; NaN outside HostState's domain, which fails the
+    # transform.
+    alpha = np.array(scenario.alpha, dtype=float)
+    alpha = np.where(np.abs(alpha) < math.pi / 2, alpha, math.nan).tolist()
     v, yaw_rate, var_v, var_yaw, sin_a, cos_a = np.array(
-        [
-            (host.v, host.yaw_rate, var_v, var_yaw,
-             math.sin(host.alpha), math.cos(host.alpha))
-            for host, var_v, var_yaw in zip(columns.host, columns.var_v, columns.var_yaw)
-        ],
+        [scenario.v, scenario.yaw_rate, scenario.var_v, scenario.var_yaw,
+         list(map(math.sin, alpha)), list(map(math.cos, alpha))],
         dtype=float,
-    ).reshape(-1, 6)[frame_of].T
-    bounds = [b if b is not None else _DEFAULT_BOUNDS for b in columns.bounds]
+    )[:, frame_of]
+    bounds = [b if b is not None else _DEFAULT_BOUNDS for b in scenario.bounds]
     distinct = {id(b): b for b in bounds}
     arrays = {i: b.arrays() for i, b in distinct.items()}
     x, y, var_x, var_y = np.array(
-        [columns.x, columns.y, columns.var_x, columns.var_y], dtype=float
+        [scenario.x, scenario.y, scenario.var_x, scenario.var_y], dtype=float
     ).reshape(4, -1)
-    lateral_velocity = [0.0 if u is None else u for u in columns.v_lat]
+    lateral_velocity = [0.0 if u is None else u for u in scenario.v_lat]
     return Flat(
-        columns=columns,
+        scenario=scenario,
         frame_of=frame_of,
         inputs=np.column_stack([v, yaw_rate, x, y]),
         variances=np.column_stack([var_v, var_yaw, var_x, var_y]),
@@ -344,9 +295,9 @@ def _continuous(flat: Flat, z_mean, z_std, sigma_nu: np.ndarray):
     return posteriors, failed, np.stack([mean, var], axis=-1)
 
 
-def filter_batch(columns: Columns, method: str, config, values) -> Batch:
-    """Run `method` over the scenarios of the columns for every value of its
-    parameter.
+def filter_batch(scenario, method: str, config, values) -> Batch:
+    """Run `method` over a scenario's columns, which may hold several
+    scenarios one after another, for every value of its parameter.
 
     `values` are the epsilons (discrete) or the sigma_nus (continuous) of
     the batch; the other settings come from `config`.  The settings are
@@ -367,7 +318,7 @@ def filter_batch(columns: Columns, method: str, config, values) -> Batch:
         for sigma_nu in values.tolist():
             if not (math.isfinite(sigma_nu) and sigma_nu > 0.0):
                 raise InputDomainError(f"sigma_nu must be finite and > 0, got {sigma_nu}")
-    flat = flatten(columns)
+    flat = flatten(scenario)
     with np.errstate(all="ignore"):
         z_mean, z_std = _transform_arrays(
             flat.inputs, flat.variances, flat.sin_a, flat.cos_a
@@ -380,6 +331,8 @@ def filter_batch(columns: Columns, method: str, config, values) -> Batch:
             posteriors, failed, states = _continuous(flat, z_mean, z_std, values)
         index = _median_indices(posteriors)
         failed |= ~(np.isfinite(z_mean) & np.isfinite(z_std))[:, None]
+        # ObjectMeasurement's domain, where the transform does not reject it.
+        failed |= ~((flat.inputs[:, 2] > 0.0) & np.isfinite(flat.lateral_velocity))[:, None]
         failed |= ~(
             np.isfinite(posteriors).all(axis=2)
             & (posteriors >= 0.0).all(axis=2)
@@ -390,20 +343,21 @@ def filter_batch(columns: Columns, method: str, config, values) -> Batch:
         _replay(flat, k, method, config, float(values[g]), states[:, g])
     probability = np.take_along_axis(posteriors, index[..., None], axis=2)[..., 0]
     accepted = probability >= config.p_min
-    return Batch(columns, posteriors, index, probability, accepted)
+    return Batch(posteriors, index, probability, accepted)
 
 
 def _replay(flat, k, method, config, value, states):
     """Run object-frame k, the earliest that failed a check, through the
     per-object API and re-raise its error with the frame context."""
-    columns, f = flat.columns, flat.frame_of[k]
-    t, frame_index = columns.t[f], columns.frame_number[f]
-    bounds = columns.bounds[f] if columns.bounds[f] is not None else _DEFAULT_BOUNDS
+    scenario, f = flat.scenario, flat.frame_of[k]
+    t, frame_index = scenario.t[f], scenario.frame_number[f]
+    bounds = scenario.bounds[f] if scenario.bounds[f] is not None else _DEFAULT_BOUNDS
     u = float(flat.lateral_velocity[k])
     p = flat.previous[k]
     try:
+        ObjectMeasurement(*flat.inputs[k, 2:].tolist(), scenario.v_lat[k])
         z = transform_to_path(
-            InputVector(flat.inputs[k], np.diag(flat.variances[k])), columns.host[f].alpha
+            InputVector(flat.inputs[k], np.diag(flat.variances[k])), scenario.alpha[f]
         )
         if method == "discrete":
             prior = PathPosterior(states[p]) if p >= 0 else None

@@ -15,24 +15,22 @@ import argparse
 import sys
 from contextlib import nullcontext
 
-from . import harness
 from .geometry import GridSpec, mc_validate, write_mc_csv
 from .harness import (
+    METHODS,
     SCENARIO_KINDS,
     NoiseSpec,
     PipelineConfig,
     SynthSpec,
+    build_suite,
     generate_synthetic,
+    load_scenario,
+    run_pipeline,
+    sweep_parameters,
     write_roc_csv,
     write_run_csv,
     write_scenario,
 )
-
-# `run` and `sweep` read columns, not frames, so they call the engine without
-# these four, which stay importable from here, where the benchmark's tracer
-# (bench/tracing.py) looks them up.
-from .harness import build_suite, load_scenario  # noqa: F401
-from .harness import run_pipeline, sweep_parameters  # noqa: F401
 
 
 def _out_stream(path: str):
@@ -57,9 +55,8 @@ def _add_filter_flags(parser: argparse.ArgumentParser, eta_gain_default: float) 
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    columns = harness._load_columns(args.scenario)
     config = PipelineConfig(args.epsilon, args.eta_gain, args.sigma_nu, args.p_min)
-    (result,) = harness._run_results(columns, args.method, config)
+    result = run_pipeline(load_scenario(args.scenario), args.method, config)
     with _out_stream(args.out) as out:
         write_run_csv(result, out)
     return 0
@@ -67,16 +64,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.scenario:
-        parts = [harness._load_columns(path) for path in args.scenario]
+        scenarios = [load_scenario(path) for path in args.scenario]
     else:
         kinds = SCENARIO_KINDS if args.suite == "all" else (args.suite,)
-        specs = harness._suite_specs(kinds, seed=args.seed, step=args.step)
-        parts = [harness._synthetic_columns(spec) for spec in specs]
+        scenarios = list(build_suite(kinds, seed=args.seed, step=args.step).values())
     grid = None
     if args.grid:
         grid = [float(part) for part in args.grid.split(",") if part.strip()]
     config = PipelineConfig(eta_gain=args.eta_gain, p_min=args.p_min)
-    points = harness._sweep_columns(parts, args.method, grid, config)
+    points = sweep_parameters(scenarios, args.method, grid, config)
     with _out_stream(args.out) as out:
         write_roc_csv(points, out)
     return 0
@@ -90,9 +86,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
         noise=NoiseSpec().scaled(args.noise_scale),
     )
-    frames = generate_synthetic(spec)
+    scenario = generate_synthetic(spec)
     with _out_stream(args.out) as out:
-        write_scenario(frames, out)
+        write_scenario(scenario, out)
     return 0
 
 
@@ -119,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one method over a scenario file")
     run.add_argument("--scenario", required=True, help="scenario JSONL file")
     run.add_argument(
-        "--method", choices=harness.METHODS, default="discrete",
+        "--method", choices=METHODS, default="discrete",
         help="filter method (default discrete)",
     )
     run.add_argument(
@@ -136,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="ROC over a parameter grid")
     sweep.add_argument(
-        "--method", choices=harness.METHODS, required=True,
+        "--method", choices=METHODS, required=True,
         help="method to sweep: discrete sweeps epsilon, continuous sigma_nu",
     )
     sweep.add_argument(

@@ -1,14 +1,14 @@
 """Scenario ingestion, synthetic scenario generation, pipeline execution and
 ROC evaluation over parameter sweeps.
 
-Both scenario producers, the parser and the synthetic generator, emit
-columns (`_engine.Columns`), which the engine reads directly; one frame
-builder turns them into `ScenarioFrame` lists for library callers.  A run's
-result is columnar too: a `RunResult` holds the engine's arrays, one entry
-per object-frame.  `run_pipeline`, `laneassign run` and `sweep_parameters`
-(one result per grid value) build it in one place, `write_run_csv` writes it
-and `compute_roc` counts it, so `laneassign run` and `laneassign sweep`
-build no per-object dataclass.
+A scenario is a `Scenario`: columns with one entry per frame and one per
+object-frame.  The parser and the synthetic generator fill them,
+`write_scenario` writes them and the engine (`_engine`) reads them, so no
+per-frame or per-object value is built between a file and a result.  A
+run's result is columnar too: a `RunResult` holds the engine's arrays, one
+entry per object-frame.  `run_pipeline` and `sweep_parameters` (one result
+per grid value) build it in one place, `write_run_csv` writes it and
+`compute_roc` counts it.
 
 Scenario files are UTF-8 JSON lines, one frame per line:
 
@@ -31,12 +31,12 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._engine import Columns, columns_of, filter_batch, joined
+from ._engine import filter_batch
 from .estimator import DEFAULT_P_MIN
 from .geometry import GaussianScalar, HostState, InputDomainError, ObjectMeasurement
 from .likelihood import HOST_PATH_INDEX, N_PATHS, BoundarySet, BoundarySource
@@ -57,27 +57,40 @@ class ScenarioFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrackedObject:
-    """One object row of a frame: measurement, its variances, optional truth."""
+@dataclass
+class Scenario:
+    """A scenario column by column: one entry per frame, and one per
+    object-frame, frame by frame and in frame order within a frame.  The
+    values are those of the file format and are kept as given, so
+    timestamps, ids and ground truths reach results and messages unchanged.
+    `len` gives the number of frames.
 
-    object_id: str
-    measurement: ObjectMeasurement
-    var_x: float
-    var_y: float
-    ground_truth: int | None = None
+    The host's values lie in the domain of `HostState` and each object's in
+    that of `ObjectMeasurement`; the parser and the generator check them,
+    and `run_pipeline` rejects an object-frame outside them.
+    """
 
+    # One entry per frame.
+    frame_number: list = field(default_factory=list)  # index within its scenario
+    t: list = field(default_factory=list)
+    v: list = field(default_factory=list)
+    yaw_rate: list = field(default_factory=list)
+    alpha: list = field(default_factory=list)
+    var_v: list = field(default_factory=list)
+    var_yaw: list = field(default_factory=list)
+    bounds: list = field(default_factory=list)  # BoundarySet, None for the default layout
+    # One entry per object-frame.
+    frame_of: list = field(default_factory=list)  # index into the frame entries
+    id: list = field(default_factory=list)
+    x: list = field(default_factory=list)
+    y: list = field(default_factory=list)
+    var_x: list = field(default_factory=list)
+    var_y: list = field(default_factory=list)
+    v_lat: list = field(default_factory=list)  # None where absent
+    gt: list = field(default_factory=list)  # None where absent
 
-@dataclass(frozen=True)
-class ScenarioFrame:
-    """One time step: host state with variances, objects, optional bounds."""
-
-    t: float
-    host: HostState
-    var_v: float
-    var_yaw: float
-    objects: tuple[TrackedObject, ...]
-    bounds: BoundarySet | None = None
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +145,7 @@ def _variance(record: dict, key: str, where: str, line: int) -> float:
     return value
 
 
-def _parse_object(record: dict, line: int, columns: Columns) -> None:
+def _parse_object(record: dict, line: int, scenario: Scenario) -> None:
     """Check one object record and append it to the object-frame columns."""
     _check_keys(record, _OBJECT_KEYS, "object", line)
     object_id = record["id"]
@@ -161,13 +174,13 @@ def _parse_object(record: dict, line: int, columns: Columns) -> None:
             raise ScenarioFormatError(f"line {line}: {exc}") from exc
     var_x = _variance(record, "var_x", "object", line)
     var_y = _variance(record, "var_y", "object", line)
-    columns.id.append(str(object_id))
-    columns.x.append(x)
-    columns.y.append(y)
-    columns.var_x.append(var_x)
-    columns.var_y.append(var_y)
-    columns.v_lat.append(v_lat)
-    columns.gt.append(gt)
+    scenario.id.append(str(object_id))
+    scenario.x.append(x)
+    scenario.y.append(y)
+    scenario.var_x.append(var_x)
+    scenario.var_y.append(var_y)
+    scenario.v_lat.append(v_lat)
+    scenario.gt.append(gt)
 
 
 def _parse_bounds(records: list, line: int) -> BoundarySet:
@@ -188,11 +201,15 @@ def _parse_bounds(records: list, line: int) -> BoundarySet:
         raise ScenarioFormatError(f"line {line}: {exc}") from exc
 
 
-def _parse_columns(stream: str | Iterable[str]) -> Columns:
-    """`parse_scenario`'s checks, in one pass that appends to columns."""
+def parse_scenario(stream: str | Iterable[str]) -> Scenario:
+    """Parse a JSON-lines scenario; blank lines are ignored.
+
+    Raises ScenarioFormatError naming the offending field and 1-based line
+    number on any schema violation, and on non-increasing timestamps.
+    """
     if isinstance(stream, str):
         stream = stream.splitlines()
-    columns = Columns()
+    scenario = Scenario()
     previous_t: float | None = None
     for line_no, raw in enumerate(stream, start=1):
         if not raw.strip():
@@ -215,14 +232,16 @@ def _parse_columns(stream: str | Iterable[str]) -> Columns:
         alpha = 0.0
         if "alpha" in host_record:
             alpha = _number(host_record, "alpha", "host", line_no)
-        try:
-            host = HostState(
-                v=_number(host_record, "v", "host", line_no),
-                yaw_rate=_number(host_record, "yaw_rate", "host", line_no),
-                alpha=alpha,
-            )
-        except InputDomainError as exc:
-            raise ScenarioFormatError(f"line {line_no}: {exc}") from exc
+        v = _number(host_record, "v", "host", line_no)
+        yaw_rate = _number(host_record, "yaw_rate", "host", line_no)
+        if not (0.0 <= v < math.inf and math.isfinite(yaw_rate)
+                and abs(alpha) < math.pi / 2):
+            # HostState's domain, checked without building one; where it
+            # fails, the constructor words the error.
+            try:
+                HostState(v, yaw_rate, alpha)
+            except InputDomainError as exc:
+                raise ScenarioFormatError(f"line {line_no}: {exc}") from exc
         if not math.isfinite(t):
             raise ScenarioFormatError(
                 f"line {line_no}: timestamp must be finite, got {t}"
@@ -231,11 +250,11 @@ def _parse_columns(stream: str | Iterable[str]) -> Columns:
         object_records = record["objects"]
         if not isinstance(object_records, list):
             raise ScenarioFormatError(f"line {line_no}: 'objects' must be a list")
-        first = len(columns.id)
+        first = len(scenario.id)
         for object_record in object_records:
-            _parse_object(object_record, line_no, columns)
+            _parse_object(object_record, line_no, scenario)
         seen_ids = set()
-        for object_id in columns.id[first:]:
+        for object_id in scenario.id[first:]:
             if object_id in seen_ids:
                 raise ScenarioFormatError(
                     f"line {line_no}: duplicate object id {object_id!r}"
@@ -247,82 +266,47 @@ def _parse_columns(stream: str | Iterable[str]) -> Columns:
             bounds = _parse_bounds(record["bounds"], line_no)
         var_v = _variance(host_record, "var_v", "host", line_no)
         var_yaw = _variance(host_record, "var_yaw", "host", line_no)
-        frame_index = len(columns.t)
-        columns.frame_number.append(frame_index)
-        columns.t.append(t)
-        columns.host.append(host)
-        columns.var_v.append(var_v)
-        columns.var_yaw.append(var_yaw)
-        columns.bounds.append(bounds)
-        columns.frame_of.extend([frame_index] * (len(columns.id) - first))
-    return columns
+        frame_index = len(scenario.t)
+        scenario.frame_number.append(frame_index)
+        scenario.t.append(t)
+        scenario.v.append(v)
+        scenario.yaw_rate.append(yaw_rate)
+        scenario.alpha.append(alpha)
+        scenario.var_v.append(var_v)
+        scenario.var_yaw.append(var_yaw)
+        scenario.bounds.append(bounds)
+        scenario.frame_of.extend([frame_index] * (len(scenario.id) - first))
+    return scenario
 
 
-def _frames_of(columns: Columns) -> list[ScenarioFrame]:
-    """The frames of one scenario's columns, for library callers."""
-    objects = [[] for _ in columns.t]
-    for frame_index, object_id, x, y, v_lat, var_x, var_y, gt in zip(
-        columns.frame_of, columns.id, columns.x, columns.y, columns.v_lat,
-        columns.var_x, columns.var_y, columns.gt,
-    ):
-        objects[frame_index].append(
-            TrackedObject(object_id, ObjectMeasurement(x, y, v_lat), var_x, var_y, gt)
-        )
-    return [
-        ScenarioFrame(t, host, var_v, var_yaw, tuple(frame_objects), bounds)
-        for t, host, var_v, var_yaw, bounds, frame_objects in zip(
-            columns.t, columns.host, columns.var_v, columns.var_yaw, columns.bounds,
-            objects,
-        )
-    ]
-
-
-def parse_scenario(stream: str | Iterable[str]) -> list[ScenarioFrame]:
-    """Parse a JSON-lines scenario; blank lines are ignored.
-
-    Raises ScenarioFormatError naming the offending field and 1-based line
-    number on any schema violation, and on non-increasing timestamps.
-    """
-    return _frames_of(_parse_columns(stream))
-
-
-def _load_columns(path: str) -> Columns:
+def load_scenario(path: str) -> Scenario:
     with open(path, encoding="utf-8") as handle:
-        return _parse_columns(handle)
+        return parse_scenario(handle)
 
 
-def load_scenario(path: str) -> list[ScenarioFrame]:
-    return _frames_of(_load_columns(path))
-
-
-def write_scenario(frames: Iterable[ScenarioFrame], out: TextIO) -> None:
-    """Write frames as scenario lines, which `parse_scenario` reads back."""
-    for frame in frames:
-        host = {
-            "v": frame.host.v,
-            "yaw_rate": frame.host.yaw_rate,
-            "var_v": frame.var_v,
-            "var_yaw": frame.var_yaw,
-            "alpha": frame.host.alpha,
-        }
-        objects = []
-        for obj in frame.objects:
-            record = {
-                "id": obj.object_id,
-                "x": obj.measurement.x,
-                "y": obj.measurement.y,
-                "var_x": obj.var_x,
-                "var_y": obj.var_y,
-            }
-            if obj.measurement.lateral_velocity_input is not None:
-                record["v_lat"] = obj.measurement.lateral_velocity_input
-            if obj.ground_truth is not None:
-                record["gt"] = obj.ground_truth
-            objects.append(record)
-        record = {"t": frame.t, "host": host, "objects": objects}
-        if frame.bounds is not None:
+def write_scenario(scenario: Scenario, out: TextIO) -> None:
+    """Write a scenario as scenario lines, which `parse_scenario` reads back."""
+    objects = [[] for _ in scenario.t]
+    for frame_index, object_id, x, y, var_x, var_y, v_lat, gt in zip(
+        scenario.frame_of, scenario.id, scenario.x, scenario.y, scenario.var_x,
+        scenario.var_y, scenario.v_lat, scenario.gt,
+    ):
+        record = {"id": object_id, "x": x, "y": y, "var_x": var_x, "var_y": var_y}
+        if v_lat is not None:
+            record["v_lat"] = v_lat
+        if gt is not None:
+            record["gt"] = gt
+        objects[frame_index].append(record)
+    for t, v, yaw_rate, var_v, var_yaw, alpha, bounds, frame_objects in zip(
+        scenario.t, scenario.v, scenario.yaw_rate, scenario.var_v, scenario.var_yaw,
+        scenario.alpha, scenario.bounds, objects,
+    ):
+        host = {"v": v, "yaw_rate": yaw_rate, "var_v": var_v, "var_yaw": var_yaw,
+                "alpha": alpha}
+        record = {"t": t, "host": host, "objects": frame_objects}
+        if bounds is not None:
             record["bounds"] = [
-                {"mu": b.mean, "sigma": b.std} for b in frame.bounds.boundaries
+                {"mu": b.mean, "sigma": b.std} for b in bounds.boundaries
             ]
         out.write(json.dumps(record))
         out.write("\n")
@@ -389,9 +373,22 @@ class SynthSpec:
     yaw_frequency: float = 0.25
 
 
-def _synthetic_columns(spec: SynthSpec) -> Columns:
-    """The columns of the scenario `generate_synthetic(spec)` describes, built
-    on whole-scenario arrays; no per-object value is constructed."""
+def generate_synthetic(spec: SynthSpec) -> Scenario:
+    """Deterministically generate one synthetic scenario.
+
+    Kinds:
+      straight_follow    lead in the host lane plus a neighbor one lane left
+      adjacent_lane      objects one lane left and right, never in the host lane
+      target_lane_change object ramps from the host lane into the left lane
+      host_curve         constant-radius left curve, objects placed on the arc
+      noisy_yaw          straight road with an oscillating yaw-rate corruption;
+                         a cut-in object merges into the host lane and a far
+                         object holds the left lane
+
+    Ground truth indices come from the construction's true lateral offsets,
+    never from the noisy measurements.  The scenario is built on
+    whole-scenario arrays.
+    """
     if spec.kind not in SCENARIO_KINDS:
         raise InputDomainError(
             f"unknown scenario kind {spec.kind!r}; expected one of {SCENARIO_KINDS}"
@@ -435,6 +432,17 @@ def _synthetic_columns(spec: SynthSpec) -> Columns:
         if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
             bound = "> 0" if positive else ">= 0"
             raise InputDomainError(f"{name} must be finite and {bound}, got {value}")
+    # The farthest object lies at 1.6 * object_range, and host_curve's true
+    # yaw rate is host_speed / curve_radius.
+    if not math.isfinite(1.6 * spec.object_range):
+        raise InputDomainError(
+            f"1.6 * object_range must be finite, got object_range={spec.object_range}"
+        )
+    if not math.isfinite(spec.host_speed / spec.curve_radius):
+        raise InputDomainError(
+            "host_speed / curve_radius must be finite, "
+            f"got {spec.host_speed} / {spec.curve_radius}"
+        )
     if spec.change_time is not None and not math.isfinite(spec.change_time):
         raise InputDomainError(
             f"change_time must be None or finite, got {spec.change_time}"
@@ -503,21 +511,33 @@ def _synthetic_columns(spec: SynthSpec) -> Columns:
     # by frame.  Row k holds frame k.
     scales = [noise.sigma_x, noise.sigma_y] * len(ids) + [noise.sigma_v, noise.sigma_yaw]
     draws = rng.normal(0.0, np.tile(scales, n_frames)).reshape(n_frames, -1)
-    x = np.maximum(x + draws[:, 0:-2:2], 0.01)
+    x = np.maximum(x + draws[:, 0:-2:2], 0.01).ravel()
+    y = (y + draws[:, 1:-2:2]).ravel()
     speed = np.maximum(spec.host_speed + draws[:, -2], 0.0)
     yaw = yaw_true + yaw_extra + draws[:, -1]
     n = len(ids) * n_frames
-    return Columns(
+    # ObjectMeasurement's domain, for what the checks above leave open (an
+    # overflow on the curve, or a ramp too short for a finite v_lat); where
+    # it fails, the constructor words the error.
+    outside = ~(np.isfinite(x) & np.isfinite(y))
+    if v_lat is not None:
+        outside |= ~np.isfinite(v_lat)
+    if outside.any():
+        k = int(np.argmax(outside))
+        ObjectMeasurement(x[k].item(), y[k].item(), None if v_lat is None else v_lat[k])
+    return Scenario(
         frame_number=list(range(n_frames)),
         t=t,
-        host=[HostState(v, w, 0.0) for v, w in zip(speed.tolist(), yaw.tolist())],
+        v=speed.tolist(),
+        yaw_rate=yaw.tolist(),
+        alpha=[0.0] * n_frames,
         var_v=[noise.sigma_v**2] * n_frames,
         var_yaw=[noise.sigma_yaw**2 + var_yaw_extra] * n_frames,
         bounds=[bounds] * n_frames,
         frame_of=np.repeat(np.arange(n_frames), len(ids)).tolist(),
         id=list(ids) * n_frames,
-        x=x.ravel().tolist(),
-        y=(y + draws[:, 1:-2:2]).ravel().tolist(),
+        x=x.tolist(),
+        y=y.tolist(),
         var_x=[noise.sigma_x**2] * n,
         var_y=[noise.sigma_y**2] * n,
         v_lat=[None] * n if v_lat is None else v_lat,
@@ -525,24 +545,6 @@ def _synthetic_columns(spec: SynthSpec) -> Columns:
         # flips on the first strict crossing.
         gt=np.searchsorted(edges, lateral, side="left").ravel().tolist(),
     )
-
-
-def generate_synthetic(spec: SynthSpec) -> list[ScenarioFrame]:
-    """Deterministically generate one synthetic scenario.
-
-    Kinds:
-      straight_follow    lead in the host lane plus a neighbor one lane left
-      adjacent_lane      objects one lane left and right, never in the host lane
-      target_lane_change object ramps from the host lane into the left lane
-      host_curve         constant-radius left curve, objects placed on the arc
-      noisy_yaw          straight road with an oscillating yaw-rate corruption;
-                         a cut-in object merges into the host lane and a far
-                         object holds the left lane
-
-    Ground truth indices come from the construction's true lateral offsets,
-    never from the noisy measurements.
-    """
-    return _frames_of(_synthetic_columns(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +588,17 @@ def _check_method(method: str) -> None:
 
 
 def _run_results(
-    columns: Columns, method: str, config: PipelineConfig, grid=None
+    scenario: Scenario, method: str, config: PipelineConfig, grid=None
 ) -> list[RunResult]:
     """One RunResult per value in `grid` of the method's parameter (epsilon
     or sigma_nu); without a grid, for the one value `config` gives it."""
     if grid is None:
         grid = [config.epsilon if method == "discrete" else config.sigma_nu]
-    batch = filter_batch(columns, method, config, grid)
-    t = [columns.t[frame_index] for frame_index in columns.frame_of]
+    batch = filter_batch(scenario, method, config, grid)
+    t = [scenario.t[frame_index] for frame_index in scenario.frame_of]
     return [
         RunResult(
-            method, t, columns.id, columns.gt, batch.index[:, g],
+            method, t, scenario.id, scenario.gt, batch.index[:, g],
             batch.probability[:, g], batch.accepted[:, g], batch.posteriors[:, g],
         )
         for g in range(len(grid))
@@ -604,7 +606,7 @@ def _run_results(
 
 
 def run_pipeline(
-    frames: Sequence[ScenarioFrame],
+    scenario: Scenario,
     method: str = "discrete",
     config: PipelineConfig = PipelineConfig(),
 ) -> RunResult:
@@ -618,7 +620,7 @@ def run_pipeline(
     setting, or else the earliest frame that fails.
     """
     _check_method(method)
-    return _run_results(columns_of([frames]), method, config)[0]
+    return _run_results(scenario, method, config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +667,20 @@ EPSILON_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 SIGMA_NU_GRID = tuple(float(s) for s in np.geomspace(0.04, 0.4, 6))
 
 
+def _joined(scenarios: Iterable[Scenario]) -> Scenario:
+    """Several scenarios, one after another, as one; `frame_number` restarts
+    at 0 with each."""
+    whole = Scenario()
+    for part in scenarios:
+        whole.frame_of += [index + len(whole.t) for index in part.frame_of]
+        for name, values in vars(part).items():
+            if name != "frame_of":
+                getattr(whole, name).extend(values)
+    return whole
+
+
 def sweep_parameters(
-    scenarios: Sequence[Sequence[ScenarioFrame]],
+    scenarios: Sequence[Scenario],
     method: str,
     grid: Sequence[float] | None = None,
     config: PipelineConfig = PipelineConfig(),
@@ -678,14 +692,6 @@ def sweep_parameters(
     method and sigma_nu for the continuous one; the default grids cover six
     decades of epsilon and 0.04..0.4 m/s of sigma_nu.
     """
-    return _sweep_columns([columns_of(scenarios)], method, grid, config)
-
-
-def _sweep_columns(
-    parts: Sequence[Columns], method: str,
-    grid: Sequence[float] | None, config: PipelineConfig,
-) -> list[RocPoint]:
-    """`sweep_parameters` over scenarios given as `Columns`, pooled in order."""
     _check_method(method)
     parameter = "epsilon" if method == "discrete" else "sigma_nu"
     if grid is None:
@@ -693,27 +699,23 @@ def _sweep_columns(
     grid = list(grid)
     if not grid:
         raise InputDomainError("parameter grid must be nonempty")
-    results = _run_results(joined(parts), method, config, grid)
+    results = _run_results(_joined(scenarios), method, config, grid)
     return [
         compute_roc(result, f"{parameter}={value:g}")
         for result, value in zip(results, grid)
     ]
 
 
-def _suite_specs(kinds: Sequence[str], seed: int, step: float) -> list[SynthSpec]:
-    """The specs of the bundled suite: defaults, and 30 s of `noisy_yaw`."""
-    return [
-        SynthSpec(kind, 30.0 if kind == "noisy_yaw" else SynthSpec.duration, step, seed)
-        for kind in kinds
-    ]
-
-
 def build_suite(
     kinds: Sequence[str] = SCENARIO_KINDS, seed: int = 0, step: float = 0.05
-) -> dict[str, list[ScenarioFrame]]:
-    """The bundled synthetic suite: one scenario per kind, fixed defaults."""
+) -> dict[str, Scenario]:
+    """The bundled synthetic suite: one scenario per kind, with the spec's
+    defaults, except 30 s of `noisy_yaw`."""
     return {
-        spec.kind: generate_synthetic(spec) for spec in _suite_specs(kinds, seed, step)
+        kind: generate_synthetic(
+            SynthSpec(kind, 30.0 if kind == "noisy_yaw" else SynthSpec.duration, step, seed)
+        )
+        for kind in kinds
     }
 
 

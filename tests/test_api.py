@@ -33,11 +33,10 @@ EXPORTS = [
     "SCENARIO_KINDS",
     "SIGMA_NU_GRID",
     "STRAIGHT_YAW_THRESHOLD",
+    "Scenario",
     "ScenarioFormatError",
-    "ScenarioFrame",
     "SingularityError",
     "SynthSpec",
-    "TrackedObject",
     "TransitionMatrix",
     "TransitionParams",
     "assign",

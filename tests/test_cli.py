@@ -9,12 +9,11 @@ import pytest
 
 from laneassign import (
     Assignment,
+    HostState,
     ObjectMeasurement,
     PathPosterior,
     PipelineConfig,
-    ScenarioFrame,
     SynthSpec,
-    TrackedObject,
     build_suite,
     generate_synthetic,
     parse_scenario,
@@ -60,17 +59,16 @@ def test_synth_writes_parseable_scenario(tmp_path):
     code = main(["synth", "--kind", "target_lane_change", "--duration", "2.0",
                  "--out", str(out)])
     assert code == 0
-    frames = parse_scenario(out.read_text())
-    assert len(frames) == 40
-    assert frames[0].objects[0].object_id == "changer"
+    scenario = parse_scenario(out.read_text())
+    assert len(scenario) == 40
+    assert scenario.id[0] == "changer"
 
 
 def test_synth_noise_scale_zero_is_noiseless(tmp_path):
     out = tmp_path / "clean.jsonl"
     assert main(["synth", "--kind", "straight_follow", "--duration", "1.0",
                  "--noise-scale", "0", "--out", str(out)]) == 0
-    frames = parse_scenario(out.read_text())
-    assert all(o.measurement.y in (0.0, 3.5) for f in frames for o in f.objects)
+    assert all(y in (0.0, 3.5) for y in parse_scenario(out.read_text()).y)
 
 
 @pytest.mark.parametrize("duration", ["inf", "nan"])
@@ -133,8 +131,8 @@ def test_run_produces_assignment_csv(tmp_path):
 @pytest.mark.parametrize("method", ["discrete", "continuous"])
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
 def test_run_csv_is_the_library_csv(tmp_path, kind, method):
-    # `run` reads columns from the file, the library frames; both write
-    # the engine's RunResult and must give the same bytes.
+    # `run` is `run_pipeline` over `load_scenario`, written by `write_run_csv`:
+    # the file it writes and the library's CSV must be the same bytes.
     scenario, out = tmp_path / "s.jsonl", tmp_path / "run.csv"
     with open(scenario, "w", encoding="utf-8") as handle:
         write_scenario(build_suite([kind], seed=0)[kind], handle)
@@ -161,9 +159,10 @@ def test_run_quotes_ids_as_csv_writer_does(tmp_path):
 
 
 def count_constructions(monkeypatch):
-    """The class names of the per-object values built from here on."""
+    """The class names of the per-object and per-frame values built from
+    here on."""
     calls = []
-    for cls in (TrackedObject, ObjectMeasurement, ScenarioFrame, PathPosterior, Assignment):
+    for cls in (HostState, ObjectMeasurement, PathPosterior, Assignment):
         def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             calls.append(_name)
             _init(self, *args, **kwargs)
@@ -202,8 +201,8 @@ def write_synth_files(tmp_path):
 @pytest.mark.parametrize("source", ["suite", "files"])
 @pytest.mark.parametrize("method", ["discrete", "continuous"])
 def test_sweep_csv_is_the_library_csv(tmp_path, method, source):
-    # `sweep` reads columns from the generator or the files, the library
-    # frames; both must give the same bytes.
+    # `sweep` is `sweep_parameters` over `build_suite` or `load_scenario`:
+    # the file it writes and the library's CSV must be the same bytes.
     out = tmp_path / "roc.csv"
     argv = ["sweep", "--method", method, "--out", str(out)]
     if source == "suite":
@@ -230,8 +229,17 @@ def test_sweep_builds_no_per_object_objects(tmp_path, monkeypatch, method, sourc
     calls = count_constructions(monkeypatch)
     assert main(argv) == 0
     assert calls == []
-    generate_synthetic(SynthSpec("straight_follow", duration=0.05))  # the count works
-    assert calls == ["ObjectMeasurement", "TrackedObject"] * 2 + ["ScenarioFrame"]
+    HostState(25.0, 0.0)  # the count works
+    assert calls == ["HostState"]
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_synth_builds_no_per_object_objects(tmp_path, monkeypatch, kind):
+    # `synth` writes the generator's columns as they are.
+    calls = count_constructions(monkeypatch)
+    assert main(["synth", "--kind", kind, "--duration", "2.0",
+                 "--out", str(tmp_path / "s.jsonl")]) == 0
+    assert calls == []
 
 
 def test_run_continuous_method(tmp_path):
@@ -391,5 +399,4 @@ def test_stdout_output(capsys):
     assert main(["synth", "--kind", "straight_follow", "--duration", "0.2",
                  "--out", "-"]) == 0
     out = capsys.readouterr().out
-    frames = parse_scenario(out)
-    assert len(frames) == 4
+    assert len(parse_scenario(out)) == 4

@@ -2,8 +2,9 @@
 
 `run_pipeline` and `sweep_parameters` filter a whole scenario at once, with
 the grid values of a sweep as a batch axis.  The reference here is the loop
-they replace: per object, `transform_to_path`, then `DiscretePathFilter.step`
-or `ContinuousPathFilter.step`, then `assign`.  Tolerances are fixed in
+they replace: per object, `ObjectMeasurement`'s check, `transform_to_path`,
+then `DiscretePathFilter.step` or `ContinuousPathFilter.step`, then
+`assign`.  Tolerances are fixed in
 advance: posteriors within 1e-12, identical assignments and ROC rates, and
 identical errors (type and message, frame context included).
 """
@@ -16,23 +17,22 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scenario_builder import scenario_of
 
 from laneassign import (
     BoundarySet,
     ContinuousPathFilter,
     DiscretePathFilter,
     GaussianScalar,
-    HostState,
     InputDomainError,
     InputVector,
     NoiseSpec,
     ObjectMeasurement,
     PipelineConfig,
     RunResult,
-    ScenarioFrame,
+    Scenario,
     SingularityError,
     SynthSpec,
-    TrackedObject,
     assign,
     build_suite,
     compute_roc,
@@ -42,57 +42,63 @@ from laneassign import (
     sweep_parameters,
     transform_to_path,
 )
-from laneassign._engine import ABSENCE_TIMEOUT, columns_of, filter_batch, flatten
-from laneassign.harness import EPSILON_GRID, SIGMA_NU_GRID
+from laneassign._engine import ABSENCE_TIMEOUT, filter_batch, flatten
+from laneassign.harness import EPSILON_GRID, SIGMA_NU_GRID, _joined
 
 POSTERIOR_TOL = 1e-12
 
 
-def loop_run(frames, method, config, transforms=None):
-    """The per-object loop: transform, filter step, assign.
+def objects_by_frame(scenario):
+    """The object-frames of each frame of a scenario, in order."""
+    objects = [[] for _ in scenario.t]
+    for k, frame_index in enumerate(scenario.frame_of):
+        objects[frame_index].append(k)
+    return objects
 
-    `transforms` caches the offsets by (frame, object) position so that a
-    sweep transforms each object-frame once; errors carry the frame context.
+
+def loop_run(scenario, method, config, transforms=None):
+    """The per-object loop: check, transform, filter step, assign.
+
+    `transforms` caches the offsets by object-frame so that a sweep
+    transforms each object-frame once; errors carry the frame context.
     """
     transforms = {} if transforms is None else transforms
     bounds_default = extrapolate_boundaries()
     filters, last_seen, rows = {}, {}, []
-    for frame_index, frame in enumerate(frames):
+    s = scenario
+    for f, objects in enumerate(objects_by_frame(s)):
+        t = s.t[f]
         try:
-            for oid in [
-                oid for oid, seen in last_seen.items()
-                if frame.t - seen > ABSENCE_TIMEOUT
-            ]:
+            for oid in [oid for oid, seen in last_seen.items() if t - seen > ABSENCE_TIMEOUT]:
                 del filters[oid]
                 del last_seen[oid]
-            bounds = frame.bounds if frame.bounds is not None else bounds_default
-            for position, obj in enumerate(frame.objects):
-                meas = obj.measurement
-                key = (frame_index, position)
-                if key not in transforms:
+            bounds = s.bounds[f] if s.bounds[f] is not None else bounds_default
+            for k in objects:
+                if k not in transforms:
+                    ObjectMeasurement(s.x[k], s.y[k], s.v_lat[k])
                     inputs = InputVector(
-                        np.array([frame.host.v, frame.host.yaw_rate, meas.x, meas.y]),
-                        np.diag([frame.var_v, frame.var_yaw, obj.var_x, obj.var_y]),
+                        np.array([s.v[f], s.yaw_rate[f], s.x[k], s.y[k]]),
+                        np.diag([s.var_v[f], s.var_yaw[f], s.var_x[k], s.var_y[k]]),
                     )
-                    transforms[key] = transform_to_path(inputs, frame.host.alpha)
-                z = transforms[key]
-                u = meas.lateral_velocity_input or 0.0
-                filt = filters.get(obj.object_id)
+                    transforms[k] = transform_to_path(inputs, s.alpha[f])
+                z = transforms[k]
+                u = s.v_lat[k] or 0.0
+                filt = filters.get(s.id[k])
                 if method == "discrete":
                     filt = filt or DiscretePathFilter(config.epsilon, config.eta_gain)
                     posterior = filt.step(z, bounds, u)
                 else:
                     filt = filt or ContinuousPathFilter(config.sigma_nu)
-                    posterior = filt.step(z, bounds, frame.t, u)
-                filters[obj.object_id] = filt
-                last_seen[obj.object_id] = frame.t
+                    posterior = filt.step(z, bounds, t, u)
+                filters[s.id[k]] = filt
+                last_seen[s.id[k]] = t
                 assignment = assign(posterior, config.p_min)
                 rows.append(
-                    (frame.t, obj.object_id, obj.ground_truth, assignment.index,
+                    (t, s.id[k], s.gt[k], assignment.index,
                      assignment.probability, assignment.accepted, posterior.probs)
                 )
         except ValueError as exc:
-            raise type(exc)(f"frame {frame_index} (t={frame.t}): {exc}") from exc
+            raise type(exc)(f"frame {f} (t={t}): {exc}") from exc
     return result_of(method, rows)
 
 
@@ -147,17 +153,15 @@ def assert_results_equal(posteriors, index, accepted, expected):
     assert accepted.tolist() == expected.accepted.tolist()
 
 
-def assert_batch_matches_loop(frames, method, config, values):
+def assert_batch_matches_loop(scenario, method, config, values):
     """Every value of one batch against its own loop run; returns the loop
     results per value.  When loop runs fail, the batch must raise the error
     of the earliest failing frame over all values."""
-    batch, error = outcome(
-        lambda: filter_batch(columns_of([frames]), method, config, values)
-    )
+    batch, error = outcome(lambda: filter_batch(scenario, method, config, values))
     transforms = {}
     runs = [
         outcome(lambda: loop_run(
-            frames, method,
+            scenario, method,
             dataclasses.replace(config, **{parameter_of(method): value}),
             transforms,
         ))
@@ -175,9 +179,9 @@ def assert_batch_matches_loop(frames, method, config, values):
     return [expected for expected, _ in runs]
 
 
-def assert_run_matches_loop(frames, method, config):
-    got, got_error = outcome(lambda: run_pipeline(frames, method, config))
-    want, want_error = outcome(lambda: loop_run(frames, method, config))
+def assert_run_matches_loop(scenario, method, config):
+    got, got_error = outcome(lambda: run_pipeline(scenario, method, config))
+    want, want_error = outcome(lambda: loop_run(scenario, method, config))
     assert got_error == want_error
     if want is None:
         return
@@ -202,8 +206,8 @@ SWEEP_CONFIG = PipelineConfig(eta_gain=0.0)  # the CLI's sweep default
 def test_suite_sweep_matches_loop(method, grid):
     scenarios = list(build_suite(seed=0).values())
     runs = [
-        assert_batch_matches_loop(frames, method, SWEEP_CONFIG, grid)
-        for frames in scenarios
+        assert_batch_matches_loop(scenario, method, SWEEP_CONFIG, grid)
+        for scenario in scenarios
     ]
     parameter = parameter_of(method)
     assert sweep_parameters(scenarios, method, grid, SWEEP_CONFIG) == [
@@ -215,12 +219,11 @@ def test_suite_sweep_matches_loop(method, grid):
 def test_discrete_sweep_with_lateral_velocity_drift_matches_loop():
     # eta = eta_gain * v_lat changes along the lane change, so the batch
     # builds one matrix per distinct (epsilon, eta) pair.
-    frames = generate_synthetic(SynthSpec(kind="target_lane_change", seed=4))
-    drifts = {o.measurement.lateral_velocity_input for f in frames for o in f.objects}
-    assert len(drifts) > 1
+    scenario = generate_synthetic(SynthSpec(kind="target_lane_change", seed=4))
+    assert len(set(scenario.v_lat)) > 1
     config = PipelineConfig(eta_gain=0.05)
-    runs = assert_batch_matches_loop(frames, "discrete", config, EPSILON_GRID)
-    assert sweep_parameters([frames], "discrete", EPSILON_GRID, config) == [
+    runs = assert_batch_matches_loop(scenario, "discrete", config, EPSILON_GRID)
+    assert sweep_parameters([scenario], "discrete", EPSILON_GRID, config) == [
         compute_roc(results, f"epsilon={value:g}")
         for results, value in zip(runs, EPSILON_GRID)
     ]
@@ -228,8 +231,8 @@ def test_discrete_sweep_with_lateral_velocity_drift_matches_loop():
 
 @pytest.mark.parametrize("method", ["discrete", "continuous"])
 def test_run_is_the_single_value_batch(method):
-    frames = generate_synthetic(SynthSpec(kind="noisy_yaw", duration=5.0, seed=2))
-    assert_run_matches_loop(frames, method, PipelineConfig())
+    scenario = generate_synthetic(SynthSpec(kind="noisy_yaw", duration=5.0, seed=2))
+    assert_run_matches_loop(scenario, method, PipelineConfig())
 
 
 @pytest.mark.parametrize(
@@ -244,10 +247,10 @@ def test_multi_scenario_batch_keeps_tracks_per_scenario(method, values):
         for seed, kind in enumerate(kinds)
     ]
     config = PipelineConfig(eta_gain=0.05)
-    batch = filter_batch(columns_of(scenarios), method, config, values)
+    batch = filter_batch(_joined(scenarios), method, config, values)
     for g, value in enumerate(values):
         per_value = dataclasses.replace(config, **{parameter_of(method): value})
-        expected = concatenated([loop_run(frames, method, per_value) for frames in scenarios])
+        expected = concatenated([loop_run(s, method, per_value) for s in scenarios])
         assert_results_equal(
             batch.posteriors[:, g], batch.index[:, g], batch.accepted[:, g], expected
         )
@@ -294,7 +297,7 @@ def scenarios(draw):
                 frame_t = math.nan
             else:
                 t += step
-        host = HostState(
+        host = dict(
             v=draw(st.floats(0.0, 40.0, **finite)),
             yaw_rate=draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5, **finite))),
             alpha=draw(st.one_of(st.just(0.0), st.floats(-0.4, 0.4, **finite))),
@@ -303,19 +306,15 @@ def scenarios(draw):
         objects = []
         for object_id in ids:
             v_lat = draw(st.one_of(st.none(), st.floats(-3.0, 3.0, **finite)))
-            objects.append(
-                TrackedObject(
-                    object_id=object_id,
-                    measurement=ObjectMeasurement(
-                        x=draw(st.floats(1.0, 100.0, **finite)),
-                        y=draw(st.floats(-12.0, 12.0, **finite)),
-                        lateral_velocity_input=v_lat,
-                    ),
-                    var_x=draw(st.floats(1e-4, 1.0, **finite)),
-                    var_y=draw(st.floats(1e-4, 1.0, **finite)),
-                    ground_truth=draw(st.integers(0, 4)),
-                )
-            )
+            objects.append(dict(
+                id=object_id,
+                x=draw(st.floats(1.0, 100.0, **finite)),
+                y=draw(st.floats(-12.0, 12.0, **finite)),
+                v_lat=v_lat,
+                var_x=draw(st.floats(1e-4, 1.0, **finite)),
+                var_y=draw(st.floats(1e-4, 1.0, **finite)),
+                gt=draw(st.integers(0, 4)),
+            ))
         bounds = None
         if draw(st.booleans()):
             center = draw(st.floats(-2.0, 2.0, **finite))
@@ -327,17 +326,15 @@ def scenarios(draw):
                     for k in (-1.5, -0.5, 0.5, 1.5)
                 )
             )
-        frames.append(
-            ScenarioFrame(
-                t=round(t, 9) if frame_t is None else frame_t,
-                host=host,
-                var_v=draw(st.floats(1e-4, 1.0, **finite)),
-                var_yaw=draw(st.floats(1e-8, 1e-3, **finite)),
-                objects=tuple(objects),
-                bounds=bounds,
-            )
-        )
-    return frames
+        host["var_v"] = draw(st.floats(1e-4, 1.0, **finite))
+        host["var_yaw"] = draw(st.floats(1e-8, 1e-3, **finite))
+        frames.append(dict(
+            t=round(t, 9) if frame_t is None else frame_t,
+            host=host,
+            objects=objects,
+            bounds=bounds,
+        ))
+    return scenario_of(frames)
 
 
 GENERATED = settings(
@@ -351,19 +348,19 @@ GENERATED = settings(
 
 @GENERATED
 @given(
-    frames=scenarios(),
+    scenario=scenarios(),
     method=st.sampled_from(["discrete", "continuous"]),
     eta_gain=st.sampled_from([0.0, 0.05, 0.5]),
 )
-def test_generated_run_matches_loop(frames, method, eta_gain):
-    assert_run_matches_loop(frames, method, PipelineConfig(eta_gain=eta_gain))
+def test_generated_run_matches_loop(scenario, method, eta_gain):
+    assert_run_matches_loop(scenario, method, PipelineConfig(eta_gain=eta_gain))
 
 
 @GENERATED
-@given(frames=scenarios(), method=st.sampled_from(["discrete", "continuous"]))
-def test_generated_batch_matches_loop(frames, method):
+@given(scenario=scenarios(), method=st.sampled_from(["discrete", "continuous"]))
+def test_generated_batch_matches_loop(scenario, method):
     values = (0.2, 1e-2, 1e-5) if method == "discrete" else (0.04, 0.1, 0.4)
-    assert_batch_matches_loop(frames, method, PipelineConfig(eta_gain=0.05), values)
+    assert_batch_matches_loop(scenario, method, PipelineConfig(eta_gain=0.05), values)
 
 
 def reference_schedule(scenarios):
@@ -373,32 +370,32 @@ def reference_schedule(scenarios):
     for scenario in scenarios:
         tracks = {}  # id -> (object-frame, Kalman time)
         last_seen = {}
-        for frame in scenario:
+        for t, objects in zip(scenario.t, objects_by_frame(scenario)):
             for object_id in [
-                oid for oid, seen in last_seen.items() if frame.t - seen > ABSENCE_TIMEOUT
+                oid for oid, seen in last_seen.items() if t - seen > ABSENCE_TIMEOUT
             ]:
                 del tracks[object_id]
                 del last_seen[object_id]
-            for obj in frame.objects:
-                track = tracks.get(obj.object_id)
+            for object_id in (scenario.id[k] for k in objects):
+                track = tracks.get(object_id)
                 if track is None:
                     previous.append(-1)
                     depth.append(0)
                     dt.append(math.nan)
                     kalman_t.append(math.nan)
-                    step_t = frame.t
+                    step_t = t
                     bad = not math.isfinite(step_t)
                 else:
                     previous.append(track[0])
                     depth.append(depth[track[0]] + 1)
                     kalman_t.append(track[1])
-                    step = frame.t - track[1]
+                    step = t - track[1]
                     dt.append(step)
                     step_t = track[1] + step
                     bad = not (step > 0.0 and math.isfinite(step) and math.isfinite(step_t))
                 bad_time.append(bad)
-                tracks[obj.object_id] = (len(previous) - 1, step_t)
-                last_seen[obj.object_id] = frame.t
+                tracks[object_id] = (len(previous) - 1, step_t)
+                last_seen[object_id] = t
     previous = np.array(previous, dtype=np.intp)
     order = np.argsort(np.array(depth, dtype=np.intp), kind="stable")
     rank = np.empty_like(order)
@@ -415,7 +412,7 @@ def reference_schedule(scenarios):
 
 
 def assert_schedule_matches(scenarios):
-    flat = flatten(columns_of(scenarios))
+    flat = flatten(_joined(scenarios))
     for name, expected in reference_schedule(scenarios).items():
         got = getattr(flat, name)
         assert got.dtype == expected.dtype, name
@@ -423,22 +420,26 @@ def assert_schedule_matches(scenarios):
 
 
 @GENERATED
-@given(frames=scenarios())
-def test_track_schedule_matches_the_dict_loop(frames):
+@given(scenario=scenarios())
+def test_track_schedule_matches_the_dict_loop(scenario):
     # The scenario twice: the second run of an id must start a new track.
-    assert_schedule_matches([frames, frames])
+    assert_schedule_matches([scenario, scenario])
+
+
+HOST = dict(v=20.0, yaw_rate=0.0, var_v=0.01, var_yaw=1e-6)
+
+
+def lead(object_id="lead", x=30.0, y=0.0, var=0.04):
+    """An object record, in host-lane truth."""
+    return dict(id=object_id, x=x, y=y, var_x=var, var_y=var, gt=2)
 
 
 def timeline(*entries):
-    """Frames at the given times, each holding the given object ids."""
-    host = HostState(v=20.0, yaw_rate=0.0)
-    return [
-        ScenarioFrame(
-            t, host, 0.01, 1e-6,
-            tuple(TrackedObject(i, ObjectMeasurement(30.0, 0.0), 0.04, 0.04, 2) for i in ids),
-        )
-        for t, ids in entries
-    ]
+    """A scenario of frames at the given times, each holding the given
+    object ids."""
+    return scenario_of(
+        dict(t=t, host=HOST, objects=[lead(i) for i in ids]) for t, ids in entries
+    )
 
 
 @pytest.mark.parametrize(
@@ -469,52 +470,71 @@ def test_track_schedule_edge_cases(frames):
 # ---------------------------------------------------------------------------
 
 
-def straight_frames(n):
+def straight(n):
     return generate_synthetic(SynthSpec(kind="straight_follow", duration=n * 0.05))
 
 
-def with_object(frame, obj, host=None):
-    return dataclasses.replace(
-        frame, host=host or frame.host, objects=frame.objects + (obj,)
-    )
-
-
-def circle_center_object(object_id, v, yaw_rate, alpha):
-    r = v / yaw_rate
-    return TrackedObject(
-        object_id,
-        ObjectMeasurement(x=-(math.sin(alpha) * r), y=math.cos(alpha) * r),
-        var_x=0.04,
-        var_y=0.04,
-        ground_truth=2,
+def frames_with(n, changed, host=None, objects=()):
+    """`n` frames of one `lead`, 50 ms apart; the frames in `changed` have
+    `host` in place of `HOST` and hold `objects` too."""
+    return scenario_of(
+        dict(t=0.05 * k, host=host or HOST, objects=[lead(), *objects])
+        if k in changed else dict(t=0.05 * k, host=HOST, objects=[lead()])
+        for k in range(n)
     )
 
 
 @pytest.mark.parametrize("method", ["discrete", "continuous"])
 def test_singularity_names_the_earliest_failing_frame(method):
-    frames = straight_frames(6)
-    host = HostState(v=10.0, yaw_rate=1.0, alpha=-0.5)
-    center = circle_center_object("center", 10.0, 1.0, -0.5)
-    frames[2] = with_object(frames[2], center, host)
-    frames[4] = with_object(frames[4], center, host)
-    with pytest.raises(SingularityError, match=rf"^frame 2 \(t={frames[2].t}\): "):
-        run_pipeline(frames, method)
-    assert_run_matches_loop(frames, method, PipelineConfig())
+    # An object at the center of the turning host's path circle.
+    turning = dict(HOST, v=10.0, yaw_rate=1.0, alpha=-0.5)
+    r = 10.0 / 1.0
+    center = lead("center", x=-(math.sin(-0.5) * r), y=math.cos(-0.5) * r)
+    scenario = frames_with(6, (2, 4), turning, [center])
+    with pytest.raises(SingularityError, match=rf"^frame 2 \(t={scenario.t[2]}\): "):
+        run_pipeline(scenario, method)
+    assert_run_matches_loop(scenario, method, PipelineConfig())
+
+
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+@pytest.mark.parametrize(
+    "host, obj, message",
+    [
+        (None, dict(x=-5.0), "objects must be ahead of the host, got x=-5.0"),
+        (None, dict(x=0.0), "objects must be ahead of the host, got x=0.0"),
+        (None, dict(y=math.nan), "object position must be finite, got (30.0, nan)"),
+        (None, dict(v_lat=math.inf), "lateral velocity input must be finite"),
+        (dict(alpha=2.0), {}, "heading offset must lie in (-pi/2, pi/2), got 2.0"),
+        (dict(alpha=-math.inf), {}, "heading offset must lie in (-pi/2, pi/2), got -inf"),
+        (dict(v=-1.0), {}, "speed must be finite and >= 0, got -1.0"),
+    ],
+)
+def test_values_outside_the_domains_name_the_earliest_frame(method, host, obj, message):
+    # A Scenario is not built through HostState and ObjectMeasurement, so a
+    # run checks their domains.  The object that is out, or the one that
+    # sees the host that is out, is new at frame 2 and seen again at 3.
+    scenario = frames_with(
+        4, (2, 3), host and dict(HOST, **host), [dict(lead("new"), **obj)]
+    )
+    error = (InputDomainError, f"frame 2 (t=0.1): {message}")
+    assert outcome(lambda: run_pipeline(scenario, method))[1] == error
+    assert outcome(lambda: sweep_parameters([scenario], method))[1] == error
+    assert_run_matches_loop(scenario, method, PipelineConfig())
 
 
 def test_sweep_error_names_the_earliest_failing_frame():
-    frames = straight_frames(5)
-    frames[3] = dataclasses.replace(frames[3], var_v=-1.0)
+    scenario = straight(5)
+    scenario.var_v[3] = -1.0
     with pytest.raises(InputDomainError, match=r"^frame 3 \(t=0\.15\): covariance"):
-        sweep_parameters([frames], "discrete", EPSILON_GRID)
+        sweep_parameters([scenario], "discrete", EPSILON_GRID)
 
 
 def test_sweep_error_names_the_first_failing_scenario():
     # The second scenario fails at frame 3 and the third already at frame
     # 1; scenarios are checked in order, so the second one's error wins.
-    scenarios = [straight_frames(5) for _ in range(3)]
-    scenarios[1][3] = dataclasses.replace(scenarios[1][3], var_v=-1.0)
-    scenarios[2][1] = dataclasses.replace(scenarios[2][1], var_v=-1.0)
+    scenarios = [straight(5) for _ in range(3)]
+    scenarios[1].var_v[3] = -1.0
+    scenarios[2].var_v[1] = -1.0
     with pytest.raises(InputDomainError, match=r"^frame 3 \(t=0\.15\): covariance"):
         sweep_parameters(scenarios, "discrete", EPSILON_GRID)
 
@@ -534,11 +554,12 @@ def test_parameter_errors_match_loop(method, config):
     # names the setting and no frame, with or without object-frames; the
     # per-object loop fails on the same setting at its first step.
     message = next(m for _, c, m in PARAMETER_ERRORS if c is config)
-    frames = straight_frames(3)
-    for scenario in (frames, [], [dataclasses.replace(frames[0], objects=())]):
-        _, error = outcome(lambda: run_pipeline(scenario, method, config))
+    scenario = straight(3)
+    no_objects = scenario_of([dict(t=0.0, host=HOST, objects=[])])
+    for case in (scenario, Scenario(), no_objects):
+        _, error = outcome(lambda: run_pipeline(case, method, config))
         assert error == (InputDomainError, message)
-    _, loop_error = outcome(lambda: loop_run(frames, method, config))
+    _, loop_error = outcome(lambda: loop_run(scenario, method, config))
     assert loop_error[0] is InputDomainError
     assert loop_error[1].startswith("frame 0 (t=0.0): ")
 
@@ -547,79 +568,74 @@ def test_parameter_errors_match_loop(method, config):
 @pytest.mark.parametrize("kind", ["straight_follow", "target_lane_change"])
 def test_non_finite_eta_gain_is_named(kind, eta_gain):
     # target_lane_change reports v_lat on every object, straight_follow none
-    frames = generate_synthetic(SynthSpec(kind=kind, duration=0.15))
+    scenario = generate_synthetic(SynthSpec(kind=kind, duration=0.15))
     config = PipelineConfig(eta_gain=eta_gain)
     message = f"eta_gain must be finite, got {eta_gain}"
     for call in (
-        lambda: run_pipeline(frames, "discrete", config),
-        lambda: sweep_parameters([frames], "discrete", EPSILON_GRID, config),
+        lambda: run_pipeline(scenario, "discrete", config),
+        lambda: sweep_parameters([scenario], "discrete", EPSILON_GRID, config),
     ):
         assert outcome(call)[1] == (InputDomainError, message)
-    assert outcome(lambda: loop_run(frames, "discrete", config))[1] == (
+    assert outcome(lambda: loop_run(scenario, "discrete", config))[1] == (
         InputDomainError, f"frame 0 (t=0.0): {message}"
     )
 
 
 def test_non_increasing_timestamps_fail_the_kalman_filter_only():
-    frames = straight_frames(3)
-    frames = [frames[0], frames[1], dataclasses.replace(frames[2], t=frames[1].t)]
-    assert_run_matches_loop(frames, "discrete", PipelineConfig())
+    scenario = straight(3)
+    scenario.t[2] = scenario.t[1]
+    assert_run_matches_loop(scenario, "discrete", PipelineConfig())
     with pytest.raises(InputDomainError, match=r"^frame 2 .*strictly increasing"):
-        run_pipeline(frames, "continuous")
-    assert_run_matches_loop(frames, "continuous", PipelineConfig())
+        run_pipeline(scenario, "continuous")
+    assert_run_matches_loop(scenario, "continuous", PipelineConfig())
 
 
 def test_overflowing_process_noise_is_an_input_error():
     # (dt * sigma_nu)^2 overflows to an infinite state variance, which the
     # Kalman state rejects.
-    frames = straight_frames(3)
+    scenario = straight(3)
     config = PipelineConfig(sigma_nu=1e200)
     with pytest.raises(InputDomainError, match=r"^frame 1 .*state variance must be finite"):
-        run_pipeline(frames, "continuous", config)
-    assert_run_matches_loop(frames, "continuous", config)
+        run_pipeline(scenario, "continuous", config)
+    assert_run_matches_loop(scenario, "continuous", config)
 
 
 def test_certain_state_contradicting_certain_measurement():
     # Zero measurement noise and a process noise whose square underflows
     # leave both sides certain; a moved object then contradicts the state.
     quiet = NoiseSpec(0.0, 0.0, 0.0, 0.0)
-    frames = generate_synthetic(
+    scenario = generate_synthetic(
         SynthSpec(kind="straight_follow", duration=0.15, noise=quiet)
     )
     config = PipelineConfig(sigma_nu=1e-300)
-    assert_run_matches_loop(frames, "continuous", config)
+    assert_run_matches_loop(scenario, "continuous", config)
 
-    def moved(obj):
-        meas = dataclasses.replace(obj.measurement, y=obj.measurement.y + 0.5)
-        return dataclasses.replace(obj, measurement=meas)
-
-    last = dataclasses.replace(frames[2], objects=tuple(map(moved, frames[2].objects)))
-    frames = [frames[0], frames[1], last]
+    for k, frame_index in enumerate(scenario.frame_of):
+        if frame_index == 2:
+            scenario.y[k] += 0.5
     with pytest.raises(InputDomainError, match=r"^frame 2 .*contradicts certain"):
-        run_pipeline(frames, "continuous", config)
-    assert_run_matches_loop(frames, "continuous", config)
+        run_pipeline(scenario, "continuous", config)
+    assert_run_matches_loop(scenario, "continuous", config)
+
+
+SHARP = BoundarySet(tuple(GaussianScalar(mean, 0.0) for mean in (-5.0, -1.0, 1.0, 5.0)))
+EXACT = dict(HOST, var_v=0.0, var_yaw=0.0)
 
 
 def test_zero_overlap_resets_to_the_measurement(caplog):
     # Sharp bounds and exact measurements: the object jumps from region 0
     # to region 4 with epsilon = 0, so the prior has no mass where the
     # measurement has.
-    bounds = BoundarySet(
-        tuple(GaussianScalar(mean, 0.0) for mean in (-5.0, -1.0, 1.0, 5.0))
+    scenario = scenario_of(
+        dict(t=t, host=EXACT, objects=[dict(lead("o", y=y, var=0.0), gt=0)], bounds=SHARP)
+        for t, y in ((0.0, -8.0), (0.05, 8.0))
     )
-    host = HostState(v=20.0, yaw_rate=0.0)
-
-    def frame(t, y):
-        obj = TrackedObject("o", ObjectMeasurement(x=30.0, y=y), 0.0, 0.0, 0)
-        return ScenarioFrame(t, host, 0.0, 0.0, (obj,), bounds)
-
-    frames = [frame(0.0, -8.0), frame(0.05, 8.0)]
     config = PipelineConfig(epsilon=0.0, eta_gain=0.0)
     with caplog.at_level("WARNING"):
-        results = run_pipeline(frames, "discrete", config)
+        results = run_pipeline(scenario, "discrete", config)
     assert results.posteriors[1].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
     assert any("zero overlap" in record.message for record in caplog.records)
-    assert_run_matches_loop(frames, "discrete", config)
+    assert_run_matches_loop(scenario, "discrete", config)
 
 
 def test_zero_overlap_resets_some_values_of_one_depth(caplog):
@@ -627,19 +643,13 @@ def test_zero_overlap_resets_some_values_of_one_depth(caplog):
     # which resets at epsilon = 0 only; "flip" moves from region 4 to
     # region 0, out of reach of one predict, and resets at every epsilon;
     # "stay" never resets.
-    bounds = BoundarySet(
-        tuple(GaussianScalar(mean, 0.0) for mean in (-5.0, -1.0, 1.0, 5.0))
-    )
-    host = HostState(v=20.0, yaw_rate=0.0)
-
-    def frame(t, offsets):
-        objects = tuple(
-            TrackedObject(oid, ObjectMeasurement(x=30.0, y=y), 0.0, 0.0, 0)
+    scenario = scenario_of(
+        dict(t=t, host=EXACT, bounds=SHARP, objects=[
+            dict(lead(oid, y=y, var=0.0), gt=0)
             for oid, y in zip(("jump", "flip", "stay"), offsets)
-        )
-        return ScenarioFrame(t, host, 0.0, 0.0, objects, bounds)
-
-    frames = [frame(0.0, (-8.0, 8.0, 0.0)), frame(0.05, (-3.0, -8.0, 0.0))]
+        ])
+        for t, offsets in ((0.0, (-8.0, 8.0, 0.0)), (0.05, (-3.0, -8.0, 0.0)))
+    )
     config = PipelineConfig(eta_gain=0.0)
     values = (0.0, 0.1)
 
@@ -647,15 +657,15 @@ def test_zero_overlap_resets_some_values_of_one_depth(caplog):
         return sum("zero overlap" in record.message for record in caplog.records)
 
     with caplog.at_level("WARNING"):
-        filter_batch(columns_of([frames]), "discrete", config, values)
+        filter_batch(scenario, "discrete", config, values)
         assert resets() == 2  # one per object-frame with a reset at any value
         for value, expected in zip(values, (2, 1)):
             per_value = dataclasses.replace(config, epsilon=value)
             caplog.clear()
-            results = run_pipeline(frames, "discrete", per_value)
+            results = run_pipeline(scenario, "discrete", per_value)
             assert resets() == expected
             caplog.clear()
-            assert_run_matches_loop(frames, "discrete", per_value)
+            assert_run_matches_loop(scenario, "discrete", per_value)
             assert resets() == 2 * expected  # the run and the loop
     assert results.posteriors[4].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
-    assert_batch_matches_loop(frames, "discrete", config, values)
+    assert_batch_matches_loop(scenario, "discrete", config, values)

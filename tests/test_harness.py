@@ -10,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scenario_builder import scenario_of
 
 from laneassign import (
     HOST_PATH_INDEX,
@@ -22,10 +25,9 @@ from laneassign import (
     ObjectMeasurement,
     PipelineConfig,
     RunResult,
+    Scenario,
     ScenarioFormatError,
-    ScenarioFrame,
     SynthSpec,
-    TrackedObject,
     build_suite,
     compute_roc,
     generate_synthetic,
@@ -77,21 +79,22 @@ def as_stream(*frame_dicts):
 
 
 def test_parse_empty_stream():
-    assert parse_scenario("") == []
-    assert parse_scenario("\n\n") == []
+    assert parse_scenario("") == Scenario()
+    assert parse_scenario("\n\n") == Scenario()
 
 
 def test_parse_minimal_frame():
-    frames = parse_scenario(as_stream(minimal_frame_dict()))
-    assert len(frames) == 1
-    frame = frames[0]
-    assert frame.t == 0.0
-    assert frame.host.v == 25.0
-    assert frame.host.alpha == 0.0  # optional, defaulted
-    assert frame.bounds is None
-    assert frame.objects[0].object_id == "lead"
-    assert frame.objects[0].measurement.x == 50.0
-    assert frame.objects[0].ground_truth is None
+    scenario = parse_scenario(as_stream(minimal_frame_dict()))
+    assert len(scenario) == 1
+    assert scenario.t == [0.0]
+    assert scenario.v == [25.0]
+    assert scenario.alpha == [0.0]  # optional, defaulted
+    assert scenario.bounds == [None]
+    assert scenario.frame_of == [0]
+    assert scenario.id == ["lead"]
+    assert scenario.x == [50.0]
+    assert scenario.v_lat == [None]
+    assert scenario.gt == [None]
 
 
 def test_parse_full_frame():
@@ -105,13 +108,13 @@ def test_parse_full_frame():
         {"mu": 1.75, "sigma": 0.3},
         {"mu": 5.25, "sigma": 0.45},
     ]
-    frame = parse_scenario(as_stream(d))[0]
-    assert frame.host.alpha == 0.01
-    assert frame.objects[0].measurement.lateral_velocity_input == -0.4
-    assert frame.objects[0].ground_truth == 2
-    assert frame.bounds is not None
-    assert frame.bounds.source == BoundarySource.MEASURED
-    assert frame.bounds.boundaries[0].mean == -5.25
+    scenario = parse_scenario(as_stream(d))
+    assert scenario.alpha == [0.01]
+    assert scenario.v_lat == [-0.4]
+    assert scenario.gt == [2]
+    (bounds,) = scenario.bounds
+    assert bounds.source == BoundarySource.MEASURED
+    assert bounds.boundaries[0].mean == -5.25
 
 
 def test_parse_reports_line_and_field():
@@ -199,7 +202,8 @@ def test_parse_rejects_duplicate_object_ids():
 
 
 def _reference_parse_object(record, line):
-    """One object record as the parser built it before it emitted columns."""
+    """One object record as the parser built it before it emitted columns,
+    as a dict for `scenario_of`."""
     _check_keys(record, _OBJECT_KEYS, "object", line)
     object_id = record["id"]
     if isinstance(object_id, bool) or not isinstance(object_id, (str, int)):
@@ -222,18 +226,20 @@ def _reference_parse_object(record, line):
         )
     except InputDomainError as exc:
         raise ScenarioFormatError(f"line {line}: {exc}") from exc
-    return TrackedObject(
-        object_id=str(object_id),
-        measurement=measurement,
+    return dict(
+        id=str(object_id),
+        x=measurement.x,
+        y=measurement.y,
+        v_lat=measurement.lateral_velocity_input,
         var_x=_variance(record, "var_x", "object", line),
         var_y=_variance(record, "var_y", "object", line),
-        ground_truth=gt,
+        gt=gt,
     )
 
 
 def _reference_parse(stream):
     """The dataclass-building parser that the column parser replaced: the
-    reference for its frames and its error messages."""
+    reference for its scenarios and its error messages."""
     if isinstance(stream, str):
         stream = stream.splitlines()
     frames = []
@@ -273,28 +279,26 @@ def _reference_parse(stream):
         object_records = record["objects"]
         if not isinstance(object_records, list):
             raise ScenarioFormatError(f"line {line_no}: 'objects' must be a list")
-        objects = tuple(_reference_parse_object(rec, line_no) for rec in object_records)
+        objects = [_reference_parse_object(rec, line_no) for rec in object_records]
         seen_ids = set()
         for obj in objects:
-            if obj.object_id in seen_ids:
+            if obj["id"] in seen_ids:
                 raise ScenarioFormatError(
-                    f"line {line_no}: duplicate object id {obj.object_id!r}"
+                    f"line {line_no}: duplicate object id {obj['id']!r}"
                 )
-            seen_ids.add(obj.object_id)
+            seen_ids.add(obj["id"])
         bounds = None
         if "bounds" in record:
             bounds = _parse_bounds(record["bounds"], line_no)
-        frames.append(
-            ScenarioFrame(
-                t=t,
-                host=host,
-                var_v=_variance(host_record, "var_v", "host", line_no),
-                var_yaw=_variance(host_record, "var_yaw", "host", line_no),
-                objects=objects,
-                bounds=bounds,
-            )
+        host_values = dict(
+            v=host.v,
+            yaw_rate=host.yaw_rate,
+            alpha=host.alpha,
+            var_v=_variance(host_record, "var_v", "host", line_no),
+            var_yaw=_variance(host_record, "var_yaw", "host", line_no),
         )
-    return frames
+        frames.append(dict(t=t, host=host_values, objects=objects, bounds=bounds))
+    return scenario_of(frames)
 
 
 def _replay_generator():
@@ -329,9 +333,9 @@ def _valid_scenario(name):
 )
 def test_parser_matches_the_dataclass_reference(name):
     text = _valid_scenario(name)
-    frames = parse_scenario(text)
-    assert frames == _reference_parse(text)
-    assert len(frames) > 0
+    scenario = parse_scenario(text)
+    assert scenario == _reference_parse(text)
+    assert len(scenario) > 0
 
 
 def _fault(**changes):
@@ -430,20 +434,66 @@ def test_parser_errors_match_the_dataclass_reference(name):
 
 
 def test_round_trip_through_serialization():
-    frames = generate_synthetic(SynthSpec(kind="target_lane_change", duration=2.0))
-    buffer = io.StringIO()
-    write_scenario(frames, buffer)
-    parsed = parse_scenario(buffer.getvalue())
-    assert len(parsed) == len(frames)
-    for a, b in zip(frames, parsed):
-        assert a.t == b.t
-        assert a.host == b.host
-        assert a.var_v == b.var_v
-        assert a.var_yaw == b.var_yaw
-        assert a.objects == b.objects
-        assert [g.mean for g in a.bounds.boundaries] == [
-            g.mean for g in b.bounds.boundaries
-        ]
+    scenario = generate_synthetic(SynthSpec(kind="target_lane_change", duration=2.0))
+    assert parse_scenario(_serialized(scenario)) == scenario
+
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+def _numbers(low, high):
+    """Finite numbers in [low, high], int-valued ones written as ints too."""
+    return st.one_of(st.integers(math.ceil(low), math.floor(high)),
+                     st.floats(low, high, **FINITE))
+
+
+@st.composite
+def scenario_texts(draw):
+    """Valid scenario text: int and str ids, int-valued numbers, optional
+    `alpha`, `v_lat`, `gt` and `bounds`, frames without objects, and blank
+    lines."""
+    lines = []
+    t = draw(_numbers(-1e6, 1e6))
+    for _ in range(draw(st.integers(0, 5))):
+        host = {"v": draw(_numbers(0.0, 100.0)), "yaw_rate": draw(_numbers(-2.0, 2.0)),
+                "var_v": draw(_numbers(0.0, 4.0)), "var_yaw": draw(_numbers(0.0, 1e-2))}
+        if draw(st.booleans()):
+            host["alpha"] = draw(_numbers(-1.5, 1.5))
+        # 1 and "1" would be one id in a frame.
+        ids = draw(st.lists(st.one_of(st.integers(0, 3), st.sampled_from(["a", "lead", "0"])),
+                            max_size=4, unique_by=str))
+        objects = []
+        for object_id in ids:
+            obj = {"id": object_id,
+                   "x": draw(st.one_of(st.integers(1, 200), st.floats(
+                       0.0, 1e300, exclude_min=True, **FINITE))),
+                   "y": draw(_numbers(-1e300, 1e300)),
+                   "var_x": draw(_numbers(0.0, 1e300)), "var_y": draw(_numbers(0.0, 1.0))}
+            if draw(st.booleans()):
+                obj["v_lat"] = draw(_numbers(-10.0, 10.0))
+            if draw(st.booleans()):
+                obj["gt"] = draw(st.integers(0, 4))
+            objects.append(obj)
+        frame = {"t": t, "host": host, "objects": objects}
+        if draw(st.booleans()):
+            means = sorted(draw(st.lists(_numbers(-20.0, 20.0), min_size=4, max_size=4,
+                                         unique_by=float)))
+            frame["bounds"] = [{"mu": mu, "sigma": draw(_numbers(0.0, 2.0))} for mu in means]
+        lines.append(json.dumps(frame))
+        if draw(st.booleans()):
+            lines.append(" ")
+        t += draw(_numbers(1e-3, 100.0))
+    return "\n".join(lines)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(text=scenario_texts())
+def test_scenarios_round_trip_through_the_writer(text):
+    scenario = parse_scenario(text)
+    assert scenario == _reference_parse(text)
+    written = _serialized(scenario)
+    assert parse_scenario(written) == scenario
+    assert _reference_parse(written) == scenario
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +546,10 @@ def test_synthetic_rejects_bad_spec():
         (dict(change_duration=-1.0), "change_duration must be finite and >= 0, got -1.0"),
         (dict(change_duration=math.nan), "change_duration must be finite and >= 0, got nan"),
         (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(object_range=1.7e308),
+         "1.6 * object_range must be finite, got object_range=1.7e+308"),
+        (dict(host_speed=1e10, curve_radius=1e-300),
+         "host_speed / curve_radius must be finite, got 10000000000.0 / 1e-300"),
     ],
 )
 @pytest.mark.parametrize("kind", ["noisy_yaw", "host_curve"])
@@ -503,31 +557,49 @@ def test_synthetic_rejects_bad_shape_fields_by_name(kind, changes, message):
     # Before these checks: OverflowError, ZeroDivisionError, a math domain
     # error, an error about a derived value that named no field, numpy's
     # seed error, or a silent clamp (a negative host_speed became a
-    # standstill, object_range=0 put the objects at x = 0.01).
+    # standstill, object_range=0 put the objects at x = 0.01).  Without the
+    # derived checks, an infinite position or yaw rate would be written out.
     spec = SynthSpec(kind, duration=2.0, **changes)
     with pytest.raises(InputDomainError) as excinfo:
         generate_synthetic(spec)
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # A ramp of 1e-309 s around t = 0 needs an infinite lateral velocity.
+        (SynthSpec("target_lane_change", change_time=-1e-310, change_duration=1e-309),
+         "^lateral velocity input must be finite$"),
+        # The curve's radius and the lane width add up past the largest
+        # float, which numpy warns about on the way.
+        (SynthSpec("host_curve", object_range=1e308, curve_radius=1.5e308, lane_width=5e307),
+         r"^object position must be finite, got \(inf, -inf\)$"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_synthetic_rejects_a_non_finite_measurement(spec, message):
+    with pytest.raises(InputDomainError, match=message):
+        generate_synthetic(spec)
+
+
 def test_synthetic_frame_grid():
-    frames = generate_synthetic(SynthSpec(kind="adjacent_lane", duration=1.0, step=0.1))
-    assert len(frames) == 10
-    assert [f.t for f in frames] == pytest.approx([0.1 * k for k in range(10)])
-    assert all(f.bounds is not None for f in frames)
+    scenario = generate_synthetic(SynthSpec(kind="adjacent_lane", duration=1.0, step=0.1))
+    assert len(scenario) == 10
+    assert scenario.t == pytest.approx([0.1 * k for k in range(10)])
+    assert scenario.frame_number == list(range(10))
+    assert scenario.frame_of == [k // 2 for k in range(20)]
+    assert all(bounds is not None for bounds in scenario.bounds)
 
 
 def test_synthetic_straight_follow_truth():
-    frames = generate_synthetic(
+    scenario = generate_synthetic(
         SynthSpec(kind="straight_follow", duration=2.0, noise=QUIET)
     )
-    for frame in frames:
-        lead = next(o for o in frame.objects if o.object_id == "lead")
-        neighbor = next(o for o in frame.objects if o.object_id == "neighbor")
-        assert lead.ground_truth == HOST_PATH_INDEX
-        assert lead.measurement.y == 0.0  # noiseless
-        assert neighbor.ground_truth == HOST_PATH_INDEX + 1
-        assert neighbor.measurement.y == pytest.approx(3.5)
+    assert scenario.id == ["lead", "neighbor"] * 40
+    assert scenario.gt == [HOST_PATH_INDEX, HOST_PATH_INDEX + 1] * 40
+    assert scenario.y[0::2] == [0.0] * 40  # noiseless
+    assert scenario.y[1::2] == pytest.approx([3.5] * 40)
 
 
 def test_synthetic_lane_change_crosses_on_schedule():
@@ -535,20 +607,20 @@ def test_synthetic_lane_change_crosses_on_schedule():
     # halfway through change_duration; truth must flip on the first frame
     # strictly past the crossing.
     spec = SynthSpec(kind="target_lane_change", duration=20.0, noise=QUIET)
-    frames = generate_synthetic(spec)
+    scenario = generate_synthetic(spec)
     crossing = 10.0 + 3.0 / 2.0
-    for frame in frames:
-        gt = frame.objects[0].ground_truth
-        if frame.t <= crossing + 1e-12:
-            assert gt == HOST_PATH_INDEX, frame.t
-        elif frame.t > crossing + spec.step:
-            assert gt == HOST_PATH_INDEX + 1, frame.t
+    assert scenario.frame_of == list(range(len(scenario)))  # one object a frame
+    for t, gt in zip(scenario.t, scenario.gt):
+        if t <= crossing + 1e-12:
+            assert gt == HOST_PATH_INDEX, t
+        elif t > crossing + spec.step:
+            assert gt == HOST_PATH_INDEX + 1, t
 
 
 def test_synthetic_lane_change_emits_lateral_velocity():
     spec = SynthSpec(kind="target_lane_change", duration=20.0, noise=QUIET)
-    frames = generate_synthetic(spec)
-    by_t = {f.t: f.objects[0].measurement.lateral_velocity_input for f in frames}
+    scenario = generate_synthetic(spec)
+    by_t = dict(zip(scenario.t, scenario.v_lat))
     assert by_t[5.0] == 0.0
     assert by_t[11.0] == pytest.approx(3.5 / 3.0)
     assert by_t[15.0] == 0.0
@@ -556,39 +628,36 @@ def test_synthetic_lane_change_emits_lateral_velocity():
 
 def test_synthetic_host_curve_objects_on_arc():
     spec = SynthSpec(kind="host_curve", duration=2.0, noise=QUIET, curve_radius=300.0)
-    frames = generate_synthetic(spec)
-    for frame in frames:
-        assert frame.host.yaw_rate == pytest.approx(spec.host_speed / 300.0)
-        lead = next(o for o in frame.objects if o.object_id == "lead")
-        z = transform_to_path(
-            _exact_inputs(frame, lead), frame.host.alpha
-        )
-        assert z.mean == pytest.approx(0.0, abs=1e-9)
-        adjacent = next(o for o in frame.objects if o.object_id == "adjacent")
-        z = transform_to_path(_exact_inputs(frame, adjacent), frame.host.alpha)
-        assert z.mean == pytest.approx(-3.5, abs=1e-9)
+    scenario = generate_synthetic(spec)
+    assert scenario.yaw_rate == pytest.approx([spec.host_speed / 300.0] * len(scenario))
+    expected = {"lead": 0.0, "adjacent": -3.5}
+    for k, object_id in enumerate(scenario.id):
+        alpha = scenario.alpha[scenario.frame_of[k]]
+        z = transform_to_path(_inputs(scenario, k, exact=True), alpha)
+        assert z.mean == pytest.approx(expected[object_id], abs=1e-9)
 
 
-def _exact_inputs(frame, obj):
+def _inputs(scenario, k, exact=False):
+    """The transform inputs of object-frame k, without variances if exact."""
     from laneassign import InputVector
 
+    f = scenario.frame_of[k]
+    variances = [scenario.var_v[f], scenario.var_yaw[f], scenario.var_x[k], scenario.var_y[k]]
     return InputVector(
-        np.array(
-            [frame.host.v, frame.host.yaw_rate, obj.measurement.x, obj.measurement.y]
-        ),
-        np.zeros((4, 4)),
+        np.array([scenario.v[f], scenario.yaw_rate[f], scenario.x[k], scenario.y[k]]),
+        np.diag([0.0] * 4 if exact else variances),
     )
 
 
 def test_synthetic_noisy_yaw_reports_flap_power():
     # One full flap period (0.25 Hz -> 4 s) so both extremes are visited.
     spec = SynthSpec(kind="noisy_yaw", duration=4.0)
-    frames = generate_synthetic(spec)
+    scenario = generate_synthetic(spec)
     base = SynthSpec(kind="straight_follow", duration=4.0)
-    base_var = generate_synthetic(base)[0].var_yaw
+    base_var = generate_synthetic(base).var_yaw[0]
     # Reported variance includes the mean-square power of the yaw flap.
-    assert frames[0].var_yaw == pytest.approx(base_var + spec.yaw_amplitude**2 / 2.0)
-    yaw = [f.host.yaw_rate for f in frames]
+    assert scenario.var_yaw[0] == pytest.approx(base_var + spec.yaw_amplitude**2 / 2.0)
+    yaw = scenario.yaw_rate
     assert max(yaw) > 0.02
     assert min(yaw) < -0.02
 
@@ -658,33 +727,32 @@ def _reference_synthetic(spec):
             x_meas = max(x_cart + rng.normal(0.0, noise.sigma_x), 0.01)
             y_meas = y_cart + rng.normal(0.0, noise.sigma_y)
             edges = (-3.0 * half, -half, half, 3.0 * half)
-            objects.append(
-                TrackedObject(
-                    object_id,
-                    ObjectMeasurement(x_meas, y_meas, v_lat),
-                    noise.sigma_x**2,
-                    noise.sigma_y**2,
-                    int(np.searchsorted(edges, lateral_true, side="left")),
-                )
-            )
+            measurement = ObjectMeasurement(x_meas, y_meas, v_lat)
+            objects.append(dict(
+                id=object_id,
+                x=measurement.x,
+                y=measurement.y,
+                v_lat=measurement.lateral_velocity_input,
+                var_x=noise.sigma_x**2,
+                var_y=noise.sigma_y**2,
+                gt=int(np.searchsorted(edges, lateral_true, side="left")),
+            ))
         v_meas = max(spec.host_speed + rng.normal(0.0, noise.sigma_v), 0.0)
         yaw_meas = yaw_true + yaw_extra + rng.normal(0.0, noise.sigma_yaw)
-        frames.append(
-            ScenarioFrame(
-                t,
-                HostState(v_meas, yaw_meas, 0.0),
-                noise.sigma_v**2,
-                noise.sigma_yaw**2 + var_yaw_extra,
-                tuple(objects),
-                bounds,
-            )
-        )
-    return frames
+        host = HostState(v_meas, yaw_meas, 0.0)
+        frames.append(dict(
+            t=t,
+            host=dict(v=host.v, yaw_rate=host.yaw_rate, alpha=host.alpha,
+                      var_v=noise.sigma_v**2, var_yaw=noise.sigma_yaw**2 + var_yaw_extra),
+            objects=objects,
+            bounds=bounds,
+        ))
+    return scenario_of(frames)
 
 
-def _serialized(frames):
+def _serialized(scenario):
     out = io.StringIO()
-    write_scenario(frames, out)
+    write_scenario(scenario, out)
     return out.getvalue()
 
 
@@ -699,11 +767,11 @@ def test_synthetic_matches_the_per_draw_reference(kind):
             kind, duration=6.0, step=step, seed=seed, noise=NoiseSpec().scaled(scale),
             change_time=change_time, change_duration=change_duration,
         )
-        frames = generate_synthetic(spec)
+        scenario = generate_synthetic(spec)
         reference = _reference_synthetic(spec)
-        assert frames == reference, spec
+        assert scenario == reference, spec
         # repr round-trips every float, so equal text is equal bits
-        assert _serialized(frames) == _serialized(reference), spec
+        assert _serialized(scenario) == _serialized(reference), spec
 
 
 def test_synthetic_noise_errors_match_the_reference():
@@ -745,19 +813,19 @@ def test_ground_truth_edges_stay_in_the_lower_region():
     # The generator itself: without noise, the lane changer's offset is
     # exactly the edge 1.75 at t = 11.5 (the ramp runs over 10..13 s), so
     # its truth is still the host path there and the left lane one step on.
-    frames = generate_synthetic(
+    scenario = generate_synthetic(
         SynthSpec("target_lane_change", noise=NoiseSpec().scaled(0.0))
     )
-    by_t = {frame.t: frame.objects[0] for frame in frames}
-    assert by_t[11.5].measurement.y == 1.75
-    assert by_t[11.5].ground_truth == 2
-    assert by_t[11.55].ground_truth == 3
+    by_t = {t: k for k, t in enumerate(scenario.t)}  # one object a frame
+    assert scenario.y[by_t[11.5]] == 1.75
+    assert scenario.gt[by_t[11.5]] == 2
+    assert scenario.gt[by_t[11.55]] == 3
 
 
 def test_build_suite_covers_all_kinds():
     suite = build_suite()
     assert set(suite) == set(SCENARIO_KINDS)
-    assert all(len(frames) > 0 for frames in suite.values())
+    assert all(len(scenario) > 0 for scenario in suite.values())
 
 
 # ---------------------------------------------------------------------------
@@ -766,62 +834,44 @@ def test_build_suite_covers_all_kinds():
 
 
 def test_pipeline_rejects_unknown_method():
-    frames = generate_synthetic(SynthSpec(kind="straight_follow", duration=0.5))
+    scenario = generate_synthetic(SynthSpec(kind="straight_follow", duration=0.5))
     with pytest.raises(InputDomainError):
-        run_pipeline(frames, method="magic")
+        run_pipeline(scenario, method="magic")
 
 
 def test_pipeline_straight_follow_assigns_host():
-    frames = generate_synthetic(
+    scenario = generate_synthetic(
         SynthSpec(kind="straight_follow", duration=5.0, noise=QUIET)
     )
     for method in ("discrete", "continuous"):
-        result = run_pipeline(frames, method=method)
+        result = run_pipeline(scenario, method=method)
         lead = (np.array(result.object_id) == "lead") & (np.array(result.t) > 0.5)
         accepted_host = result.accepted & (result.index == HOST_PATH_INDEX)
         assert np.mean(accepted_host[lead]) > 0.99, method
 
 
 def test_pipeline_first_step_semantics():
-    frames = generate_synthetic(
+    scenario = generate_synthetic(
         SynthSpec(kind="straight_follow", duration=0.05, noise=QUIET)
-    )[:1]
-    frame = frames[0]
-    lead = next(o for o in frame.objects if o.object_id == "lead")
-    z = transform_to_path(
-        _noisy_inputs(frame, lead), frame.host.alpha
     )
-    want = lane_occupancy(z, frame.bounds)
+    assert len(scenario) == 1
+    lead = scenario.id.index("lead")
+    z = transform_to_path(_inputs(scenario, lead), scenario.alpha[0])
+    want = lane_occupancy(z, scenario.bounds[0])
     for method in ("discrete", "continuous"):
-        result = run_pipeline(frames, method=method)
+        result = run_pipeline(scenario, method=method)
         got = result.posteriors[result.object_id.index("lead")]
         np.testing.assert_allclose(got, want.probs, atol=1e-12)
 
 
-def _noisy_inputs(frame, obj):
-    from laneassign import InputVector
-
-    return InputVector(
-        np.array(
-            [frame.host.v, frame.host.yaw_rate, obj.measurement.x, obj.measurement.y]
-        ),
-        np.diag([frame.var_v, frame.var_yaw, obj.var_x, obj.var_y]),
-    )
-
-
 def test_pipeline_object_order_does_not_matter():
-    frames = generate_synthetic(SynthSpec(kind="adjacent_lane", duration=2.0, seed=3))
-    swapped = [
-        ScenarioFrame(
-            t=f.t,
-            host=f.host,
-            var_v=f.var_v,
-            var_yaw=f.var_yaw,
-            objects=tuple(reversed(f.objects)),
-            bounds=f.bounds,
-        )
-        for f in frames
-    ]
+    scenario = generate_synthetic(SynthSpec(kind="adjacent_lane", duration=2.0, seed=3))
+    frames = [json.loads(line) for line in _serialized(scenario).splitlines()]
+    for frame in frames:
+        frame["objects"].reverse()
+    swapped = parse_scenario(as_stream(*frames))
+    assert swapped.id != scenario.id
+
     def rows(result):
         return sorted(
             zip(result.t, result.object_id, result.posteriors.tolist(),
@@ -829,26 +879,16 @@ def test_pipeline_object_order_does_not_matter():
                 result.accepted.tolist())
         )
 
-    a = run_pipeline(frames, method="discrete")
+    a = run_pipeline(scenario, method="discrete")
     b = run_pipeline(swapped, method="discrete")
     assert rows(a) == rows(b)
 
 
 def test_pipeline_drops_stale_tracks():
-    base = generate_synthetic(
-        SynthSpec(kind="straight_follow", duration=0.1, noise=QUIET)
-    )
     # Same object seen at t=0 and t=0.05, then a reappearance after a gap
     # longer than the absence timeout: the filter must restart from scratch.
-    late = ScenarioFrame(
-        t=5.0,
-        host=base[0].host,
-        var_v=base[0].var_v,
-        var_yaw=base[0].var_yaw,
-        objects=base[0].objects,
-        bounds=base[0].bounds,
-    )
-    result = run_pipeline(list(base) + [late], method="discrete")
+    frames = [minimal_frame_dict(t) for t in (0.0, 0.05, 5.0)]
+    result = run_pipeline(scenario_of(frames), method="discrete")
     lead = [k for k, oid in enumerate(result.object_id) if oid == "lead"]
     first, reappeared = lead[0], lead[-1]
     assert result.t[reappeared] == 5.0
@@ -858,10 +898,10 @@ def test_pipeline_drops_stale_tracks():
 
 
 def test_pipeline_keeps_fresh_tracks():
-    frames = generate_synthetic(
+    scenario = generate_synthetic(
         SynthSpec(kind="straight_follow", duration=0.15, noise=QUIET)
     )
-    result = run_pipeline(frames, method="discrete")
+    result = run_pipeline(scenario, method="discrete")
     lead = result.posteriors[np.array(result.object_id) == "lead", HOST_PATH_INDEX]
     # Posterior sharpens step over step while the track persists.
     assert lead[1] >= lead[0]
@@ -869,10 +909,7 @@ def test_pipeline_keeps_fresh_tracks():
 
 
 def test_pipeline_wraps_errors_with_frame_context():
-    base = generate_synthetic(
-        SynthSpec(kind="straight_follow", duration=0.05, noise=QUIET)
-    )[0]
-    stuck = [base, base]  # same timestamp twice
+    stuck = scenario_of([minimal_frame_dict(0.0)] * 2)  # same timestamp twice
     with pytest.raises(InputDomainError, match=r"frame 1 \(t=0\.0\)"):
         run_pipeline(stuck, method="continuous")
 
@@ -929,21 +966,21 @@ def test_compute_roc_requires_ground_truth():
 
 
 def test_sweep_single_point_matches_direct_run():
-    frames = generate_synthetic(SynthSpec(kind="straight_follow", duration=1.0))
-    points = sweep_parameters([frames], method="discrete", grid=(0.05,))
+    scenario = generate_synthetic(SynthSpec(kind="straight_follow", duration=1.0))
+    points = sweep_parameters([scenario], method="discrete", grid=(0.05,))
     want = compute_roc(
-        run_pipeline(frames, "discrete", PipelineConfig(epsilon=0.05)), "epsilon=0.05"
+        run_pipeline(scenario, "discrete", PipelineConfig(epsilon=0.05)), "epsilon=0.05"
     )
     assert points[0] == want
 
 
 def test_sweep_default_grids():
-    frames = generate_synthetic(SynthSpec(kind="straight_follow", duration=1.0))
-    eps_points = sweep_parameters([frames], method="discrete")
+    scenario = generate_synthetic(SynthSpec(kind="straight_follow", duration=1.0))
+    eps_points = sweep_parameters([scenario], method="discrete")
     assert [p.parameter_label for p in eps_points] == [
         f"epsilon={v:g}" for v in EPSILON_GRID
     ]
-    nu_points = sweep_parameters([frames], method="continuous")
+    nu_points = sweep_parameters([scenario], method="continuous")
     assert [p.parameter_label for p in nu_points] == [
         f"sigma_nu={v:g}" for v in SIGMA_NU_GRID
     ]
@@ -963,19 +1000,19 @@ def test_sweep_accepts_multiple_scenarios():
 
 
 def test_sweep_rejects_empty_grid():
-    frames = generate_synthetic(SynthSpec(kind="straight_follow", duration=0.5))
+    scenario = generate_synthetic(SynthSpec(kind="straight_follow", duration=0.5))
     with pytest.raises(InputDomainError):
-        sweep_parameters([frames], method="discrete", grid=())
+        sweep_parameters([scenario], method="discrete", grid=())
 
 
 def test_zero_noise_adjacent_lane_has_no_false_positives():
     # Objects that never enter the host lane, measured without noise, must
     # never be assigned to it, whatever the parameters.
-    frames = generate_synthetic(
+    scenario = generate_synthetic(
         SynthSpec(kind="adjacent_lane", duration=3.0, noise=QUIET)
     )
     for method, grid in (("discrete", (0.1, 0.01)), ("continuous", (0.05, 0.4))):
-        for point in sweep_parameters([frames], method=method, grid=grid):
+        for point in sweep_parameters([scenario], method=method, grid=grid):
             assert point.fp_rate == 0.0, method
             assert point.tp_rate is None  # nothing is ever truly in-lane
 
