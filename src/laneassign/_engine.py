@@ -32,11 +32,13 @@ The settings (p_min, and epsilon and eta_gain or sigma_nu) are checked
 first, since no frame is at fault where one is out of range.  Invariants
 of the data, the domains of `ObjectMeasurement` and `HostState` among them,
 are checked once per array, not per step.  Where a check fails, the
-earliest failing object-frame is replayed through the per-object API
-(`ObjectMeasurement`, `transform_to_path`, the filter classes, `assign`).
-That replay runs the same formulas on the one object-frame, so its input
-checks raise the error, with the message, that a per-object loop would
-have raised.
+earliest failing object-frame is replayed through the per-object
+functions: `ObjectMeasurement`, `transform_to_path`, then
+`build_transition_matrix`, `predict`, `update` and `lane_occupancy`, or
+`kf_init`, `kf_predict`, `kf_update` and `discretize_posterior`, then
+`assign`.  That replay runs the same formulas on the one object-frame, so
+its input checks raise the error, with the message, that a per-object loop
+over those functions would have raised.
 """
 
 from __future__ import annotations
@@ -47,18 +49,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuous_filter import (
-    ContinuousPathFilter,
     KalmanState,
+    ProcessNoise,
     _kf_motion_arrays,
     _kf_predict_arrays,
     _kf_update_arrays,
+    discretize_posterior,
+    kf_init,
+    kf_predict,
+    kf_update,
 )
 from .discrete_filter import (
-    DiscretePathFilter,
+    TransitionParams,
     _bayes_update_arrays,
     _clamp,
     _matrix_violations,
     _transition_entries,
+    build_transition_matrix,
+    predict,
+    update,
 )
 from .estimator import _median_indices, assign
 from .geometry import (
@@ -68,7 +77,13 @@ from .geometry import (
     _transform_arrays,
     transform_to_path,
 )
-from .likelihood import _DEFAULT_BOUNDS, N_PATHS, PathPosterior, _occupancy_arrays
+from .likelihood import (
+    _DEFAULT_BOUNDS,
+    N_PATHS,
+    PathPosterior,
+    _occupancy_arrays,
+    lane_occupancy,
+)
 
 # Seconds without a detection after which a track is dropped; the object
 # starts a new track when it is seen again.
@@ -246,7 +261,7 @@ def _discrete(flat: Flat, z_mean, z_std, epsilon: np.ndarray, eta_gain: float):
     for start, stop, rare in _levels(flat, tiny):
         # Level 0 holds exactly the object-frames that start a track.
         prior = uniform if start == 0 else posteriors[flat.source[start:stop]]
-        posteriors[start:stop], _ = _bayes_update_arrays(
+        posteriors[start:stop] = _bayes_update_arrays(
             matrices[pair[start:stop]] @ prior, measured[start:stop], rare
         )
     posteriors = posteriors[flat.rank, ..., 0]
@@ -348,7 +363,8 @@ def filter_batch(scenario, method: str, config, values) -> Batch:
 
 def _replay(flat, k, method, config, value, states):
     """Run object-frame k, the earliest that failed a check, through the
-    per-object API and re-raise its error with the frame context."""
+    per-object functions from the state its track left, and re-raise their
+    error with the frame context."""
     scenario, f = flat.scenario, flat.frame_of[k]
     t, frame_index = scenario.t[f], scenario.frame_number[f]
     bounds = scenario.bounds[f] if scenario.bounds[f] is not None else _DEFAULT_BOUNDS
@@ -360,19 +376,26 @@ def _replay(flat, k, method, config, value, states):
             InputVector(flat.inputs[k], np.diag(flat.variances[k])), scenario.alpha[f]
         )
         if method == "discrete":
-            prior = PathPosterior(states[p]) if p >= 0 else None
-            filt = DiscretePathFilter(value, config.eta_gain, initial=prior)
-            posterior = filt.step(z, bounds, u)
+            prior = PathPosterior(states[p]) if p >= 0 else PathPosterior.uniform()
+            matrix = build_transition_matrix(TransitionParams(value, config.eta_gain * u))
+            posterior = update(predict(prior, matrix), lane_occupancy(z, bounds))
         else:
-            filt = ContinuousPathFilter(value)
-            if p >= 0:
-                mean, var = states[p].tolist()
-                filt.state = KalmanState(mean, var, float(flat.kalman_t[k]))
-            posterior = filt.step(z, bounds, t, u)
+            if p < 0:
+                state = kf_init(z, t)
+            else:
+                before = float(flat.kalman_t[k])
+                state = KalmanState(*states[p].tolist(), before)
+                dt = t - before
+                if dt <= 0.0:
+                    raise InputDomainError(
+                        f"timestamps must be strictly increasing, got {t} after {before}"
+                    )
+                state = kf_update(kf_predict(state, u, dt, ProcessNoise(value)), z)
+            posterior = discretize_posterior(state, bounds)
         assign(posterior, config.p_min)
     except ValueError as exc:
         raise type(exc)(f"frame {frame_index} (t={t}): {exc}") from exc
     raise RuntimeError(
         f"frame {frame_index} (t={t}): the batch check rejects an "
-        "object-frame that the per-object filters accept"
+        "object-frame that the per-object functions accept"
     )

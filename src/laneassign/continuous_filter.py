@@ -113,32 +113,3 @@ def kf_update(state: KalmanState, z: GaussianScalar) -> KalmanState:
 def discretize_posterior(state: KalmanState, bounds: BoundarySet) -> PathPosterior:
     """Map the filtered Gaussian onto the five-path occupancy vector."""
     return lane_occupancy(GaussianScalar(state.mean, math.sqrt(state.variance)), bounds)
-
-
-class ContinuousPathFilter:
-    """Stateful per-object filter: init on first measurement, then
-    predict/update per step with strictly increasing timestamps."""
-
-    def __init__(self, sigma_nu: float):
-        self.noise = ProcessNoise(sigma_nu)
-        self.state: KalmanState | None = None
-
-    def step(
-        self,
-        measurement: GaussianScalar,
-        bounds: BoundarySet,
-        timestamp: float,
-        lateral_velocity: float = 0.0,
-    ) -> PathPosterior:
-        if self.state is None:
-            self.state = kf_init(measurement, timestamp)
-        else:
-            dt = timestamp - self.state.timestamp
-            if dt <= 0.0:
-                raise InputDomainError(
-                    f"timestamps must be strictly increasing, got "
-                    f"{timestamp} after {self.state.timestamp}"
-                )
-            predicted = kf_predict(self.state, lateral_velocity, dt, self.noise)
-            self.state = kf_update(predicted, measurement)
-        return discretize_posterior(self.state, bounds)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GaussianScalar, InputDomainError
-from .likelihood import N_PATHS, BoundarySet, PathPosterior, lane_occupancy
+from .geometry import InputDomainError
+from .likelihood import N_PATHS, PathPosterior
 
 logger = logging.getLogger(__name__)
 
@@ -142,9 +142,7 @@ def predict(prior: PathPosterior, matrix: TransitionMatrix) -> PathPosterior:
 
 def _bayes_update_arrays(predicted, measured, may_reset=True):
     """Bayes update of predicted column vectors (..., G, 5, 1) with the
-    measurement column vectors that broadcast against them: the posteriors
-    and the mask (..., G) of those reset to the measurement (False when
-    the check is skipped).
+    measurement column vectors that broadcast against them.
 
     Where prior and measurement have disjoint support the product vanishes;
     such a posterior restarts from the measurement rather than coming out
@@ -155,7 +153,6 @@ def _bayes_update_arrays(predicted, measured, may_reset=True):
     product = predicted * measured
     total = product.sum(axis=-2, keepdims=True)
     posterior = product / total
-    reset = False
     if may_reset:
         reset = total[..., 0, 0] <= 0.0
         if reset.any():
@@ -166,59 +163,15 @@ def _bayes_update_arrays(predicted, measured, may_reset=True):
                 )
             restart = measured / measured.sum(axis=-2, keepdims=True)
             posterior = np.where(reset[..., None, None], restart, posterior)
-    return posterior, reset
-
-
-def _bayes_update(
-    predicted: PathPosterior, measurement: PathPosterior
-) -> tuple[PathPosterior, bool]:
-    """`_bayes_update_arrays` for one posterior: it and whether it was reset."""
-    with np.errstate(invalid="ignore"):
-        posterior, reset = _bayes_update_arrays(
-            predicted.probs.reshape(1, N_PATHS, 1),
-            measurement.probs.reshape(1, N_PATHS, 1),
-        )
-    return PathPosterior(posterior.reshape(N_PATHS)), bool(np.any(reset))
-
-
-def update(predicted: PathPosterior, measurement: PathPosterior) -> PathPosterior:
-    """Bayes update of the predicted posterior with an occupancy vector."""
-    posterior, _ = _bayes_update(predicted, measurement)
     return posterior
 
 
-class DiscretePathFilter:
-    """Stateful per-object wrapper around predict/update.
-
-    The drift eta is recomputed every step as eta_gain * lateral_velocity,
-    then clamped together with epsilon.
-    """
-
-    def __init__(
-        self,
-        epsilon: float,
-        eta_gain: float = 0.05,
-        initial: PathPosterior | None = None,
-    ):
-        if not math.isfinite(eta_gain):
-            raise InputDomainError(f"eta_gain must be finite, got {eta_gain}")
-        self.epsilon = epsilon
-        self.eta_gain = eta_gain
-        self.posterior = initial if initial is not None else PathPosterior.uniform()
-        self.resets = 0
-
-    def step(
-        self,
-        measurement: GaussianScalar,
-        bounds: BoundarySet,
-        lateral_velocity: float = 0.0,
-    ) -> PathPosterior:
-        params = TransitionParams(self.epsilon, self.eta_gain * lateral_velocity)
-        matrix = build_transition_matrix(params)
-        predicted = predict(self.posterior, matrix)
-        self.posterior, was_reset = _bayes_update(
-            predicted, lane_occupancy(measurement, bounds)
+def update(predicted: PathPosterior, measurement: PathPosterior) -> PathPosterior:
+    """Bayes update of the predicted posterior with an occupancy vector; with
+    no overlap between the two, the posterior restarts from the measurement."""
+    with np.errstate(invalid="ignore"):
+        posterior = _bayes_update_arrays(
+            predicted.probs.reshape(1, N_PATHS, 1),
+            measurement.probs.reshape(1, N_PATHS, 1),
         )
-        if was_reset:
-            self.resets += 1
-        return self.posterior
+    return PathPosterior(posterior.reshape(N_PATHS))

@@ -297,7 +297,7 @@ def hellinger_distance(p: Sequence[float], q: Sequence[float]) -> float:
     """Hellinger distance between two discrete distributions, in [0, 1].
 
     H(p, q) = sqrt(1 - sum_i sqrt(p_i * q_i)).  Inputs must have the same
-    length, be nonnegative and each sum to 1 within 1e-6.
+    length, be nonnegative and each sum to 1 within 1e-9.
     """
     p_arr = np.asarray(p, dtype=float)
     q_arr = np.asarray(q, dtype=float)

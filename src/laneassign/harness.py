@@ -459,6 +459,11 @@ def generate_synthetic(spec: SynthSpec) -> Scenario:
     n_frames = int(round(spec.duration / spec.step))
     t = [round(k * spec.step, 9) for k in range(n_frames)]
     times = np.array(t)
+    if not (np.diff(times) > 0.0).all():
+        raise InputDomainError(
+            f"step {spec.step} is below the timestamp resolution: the frame "
+            "times, rounded to 9 decimals, must strictly increase"
+        )
     noise = spec.noise
     # The lane markings lie on the region edges, at -3h, -h, h and 3h.
     edges = (-3.0 * half, -half, half, 3.0 * half)
@@ -470,10 +475,13 @@ def generate_synthetic(spec: SynthSpec) -> Scenario:
 
     # Over the change, the lane changer's offset goes linearly from 0 to one
     # lane width, and the cut-in's from one lane width to 0.  An instant
-    # change has no frame inside it.
-    moving = (change_start < times) & (times < change_start + spec.change_duration)
-    crossed = np.where(times <= change_start, 0.0, width)
-    crossed[moving] = width * (times[moving] - change_start) / spec.change_duration
+    # change has no frame inside it.  Only these two kinds build the ramp; an
+    # overflow in it fails the measurement check below.
+    if spec.kind in ("target_lane_change", "noisy_yaw"):
+        moving = (change_start < times) & (times < change_start + spec.change_duration)
+        crossed = np.where(times <= change_start, 0.0, width)
+        with np.errstate(over="ignore"):
+            crossed[moving] = width * (times[moving] - change_start) / spec.change_duration
 
     # (id, arc length, path offset) of each object.
     r = spec.object_range
@@ -742,8 +750,8 @@ def write_run_csv(result: RunResult, out: TextIO) -> None:
             result.object_id,
             itertools.repeat(result.method),
             assigned,
-            map(repr, result.probability.tolist()),
-            *(map(repr, column) for column in result.posteriors.T.tolist()),
+            result.probability.tolist(),
+            *result.posteriors.T.tolist(),
         )
     )
 

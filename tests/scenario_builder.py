@@ -29,3 +29,18 @@ def scenario_of(frames) -> Scenario:
             scenario.v_lat.append(obj.get("v_lat"))
             scenario.gt.append(obj.get("gt"))
     return scenario
+
+
+# A host driving straight with exact speed and yaw rate.
+STRAIGHT_HOST = dict(v=20.0, yaw_rate=0.0, var_v=0.0, var_yaw=0.0)
+
+
+def one_object(detections) -> Scenario:
+    """The scenario of one object, "o", 40 m ahead of `STRAIGHT_HOST`, one
+    frame per (t, y, var_y, v_lat); its path offset is N(y, var_y)."""
+    return scenario_of(
+        dict(t=t, host=STRAIGHT_HOST, objects=[
+            dict(id="o", x=40.0, y=y, var_x=0.04, var_y=var_y, v_lat=v_lat)
+        ])
+        for t, y, var_y, v_lat in detections
+    )

@@ -6,10 +6,8 @@ EXPORTS = [
     "Assignment",
     "BoundarySet",
     "BoundarySource",
-    "ContinuousPathFilter",
     "DEFAULT_MC_VARIANCES",
     "DEFAULT_P_MIN",
-    "DiscretePathFilter",
     "EPSILON_GRID",
     "EPSILON_MAX",
     "GaussianScalar",

@@ -111,6 +111,17 @@ def test_synth_rejects_too_many_frames(tmp_path, capsys, step):
     )
 
 
+def test_synth_rejects_a_step_below_the_timestamp_resolution(tmp_path, capsys):
+    # Rounded to 9 decimals, the first frames would all lie at t = 0.0, and
+    # `run` would reject the file.
+    code = main(["synth", "--kind", "straight_follow", "--step", "1e-10",
+                 "--duration", "1e-9", "--out", str(tmp_path / "s.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: step 1e-10 is below the timestamp resolution"
+    )
+
+
 def test_run_produces_assignment_csv(tmp_path):
     scenario = tmp_path / "s.jsonl"
     write_minimal_scenario(scenario)

@@ -2,14 +2,17 @@
 
 import math
 
+import re
+
 import numpy as np
 import pytest
+from scenario_builder import one_object
 
 from laneassign import (
-    ContinuousPathFilter,
     GaussianScalar,
     InputDomainError,
     KalmanState,
+    PipelineConfig,
     ProcessNoise,
     discretize_posterior,
     extrapolate_boundaries,
@@ -17,6 +20,7 @@ from laneassign import (
     kf_predict,
     kf_update,
     lane_occupancy,
+    run_pipeline,
 )
 
 
@@ -167,18 +171,21 @@ def test_innovations_are_white_on_matched_model():
 
 def test_filter_tracks_moving_object():
     rng = np.random.default_rng(23)
-    bounds = extrapolate_boundaries()
-    filt = ContinuousPathFilter(sigma_nu=0.5)
+    noise = ProcessNoise(0.5)
     dt = 0.05
+    state = None
     for k in range(200):
         truth = 3.5 * min(k * dt / 5.0, 1.0)  # drifts one lane left over 5 s
         z = GaussianScalar(truth + rng.normal(0.0, 0.3), 0.3)
-        filt.step(z, bounds, timestamp=k * dt)
-    assert filt.state.mean == pytest.approx(3.5, abs=0.3)
+        if state is None:
+            state = kf_init(z, 0.0)
+        else:
+            state = kf_update(kf_predict(state, 0.0, dt, noise), z)
+    assert state.mean == pytest.approx(3.5, abs=0.3)
 
 
 # ---------------------------------------------------------------------------
-# discretization and the stateful wrapper
+# discretization, and the recursion through a run
 # ---------------------------------------------------------------------------
 
 
@@ -206,35 +213,26 @@ def test_discretize_is_stateless():
 
 
 def test_stateful_filter_first_step_is_init():
-    bounds = extrapolate_boundaries()
-    filt = ContinuousPathFilter(sigma_nu=0.1)
-    assert filt.state is None
-    z = GaussianScalar(0.8, 0.4)
-    got = filt.step(z, bounds, timestamp=1.0)
-    assert filt.state.mean == z.mean
-    assert filt.state.variance == pytest.approx(z.variance)
-    assert filt.state.timestamp == 1.0
-    want = lane_occupancy(z, bounds)
-    np.testing.assert_array_equal(got.probs, want.probs)
+    # A track starts with kf_init, which copies the measurement, so its
+    # first posterior is the measurement's occupancy.
+    scenario = one_object([(1.0, 0.8, 0.16, None)])
+    got = run_pipeline(scenario, "continuous", PipelineConfig(sigma_nu=0.1)).posteriors[0]
+    want = lane_occupancy(GaussianScalar(0.8, math.sqrt(0.16)), extrapolate_boundaries())
+    np.testing.assert_allclose(got, want.probs, atol=1e-15)
 
 
 def test_stateful_filter_requires_increasing_timestamps():
-    bounds = extrapolate_boundaries()
-    filt = ContinuousPathFilter(sigma_nu=0.1)
-    filt.step(GaussianScalar(0.0, 0.3), bounds, timestamp=1.0)
-    with pytest.raises(InputDomainError):
-        filt.step(GaussianScalar(0.0, 0.3), bounds, timestamp=1.0)
-    with pytest.raises(InputDomainError):
-        filt.step(GaussianScalar(0.0, 0.3), bounds, timestamp=0.5)
+    for t in (1.0, 0.5):
+        scenario = one_object([(1.0, 0.0, 0.09, None), (t, 0.0, 0.09, None)])
+        message = f"frame 1 (t={t}): timestamps must be strictly increasing, got {t} after 1.0"
+        with pytest.raises(InputDomainError, match=f"^{re.escape(message)}$"):
+            run_pipeline(scenario, "continuous", PipelineConfig(sigma_nu=0.1))
 
 
 def test_stateful_filter_applies_lateral_velocity():
-    bounds = extrapolate_boundaries()
-    filt = ContinuousPathFilter(sigma_nu=0.1)
-    filt.step(GaussianScalar(0.0, 0.5), bounds, timestamp=0.0)
     # One second at +1 m/s shifts the prediction a meter before the update.
-    pred = kf_predict(filt.state, 1.0, 1.0, ProcessNoise(0.1))
-    want = kf_update(pred, GaussianScalar(0.8, 0.5))
-    filt.step(GaussianScalar(0.8, 0.5), bounds, timestamp=1.0, lateral_velocity=1.0)
-    assert filt.state.mean == pytest.approx(want.mean, abs=1e-15)
-    assert filt.state.variance == pytest.approx(want.variance, rel=1e-15)
+    scenario = one_object([(0.0, 0.0, 0.25, None), (1.0, 0.8, 0.25, 1.0)])
+    got = run_pipeline(scenario, "continuous", PipelineConfig(sigma_nu=0.1)).posteriors[1]
+    pred = kf_predict(kf_init(GaussianScalar(0.0, 0.5), 0.0), 1.0, 1.0, ProcessNoise(0.1))
+    want = discretize_posterior(kf_update(pred, GaussianScalar(0.8, 0.5)), extrapolate_boundaries())
+    np.testing.assert_allclose(got, want.probs, atol=1e-15)

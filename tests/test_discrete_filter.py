@@ -5,21 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from scenario_builder import one_object
 
 from laneassign import (
     EPSILON_MAX,
-    DiscretePathFilter,
     GaussianScalar,
     InputDomainError,
     PathPosterior,
+    PipelineConfig,
     TransitionMatrix,
     TransitionParams,
     build_transition_matrix,
     extrapolate_boundaries,
     lane_occupancy,
+    run_pipeline,
 )
 from laneassign.discrete_filter import (
-    _bayes_update,
     _matrix_violations,
     clamp_params,
     predict,
@@ -240,8 +241,7 @@ def test_update_zero_product_resets_to_measurement(caplog):
     pred = posterior(1.0, 0.0, 0.0, 0.0, 0.0)
     meas = posterior(0.0, 0.0, 0.0, 0.2, 0.8)
     with caplog.at_level(logging.WARNING, logger="laneassign.discrete_filter"):
-        out, reset = _bayes_update(pred, meas)
-    assert reset
+        out = update(pred, meas)
     np.testing.assert_allclose(out.probs, meas.probs)
     assert any("reset" in rec.message for rec in caplog.records)
 
@@ -280,58 +280,53 @@ def test_recursion_matches_batch_forward_algorithm():
 
 
 # ---------------------------------------------------------------------------
-# DiscretePathFilter
+# the recursion, step by step and through a run
 # ---------------------------------------------------------------------------
 
 
 def test_filter_first_step_equals_measurement_likelihood():
-    bounds = extrapolate_boundaries()
-    filt = DiscretePathFilter(epsilon=0.1)
-    z = GaussianScalar(1.2, 0.4)
-    got = filt.step(z, bounds)
-    # A uniform prior is invariant under prediction, so the first posterior
-    # is exactly the normalized measurement likelihood.
-    want = lane_occupancy(z, bounds)
-    np.testing.assert_allclose(got.probs, want.probs, atol=1e-15)
+    # A track starts from the uniform prior, which is invariant under
+    # prediction, so its first posterior is exactly the normalized
+    # measurement likelihood.
+    scenario = one_object([(0.0, 1.2, 0.16, None)])
+    got = run_pipeline(scenario, "discrete", PipelineConfig(epsilon=0.1)).posteriors[0]
+    want = lane_occupancy(GaussianScalar(1.2, math.sqrt(0.16)), extrapolate_boundaries())
+    np.testing.assert_allclose(got, want.probs, atol=1e-15)
 
 
 def test_filter_converges_on_constant_measurement():
-    bounds = extrapolate_boundaries()
-    filt = DiscretePathFilter(epsilon=0.05)
+    matrix = build_transition_matrix(TransitionParams(0.05))
+    measured = lane_occupancy(GaussianScalar(3.5, 0.5), extrapolate_boundaries())
+    p = PathPosterior.uniform()
     for _ in range(30):
-        p = filt.step(GaussianScalar(3.5, 0.5), bounds)
+        p = update(predict(p, matrix), measured)
     assert p.probs.argmax() == 3
     assert p[3] > 0.9
 
 
 def test_filter_lateral_velocity_sets_bias():
-    # The filter's per-step eta is eta_gain * lateral velocity; a run with
-    # gain 0.5 and u=0.1 must match the functional form with eta=0.05.
-    bounds = extrapolate_boundaries()
-    filt = DiscretePathFilter(epsilon=0.1, eta_gain=0.5)
-    z = GaussianScalar(0.5, 0.6)
-    got = filt.step(z, bounds, lateral_velocity=0.1)
+    # A run's per-step eta is eta_gain * v_lat; gain 0.5 and v_lat 0.1 must
+    # match the functional form with eta 0.05, which moves even a uniform
+    # prior.
+    scenario = one_object([(0.0, 0.5, 0.36, 0.1)])
+    config = PipelineConfig(epsilon=0.1, eta_gain=0.5)
+    got = run_pipeline(scenario, "discrete", config).posteriors[0]
     want = update(
         predict(PathPosterior.uniform(), build_transition_matrix(TransitionParams(0.1, 0.05))),
-        lane_occupancy(z, bounds),
+        lane_occupancy(GaussianScalar(0.5, math.sqrt(0.36)), extrapolate_boundaries()),
     )
-    np.testing.assert_allclose(got.probs, want.probs, atol=1e-15)
-
-
-def test_filter_counts_resets():
-    bounds = extrapolate_boundaries()
-    filt = DiscretePathFilter(epsilon=0.0, initial=posterior(1.0, 0.0, 0.0, 0.0, 0.0))
-    filt.step(GaussianScalar(20.0, 0.0), bounds)  # far left: zero overlap
-    assert filt.resets == 1
-    assert filt.posterior[4] == pytest.approx(1.0)
+    np.testing.assert_allclose(got, want.probs, atol=1e-15)
 
 
 def test_filter_clamps_out_of_range_epsilon():
-    # A too-aggressive epsilon is clamped at step time, matching the
-    # functional path with epsilon at the cap.
-    bounds = extrapolate_boundaries()
-    z = GaussianScalar(0.5, 0.6)
-    got = DiscretePathFilter(epsilon=0.9).step(z, bounds)
+    # A too-aggressive epsilon is clamped at every step, matching the
+    # functional form with epsilon at the cap.  The second step shows it:
+    # a uniform prior is invariant under any leak without drift.
+    scenario = one_object([(0.0, 0.5, 0.36, None), (0.05, 2.0, 0.36, None)])
+    got = run_pipeline(scenario, "discrete", PipelineConfig(epsilon=0.9)).posteriors
     matrix = build_transition_matrix(TransitionParams(EPSILON_MAX, 0.0))
-    want = update(predict(PathPosterior.uniform(), matrix), lane_occupancy(z, bounds))
-    np.testing.assert_allclose(got.probs, want.probs, atol=1e-15)
+    p = PathPosterior.uniform()
+    for y, row in zip((0.5, 2.0), got):
+        measured = lane_occupancy(GaussianScalar(y, math.sqrt(0.36)), extrapolate_boundaries())
+        p = update(predict(p, matrix), measured)
+        np.testing.assert_allclose(row, p.probs, atol=1e-15)

@@ -1,12 +1,26 @@
-"""The batched pipeline against a plain per-object loop.
+"""The batched pipeline against a plain-math reference and a per-object loop.
 
 `run_pipeline` and `sweep_parameters` filter a whole scenario at once, with
-the grid values of a sweep as a batch axis.  The reference here is the loop
-they replace: per object, `ObjectMeasurement`'s check, `transform_to_path`,
-then `DiscretePathFilter.step` or `ContinuousPathFilter.step`, then
-`assign`.  Tolerances are fixed in
-advance: posteriors within 1e-12, identical assignments and ROC rates, and
-identical errors (type and message, frame context included).
+the grid values of a sweep as a batch axis.  Two references check them.
+
+The plain-math reference computes every value from the paper's equations
+with `math` alone: the arc offset and its first-order variance, Phi through
+`math.erfc`, the clamped tridiagonal predict and the Bayes update, the
+scalar Kalman step and the median gate.  It calls neither the engine nor
+the array kernels that the per-object functions share with it, so it checks
+the formulas themselves.  It declines a scenario that leaves the domain it
+covers.
+
+The per-object loop is the one the engine replaces: per object,
+`ObjectMeasurement`'s check, `transform_to_path`, then
+`build_transition_matrix`, `predict`, `update` and `lane_occupancy`, or
+`kf_init`, `kf_predict`, `kf_update` and `discretize_posterior`, then
+`assign`.  It is the reference for errors, and for values where the
+reference declines.
+
+Tolerances are fixed in advance: posteriors within 1e-12, identical
+assignments and ROC rates, and identical errors (type and message, frame
+context included).
 """
 
 import dataclasses
@@ -20,32 +34,43 @@ from hypothesis import strategies as st
 from scenario_builder import scenario_of
 
 from laneassign import (
+    EPSILON_MAX,
+    STRAIGHT_YAW_THRESHOLD,
     BoundarySet,
-    ContinuousPathFilter,
-    DiscretePathFilter,
     GaussianScalar,
     InputDomainError,
     InputVector,
     NoiseSpec,
     ObjectMeasurement,
+    PathPosterior,
     PipelineConfig,
+    ProcessNoise,
     RunResult,
     Scenario,
     SingularityError,
     SynthSpec,
+    TransitionParams,
     assign,
     build_suite,
+    build_transition_matrix,
     compute_roc,
+    discretize_posterior,
     extrapolate_boundaries,
     generate_synthetic,
+    kf_init,
+    kf_predict,
+    kf_update,
+    lane_occupancy,
     run_pipeline,
     sweep_parameters,
     transform_to_path,
 )
 from laneassign._engine import ABSENCE_TIMEOUT, filter_batch, flatten
+from laneassign.discrete_filter import predict, update
 from laneassign.harness import EPSILON_GRID, SIGMA_NU_GRID, _joined
 
 POSTERIOR_TOL = 1e-12
+DEFAULT_BOUNDS = extrapolate_boundaries()
 
 
 def objects_by_frame(scenario):
@@ -56,6 +81,271 @@ def objects_by_frame(scenario):
     return objects
 
 
+def parameter_of(method):
+    return "epsilon" if method == "discrete" else "sigma_nu"
+
+
+def with_value(config, method, value):
+    """`config` with `value` for the method's parameter."""
+    return dataclasses.replace(config, **{parameter_of(method): value})
+
+
+# ---------------------------------------------------------------------------
+# the plain-math reference
+# ---------------------------------------------------------------------------
+
+
+class Declined(Exception):
+    """A value lies outside the domain the reference covers."""
+
+
+def finite(*values):
+    return all(math.isfinite(value) for value in values)
+
+
+def reference_offset(v, yaw_rate, x, y, alpha, variances):
+    """Mean and standard deviation of the signed lateral offset of (x, y)
+    from the host's path, to first order in the inputs (v, yaw_rate, x, y)
+    with the given variances.
+
+    The path is the arc of radius r = v / yaw_rate, rotated by alpha, and
+    the offset is r - sgn(r) d, with d the distance to the arc's center
+    (-r sin alpha, r cos alpha).  It is evaluated as the quotient
+    -(x^2 + y^2 + 2 r along) / (sgn(r) (d + |r|)), in which nothing cancels
+    at large |r|.  Below STRAIGHT_YAW_THRESHOLD the path is the straight
+    line, with offset y cos alpha - x sin alpha.
+    """
+    s, c = math.sin(alpha), math.cos(alpha)
+    along = x * s - y * c
+    across = x * c + y * s
+    if abs(yaw_rate) < STRAIGHT_YAW_THRESHOLD:
+        mean = -along
+        # The yaw-rate component is the arc's limit, -across^2 / (2 v).
+        d_yaw = 0.0 if v == 0.0 else -across * across / (2.0 * v)
+        gradient = (0.0, d_yaw, -s, c)
+    else:
+        r = v / yaw_rate
+        sgn = 1.0 if r >= 0.0 else -1.0
+        cx, cy = x + s * r, y - c * r  # the object seen from the center
+        d = math.hypot(cx, cy)
+        mean = -(x * x + y * y + 2.0 * r * along) / (sgn * (d + abs(r)))
+        # d(offset)/dr = (d - w) / d with w = sgn (r + along); where the two
+        # nearly cancel, d^2 - w^2 = across^2 gives d - w = across^2 / (d + w).
+        w = sgn * (r + along)
+        d_r = (across * across / (d + w) if w > 0.0 else d - w) / d
+        # dr/dv = 1 / yaw_rate and dr/dyaw_rate = -r / yaw_rate.
+        gradient = (d_r / yaw_rate, -d_r * r / yaw_rate, -sgn * cx / d, -sgn * cy / d)
+    # J V J^T for the diagonal V, in that order: J V can stay finite where J J overflows.
+    variance = sum(g * var * g for g, var in zip(gradient, variances))
+    return mean, math.sqrt(max(variance, 0.0))
+
+
+def phi(z):
+    """The standard normal CDF."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def reference_occupancy(mean, std, bounds):
+    """The probability of each of the five regions: Phi of each boundary,
+    standardized by the combined deviation, differenced, clamped at 0 and
+    renormalized."""
+    cdf = [0.0]
+    for boundary in bounds.boundaries:
+        delta = boundary.mean - mean
+        sigma = math.hypot(std, boundary.std)
+        if sigma > 0.0:
+            z = delta / sigma
+        else:  # the limits: 0/0 -> 0, delta/0 -> signed infinity
+            z = 0.0 if delta == 0.0 else math.copysign(math.inf, delta)
+        cdf.append(phi(z))
+    cdf.append(1.0)
+    raw = [max(high - low, 0.0) for low, high in zip(cdf, cdf[1:])]
+    total = sum(raw)
+    return [p / total for p in raw]
+
+
+def reference_predict(prior, epsilon, eta):
+    """Prediction with the tridiagonal, column-stochastic transition matrix.
+
+    Each path leaks epsilon to each neighbor, and the drift eta moves mass
+    toward higher indices: an interior column keeps 1 - 2 epsilon - |eta|
+    and moves epsilon + |eta|/2 +- eta up and down; the end columns move
+    epsilon + eta up (column 0) and epsilon - eta down (column 4).  First
+    (epsilon, eta) are clamped to where every entry is a probability:
+    0 <= epsilon <= EPSILON_MAX and |eta| <= min(epsilon, 1 - 3 epsilon).
+    """
+    epsilon = min(max(epsilon, 0.0), EPSILON_MAX)
+    cap = min(epsilon, 1.0 - 3.0 * epsilon)
+    eta = min(max(eta, -cap), cap)
+    half = 0.5 * abs(eta)
+    interior = (epsilon + half - eta, 1.0 - 2.0 * epsilon - abs(eta), epsilon + half + eta)
+    columns = [  # (down, stay, up)
+        (0.0, 1.0 - epsilon - eta, epsilon + eta),
+        interior, interior, interior,
+        (epsilon - eta, 1.0 - epsilon + eta, 0.0),
+    ]
+    predicted = [0.0] * 5
+    for j, ((down, stay, up), mass) in enumerate(zip(columns, prior)):
+        predicted[j] += stay * mass
+        if j > 0:
+            predicted[j - 1] += down * mass
+        if j < 4:
+            predicted[j + 1] += up * mass
+    return predicted
+
+
+def reference_update(predicted, measured):
+    """Bayes' rule; with no overlap the posterior restarts from the
+    measurement."""
+    product = [p * m for p, m in zip(predicted, measured)]
+    total = sum(product)
+    if total <= 0.0:
+        return [m / sum(measured) for m in measured]
+    return [p / total for p in product]
+
+
+def reference_kalman(state, z, r, t, u, sigma_nu):
+    """One step of the scalar Kalman filter on the offset, a random walk
+    driven by the offset rate u with white noise sigma_nu: the (mean,
+    variance, time) after predicting to time t and fusing the measurement
+    (z, r)."""
+    mean, var, before = state
+    dt = t - before
+    if not (dt > 0.0 and finite(dt)):
+        raise Declined("timestamps must strictly increase")
+    noise = dt * sigma_nu
+    mean, var = mean + dt * u, var + noise * noise
+    if var == 0.0 and r == 0.0:  # both certain
+        if z != mean:
+            raise Declined("a certain state contradicts a certain measurement")
+        gain = 0.0
+    else:
+        gain = var / (var + r)
+    return mean + gain * (z - mean), (1.0 - gain) * var, before + dt
+
+
+def reference_assign(posterior, p_min):
+    """The median index, the first l with P(X <= l) >= 1/2 and
+    P(X >= l) >= 1/2, its probability, and whether that reaches p_min."""
+    below = 0.0
+    for index, p in enumerate(posterior):
+        if below + p >= 0.5 and 1.0 - below >= 0.5:
+            return index, p, p >= p_min
+        below += p
+    raise Declined("no median index")
+
+
+def reference_measurement(scenario, f, k):
+    """The offset (mean, std) of object-frame k in frame f, and its
+    occupancy."""
+    s = scenario
+    inputs = (s.v[f], s.yaw_rate[f], s.x[k], s.y[k])
+    variances = (s.var_v[f], s.var_yaw[f], s.var_x[k], s.var_y[k])
+    v_lat = 0.0 if s.v_lat[k] is None else s.v_lat[k]
+    if not (
+        finite(*inputs, *variances, s.alpha[f], v_lat)
+        and s.x[k] > 0.0
+        and s.v[f] >= 0.0
+        and min(variances) >= 0.0
+        and abs(s.alpha[f]) < math.pi / 2
+    ):
+        raise Declined("an input lies outside its domain")
+    mean, std = reference_offset(*inputs, s.alpha[f], variances)
+    if not finite(mean, std):
+        raise Declined("the offset is not finite")
+    bounds = s.bounds[f] if s.bounds[f] is not None else DEFAULT_BOUNDS
+    return mean, std, reference_occupancy(mean, std, bounds)
+
+
+def check_posterior(posterior):
+    if not (finite(*posterior) and min(posterior) >= 0.0 and abs(sum(posterior) - 1.0) <= 1e-9):
+        raise Declined("not a probability vector")
+
+
+def reference_run(scenario, method, config, measurements=None):
+    """The RunResult of `method` over a scenario, in plain math.  Raises
+    Declined where a value leaves the reference's domain; `measurements`
+    caches `reference_measurement` by object-frame across calls."""
+    measurements = {} if measurements is None else measurements
+    s = scenario
+    states, last_seen, rows = {}, {}, []
+    for f, objects in enumerate(objects_by_frame(s)):
+        t = s.t[f]
+        for oid in [oid for oid, seen in last_seen.items() if t - seen > ABSENCE_TIMEOUT]:
+            del states[oid]
+            del last_seen[oid]
+        bounds = s.bounds[f] if s.bounds[f] is not None else DEFAULT_BOUNDS
+        for k in objects:
+            if k not in measurements:
+                measurements[k] = reference_measurement(s, f, k)
+            z, std, occupancy = measurements[k]
+            u = s.v_lat[k] or 0.0
+            state = states.get(s.id[k])
+            if method == "discrete":
+                eta = config.eta_gain * u
+                if not finite(eta):
+                    raise Declined("the drift is not finite")
+                prior = state or [0.2] * 5
+                state = posterior = reference_update(
+                    reference_predict(prior, config.epsilon, eta), occupancy
+                )
+            else:
+                if state is None:
+                    state = (z, std * std, t)
+                else:
+                    state = reference_kalman(state, z, std * std, t, u, config.sigma_nu)
+                if not finite(*state):
+                    raise Declined("the Kalman state is not finite")
+                posterior = reference_occupancy(state[0], math.sqrt(state[1]), bounds)
+            check_posterior(posterior)
+            states[s.id[k]] = state
+            last_seen[s.id[k]] = t
+            rows.append(
+                (t, s.id[k], s.gt[k], *reference_assign(posterior, config.p_min), posterior)
+            )
+    return result_of(method, rows)
+
+
+def reference_runs(scenario, method, configs):
+    """The reference's RunResult for each config, or None where it declines
+    the scenario."""
+    measurements = {}
+    try:
+        return [reference_run(scenario, method, c, measurements) for c in configs]
+    except (Declined, ArithmeticError):
+        return None
+
+
+# ---------------------------------------------------------------------------
+# the per-object loop
+# ---------------------------------------------------------------------------
+
+
+def loop_step(method, config, state, z, bounds, t, u):
+    """One step of a track through the per-object functions, from its state
+    (None on a new track): the new state and the posterior."""
+    if method == "discrete":
+        if not math.isfinite(config.eta_gain):
+            raise InputDomainError(f"eta_gain must be finite, got {config.eta_gain}")
+        params = TransitionParams(config.epsilon, config.eta_gain * u)
+        prior = state if state is not None else PathPosterior.uniform()
+        state = update(
+            predict(prior, build_transition_matrix(params)), lane_occupancy(z, bounds)
+        )
+        return state, state
+    noise = ProcessNoise(config.sigma_nu)
+    if state is None:
+        state = kf_init(z, t)
+    else:
+        dt = t - state.timestamp
+        if dt <= 0.0:
+            raise InputDomainError(
+                f"timestamps must be strictly increasing, got {t} after {state.timestamp}"
+            )
+        state = kf_update(kf_predict(state, u, dt, noise), z)
+    return state, discretize_posterior(state, bounds)
+
+
 def loop_run(scenario, method, config, transforms=None):
     """The per-object loop: check, transform, filter step, assign.
 
@@ -63,16 +353,15 @@ def loop_run(scenario, method, config, transforms=None):
     transforms each object-frame once; errors carry the frame context.
     """
     transforms = {} if transforms is None else transforms
-    bounds_default = extrapolate_boundaries()
-    filters, last_seen, rows = {}, {}, []
+    states, last_seen, rows = {}, {}, []
     s = scenario
     for f, objects in enumerate(objects_by_frame(s)):
         t = s.t[f]
         try:
             for oid in [oid for oid, seen in last_seen.items() if t - seen > ABSENCE_TIMEOUT]:
-                del filters[oid]
+                del states[oid]
                 del last_seen[oid]
-            bounds = s.bounds[f] if s.bounds[f] is not None else bounds_default
+            bounds = s.bounds[f] if s.bounds[f] is not None else DEFAULT_BOUNDS
             for k in objects:
                 if k not in transforms:
                     ObjectMeasurement(s.x[k], s.y[k], s.v_lat[k])
@@ -81,16 +370,10 @@ def loop_run(scenario, method, config, transforms=None):
                         np.diag([s.var_v[f], s.var_yaw[f], s.var_x[k], s.var_y[k]]),
                     )
                     transforms[k] = transform_to_path(inputs, s.alpha[f])
-                z = transforms[k]
-                u = s.v_lat[k] or 0.0
-                filt = filters.get(s.id[k])
-                if method == "discrete":
-                    filt = filt or DiscretePathFilter(config.epsilon, config.eta_gain)
-                    posterior = filt.step(z, bounds, u)
-                else:
-                    filt = filt or ContinuousPathFilter(config.sigma_nu)
-                    posterior = filt.step(z, bounds, t, u)
-                filters[s.id[k]] = filt
+                states[s.id[k]], posterior = loop_step(
+                    method, config, states.get(s.id[k]), transforms[k], bounds, t,
+                    s.v_lat[k] or 0.0,
+                )
                 last_seen[s.id[k]] = t
                 assignment = assign(posterior, config.p_min)
                 rows.append(
@@ -130,10 +413,6 @@ def concatenated(results):
     )
 
 
-def parameter_of(method):
-    return "epsilon" if method == "discrete" else "sigma_nu"
-
-
 def outcome(call):
     """(result, None) or (None, (error type, message))."""
     try:
@@ -147,49 +426,62 @@ def frame_named(error):
 
 
 def assert_results_equal(posteriors, index, accepted, expected):
-    """Batch columns of one parameter value against a loop result."""
+    """Batch columns of one parameter value against an expected result."""
     np.testing.assert_allclose(posteriors, expected.posteriors, rtol=0, atol=POSTERIOR_TOL)
     assert index.tolist() == expected.index.tolist()
     assert accepted.tolist() == expected.accepted.tolist()
 
 
-def assert_batch_matches_loop(scenario, method, config, values):
-    """Every value of one batch against its own loop run; returns the loop
-    results per value.  When loop runs fail, the batch must raise the error
-    of the earliest failing frame over all values."""
+def assert_batch_matches(scenario, method, config, values):
+    """Every value of one batch against the plain-math reference; returns
+    the expected results per value.  Where the batch fails or the reference
+    declines, each value's loop run is the reference instead; when loop runs
+    fail, the batch must raise the error of the earliest failing frame over
+    all values."""
     batch, error = outcome(lambda: filter_batch(scenario, method, config, values))
-    transforms = {}
-    runs = [
-        outcome(lambda: loop_run(
-            scenario, method,
-            dataclasses.replace(config, **{parameter_of(method): value}),
-            transforms,
-        ))
-        for value in values
-    ]
-    loop_errors = [e for _, e in runs if e is not None]
-    if loop_errors or error:
-        assert error in loop_errors
-        assert frame_named(error) == min(frame_named(e) for e in loop_errors)
-        return None
-    for g, (expected, _) in enumerate(runs):
+    configs = [with_value(config, method, value) for value in values]
+    expected = None if error else reference_runs(scenario, method, configs)
+    if expected is None:
+        transforms = {}
+        runs = [outcome(lambda: loop_run(scenario, method, c, transforms)) for c in configs]
+        loop_errors = [e for _, e in runs if e is not None]
+        if loop_errors or error:
+            assert error in loop_errors
+            assert frame_named(error) == min(frame_named(e) for e in loop_errors)
+            return None
+        expected = [result for result, _ in runs]
+    for g, want in enumerate(expected):
         assert_results_equal(
-            batch.posteriors[:, g], batch.index[:, g], batch.accepted[:, g], expected
+            batch.posteriors[:, g], batch.index[:, g], batch.accepted[:, g], want
         )
-    return [expected for expected, _ in runs]
+    return expected
+
+
+def assert_run_equal(got, want):
+    assert (got.method, got.t, got.object_id, got.ground_truth) == (
+        want.method, want.t, want.object_id, want.ground_truth
+    )
+    assert_results_equal(got.posteriors, got.index, got.accepted, want)
+    assert (np.abs(got.probability - want.probability) <= POSTERIOR_TOL).all()
 
 
 def assert_run_matches_loop(scenario, method, config):
     got, got_error = outcome(lambda: run_pipeline(scenario, method, config))
     want, want_error = outcome(lambda: loop_run(scenario, method, config))
     assert got_error == want_error
-    if want is None:
-        return
-    assert (got.method, got.t, got.object_id, got.ground_truth) == (
-        want.method, want.t, want.object_id, want.ground_truth
-    )
-    assert_results_equal(got.posteriors, got.index, got.accepted, want)
-    assert (np.abs(got.probability - want.probability) <= POSTERIOR_TOL).all()
+    if want is not None:
+        assert_run_equal(got, want)
+
+
+def assert_run_matches(scenario, method, config):
+    """`run_pipeline` against the plain-math reference, or against the loop
+    where the run fails or the reference declines."""
+    got, error = outcome(lambda: run_pipeline(scenario, method, config))
+    expected = None if error else reference_runs(scenario, method, [config])
+    if expected is None:
+        assert_run_matches_loop(scenario, method, config)
+    else:
+        assert_run_equal(got, expected[0])
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +498,7 @@ SWEEP_CONFIG = PipelineConfig(eta_gain=0.0)  # the CLI's sweep default
 def test_suite_sweep_matches_loop(method, grid):
     scenarios = list(build_suite(seed=0).values())
     runs = [
-        assert_batch_matches_loop(scenario, method, SWEEP_CONFIG, grid)
+        assert_batch_matches(scenario, method, SWEEP_CONFIG, grid)
         for scenario in scenarios
     ]
     parameter = parameter_of(method)
@@ -222,7 +514,7 @@ def test_discrete_sweep_with_lateral_velocity_drift_matches_loop():
     scenario = generate_synthetic(SynthSpec(kind="target_lane_change", seed=4))
     assert len(set(scenario.v_lat)) > 1
     config = PipelineConfig(eta_gain=0.05)
-    runs = assert_batch_matches_loop(scenario, "discrete", config, EPSILON_GRID)
+    runs = assert_batch_matches(scenario, "discrete", config, EPSILON_GRID)
     assert sweep_parameters([scenario], "discrete", EPSILON_GRID, config) == [
         compute_roc(results, f"epsilon={value:g}")
         for results, value in zip(runs, EPSILON_GRID)
@@ -249,8 +541,8 @@ def test_multi_scenario_batch_keeps_tracks_per_scenario(method, values):
     config = PipelineConfig(eta_gain=0.05)
     batch = filter_batch(_joined(scenarios), method, config, values)
     for g, value in enumerate(values):
-        per_value = dataclasses.replace(config, **{parameter_of(method): value})
-        expected = concatenated([loop_run(s, method, per_value) for s in scenarios])
+        per_value = with_value(config, method, value)
+        expected = concatenated([reference_run(s, method, per_value) for s in scenarios])
         assert_results_equal(
             batch.posteriors[:, g], batch.index[:, g], batch.accepted[:, g], expected
         )
@@ -353,14 +645,14 @@ GENERATED = settings(
     eta_gain=st.sampled_from([0.0, 0.05, 0.5]),
 )
 def test_generated_run_matches_loop(scenario, method, eta_gain):
-    assert_run_matches_loop(scenario, method, PipelineConfig(eta_gain=eta_gain))
+    assert_run_matches(scenario, method, PipelineConfig(eta_gain=eta_gain))
 
 
 @GENERATED
 @given(scenario=scenarios(), method=st.sampled_from(["discrete", "continuous"]))
 def test_generated_batch_matches_loop(scenario, method):
     values = (0.2, 1e-2, 1e-5) if method == "discrete" else (0.04, 0.1, 0.4)
-    assert_batch_matches_loop(scenario, method, PipelineConfig(eta_gain=0.05), values)
+    assert_batch_matches(scenario, method, PipelineConfig(eta_gain=0.05), values)
 
 
 def reference_schedule(scenarios):
@@ -668,4 +960,4 @@ def test_zero_overlap_resets_some_values_of_one_depth(caplog):
             assert_run_matches_loop(scenario, "discrete", per_value)
             assert resets() == 2 * expected  # the run and the loop
     assert results.posteriors[4].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
-    assert_batch_matches_loop(scenario, "discrete", config, values)
+    assert_batch_matches(scenario, "discrete", config, values)

@@ -521,6 +521,10 @@ def test_hellinger_validation():
         hellinger_distance(np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(InputDomainError):
         hellinger_distance(np.array([0.7, 0.2]), np.array([0.5, 0.5]))  # sum != 1
+    # The sums are held to 1e-9: 5e-7 off is rejected, 5e-10 passes.
+    with pytest.raises(InputDomainError, match="must sum to 1"):
+        hellinger_distance(np.array([0.5, 0.5 + 5e-7]), np.array([0.5, 0.5]))
+    assert hellinger_distance(np.array([0.5, 0.5 + 5e-10]), np.array([0.5, 0.5])) < 1e-4
     with pytest.raises(InputDomainError):
         hellinger_distance(np.array([1.1, -0.1]), np.array([0.5, 0.5]))
 

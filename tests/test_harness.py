@@ -575,12 +575,40 @@ def test_synthetic_rejects_bad_shape_fields_by_name(kind, changes, message):
         # float, which numpy warns about on the way.
         (SynthSpec("host_curve", object_range=1e308, curve_radius=1.5e308, lane_width=5e307),
          r"^object position must be finite, got \(inf, -inf\)$"),
+        # A lane change ramp over a width near the largest float overflows.
+        (SynthSpec("target_lane_change", lane_width=1e308),
+         r"^object position must be finite, got \(\S+, inf\)$"),
+        (SynthSpec("noisy_yaw", lane_width=1e308),
+         r"^object position must be finite, got \(\S+, -inf\)$"),
     ],
 )
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_synthetic_rejects_a_non_finite_measurement(spec, message):
     with pytest.raises(InputDomainError, match=message):
         generate_synthetic(spec)
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_synthetic_builds_a_ramp_only_where_a_lane_changes(kind):
+    # A width near the largest float overflows the ramp, which only the two
+    # lane-changing kinds build; for them the measurement check words it,
+    # and the other kinds neither warn (an error under this suite) nor fail.
+    spec = SynthSpec(kind, lane_width=1e308)
+    if kind in ("target_lane_change", "noisy_yaw"):
+        with pytest.raises(InputDomainError, match="^object position must be finite"):
+            generate_synthetic(spec)
+    else:
+        assert len(generate_synthetic(spec)) == 400
+
+
+@pytest.mark.parametrize("step", [1e-10, 6e-10, 9e-10])
+def test_synthetic_rejects_a_step_below_the_timestamp_resolution(step):
+    # Timestamps are rounded to 9 decimals, so such steps give frames that
+    # share a timestamp, which the parser rejects.
+    with pytest.raises(InputDomainError, match=rf"^step {step} is below the timestamp resolution"):
+        generate_synthetic(SynthSpec("straight_follow", duration=1e-8, step=step))
+    t = generate_synthetic(SynthSpec("straight_follow", duration=1e-8, step=1e-9)).t
+    assert all(a < b for a, b in zip(t, t[1:]))
 
 
 def test_synthetic_frame_grid():
