@@ -7,9 +7,12 @@ frame, objects in frame order).  `run_pipeline` hands it one scenario, and
 `frame_number` restarting at 0 with each; no track continues from one
 scenario into the next.
 
-`flatten` turns the columns into arrays and works out the tracks on them:
-integer codes for (scenario, id), a stable sort by code, and a new track
-where the gap since the id's previous detection exceeds `ABSENCE_TIMEOUT`.
+`flatten` first checks the `Scenario` contract, which the parser and the
+generator keep: within each scenario, frame times are finite and strictly
+increase, and an id appears at most once per frame.  It then works out the
+tracks on arrays: integer codes for (scenario, id), a stable sort by code,
+and a new track where the gap since the id's previous detection exceeds
+`ABSENCE_TIMEOUT`; on a continued track that gap is the Kalman step `dt`.
 Everything that does not depend on the filter parameter runs once over all
 object-frames: the arc transform, its first-order variance, and for the
 discrete method the occupancy of each measurement.
@@ -63,7 +66,6 @@ from .discrete_filter import (
     TransitionParams,
     _bayes_update_arrays,
     _clamp,
-    _matrix_violations,
     _transition_entries,
     build_transition_matrix,
     predict,
@@ -105,9 +107,7 @@ class Flat:
     bound_stds: np.ndarray
     lateral_velocity: np.ndarray  # (N,) v_lat, 0 where absent
     previous: np.ndarray  # (N,) earlier object-frame of the same track, -1 on a new track
-    dt: np.ndarray  # (N,) Kalman predict step, NaN on a new track
-    kalman_t: np.ndarray  # (N,) Kalman timestamp before the step, NaN on a new track
-    bad_time: np.ndarray  # (N,) the Kalman filter rejects this step's timestamp
+    dt: np.ndarray  # (N,) frame time since `previous`, NaN on a new track
     order: np.ndarray  # (N,) object-frames by depth, in processing order within a depth
     rank: np.ndarray  # (N,) position of each object-frame in `order`
     source: np.ndarray  # (N,) position in `order` of the previous object-frame, by `order`
@@ -124,26 +124,34 @@ class Batch:
     accepted: np.ndarray  # (N, G)
 
 
-def _fmax_between(values: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """`np.fmax` over values[first:last + 1] for each pair (first, last),
-    -inf where that range is empty, from a sparse table of the values."""
-    length = last - first + 1
-    table = [values]  # row k: fmax over the 2**k values from each position
-    while 2 ** len(table) <= length.max(initial=0):
-        row, half = table[-1], 2 ** (len(table) - 1)
-        table.append(np.concatenate([np.fmax(row[:-half], row[half:]), row[-half:]]))
-    table = np.array(table)
-    ranged = length > 0
-    first, last = first[ranged], last[ranged]
-    k = np.frexp(length[ranged])[1] - 1  # floor(log2(length)), exact on integers
-    result = np.full(len(length), -np.inf)
-    result[ranged] = np.fmax(table[k, first], table[k, last + 1 - 2**k])
-    return result
+def _check_frames(scenario, t, restart, repeated) -> None:
+    """Raise the InputDomainError of the earliest frame that breaks the
+    `Scenario` contract, in the parser's words: within a scenario (from one
+    `frame_number` 0 to the next) frame times are finite and strictly
+    increase, and no id repeats within a frame.  `repeated` holds the
+    object-frames whose id an earlier object of their frame has."""
+    unordered = np.concatenate([[False], t[1:] <= t[:-1]]) & ~restart
+    bad = unordered | ~np.isfinite(t)
+    if len(repeated):
+        k = repeated.min()
+        bad[scenario.frame_of[k]] = True
+    if bad.any():
+        f = int(np.argmax(bad))
+        if unordered[f]:
+            message = (
+                f"timestamps must strictly increase ({scenario.t[f]} after {scenario.t[f - 1]})"
+            )
+        elif not np.isfinite(t[f]):
+            message = f"timestamp must be finite, got {scenario.t[f]}"
+        else:
+            message = f"duplicate object id {scenario.id[k]!r}"
+        raise InputDomainError(f"frame {scenario.frame_number[f]} (t={scenario.t[f]}): {message}")
 
 
 def flatten(scenario) -> Flat:
     """Arrays of a scenario's columns, with the tracks `ABSENCE_TIMEOUT`
-    defines; no track continues from one scenario into the next."""
+    defines; no track continues from one scenario into the next.  Raises an
+    InputDomainError where the columns break the `Scenario` contract."""
     t = np.array(scenario.t, dtype=float)
     frame_of = np.array(scenario.frame_of, dtype=np.intp)
     n = len(frame_of)
@@ -152,15 +160,16 @@ def flatten(scenario) -> Flat:
     # (scenario, id), each object-frame follows the id's previous detection.
     codes: dict = {}
     code = np.array([codes.setdefault(i, len(codes)) for i in scenario.id], dtype=np.intp)
-    part = np.cumsum(np.equal(scenario.frame_number, 0))[frame_of]
-    key = part * len(codes) + code
+    restart = np.equal(scenario.frame_number, 0)
+    key = np.cumsum(restart)[frame_of] * len(codes) + code
     by_track = np.argsort(key, kind="stable")
     earlier, later = by_track[:-1], by_track[1:]
     seen, now = frame_of[earlier], frame_of[later]
-    # The track is dropped at the first frame after the detection whose
-    # timestamp lies more than the timeout past it; NaN timestamps never do.
-    gap = _fmax_between(t, seen + 1, now) - t[seen]
-    continues = (key[earlier] == key[later]) & ~(gap > ABSENCE_TIMEOUT)
+    same_id = key[earlier] == key[later]
+    _check_frames(scenario, t, restart, later[same_id & (seen == now)])
+    # The frame times increase, so the track is dropped where the gap to
+    # the id's next detection exceeds the timeout.
+    continues = same_id & ~(t[now] - t[seen] > ABSENCE_TIMEOUT)
     previous = np.full(n, -1, dtype=np.intp)
     previous[later[continues]] = earlier[continues]
     position = np.arange(n)
@@ -173,19 +182,8 @@ def flatten(scenario) -> Flat:
     rank[order] = position
     source = np.where(previous < 0, -1, rank[previous])[order]
     starts = np.concatenate([[0], np.cumsum(np.bincount(depth))]).astype(np.intp)
-
-    # Kalman timestamps, by level.  A step moves the filter's time to
-    # kalman_t + dt, which need not round to t, so each level reads the
-    # times the level before it left.
-    t_step = t[frame_of][order]
-    kalman_t = np.full(n, np.nan)
-    moved = t_step.copy()  # the filter's time after each step
-    for start, stop in zip(starts[1:-1].tolist(), starts[2:].tolist()):
-        before = moved[source[start:stop]]
-        kalman_t[start:stop] = before
-        moved[start:stop] = before + (t_step[start:stop] - before)
-    dt = t_step - kalman_t
-    bad_time = ~np.isfinite(moved) | ((source >= 0) & ~((dt > 0.0) & np.isfinite(dt)))
+    t_of = t[frame_of]
+    dt = np.where(previous < 0, np.nan, t_of - t_of[previous])
 
     # The heading offset enters by its sine and cosine, from math as in the
     # per-object transform; NaN outside HostState's domain, which fails the
@@ -215,9 +213,7 @@ def flatten(scenario) -> Flat:
         bound_stds=np.array([arrays[id(b)][1] for b in bounds]).reshape(-1, 4)[frame_of],
         lateral_velocity=np.array(lateral_velocity, dtype=float),
         previous=previous,
-        dt=dt[rank],
-        kalman_t=kalman_t[rank],
-        bad_time=bad_time[rank],
+        dt=dt,
         order=order,
         rank=rank,
         source=source,
@@ -240,12 +236,9 @@ def _discrete(flat: Flat, z_mean, z_std, epsilon: np.ndarray, eta_gain: float):
     occupancy = _occupancy_arrays(z_mean, z_std, flat.bound_means, flat.bound_stds)
     eta = eta_gain * flat.lateral_velocity
     etas, eta_index = np.unique(eta, return_inverse=True)
-    eps, drift = _clamp(epsilon[None, :], etas[:, None])
-    matrices = _transition_entries(eps, drift)  # (E, G, 5, 5), one per distinct pair
-    # eta_gain is finite, but eta_gain * v_lat can overflow.
-    bad_pair = ~np.isfinite(etas)[:, None] | np.logical_or.reduce(
-        _matrix_violations(matrices)
-    )
+    # One matrix per distinct pair, (E, G, 5, 5); clamped parameters make
+    # every matrix valid.
+    matrices = _transition_entries(*_clamp(epsilon[None, :], etas[:, None]))
 
     # By level from here on, as column vectors, so that one matmul predicts
     # every posterior of a level for all G values.
@@ -265,7 +258,8 @@ def _discrete(flat: Flat, z_mean, z_std, epsilon: np.ndarray, eta_gain: float):
             matrices[pair[start:stop]] @ prior, measured[start:stop], rare
         )
     posteriors = posteriors[flat.rank, ..., 0]
-    return posteriors, bad_pair[eta_index], posteriors
+    # eta_gain is finite, but eta_gain * v_lat can overflow.
+    return posteriors, ~np.isfinite(eta)[:, None], posteriors
 
 
 def _continuous(flat: Flat, z_mean, z_std, sigma_nu: np.ndarray):
@@ -302,11 +296,7 @@ def _continuous(flat: Flat, z_mean, z_std, sigma_nu: np.ndarray):
         posteriors[:, column] = _occupancy_arrays(
             mean[:, column], np.sqrt(var[:, column]), flat.bound_means, flat.bound_stds
         )
-    failed = (
-        ~(np.isfinite(mean) & np.isfinite(var))
-        | contradiction[flat.rank]
-        | flat.bad_time[:, None]
-    )
+    failed = ~(np.isfinite(mean) & np.isfinite(var)) | contradiction[flat.rank]
     return posteriors, failed, np.stack([mean, var], axis=-1)
 
 
@@ -317,8 +307,9 @@ def filter_batch(scenario, method: str, config, values) -> Batch:
     `values` are the epsilons (discrete) or the sigma_nus (continuous) of
     the batch; the other settings come from `config`.  The settings are
     checked first, and an InputDomainError names the first one out of
-    range; otherwise a ValueError names the earliest failing frame of the
-    first scenario that fails.
+    range.  Then an InputDomainError names the earliest frame that breaks
+    the `Scenario` contract; otherwise a ValueError names the earliest
+    failing frame of the first scenario that fails.
     """
     values = np.asarray(values, dtype=float)
     if not 0.0 <= config.p_min <= 1.0:
@@ -333,8 +324,8 @@ def filter_batch(scenario, method: str, config, values) -> Batch:
         for sigma_nu in values.tolist():
             if not (math.isfinite(sigma_nu) and sigma_nu > 0.0):
                 raise InputDomainError(f"sigma_nu must be finite and > 0, got {sigma_nu}")
-    flat = flatten(scenario)
     with np.errstate(all="ignore"):
+        flat = flatten(scenario)
         z_mean, z_std = _transform_arrays(
             flat.inputs, flat.variances, flat.sin_a, flat.cos_a
         )
@@ -345,13 +336,16 @@ def filter_batch(scenario, method: str, config, values) -> Batch:
         else:
             posteriors, failed, states = _continuous(flat, z_mean, z_std, values)
         index = _median_indices(posteriors)
-        failed |= ~(np.isfinite(z_mean) & np.isfinite(z_std))[:, None]
-        # ObjectMeasurement's domain, where the transform does not reject it.
-        failed |= ~((flat.inputs[:, 2] > 0.0) & np.isfinite(flat.lateral_velocity))[:, None]
-        failed |= ~(
-            np.isfinite(posteriors).all(axis=2)
-            & (posteriors >= 0.0).all(axis=2)
-            & (np.abs(posteriors.sum(axis=2) - 1.0) <= 1e-9)
+        failed = (
+            failed
+            | ~(np.isfinite(z_mean) & np.isfinite(z_std))[:, None]
+            # ObjectMeasurement's domain, where the transform does not reject it.
+            | ~((flat.inputs[:, 2] > 0.0) & np.isfinite(flat.lateral_velocity))[:, None]
+            | ~(
+                np.isfinite(posteriors).all(axis=2)
+                & (posteriors >= 0.0).all(axis=2)
+                & (np.abs(posteriors.sum(axis=2) - 1.0) <= 1e-9)
+            )
         )
     if failed.any():
         k, g = (int(i) for i in np.argwhere(failed)[0])
@@ -383,14 +377,9 @@ def _replay(flat, k, method, config, value, states):
             if p < 0:
                 state = kf_init(z, t)
             else:
-                before = float(flat.kalman_t[k])
+                before = float(scenario.t[flat.frame_of[p]])
                 state = KalmanState(*states[p].tolist(), before)
-                dt = t - before
-                if dt <= 0.0:
-                    raise InputDomainError(
-                        f"timestamps must be strictly increasing, got {t} after {before}"
-                    )
-                state = kf_update(kf_predict(state, u, dt, ProcessNoise(value)), z)
+                state = kf_update(kf_predict(state, u, t - before, ProcessNoise(value)), z)
             posterior = discretize_posterior(state, bounds)
         assign(posterior, config.p_min)
     except ValueError as exc:

@@ -56,29 +56,8 @@ def clamp_params(params: TransitionParams) -> tuple[TransitionParams, bool]:
     return clamped, clamped != params
 
 
-# Row-major positions of a 5x5 matrix that lie off the band.
-_OFF_BAND = (
-    np.abs(np.subtract.outer(np.arange(N_PATHS), np.arange(N_PATHS))).ravel() > 1
-)
-
-
-def _matrix_violations(entries: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Masks over the leading axes of (..., 5, 5) entries: an entry outside
-    [0, 1] (NaN included), a column not summing to 1, a nonzero entry off
-    the band."""
-    flat = entries.reshape(entries.shape[:-2] + (N_PATHS * N_PATHS,))
-    inside = (flat >= -1e-12) & (flat <= 1.0 + 1e-12)
-    outside = np.logical_or.reduce(~inside, axis=-1)
-    # Row by row, the order np.add.reduce(entries, axis=-2) adds in, but
-    # faster on a batch.
-    column_sum = entries[..., 0, :]
-    for row in range(1, N_PATHS):
-        column_sum = column_sum + entries[..., row, :]
-    # fmax skips NaN, so the largest error passes the test exactly where
-    # one of the columns does.
-    unnormalized = np.fmax.reduce(np.abs(column_sum - 1.0), axis=-1) > 1e-12
-    off_band = (flat != 0.0) @ _OFF_BAND  # a boolean product: any of them
-    return outside, unnormalized, off_band
+# The positions of a 5x5 matrix that lie off the band.
+_OFF_BAND = np.abs(np.subtract.outer(np.arange(N_PATHS), np.arange(N_PATHS))) > 1
 
 
 @dataclass(frozen=True)
@@ -92,12 +71,12 @@ class TransitionMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.shape != (N_PATHS, N_PATHS):
             raise InputDomainError(f"matrix must be 5x5, got {entries.shape}")
-        outside, unnormalized, off_band = _matrix_violations(entries)
-        if outside:
+        # NaN fails the first check, so the column sums are finite after it.
+        if not ((entries >= -1e-12) & (entries <= 1.0 + 1e-12)).all():
             raise InputDomainError("matrix entries must lie in [0, 1]")
-        if unnormalized:
+        if (np.abs(entries.sum(axis=0) - 1.0) > 1e-12).any():
             raise InputDomainError("matrix columns must each sum to 1")
-        if off_band:
+        if entries[_OFF_BAND].any():
             raise InputDomainError("matrix must be tridiagonal in the path index")
         object.__setattr__(self, "entries", entries)
 

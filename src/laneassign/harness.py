@@ -39,7 +39,7 @@ import numpy as np
 from ._engine import filter_batch
 from .estimator import DEFAULT_P_MIN
 from .geometry import GaussianScalar, HostState, InputDomainError, ObjectMeasurement
-from .likelihood import HOST_PATH_INDEX, N_PATHS, BoundarySet, BoundarySource
+from .likelihood import HOST_PATH_INDEX, N_PATHS, BoundarySet
 
 # The per-object stages the engine replaces stay importable from here, where
 # the benchmark's tracer (bench/tracing.py) counts their calls.
@@ -65,9 +65,12 @@ class Scenario:
     timestamps, ids and ground truths reach results and messages unchanged.
     `len` gives the number of frames.
 
-    The host's values lie in the domain of `HostState` and each object's in
-    that of `ObjectMeasurement`; the parser and the generator check them,
-    and `run_pipeline` rejects an object-frame outside them.
+    Within a scenario the frame times are finite and strictly increase,
+    and an id appears at most once per frame; the host's values lie in the
+    domain of `HostState` and each object's in that of `ObjectMeasurement`.
+    The parser and the generator check all of it; the engine checks the
+    frame times and ids before anything else, and rejects an object-frame
+    outside the domains.
     """
 
     # One entry per frame.
@@ -196,7 +199,7 @@ def _parse_bounds(records: list, line: int) -> BoundarySet:
         except InputDomainError as exc:
             raise ScenarioFormatError(f"line {line}: {exc}") from exc
     try:
-        return BoundarySet(tuple(parsed), BoundarySource.MEASURED)
+        return BoundarySet(tuple(parsed))
     except InputDomainError as exc:
         raise ScenarioFormatError(f"line {line}: {exc}") from exc
 
@@ -469,8 +472,7 @@ def generate_synthetic(spec: SynthSpec) -> Scenario:
     edges = (-3.0 * half, -half, half, 3.0 * half)
     bounds = BoundarySet(
         tuple(GaussianScalar(mean, factor * spec.boundary_std)
-              for mean, factor in zip(edges, (1.5, 1.0, 1.0, 1.5))),
-        BoundarySource.MEASURED,
+              for mean, factor in zip(edges, (1.5, 1.0, 1.0, 1.5)))
     )
 
     # Over the change, the lane changer's offset goes linearly from 0 to one
@@ -508,11 +510,12 @@ def generate_synthetic(spec: SynthSpec) -> Scenario:
     y = lateral = np.column_stack([np.broadcast_to(o, n_frames) for o in offsets])
     if spec.kind == "host_curve":
         # On the curve the path-relative construction is the ground-truth
-        # oracle.
+        # oracle; an overflow fails the measurement check below.
         radius = spec.curve_radius
         phi = (x / radius).tolist()
-        x = (radius - lateral) * [math.sin(angle) for angle in phi]
-        y = radius - (radius - lateral) * [math.cos(angle) for angle in phi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = (radius - lateral) * [math.sin(angle) for angle in phi]
+            y = radius - (radius - lateral) * [math.cos(angle) for angle in phi]
 
     # All the scenario's noise in one draw, in the order of one draw per
     # value: x and y of each object, then the host's v and yaw rate, frame

@@ -11,7 +11,6 @@ boundary blurred by the combined standard deviation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.special import ndtr
@@ -30,12 +29,6 @@ PATH_LABELS = (
 )
 
 
-class BoundarySource(Enum):
-    MEASURED = "measured"
-    EXTRAPOLATED = "extrapolated"
-    DEFAULT = "default"
-
-
 @dataclass(frozen=True)
 class BoundarySet:
     """Four lateral boundaries with Gaussian uncertainty, strictly increasing.
@@ -45,7 +38,6 @@ class BoundarySet:
     """
 
     boundaries: tuple[GaussianScalar, GaussianScalar, GaussianScalar, GaussianScalar]
-    source: BoundarySource = BoundarySource.MEASURED
 
     def __post_init__(self) -> None:
         if len(self.boundaries) != N_BOUNDARIES:
@@ -162,8 +154,7 @@ def extrapolate_boundaries(
         )
     outer_right = GaussianScalar(right.mean - width, right.std * _OUTER_STD_INFLATION)
     outer_left = GaussianScalar(left.mean + width, left.std * _OUTER_STD_INFLATION)
-    source = BoundarySource.DEFAULT if inner is None else BoundarySource.EXTRAPOLATED
-    return BoundarySet((outer_right, right, left, outer_left), source)
+    return BoundarySet((outer_right, right, left, outer_left))
 
 
 # The boundaries of every frame that carries none.

@@ -5,7 +5,6 @@ import laneassign
 EXPORTS = [
     "Assignment",
     "BoundarySet",
-    "BoundarySource",
     "DEFAULT_MC_VARIANCES",
     "DEFAULT_P_MIN",
     "EPSILON_GRID",

@@ -1,7 +1,7 @@
 """Tests for the scalar Kalman filter on the lateral offset."""
 
+import itertools
 import math
-
 import re
 
 import numpy as np
@@ -222,11 +222,12 @@ def test_stateful_filter_first_step_is_init():
 
 
 def test_stateful_filter_requires_increasing_timestamps():
-    for t in (1.0, 0.5):
+    # The contract of a Scenario, which both methods check.
+    for method, t in itertools.product(("discrete", "continuous"), (1.0, 0.5)):
         scenario = one_object([(1.0, 0.0, 0.09, None), (t, 0.0, 0.09, None)])
-        message = f"frame 1 (t={t}): timestamps must be strictly increasing, got {t} after 1.0"
+        message = f"frame 1 (t={t}): timestamps must strictly increase ({t} after 1.0)"
         with pytest.raises(InputDomainError, match=f"^{re.escape(message)}$"):
-            run_pipeline(scenario, "continuous", PipelineConfig(sigma_nu=0.1))
+            run_pipeline(scenario, method)
 
 
 def test_stateful_filter_applies_lateral_velocity():

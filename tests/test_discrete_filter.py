@@ -2,9 +2,12 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scenario_builder import one_object
 
 from laneassign import (
@@ -21,7 +24,8 @@ from laneassign import (
     run_pipeline,
 )
 from laneassign.discrete_filter import (
-    _matrix_violations,
+    _clamp,
+    _transition_entries,
     clamp_params,
     predict,
     update,
@@ -159,6 +163,13 @@ def _violations_by_entry(m):
     return outside, unnormalized, off_band
 
 
+MESSAGES = (
+    "matrix entries must lie in [0, 1]",
+    "matrix columns must each sum to 1",
+    "matrix must be tridiagonal in the path index",
+)
+
+
 def test_matrix_violations_match_an_entry_by_entry_check():
     rng = np.random.default_rng(11)
     matrices = np.stack(
@@ -174,11 +185,33 @@ def test_matrix_violations_match_an_entry_by_entry_check():
         matrices[np.arange(len(matrices)), rows, columns] += rng.choice(
             nudges, len(matrices)
         )
-    batch = _matrix_violations(matrices.reshape(20, 20, 5, 5))
-    for k, m in enumerate(matrices):
-        expected = _violations_by_entry(m)
-        assert tuple(bool(mask) for mask in _matrix_violations(m)) == expected
-        assert tuple(bool(mask[k // 20, k % 20]) for mask in batch) == expected
+    seen = set()
+    for m in matrices:
+        # The checks run in order, so the first violation names the error.
+        expected = next(
+            (message for message, v in zip(MESSAGES, _violations_by_entry(m)) if v), None
+        )
+        seen.add(expected)
+        if expected is None:
+            TransitionMatrix(m)
+        else:
+            with pytest.raises(InputDomainError, match=f"^{re.escape(expected)}$"):
+                TransitionMatrix(m)
+    assert seen == {None, *MESSAGES}
+
+
+# Finite floats, with the extremes and the values whose sums round.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([1e308, -1e308, 5e-324, -5e-324, -0.0, 0.3, 1.0 / 3.0, -1.0 / 3.0]),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(epsilon=FINITE, eta=FINITE)
+def test_clamped_parameters_build_a_valid_matrix(epsilon, eta):
+    # The engine builds its matrices this way and does not check them.
+    TransitionMatrix(_transition_entries(*_clamp(epsilon, eta)))
 
 
 # ---------------------------------------------------------------------------

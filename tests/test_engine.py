@@ -11,7 +11,8 @@ the array kernels that the per-object functions share with it, so it checks
 the formulas themselves.  It declines a scenario that leaves the domain it
 covers.
 
-The per-object loop is the one the engine replaces: per object,
+The per-object loop is the one the engine replaces: the `Scenario` contract
+of all frames (frame times and ids) in the parser's words, then per object
 `ObjectMeasurement`'s check, `transform_to_path`, then
 `build_transition_matrix`, `predict`, `update` and `lane_occupancy`, or
 `kf_init`, `kf_predict`, `kf_update` and `discretize_posterior`, then
@@ -207,8 +208,8 @@ def reference_update(predicted, measured):
 def reference_kalman(state, z, r, t, u, sigma_nu):
     """One step of the scalar Kalman filter on the offset, a random walk
     driven by the offset rate u with white noise sigma_nu: the (mean,
-    variance, time) after predicting to time t and fusing the measurement
-    (z, r)."""
+    variance, time) after predicting from the state's frame time to the
+    frame time t and fusing the measurement (z, r)."""
     mean, var, before = state
     dt = t - before
     if not (dt > 0.0 and finite(dt)):
@@ -221,7 +222,7 @@ def reference_kalman(state, z, r, t, u, sigma_nu):
         gain = 0.0
     else:
         gain = var / (var + r)
-    return mean + gain * (z - mean), (1.0 - gain) * var, before + dt
+    return mean + gain * (z - mean), (1.0 - gain) * var, t
 
 
 def reference_assign(posterior, p_min):
@@ -337,21 +338,42 @@ def loop_step(method, config, state, z, bounds, t, u):
     if state is None:
         state = kf_init(z, t)
     else:
-        dt = t - state.timestamp
-        if dt <= 0.0:
-            raise InputDomainError(
-                f"timestamps must be strictly increasing, got {t} after {state.timestamp}"
-            )
-        state = kf_update(kf_predict(state, u, dt, noise), z)
+        # From the frame time of the track's previous detection.
+        state = kf_update(kf_predict(state, u, t - state.timestamp, noise), z)
+        state = dataclasses.replace(state, timestamp=t)
     return state, discretize_posterior(state, bounds)
 
 
+def check_contract(scenario):
+    """The `Scenario` contract, frame by frame in the parser's order and
+    words: timestamps strictly increase and are finite, and no id repeats
+    within a frame."""
+    before = None
+    for f, objects in enumerate(objects_by_frame(scenario)):
+        t = scenario.t[f]
+        try:
+            if before is not None and t <= before:
+                raise InputDomainError(f"timestamps must strictly increase ({t} after {before})")
+            if not math.isfinite(t):
+                raise InputDomainError(f"timestamp must be finite, got {t}")
+            ids = set()
+            for object_id in (scenario.id[k] for k in objects):
+                if object_id in ids:
+                    raise InputDomainError(f"duplicate object id {object_id!r}")
+                ids.add(object_id)
+        except ValueError as exc:
+            raise type(exc)(f"frame {f} (t={t}): {exc}") from exc
+        before = t
+
+
 def loop_run(scenario, method, config, transforms=None):
-    """The per-object loop: check, transform, filter step, assign.
+    """The per-object loop: the contract of all frames, then check,
+    transform, filter step and assign per object.
 
     `transforms` caches the offsets by object-frame so that a sweep
     transforms each object-frame once; errors carry the frame context.
     """
+    check_contract(scenario)
     transforms = {} if transforms is None else transforms
     states, last_seen, rows = {}, {}, []
     s = scenario
@@ -557,22 +579,19 @@ IDS = ("a", "b", "c", 1, "1")  # 1 and "1" are two objects
 
 @st.composite
 def scenarios(draw):
-    """Scenarios with id churn, ids repeated within a frame (the parser
-    rejects them, the pipeline does not), int next to str ids, gaps longer
-    than the absence timeout and of exactly it or the next timestamp above,
-    optionally decreasing and NaN timestamps (library frames may have them),
-    frames with and without bounds, heading offsets and lateral
-    velocities."""
+    """Scenarios that keep the `Scenario` contract, with id churn, int next
+    to str ids, gaps longer than the absence timeout and of exactly it or
+    the next timestamp above, frames with and without bounds, heading
+    offsets and lateral velocities."""
     finite = dict(allow_nan=False, allow_infinity=False)
     n_frames = draw(st.integers(1, 12))
-    repeats = draw(st.booleans())
     steps = [0.02, 0.05, 0.1, 0.4, 1.5, "timeout"]
-    if draw(st.booleans()):
-        steps += ["back", "nan"]
     frames, t, after_gap = [], 0.0, None
     for _ in range(n_frames):
-        frame_t = None
-        if after_gap is not None:
+        # Times are rounded to 9 decimals, except the one after a timeout
+        # gap, which rounding would move onto the integer.
+        exact = after_gap is not None
+        if exact:
             t, after_gap = after_gap, None
         else:
             step = draw(st.sampled_from(steps))
@@ -583,10 +602,6 @@ def scenarios(draw):
                 after_gap = t + ABSENCE_TIMEOUT
                 if draw(st.booleans()):
                     after_gap = math.nextafter(after_gap, math.inf)
-            elif step == "back":
-                t -= 0.3
-            elif step == "nan":
-                frame_t = math.nan
             else:
                 t += step
         host = dict(
@@ -594,7 +609,7 @@ def scenarios(draw):
             yaw_rate=draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5, **finite))),
             alpha=draw(st.one_of(st.just(0.0), st.floats(-0.4, 0.4, **finite))),
         )
-        ids = draw(st.lists(st.sampled_from(IDS), max_size=4, unique=not repeats))
+        ids = draw(st.lists(st.sampled_from(IDS), max_size=4, unique=True))
         objects = []
         for object_id in ids:
             v_lat = draw(st.one_of(st.none(), st.floats(-3.0, 3.0, **finite)))
@@ -621,7 +636,7 @@ def scenarios(draw):
         host["var_v"] = draw(st.floats(1e-4, 1.0, **finite))
         host["var_yaw"] = draw(st.floats(1e-8, 1e-3, **finite))
         frames.append(dict(
-            t=round(t, 9) if frame_t is None else frame_t,
+            t=t if exact else round(t, 9),
             host=host,
             objects=objects,
             bounds=bounds,
@@ -658,36 +673,24 @@ def test_generated_batch_matches_loop(scenario, method):
 def reference_schedule(scenarios):
     """The track schedule as the engine's per-object dict loop built it
     before it worked on columns: the reference for `flatten`."""
-    previous, depth, dt, kalman_t, bad_time = [], [], [], [], []
+    previous, depth, dt = [], [], []
     for scenario in scenarios:
-        tracks = {}  # id -> (object-frame, Kalman time)
-        last_seen = {}
+        tracks = {}  # id -> (object-frame, frame time) of its last detection
         for t, objects in zip(scenario.t, objects_by_frame(scenario)):
-            for object_id in [
-                oid for oid, seen in last_seen.items() if t - seen > ABSENCE_TIMEOUT
-            ]:
-                del tracks[object_id]
-                del last_seen[object_id]
+            tracks = {
+                oid: track for oid, track in tracks.items() if not t - track[1] > ABSENCE_TIMEOUT
+            }
             for object_id in (scenario.id[k] for k in objects):
                 track = tracks.get(object_id)
                 if track is None:
                     previous.append(-1)
                     depth.append(0)
                     dt.append(math.nan)
-                    kalman_t.append(math.nan)
-                    step_t = t
-                    bad = not math.isfinite(step_t)
                 else:
                     previous.append(track[0])
                     depth.append(depth[track[0]] + 1)
-                    kalman_t.append(track[1])
-                    step = t - track[1]
-                    dt.append(step)
-                    step_t = track[1] + step
-                    bad = not (step > 0.0 and math.isfinite(step) and math.isfinite(step_t))
-                bad_time.append(bad)
-                tracks[object_id] = (len(previous) - 1, step_t)
-                last_seen[object_id] = t
+                    dt.append(t - track[1])
+                tracks[object_id] = (len(previous) - 1, t)
     previous = np.array(previous, dtype=np.intp)
     order = np.argsort(np.array(depth, dtype=np.intp), kind="stable")
     rank = np.empty_like(order)
@@ -695,8 +698,6 @@ def reference_schedule(scenarios):
     return {
         "previous": previous,
         "dt": np.array(dt, dtype=float),
-        "kalman_t": np.array(kalman_t, dtype=float),
-        "bad_time": np.array(bad_time, dtype=bool),
         "order": order,
         "source": np.where(previous < 0, -1, rank[previous])[order],
         "starts": np.concatenate([[0], np.cumsum(np.bincount(depth))]).astype(np.intp),
@@ -737,17 +738,17 @@ def timeline(*entries):
 @pytest.mark.parametrize(
     "frames",
     [
-        # Dropped at a frame without the id, though the id's next detection
-        # lies within the timeout of the previous one.
-        timeline((0.0, "a"), (1.5, "b"), (1.2, "b"), (0.3, "a")),
-        # NaN timestamps between the detections hide no later gap...
-        timeline((0.0, "a"), (math.nan, "b"), (math.nan, "b"), (1.5, "a")),
-        # ...and a detection at a NaN timestamp is never timed out.
-        timeline((math.nan, "a"), (5.0, "b"), (9.0, "a"), (math.nan, "a"), (20.0, "a")),
+        # Dropped at a frame without the id, once the gap since the id's
+        # last detection exceeds the timeout, though no gap between frames
+        # does...
+        timeline((0.0, "a"), (0.6, "b"), (1.2, "b"), (1.3, "a")),
+        # ...and kept while that gap stays within it.
+        timeline((0.0, "a"), (0.4, "b"), (0.8, "b"), (1.0, "a"), (1.9, "a")),
+        # Integer times, as a library scenario may give them.
+        timeline((0, "a"), (1, "a"), (3, ("a", "b")), (4, "b")),
         # Exactly the timeout keeps the track; the next float drops it.
-        timeline((1.0, "a"), (2.0, "a"), (math.nextafter(3.0, 4.0), "a"), (3.5, ("a", "a"))),
-        # The filter's time moves to 0.03 + (0.29 - 0.03) = 0.29000000000000004,
-        # which the next step starts from.
+        timeline((1.0, "a"), (2.0, "a"), (math.nextafter(3.0, 4.0), "a"), (3.5, ("a", "b"))),
+        # The Kalman step is the difference of frame times (see below).
         timeline((0.03, "a"), (0.29, "a"), (0.34, "a")),
         # 1 and "1" are two tracks.
         timeline((0.0, (1, "1")), (0.05, ("1",)), (0.1, (1, "1"))),
@@ -755,6 +756,23 @@ def timeline(*entries):
 )
 def test_track_schedule_edge_cases(frames):
     assert_schedule_matches([frames, frames])
+
+
+def test_kalman_step_is_the_difference_of_frame_times():
+    # A filter that kept its own time would step from 0.03 + (0.29 - 0.03),
+    # which is 0.29000000000000004.
+    flat = flatten(timeline((0.03, "a"), (0.29, "a"), (0.34, "a")))
+    assert flat.dt[1:].tolist() == [0.29 - 0.03, 0.34 - 0.29]
+    assert 0.34 - 0.29 != 0.34 - (0.03 + (0.29 - 0.03))
+
+
+def test_frame_times_far_apart_start_a_new_track():
+    # The gap overflows to inf, which exceeds the timeout without a warning.
+    scenario = timeline((-1e308, "a"), (1e308, "a"))
+    for method in ("discrete", "continuous"):
+        result = run_pipeline(scenario, method)
+        assert result.posteriors[1].tolist() == result.posteriors[0].tolist()
+        assert_run_matches(scenario, method, PipelineConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -873,13 +891,53 @@ def test_non_finite_eta_gain_is_named(kind, eta_gain):
     )
 
 
-def test_non_increasing_timestamps_fail_the_kalman_filter_only():
+def test_non_increasing_timestamps_fail_both_methods():
     scenario = straight(3)
     scenario.t[2] = scenario.t[1]
-    assert_run_matches_loop(scenario, "discrete", PipelineConfig())
-    with pytest.raises(InputDomainError, match=r"^frame 2 .*strictly increasing"):
-        run_pipeline(scenario, "continuous")
-    assert_run_matches_loop(scenario, "continuous", PipelineConfig())
+    message = r"^frame 2 \(t=0\.05\): timestamps must strictly increase \(0\.05 after 0\.05\)$"
+    for method in ("discrete", "continuous"):
+        with pytest.raises(InputDomainError, match=message):
+            run_pipeline(scenario, method)
+        assert_run_matches_loop(scenario, method, PipelineConfig())
+
+
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        (timeline((0.0, "a"), (0.05, "a"), (math.nan, "a"), (0.15, "a")),
+         "frame 2 (t=nan): timestamp must be finite, got nan"),
+        (timeline((math.nan, "a"), (5.0, "b"), (9.0, "a")),
+         "frame 0 (t=nan): timestamp must be finite, got nan"),
+        (timeline((0.0, "a"), (math.inf, "a")), "frame 1 (t=inf): timestamp must be finite, got inf"),
+        (timeline((0.0, "a"), (0.05, "a"), (0.05, "a")),
+         "frame 2 (t=0.05): timestamps must strictly increase (0.05 after 0.05)"),
+        (timeline((0.0, "a"), (1.5, "b"), (1.2, "b"), (0.3, "a")),
+         "frame 2 (t=1.2): timestamps must strictly increase (1.2 after 1.5)"),
+        (timeline((0.0, "a"), (0.05, ("a", "b")), (0.1, ("b", "a", "b", "a"))),
+         "frame 2 (t=0.1): duplicate object id 'b'"),
+        (timeline((0.0, (1, "1")), (0.05, (1, 1))), "frame 1 (t=0.05): duplicate object id 1"),
+        # Of two faults in one frame, the time is named, as by the parser.
+        (timeline((0.0, "a"), (0.0, ("a", "a"))),
+         "frame 1 (t=0.0): timestamps must strictly increase (0.0 after 0.0)"),
+    ],
+)
+def test_frames_that_break_the_contract_are_named(method, scenario, message):
+    error = (InputDomainError, message)
+    assert outcome(lambda: run_pipeline(scenario, method))[1] == error
+    # After another scenario, whose frames the numbering does not count.
+    assert outcome(lambda: sweep_parameters([straight(3), scenario], method))[1] == error
+    assert outcome(lambda: loop_run(scenario, method, PipelineConfig()))[1] == error
+
+
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+def test_the_contract_is_checked_before_the_domains(method):
+    # Frame 1 holds an object behind the host; frame 3 repeats a time.
+    scenario = frames_with(5, (1,), objects=[lead("behind", x=-5.0)])
+    scenario.t[3] = scenario.t[2]
+    message = "frame 3 (t=0.1): timestamps must strictly increase (0.1 after 0.1)"
+    assert outcome(lambda: run_pipeline(scenario, method))[1] == (InputDomainError, message)
+    assert_run_matches_loop(scenario, method, PipelineConfig())
 
 
 def test_overflowing_process_noise_is_an_input_error():

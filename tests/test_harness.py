@@ -17,7 +17,6 @@ from scenario_builder import scenario_of
 from laneassign import (
     HOST_PATH_INDEX,
     BoundarySet,
-    BoundarySource,
     GaussianScalar,
     HostState,
     InputDomainError,
@@ -113,7 +112,6 @@ def test_parse_full_frame():
     assert scenario.v_lat == [-0.4]
     assert scenario.gt == [2]
     (bounds,) = scenario.bounds
-    assert bounds.source == BoundarySource.MEASURED
     assert bounds.boundaries[0].mean == -5.25
 
 
@@ -572,7 +570,7 @@ def test_synthetic_rejects_bad_shape_fields_by_name(kind, changes, message):
         (SynthSpec("target_lane_change", change_time=-1e-310, change_duration=1e-309),
          "^lateral velocity input must be finite$"),
         # The curve's radius and the lane width add up past the largest
-        # float, which numpy warns about on the way.
+        # float.
         (SynthSpec("host_curve", object_range=1e308, curve_radius=1.5e308, lane_width=5e307),
          r"^object position must be finite, got \(inf, -inf\)$"),
         # A lane change ramp over a width near the largest float overflows.
@@ -582,7 +580,6 @@ def test_synthetic_rejects_bad_shape_fields_by_name(kind, changes, message):
          r"^object position must be finite, got \(\S+, -inf\)$"),
     ],
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_synthetic_rejects_a_non_finite_measurement(spec, message):
     with pytest.raises(InputDomainError, match=message):
         generate_synthetic(spec)
@@ -715,8 +712,7 @@ def _reference_synthetic(spec):
             GaussianScalar(mean, factor * spec.boundary_std)
             for mean, factor in ((-3.0 * half, 1.5), (-half, 1.0), (half, 1.0),
                                  (3.0 * half, 1.5))
-        ),
-        BoundarySource.MEASURED,
+        )
     )
     frames = []
     for k in range(int(round(spec.duration / spec.step))):

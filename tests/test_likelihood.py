@@ -10,7 +10,6 @@ from laneassign import (
     HOST_PATH_INDEX,
     N_PATHS,
     BoundarySet,
-    BoundarySource,
     GaussianScalar,
     InputDomainError,
     PathPosterior,
@@ -217,7 +216,6 @@ def test_extrapolate_from_inner_pair():
     assert means == pytest.approx([-5.0, -2.0, 1.0, 4.0])
     assert bounds.boundaries[0].std == pytest.approx(0.15)
     assert bounds.boundaries[3].std == pytest.approx(0.3)
-    assert bounds.source == BoundarySource.EXTRAPOLATED
 
 
 def test_extrapolate_default_when_no_inner():
@@ -226,7 +224,6 @@ def test_extrapolate_default_when_no_inner():
     assert means == pytest.approx([-5.25, -1.75, 1.75, 5.25])
     assert all(b.std == pytest.approx(0.3) for b in bounds.boundaries[1:3])
     assert all(b.std == pytest.approx(0.45) for b in (bounds.boundaries[0], bounds.boundaries[3]))
-    assert bounds.source == BoundarySource.DEFAULT
 
 
 def test_extrapolate_rejects_inverted_inner():
