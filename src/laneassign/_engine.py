@@ -1,11 +1,12 @@
 """Array engine behind `run_pipeline` and `sweep_parameters` (private).
 
-The engine reads the columns of a `harness.Scenario`: one entry per frame,
-and one per object-frame in processing order (scenario by scenario, frame by
-frame, objects in frame order).  `run_pipeline` hands it one scenario, and
-`sweep_parameters` all of its scenarios one after another, with
-`frame_number` restarting at 0 with each; no track continues from one
-scenario into the next.
+The engine reads the columns of a list of `harness.Scenario`s: one entry
+per frame, and one per object-frame, which it joins in processing order
+(scenario by scenario, frame by frame, objects in frame order).
+`run_pipeline` hands it one scenario, and `sweep_parameters` all of its
+scenarios; the list alone marks where a scenario ends, and no track
+continues from one scenario into the next.  Messages number a frame within
+its scenario.
 
 `flatten` first checks the `Scenario` contract, which the parser and the
 generator keep: within each scenario, frame times are finite and strictly
@@ -97,8 +98,11 @@ class Flat:
     """Scenarios as arrays over their N object-frames, in processing order,
     and the depth schedule of their tracks."""
 
-    scenario: object  # the `harness.Scenario` flattened
-    frame_of: np.ndarray  # (N,) index into the frame entries of `scenario`
+    times: list  # (F,) frame times as given, over the F frames of all scenarios
+    frame_number: np.ndarray  # (F,) index of each frame within its scenario
+    alpha: list  # (F,) heading offsets as given
+    bounds: list  # (F,) BoundarySet of each frame
+    frame_of: np.ndarray  # (N,) index into the F frames
     inputs: np.ndarray  # (N, 4) v, yaw_rate, x, y
     variances: np.ndarray  # (N, 4) in the same order
     sin_a: np.ndarray  # (N,) heading offset of the frame
@@ -124,49 +128,61 @@ class Batch:
     accepted: np.ndarray  # (N, G)
 
 
-def _check_frames(scenario, t, restart, repeated) -> None:
+def _joined(scenarios, name: str) -> list:
+    """Column `name` of the scenarios, one after another."""
+    return [value for scenario in scenarios for value in getattr(scenario, name)]
+
+
+def _check_frames(times, t, frame_number, ids, frame_of, repeated) -> None:
     """Raise the InputDomainError of the earliest frame that breaks the
-    `Scenario` contract, in the parser's words: within a scenario (from one
-    `frame_number` 0 to the next) frame times are finite and strictly
-    increase, and no id repeats within a frame.  `repeated` holds the
-    object-frames whose id an earlier object of their frame has."""
-    unordered = np.concatenate([[False], t[1:] <= t[:-1]]) & ~restart
+    `Scenario` contract, in the parser's words: within a scenario frame
+    times are finite and strictly increase, and no id repeats within a
+    frame.  `repeated` holds the object-frames whose id an earlier object of
+    their frame has."""
+    unordered = np.concatenate([[False], t[1:] <= t[:-1]]) & (frame_number > 0)
     bad = unordered | ~np.isfinite(t)
     if len(repeated):
         k = repeated.min()
-        bad[scenario.frame_of[k]] = True
+        bad[frame_of[k]] = True
     if bad.any():
         f = int(np.argmax(bad))
         if unordered[f]:
-            message = (
-                f"timestamps must strictly increase ({scenario.t[f]} after {scenario.t[f - 1]})"
-            )
+            message = f"timestamps must strictly increase ({times[f]} after {times[f - 1]})"
         elif not np.isfinite(t[f]):
-            message = f"timestamp must be finite, got {scenario.t[f]}"
+            message = f"timestamp must be finite, got {times[f]}"
         else:
-            message = f"duplicate object id {scenario.id[k]!r}"
-        raise InputDomainError(f"frame {scenario.frame_number[f]} (t={scenario.t[f]}): {message}")
+            message = f"duplicate object id {ids[k]!r}"
+        raise InputDomainError(f"frame {frame_number[f]} (t={times[f]}): {message}")
 
 
-def flatten(scenario) -> Flat:
-    """Arrays of a scenario's columns, with the tracks `ABSENCE_TIMEOUT`
-    defines; no track continues from one scenario into the next.  Raises an
-    InputDomainError where the columns break the `Scenario` contract."""
-    t = np.array(scenario.t, dtype=float)
-    frame_of = np.array(scenario.frame_of, dtype=np.intp)
+def flatten(scenarios) -> Flat:
+    """Arrays of the scenarios' columns, one scenario after another, with
+    the tracks `ABSENCE_TIMEOUT` defines; no track continues from one
+    scenario into the next.  Raises an InputDomainError where the columns
+    break the `Scenario` contract."""
+    lengths = [len(scenario) for scenario in scenarios]
+    first = np.cumsum([0, *lengths])[:-1]
+    times = _joined(scenarios, "t")
+    t = np.array(times, dtype=float)
+    frame_number = np.arange(len(t)) - np.repeat(first, lengths)
+    frame_of = np.array(
+        [f + start for scenario, start in zip(scenarios, first.tolist())
+         for f in scenario.frame_of],
+        dtype=np.intp,
+    )
     n = len(frame_of)
 
     # Tracks.  Ids match by equality and hash, within one scenario; sorted by
     # (scenario, id), each object-frame follows the id's previous detection.
+    ids = _joined(scenarios, "id")
     codes: dict = {}
-    code = np.array([codes.setdefault(i, len(codes)) for i in scenario.id], dtype=np.intp)
-    restart = np.equal(scenario.frame_number, 0)
-    key = np.cumsum(restart)[frame_of] * len(codes) + code
+    code = np.array([codes.setdefault(i, len(codes)) for i in ids], dtype=np.intp)
+    key = np.cumsum(frame_number == 0)[frame_of] * len(codes) + code
     by_track = np.argsort(key, kind="stable")
     earlier, later = by_track[:-1], by_track[1:]
     seen, now = frame_of[earlier], frame_of[later]
     same_id = key[earlier] == key[later]
-    _check_frames(scenario, t, restart, later[same_id & (seen == now)])
+    _check_frames(times, t, frame_number, ids, frame_of, later[same_id & (seen == now)])
     # The frame times increase, so the track is dropped where the gap to
     # the id's next detection exceeds the timeout.
     continues = same_id & ~(t[now] - t[seen] > ABSENCE_TIMEOUT)
@@ -188,22 +204,26 @@ def flatten(scenario) -> Flat:
     # The heading offset enters by its sine and cosine, from math as in the
     # per-object transform; NaN outside HostState's domain, which fails the
     # transform.
-    alpha = np.array(scenario.alpha, dtype=float)
-    alpha = np.where(np.abs(alpha) < math.pi / 2, alpha, math.nan).tolist()
+    alpha = _joined(scenarios, "alpha")
+    inside = np.array(alpha, dtype=float)
+    inside = np.where(np.abs(inside) < math.pi / 2, inside, math.nan).tolist()
     v, yaw_rate, var_v, var_yaw, sin_a, cos_a = np.array(
-        [scenario.v, scenario.yaw_rate, scenario.var_v, scenario.var_yaw,
-         list(map(math.sin, alpha)), list(map(math.cos, alpha))],
+        [*(_joined(scenarios, name) for name in ("v", "yaw_rate", "var_v", "var_yaw")),
+         list(map(math.sin, inside)), list(map(math.cos, inside))],
         dtype=float,
     )[:, frame_of]
-    bounds = [b if b is not None else _DEFAULT_BOUNDS for b in scenario.bounds]
+    bounds = [b if b is not None else _DEFAULT_BOUNDS for b in _joined(scenarios, "bounds")]
     distinct = {id(b): b for b in bounds}
     arrays = {i: b.arrays() for i, b in distinct.items()}
     x, y, var_x, var_y = np.array(
-        [scenario.x, scenario.y, scenario.var_x, scenario.var_y], dtype=float
+        [_joined(scenarios, name) for name in ("x", "y", "var_x", "var_y")], dtype=float
     ).reshape(4, -1)
-    lateral_velocity = [0.0 if u is None else u for u in scenario.v_lat]
+    lateral_velocity = [0.0 if u is None else u for u in _joined(scenarios, "v_lat")]
     return Flat(
-        scenario=scenario,
+        times=times,
+        frame_number=frame_number,
+        alpha=alpha,
+        bounds=bounds,
         frame_of=frame_of,
         inputs=np.column_stack([v, yaw_rate, x, y]),
         variances=np.column_stack([var_v, var_yaw, var_x, var_y]),
@@ -300,9 +320,9 @@ def _continuous(flat: Flat, z_mean, z_std, sigma_nu: np.ndarray):
     return posteriors, failed, np.stack([mean, var], axis=-1)
 
 
-def filter_batch(scenario, method: str, config, values) -> Batch:
-    """Run `method` over a scenario's columns, which may hold several
-    scenarios one after another, for every value of its parameter.
+def filter_batch(scenarios, method: str, config, values) -> Batch:
+    """Run `method` over the columns of a list of scenarios, one after
+    another, for every value of its parameter.
 
     `values` are the epsilons (discrete) or the sigma_nus (continuous) of
     the batch; the other settings come from `config`.  The settings are
@@ -325,7 +345,7 @@ def filter_batch(scenario, method: str, config, values) -> Batch:
             if not (math.isfinite(sigma_nu) and sigma_nu > 0.0):
                 raise InputDomainError(f"sigma_nu must be finite and > 0, got {sigma_nu}")
     with np.errstate(all="ignore"):
-        flat = flatten(scenario)
+        flat = flatten(scenarios)
         z_mean, z_std = _transform_arrays(
             flat.inputs, flat.variances, flat.sin_a, flat.cos_a
         )
@@ -359,15 +379,14 @@ def _replay(flat, k, method, config, value, states):
     """Run object-frame k, the earliest that failed a check, through the
     per-object functions from the state its track left, and re-raise their
     error with the frame context."""
-    scenario, f = flat.scenario, flat.frame_of[k]
-    t, frame_index = scenario.t[f], scenario.frame_number[f]
-    bounds = scenario.bounds[f] if scenario.bounds[f] is not None else _DEFAULT_BOUNDS
+    f = flat.frame_of[k]
+    t, bounds = flat.times[f], flat.bounds[f]
     u = float(flat.lateral_velocity[k])
     p = flat.previous[k]
     try:
-        ObjectMeasurement(*flat.inputs[k, 2:].tolist(), scenario.v_lat[k])
+        ObjectMeasurement(*flat.inputs[k, 2:].tolist(), u)
         z = transform_to_path(
-            InputVector(flat.inputs[k], np.diag(flat.variances[k])), scenario.alpha[f]
+            InputVector(flat.inputs[k], np.diag(flat.variances[k])), flat.alpha[f]
         )
         if method == "discrete":
             prior = PathPosterior(states[p]) if p >= 0 else PathPosterior.uniform()
@@ -377,14 +396,14 @@ def _replay(flat, k, method, config, value, states):
             if p < 0:
                 state = kf_init(z, t)
             else:
-                before = float(scenario.t[flat.frame_of[p]])
+                before = float(flat.times[flat.frame_of[p]])
                 state = KalmanState(*states[p].tolist(), before)
                 state = kf_update(kf_predict(state, u, t - before, ProcessNoise(value)), z)
             posterior = discretize_posterior(state, bounds)
         assign(posterior, config.p_min)
     except ValueError as exc:
-        raise type(exc)(f"frame {frame_index} (t={t}): {exc}") from exc
+        raise type(exc)(f"frame {flat.frame_number[f]} (t={t}): {exc}") from exc
     raise RuntimeError(
-        f"frame {frame_index} (t={t}): the batch check rejects an "
+        f"frame {flat.frame_number[f]} (t={t}): the batch check rejects an "
         "object-frame that the per-object functions accept"
     )

@@ -19,7 +19,6 @@ from .geometry import GridSpec, mc_validate, write_mc_csv
 from .harness import (
     METHODS,
     SCENARIO_KINDS,
-    NoiseSpec,
     PipelineConfig,
     SynthSpec,
     build_suite,
@@ -79,13 +78,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = SynthSpec(
-        kind=args.kind,
-        duration=args.duration,
-        step=args.step,
-        seed=args.seed,
-        noise=NoiseSpec().scaled(args.noise_scale),
-    )
+    spec = SynthSpec(args.kind, args.duration, args.step, args.seed, args.noise_scale)
     scenario = generate_synthetic(spec)
     with _out_stream(args.out) as out:
         write_scenario(scenario, out)

@@ -8,7 +8,9 @@ per-frame or per-object value is built between a file and a result.  A
 run's result is columnar too: a `RunResult` holds the engine's arrays, one
 entry per object-frame.  `run_pipeline` and `sweep_parameters` (one result
 per grid value) build it in one place, `write_run_csv` writes it and
-`compute_roc` counts it.
+`compute_roc` counts it.  A synthetic scenario takes the five settings of
+a `SynthSpec`; the rest of its scene is the module constants below and the
+default boundary layout.
 
 Scenario files are UTF-8 JSON lines, one frame per line:
 
@@ -31,15 +33,15 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._engine import filter_batch
+from ._engine import _joined, filter_batch
 from .estimator import DEFAULT_P_MIN
 from .geometry import GaussianScalar, HostState, InputDomainError, ObjectMeasurement
-from .likelihood import HOST_PATH_INDEX, N_PATHS, BoundarySet
+from .likelihood import _DEFAULT_BOUNDS, HOST_PATH_INDEX, N_PATHS, BoundarySet
 
 # The per-object stages the engine replaces stay importable from here, where
 # the benchmark's tracer (bench/tracing.py) counts their calls.
@@ -74,7 +76,6 @@ class Scenario:
     """
 
     # One entry per frame.
-    frame_number: list = field(default_factory=list)  # index within its scenario
     t: list = field(default_factory=list)
     v: list = field(default_factory=list)
     yaw_rate: list = field(default_factory=list)
@@ -270,7 +271,6 @@ def parse_scenario(stream: str | Iterable[str]) -> Scenario:
         var_v = _variance(host_record, "var_v", "host", line_no)
         var_yaw = _variance(host_record, "var_yaw", "host", line_no)
         frame_index = len(scenario.t)
-        scenario.frame_number.append(frame_index)
         scenario.t.append(t)
         scenario.v.append(v)
         scenario.yaw_rate.append(yaw_rate)
@@ -330,50 +330,35 @@ SCENARIO_KINDS = (
 # Most frames one synthetic scenario may have: about 14 h at 50 ms.
 MAX_SYNTH_FRAMES = 10**6
 
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Measurement noise levels (standard deviations) for synthesis."""
-
-    sigma_x: float = 0.2
-    sigma_y: float = 0.2
-    sigma_v: float = 0.3
-    sigma_yaw: float = 0.005
-
-    def scaled(self, factor: float) -> "NoiseSpec":
-        return NoiseSpec(
-            self.sigma_x * factor,
-            self.sigma_y * factor,
-            self.sigma_v * factor,
-            self.sigma_yaw * factor,
-        )
+# The shape of every synthetic scenario.  The host drives at HOST_SPEED
+# (m/s); objects lie at multiples of OBJECT_RANGE (m) along the path.  The
+# lane change (or cut-in) ramp starts at duration / 2 and takes
+# CHANGE_DURATION seconds.  host_curve turns left on CURVE_RADIUS (m), and
+# noisy_yaw adds a yaw flap of YAW_AMPLITUDE (rad/s) at YAW_FREQUENCY (Hz).
+HOST_SPEED = 25.0
+OBJECT_RANGE = 50.0
+CHANGE_DURATION = 3.0
+CURVE_RADIUS = 500.0
+YAW_AMPLITUDE = 0.03
+YAW_FREQUENCY = 0.25
+# Measurement noise (standard deviations) of x, y, speed and yaw rate at
+# noise scale 1.
+NOISE_LEVELS = (("sigma_x", 0.2), ("sigma_y", 0.2), ("sigma_v", 0.3), ("sigma_yaw", 0.005))
 
 
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of one synthetic scenario.
 
-    change_time defaults to duration / 2 and controls when the lane change
-    (or cut-in) ramp starts; the ramp takes change_duration seconds.  The
-    yaw flap of `noisy_yaw` has the given amplitude (rad/s) and frequency
-    (Hz); its mean-square power is included in the reported yaw variance so
-    the downstream uncertainty budget is honest.
+    noise_scale multiplies every measurement noise level; 0 gives exact
+    measurements.  Every other value of the scene is a module constant.
     """
 
     kind: str
     duration: float = 20.0
     step: float = 0.05
     seed: int = 0
-    noise: NoiseSpec = NoiseSpec()
-    host_speed: float = 25.0
-    lane_width: float = 3.5
-    boundary_std: float = 0.3
-    object_range: float = 50.0
-    change_time: float | None = None
-    change_duration: float = 3.0
-    curve_radius: float = 500.0
-    yaw_amplitude: float = 0.03
-    yaw_frequency: float = 0.25
+    noise_scale: float = 1.0
 
 
 def generate_synthetic(spec: SynthSpec) -> Scenario:
@@ -388,9 +373,11 @@ def generate_synthetic(spec: SynthSpec) -> Scenario:
                          a cut-in object merges into the host lane and a far
                          object holds the left lane
 
+    The lanes are the default boundary layout, which every frame carries.
     Ground truth indices come from the construction's true lateral offsets,
-    never from the noisy measurements.  The scenario is built on
-    whole-scenario arrays.
+    never from the noisy measurements.  The yaw flap's mean-square power is
+    included in the reported yaw variance, so the downstream uncertainty
+    budget is honest.  The scenario is built on whole-scenario arrays.
     """
     if spec.kind not in SCENARIO_KINDS:
         raise InputDomainError(
@@ -408,57 +395,24 @@ def generate_synthetic(spec: SynthSpec) -> Scenario:
             f"step {spec.step} over duration {spec.duration} gives more than "
             f"{MAX_SYNTH_FRAMES} frames"
         )
-    levels = [(f"noise level {key}", value) for key, value in asdict(spec.noise).items()]
-    for name, level in levels + [("yaw_amplitude", spec.yaw_amplitude)]:
+    sigma_x, sigma_y, sigma_v, sigma_yaw = sigmas = [
+        level * spec.noise_scale for _, level in NOISE_LEVELS
+    ]
+    for (name, _), sigma in zip(NOISE_LEVELS, sigmas):
         # NaN fails the comparison; inf and overflowing levels the square.
-        if not (level >= 0.0 and math.isfinite(level * level)):
+        if not (sigma >= 0.0 and math.isfinite(sigma * sigma)):
             raise InputDomainError(
-                f"{name} must be >= 0 with a finite square, got {level}"
+                f"noise level {name} must be >= 0 with a finite square, got {sigma}"
             )
-    if not math.isfinite(2.0 * math.pi * spec.yaw_frequency * spec.duration):
+    phase_rate = 2.0 * math.pi * YAW_FREQUENCY
+    if not math.isfinite(phase_rate * spec.duration):
         raise InputDomainError(
-            "yaw_frequency must give a finite phase over the duration, "
-            f"got {spec.yaw_frequency}"
-        )
-    if not (math.isfinite(spec.curve_radius) and spec.curve_radius != 0.0):
-        raise InputDomainError(
-            f"curve_radius must be finite and non-zero, got {spec.curve_radius}"
-        )
-    for name, positive in (
-        ("host_speed", False),
-        ("lane_width", True),
-        ("boundary_std", False),
-        ("object_range", True),
-        ("change_duration", False),
-    ):
-        value = getattr(spec, name)
-        if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
-            bound = "> 0" if positive else ">= 0"
-            raise InputDomainError(f"{name} must be finite and {bound}, got {value}")
-    # The farthest object lies at 1.6 * object_range, and host_curve's true
-    # yaw rate is host_speed / curve_radius.
-    if not math.isfinite(1.6 * spec.object_range):
-        raise InputDomainError(
-            f"1.6 * object_range must be finite, got object_range={spec.object_range}"
-        )
-    if not math.isfinite(spec.host_speed / spec.curve_radius):
-        raise InputDomainError(
-            "host_speed / curve_radius must be finite, "
-            f"got {spec.host_speed} / {spec.curve_radius}"
-        )
-    if spec.change_time is not None and not math.isfinite(spec.change_time):
-        raise InputDomainError(
-            f"change_time must be None or finite, got {spec.change_time}"
+            f"duration must give the yaw flap a finite phase, got {spec.duration}"
         )
     if spec.seed < 0:
         raise InputDomainError(f"seed must be >= 0, got {spec.seed}")
 
     rng = np.random.default_rng(spec.seed)
-    half = spec.lane_width / 2.0
-    width = spec.lane_width
-    change_start = (
-        spec.change_time if spec.change_time is not None else spec.duration / 2.0
-    )
     n_frames = int(round(spec.duration / spec.step))
     t = [round(k * spec.step, 9) for k in range(n_frames)]
     times = np.array(t)
@@ -467,26 +421,20 @@ def generate_synthetic(spec: SynthSpec) -> Scenario:
             f"step {spec.step} is below the timestamp resolution: the frame "
             "times, rounded to 9 decimals, must strictly increase"
         )
-    noise = spec.noise
-    # The lane markings lie on the region edges, at -3h, -h, h and 3h.
-    edges = (-3.0 * half, -half, half, 3.0 * half)
-    bounds = BoundarySet(
-        tuple(GaussianScalar(mean, factor * spec.boundary_std)
-              for mean, factor in zip(edges, (1.5, 1.0, 1.0, 1.5)))
-    )
+    # The region edges are the lane markings; the objects keep to the
+    # middle of a lane, or ramp from one middle to the next.
+    edges = [b.mean for b in _DEFAULT_BOUNDS.boundaries]
+    width = edges[2] - edges[1]
 
     # Over the change, the lane changer's offset goes linearly from 0 to one
-    # lane width, and the cut-in's from one lane width to 0.  An instant
-    # change has no frame inside it.  Only these two kinds build the ramp; an
-    # overflow in it fails the measurement check below.
-    if spec.kind in ("target_lane_change", "noisy_yaw"):
-        moving = (change_start < times) & (times < change_start + spec.change_duration)
-        crossed = np.where(times <= change_start, 0.0, width)
-        with np.errstate(over="ignore"):
-            crossed[moving] = width * (times[moving] - change_start) / spec.change_duration
+    # lane width, and the cut-in's from one lane width to 0.
+    change_start = spec.duration / 2.0
+    moving = (change_start < times) & (times < change_start + CHANGE_DURATION)
+    crossed = np.where(times <= change_start, 0.0, width)
+    crossed[moving] = width * (times[moving] - change_start) / CHANGE_DURATION
 
     # (id, arc length, path offset) of each object.
-    r = spec.object_range
+    r = OBJECT_RANGE
     v_lat = None
     yaw_true = yaw_extra = var_yaw_extra = 0.0
     if spec.kind == "straight_follow":
@@ -495,62 +443,49 @@ def generate_synthetic(spec: SynthSpec) -> Scenario:
         objects = [("left", 0.8 * r, width), ("right", 1.2 * r, -width)]
     elif spec.kind == "target_lane_change":
         objects = [("changer", r, crossed)]
-        v_lat = [width / spec.change_duration if m else 0.0 for m in moving.tolist()]
+        v_lat = [width / CHANGE_DURATION if m else 0.0 for m in moving.tolist()]
     elif spec.kind == "host_curve":
-        yaw_true = spec.host_speed / spec.curve_radius
+        yaw_true = HOST_SPEED / CURVE_RADIUS
         objects = [("lead", r, 0.0), ("adjacent", 0.8 * r, -width)]
     else:  # noisy_yaw
         objects = [("cutin", 0.8 * r, width - crossed), ("far", 1.6 * r, width)]
         # A deterministic corruption on the measured yaw rate.
-        phase_rate = 2.0 * math.pi * spec.yaw_frequency
-        yaw_extra = np.array([spec.yaw_amplitude * math.sin(phase_rate * tk) for tk in t])
-        var_yaw_extra = spec.yaw_amplitude**2 / 2.0
+        yaw_extra = np.array([YAW_AMPLITUDE * math.sin(phase_rate * tk) for tk in t])
+        var_yaw_extra = YAW_AMPLITUDE**2 / 2.0
     ids, along, offsets = zip(*objects)
     x = np.array(along)
     y = lateral = np.column_stack([np.broadcast_to(o, n_frames) for o in offsets])
     if spec.kind == "host_curve":
         # On the curve the path-relative construction is the ground-truth
-        # oracle; an overflow fails the measurement check below.
-        radius = spec.curve_radius
-        phi = (x / radius).tolist()
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = (radius - lateral) * [math.sin(angle) for angle in phi]
-            y = radius - (radius - lateral) * [math.cos(angle) for angle in phi]
+        # oracle.
+        phi = (x / CURVE_RADIUS).tolist()
+        x = (CURVE_RADIUS - lateral) * [math.sin(angle) for angle in phi]
+        y = CURVE_RADIUS - (CURVE_RADIUS - lateral) * [math.cos(angle) for angle in phi]
 
     # All the scenario's noise in one draw, in the order of one draw per
     # value: x and y of each object, then the host's v and yaw rate, frame
     # by frame.  Row k holds frame k.
-    scales = [noise.sigma_x, noise.sigma_y] * len(ids) + [noise.sigma_v, noise.sigma_yaw]
+    scales = [sigma_x, sigma_y] * len(ids) + [sigma_v, sigma_yaw]
     draws = rng.normal(0.0, np.tile(scales, n_frames)).reshape(n_frames, -1)
     x = np.maximum(x + draws[:, 0:-2:2], 0.01).ravel()
     y = (y + draws[:, 1:-2:2]).ravel()
-    speed = np.maximum(spec.host_speed + draws[:, -2], 0.0)
+    speed = np.maximum(HOST_SPEED + draws[:, -2], 0.0)
     yaw = yaw_true + yaw_extra + draws[:, -1]
     n = len(ids) * n_frames
-    # ObjectMeasurement's domain, for what the checks above leave open (an
-    # overflow on the curve, or a ramp too short for a finite v_lat); where
-    # it fails, the constructor words the error.
-    outside = ~(np.isfinite(x) & np.isfinite(y))
-    if v_lat is not None:
-        outside |= ~np.isfinite(v_lat)
-    if outside.any():
-        k = int(np.argmax(outside))
-        ObjectMeasurement(x[k].item(), y[k].item(), None if v_lat is None else v_lat[k])
     return Scenario(
-        frame_number=list(range(n_frames)),
         t=t,
         v=speed.tolist(),
         yaw_rate=yaw.tolist(),
         alpha=[0.0] * n_frames,
-        var_v=[noise.sigma_v**2] * n_frames,
-        var_yaw=[noise.sigma_yaw**2 + var_yaw_extra] * n_frames,
-        bounds=[bounds] * n_frames,
+        var_v=[sigma_v**2] * n_frames,
+        var_yaw=[sigma_yaw**2 + var_yaw_extra] * n_frames,
+        bounds=[_DEFAULT_BOUNDS] * n_frames,
         frame_of=np.repeat(np.arange(n_frames), len(ids)).tolist(),
         id=list(ids) * n_frames,
         x=x.tolist(),
         y=y.tolist(),
-        var_x=[noise.sigma_x**2] * n,
-        var_y=[noise.sigma_y**2] * n,
+        var_x=[sigma_x**2] * n,
+        var_y=[sigma_y**2] * n,
         v_lat=[None] * n if v_lat is None else v_lat,
         # A value exactly on an edge stays in the lower region, so the truth
         # flips on the first strict crossing.
@@ -599,17 +534,19 @@ def _check_method(method: str) -> None:
 
 
 def _run_results(
-    scenario: Scenario, method: str, config: PipelineConfig, grid=None
+    scenarios: Sequence[Scenario], method: str, config: PipelineConfig, grid=None
 ) -> list[RunResult]:
     """One RunResult per value in `grid` of the method's parameter (epsilon
-    or sigma_nu); without a grid, for the one value `config` gives it."""
+    or sigma_nu), pooled over the scenarios; without a grid, for the one
+    value `config` gives it."""
     if grid is None:
         grid = [config.epsilon if method == "discrete" else config.sigma_nu]
-    batch = filter_batch(scenario, method, config, grid)
-    t = [scenario.t[frame_index] for frame_index in scenario.frame_of]
+    batch = filter_batch(scenarios, method, config, grid)
+    t = [s.t[frame_index] for s in scenarios for frame_index in s.frame_of]
+    ids, gt = _joined(scenarios, "id"), _joined(scenarios, "gt")
     return [
         RunResult(
-            method, t, scenario.id, scenario.gt, batch.index[:, g],
+            method, t, ids, gt, batch.index[:, g],
             batch.probability[:, g], batch.accepted[:, g], batch.posteriors[:, g],
         )
         for g in range(len(grid))
@@ -631,7 +568,7 @@ def run_pipeline(
     setting, or else the earliest frame that fails.
     """
     _check_method(method)
-    return _run_results(scenario, method, config)[0]
+    return _run_results([scenario], method, config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -678,18 +615,6 @@ EPSILON_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 SIGMA_NU_GRID = tuple(float(s) for s in np.geomspace(0.04, 0.4, 6))
 
 
-def _joined(scenarios: Iterable[Scenario]) -> Scenario:
-    """Several scenarios, one after another, as one; `frame_number` restarts
-    at 0 with each."""
-    whole = Scenario()
-    for part in scenarios:
-        whole.frame_of += [index + len(whole.t) for index in part.frame_of]
-        for name, values in vars(part).items():
-            if name != "frame_of":
-                getattr(whole, name).extend(values)
-    return whole
-
-
 def sweep_parameters(
     scenarios: Sequence[Scenario],
     method: str,
@@ -710,7 +635,7 @@ def sweep_parameters(
     grid = list(grid)
     if not grid:
         raise InputDomainError("parameter grid must be nonempty")
-    results = _run_results(_joined(scenarios), method, config, grid)
+    results = _run_results(list(scenarios), method, config, grid)
     return [
         compute_roc(result, f"{parameter}={value:g}")
         for result, value in zip(results, grid)

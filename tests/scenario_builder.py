@@ -12,7 +12,6 @@ def scenario_of(frames) -> Scenario:
     for frame in frames:
         host = frame["host"]
         scenario.frame_of += [len(scenario.t)] * len(frame["objects"])
-        scenario.frame_number.append(len(scenario.t))
         scenario.t.append(frame["t"])
         scenario.v.append(host["v"])
         scenario.yaw_rate.append(host["yaw_rate"])

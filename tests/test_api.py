@@ -19,7 +19,6 @@ EXPORTS = [
     "METHODS",
     "McPointResult",
     "N_PATHS",
-    "NoiseSpec",
     "ObjectMeasurement",
     "PATH_LABELS",
     "PathPosterior",

@@ -94,6 +94,18 @@ def test_synth_rejects_bad_noise_levels(tmp_path, capsys, scale, level):
     )
 
 
+@pytest.mark.parametrize("kind", ["straight_follow", "noisy_yaw"])
+def test_synth_names_the_duration_where_the_yaw_flap_phase_overflows(tmp_path, capsys, kind):
+    # Two frames, but 2 pi 0.25 Hz times the duration is past the largest
+    # float; every kind takes the same durations.
+    argv = ["synth", "--kind", kind, "--step", "1e308", "--out", str(tmp_path / "s.jsonl")]
+    assert main(argv + ["--duration", "1.1e308"]) == 0
+    assert main(argv + ["--duration", "1.7e308"]) == 2
+    assert capsys.readouterr().err == (
+        "error: duration must give the yaw flap a finite phase, got 1.7e+308\n"
+    )
+
+
 @pytest.mark.parametrize("step", ["1e-300", "1e-9"])
 def test_synth_rejects_too_many_frames(tmp_path, capsys, step):
     # 1e-300 overflowed the frame count; 1e-9 asks for 10^9 frames.

@@ -41,7 +41,6 @@ from laneassign import (
     GaussianScalar,
     InputDomainError,
     InputVector,
-    NoiseSpec,
     ObjectMeasurement,
     PathPosterior,
     PipelineConfig,
@@ -68,7 +67,7 @@ from laneassign import (
 )
 from laneassign._engine import ABSENCE_TIMEOUT, filter_batch, flatten
 from laneassign.discrete_filter import predict, update
-from laneassign.harness import EPSILON_GRID, SIGMA_NU_GRID, _joined
+from laneassign.harness import EPSILON_GRID, SIGMA_NU_GRID
 
 POSTERIOR_TOL = 1e-12
 DEFAULT_BOUNDS = extrapolate_boundaries()
@@ -460,7 +459,7 @@ def assert_batch_matches(scenario, method, config, values):
     declines, each value's loop run is the reference instead; when loop runs
     fail, the batch must raise the error of the earliest failing frame over
     all values."""
-    batch, error = outcome(lambda: filter_batch(scenario, method, config, values))
+    batch, error = outcome(lambda: filter_batch([scenario], method, config, values))
     configs = [with_value(config, method, value) for value in values]
     expected = None if error else reference_runs(scenario, method, configs)
     if expected is None:
@@ -561,7 +560,7 @@ def test_multi_scenario_batch_keeps_tracks_per_scenario(method, values):
         for seed, kind in enumerate(kinds)
     ]
     config = PipelineConfig(eta_gain=0.05)
-    batch = filter_batch(_joined(scenarios), method, config, values)
+    batch = filter_batch(scenarios, method, config, values)
     for g, value in enumerate(values):
         per_value = with_value(config, method, value)
         expected = concatenated([reference_run(s, method, per_value) for s in scenarios])
@@ -705,7 +704,7 @@ def reference_schedule(scenarios):
 
 
 def assert_schedule_matches(scenarios):
-    flat = flatten(_joined(scenarios))
+    flat = flatten(scenarios)
     for name, expected in reference_schedule(scenarios).items():
         got = getattr(flat, name)
         assert got.dtype == expected.dtype, name
@@ -758,10 +757,29 @@ def test_track_schedule_edge_cases(frames):
     assert_schedule_matches([frames, frames])
 
 
+def test_a_scenario_has_no_column_that_splits_tracks():
+    # Only the list of scenarios that the engine takes ends the tracks of
+    # one scenario; a Scenario holds frame values and, per object-frame, the
+    # index of its frame, and nothing that numbers frames within a run.
+    assert [field.name for field in dataclasses.fields(Scenario)] == [
+        "t", "v", "yaw_rate", "alpha", "var_v", "var_yaw", "bounds",
+        "frame_of", "id", "x", "y", "var_x", "var_y", "v_lat", "gt",
+    ]
+    scenario = generate_synthetic(SynthSpec("target_lane_change", duration=2.0))
+    with pytest.raises(TypeError):
+        dataclasses.replace(scenario, frame_number=[0] * len(scenario))
+    # One object in every frame, 50 ms apart: one track per scenario.
+    n = len(scenario)
+    assert flatten([scenario]).previous.tolist() == [-1, *range(n - 1)]
+    assert flatten([scenario, scenario]).previous.tolist() == [
+        -1, *range(n - 1), -1, *range(n, 2 * n - 1)
+    ]
+
+
 def test_kalman_step_is_the_difference_of_frame_times():
     # A filter that kept its own time would step from 0.03 + (0.29 - 0.03),
     # which is 0.29000000000000004.
-    flat = flatten(timeline((0.03, "a"), (0.29, "a"), (0.34, "a")))
+    flat = flatten([timeline((0.03, "a"), (0.29, "a"), (0.34, "a"))])
     assert flat.dt[1:].tolist() == [0.29 - 0.03, 0.34 - 0.29]
     assert 0.34 - 0.29 != 0.34 - (0.03 + (0.29 - 0.03))
 
@@ -953,9 +971,8 @@ def test_overflowing_process_noise_is_an_input_error():
 def test_certain_state_contradicting_certain_measurement():
     # Zero measurement noise and a process noise whose square underflows
     # leave both sides certain; a moved object then contradicts the state.
-    quiet = NoiseSpec(0.0, 0.0, 0.0, 0.0)
     scenario = generate_synthetic(
-        SynthSpec(kind="straight_follow", duration=0.15, noise=quiet)
+        SynthSpec(kind="straight_follow", duration=0.15, noise_scale=0.0)
     )
     config = PipelineConfig(sigma_nu=1e-300)
     assert_run_matches_loop(scenario, "continuous", config)
@@ -1007,7 +1024,7 @@ def test_zero_overlap_resets_some_values_of_one_depth(caplog):
         return sum("zero overlap" in record.message for record in caplog.records)
 
     with caplog.at_level("WARNING"):
-        filter_batch(scenario, "discrete", config, values)
+        filter_batch([scenario], "discrete", config, values)
         assert resets() == 2  # one per object-frame with a reset at any value
         for value, expected in zip(values, (2, 1)):
             per_value = dataclasses.replace(config, epsilon=value)

@@ -20,7 +20,6 @@ from laneassign import (
     GaussianScalar,
     HostState,
     InputDomainError,
-    NoiseSpec,
     ObjectMeasurement,
     PipelineConfig,
     RunResult,
@@ -52,8 +51,6 @@ from laneassign.harness import (
     _parse_bounds,
     _variance,
 )
-
-QUIET = NoiseSpec(0.0, 0.0, 0.0, 0.0)
 
 
 def minimal_frame_dict(t=0.0, **overrides):
@@ -521,81 +518,62 @@ def test_synthetic_rejects_bad_spec():
 @pytest.mark.parametrize(
     "changes, message",
     [
-        (dict(yaw_amplitude=1e200), "yaw_amplitude must be >= 0 with a finite square, got 1e+200"),
-        (dict(yaw_amplitude=math.inf), "yaw_amplitude must be >= 0 with a finite square, got inf"),
-        (dict(yaw_amplitude=-0.03), "yaw_amplitude must be >= 0 with a finite square, got -0.03"),
-        (dict(yaw_frequency=math.nan),
-         "yaw_frequency must give a finite phase over the duration, got nan"),
-        (dict(yaw_frequency=1e308),
-         "yaw_frequency must give a finite phase over the duration, got 1e+308"),
-        (dict(curve_radius=0.0), "curve_radius must be finite and non-zero, got 0.0"),
-        (dict(curve_radius=-math.inf), "curve_radius must be finite and non-zero, got -inf"),
-        (dict(curve_radius=math.nan), "curve_radius must be finite and non-zero, got nan"),
-        (dict(host_speed=-5.0), "host_speed must be finite and >= 0, got -5.0"),
-        (dict(host_speed=math.nan), "host_speed must be finite and >= 0, got nan"),
-        (dict(lane_width=0.0), "lane_width must be finite and > 0, got 0.0"),
-        (dict(lane_width=math.nan), "lane_width must be finite and > 0, got nan"),
-        (dict(boundary_std=-1.0), "boundary_std must be finite and >= 0, got -1.0"),
-        (dict(boundary_std=math.inf), "boundary_std must be finite and >= 0, got inf"),
-        (dict(object_range=0.0), "object_range must be finite and > 0, got 0.0"),
-        (dict(object_range=math.inf), "object_range must be finite and > 0, got inf"),
-        (dict(change_time=math.nan), "change_time must be None or finite, got nan"),
-        (dict(change_time=-math.inf), "change_time must be None or finite, got -inf"),
-        (dict(change_duration=-1.0), "change_duration must be finite and >= 0, got -1.0"),
-        (dict(change_duration=math.nan), "change_duration must be finite and >= 0, got nan"),
         (dict(seed=-1), "seed must be >= 0, got -1"),
-        (dict(object_range=1.7e308),
-         "1.6 * object_range must be finite, got object_range=1.7e+308"),
-        (dict(host_speed=1e10, curve_radius=1e-300),
-         "host_speed / curve_radius must be finite, got 10000000000.0 / 1e-300"),
+        (dict(step=0.0), "step must be positive, got 0.0"),
+        (dict(step=-0.1), "step must be positive, got -0.1"),
+        (dict(step=math.nan), "step must be positive, got nan"),
+        (dict(step=math.inf), "step must be positive, got inf"),
+        (dict(duration=0.01), "duration must cover at least one step"),
+        (dict(duration=-1.0), "duration must cover at least one step"),
+        (dict(duration=math.nan), "duration must be finite, got nan"),
+        (dict(duration=math.inf), "duration must be finite, got inf"),
+        (dict(duration=1e6), "step 0.05 over duration 1000000.0 gives more than 1000000 frames"),
+        (dict(step=1e-300), "step 1e-300 over duration 2.0 gives more than 1000000 frames"),
+        (dict(noise_scale=-1.0),
+         "noise level sigma_x must be >= 0 with a finite square, got -0.2"),
+        (dict(noise_scale=math.nan),
+         "noise level sigma_x must be >= 0 with a finite square, got nan"),
+        (dict(noise_scale=math.inf),
+         "noise level sigma_x must be >= 0 with a finite square, got inf"),
+        (dict(noise_scale=5e154),
+         f"noise level sigma_v must be >= 0 with a finite square, got {0.3 * 5e154}"),
+        (dict(duration=1.7e308, step=1e308),
+         "duration must give the yaw flap a finite phase, got 1.7e+308"),
     ],
 )
 @pytest.mark.parametrize("kind", ["noisy_yaw", "host_curve"])
 def test_synthetic_rejects_bad_shape_fields_by_name(kind, changes, message):
-    # Before these checks: OverflowError, ZeroDivisionError, a math domain
-    # error, an error about a derived value that named no field, numpy's
-    # seed error, or a silent clamp (a negative host_speed became a
-    # standstill, object_range=0 put the objects at x = 0.01).  Without the
-    # derived checks, an infinite position or yaw rate would be written out.
-    spec = SynthSpec(kind, duration=2.0, **changes)
+    # Every setting a caller can give is checked up front and named: numpy's
+    # own seed and scale errors name no field, and an unchecked step or
+    # duration would overflow the frame count or the yaw flap's phase.
+    spec = dataclasses.replace(SynthSpec(kind, duration=2.0), **changes)
     with pytest.raises(InputDomainError) as excinfo:
         generate_synthetic(spec)
     assert str(excinfo.value) == message
 
 
-@pytest.mark.parametrize(
-    "spec, message",
-    [
-        # A ramp of 1e-309 s around t = 0 needs an infinite lateral velocity.
-        (SynthSpec("target_lane_change", change_time=-1e-310, change_duration=1e-309),
-         "^lateral velocity input must be finite$"),
-        # The curve's radius and the lane width add up past the largest
-        # float.
-        (SynthSpec("host_curve", object_range=1e308, curve_radius=1.5e308, lane_width=5e307),
-         r"^object position must be finite, got \(inf, -inf\)$"),
-        # A lane change ramp over a width near the largest float overflows.
-        (SynthSpec("target_lane_change", lane_width=1e308),
-         r"^object position must be finite, got \(\S+, inf\)$"),
-        (SynthSpec("noisy_yaw", lane_width=1e308),
-         r"^object position must be finite, got \(\S+, -inf\)$"),
-    ],
-)
-def test_synthetic_rejects_a_non_finite_measurement(spec, message):
-    with pytest.raises(InputDomainError, match=message):
-        generate_synthetic(spec)
-
-
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
 def test_synthetic_builds_a_ramp_only_where_a_lane_changes(kind):
-    # A width near the largest float overflows the ramp, which only the two
-    # lane-changing kinds build; for them the measurement check words it,
-    # and the other kinds neither warn (an error under this suite) nor fail.
-    spec = SynthSpec(kind, lane_width=1e308)
-    if kind in ("target_lane_change", "noisy_yaw"):
-        with pytest.raises(InputDomainError, match="^object position must be finite"):
-            generate_synthetic(spec)
-    else:
-        assert len(generate_synthetic(spec)) == 400
+    # Without noise an object's offset moves only over the 3 s lane change
+    # from duration / 2, and only the lane changer and the cut-in make one,
+    # by one lane width; every other object keeps its offset and its lane.
+    scenario = generate_synthetic(SynthSpec(kind, duration=20.0, noise_scale=0.0))
+    times = np.array(scenario.t)[scenario.frame_of]
+    ids, y, gt = np.array(scenario.id), np.array(scenario.y), np.array(scenario.gt)
+    changing = {"target_lane_change": "changer", "noisy_yaw": "cutin"}.get(kind)
+    for object_id in dict.fromkeys(scenario.id):
+        mine = ids == object_id
+        t, offset, lane = times[mine], y[mine], gt[mine]
+        if object_id != changing:
+            assert len(set(offset)) == 1 and len(set(lane)) == 1, object_id
+            continue
+        before, after = offset[t <= 10.0], offset[t >= 13.0]
+        assert len(set(before)) == 1 and len(set(after)) == 1
+        assert abs(after[0] - before[0]) == pytest.approx(3.5)
+        ramp = offset[(t > 10.0) & (t < 13.0)]
+        assert len(ramp) == 59
+        assert np.all(np.diff(np.concatenate([before[-1:], ramp, after[:1]])) != 0.0)
+        assert len(set(lane)) == 2
 
 
 @pytest.mark.parametrize("step", [1e-10, 6e-10, 9e-10])
@@ -612,14 +590,13 @@ def test_synthetic_frame_grid():
     scenario = generate_synthetic(SynthSpec(kind="adjacent_lane", duration=1.0, step=0.1))
     assert len(scenario) == 10
     assert scenario.t == pytest.approx([0.1 * k for k in range(10)])
-    assert scenario.frame_number == list(range(10))
     assert scenario.frame_of == [k // 2 for k in range(20)]
     assert all(bounds is not None for bounds in scenario.bounds)
 
 
 def test_synthetic_straight_follow_truth():
     scenario = generate_synthetic(
-        SynthSpec(kind="straight_follow", duration=2.0, noise=QUIET)
+        SynthSpec(kind="straight_follow", duration=2.0, noise_scale=0.0)
     )
     assert scenario.id == ["lead", "neighbor"] * 40
     assert scenario.gt == [HOST_PATH_INDEX, HOST_PATH_INDEX + 1] * 40
@@ -628,10 +605,10 @@ def test_synthetic_straight_follow_truth():
 
 
 def test_synthetic_lane_change_crosses_on_schedule():
-    # The ramp starts at change_time and crosses the half-width boundary
-    # halfway through change_duration; truth must flip on the first frame
-    # strictly past the crossing.
-    spec = SynthSpec(kind="target_lane_change", duration=20.0, noise=QUIET)
+    # The 3 s ramp starts at duration / 2 and crosses the half-width
+    # boundary halfway through; truth must flip on the first frame strictly
+    # past the crossing.
+    spec = SynthSpec(kind="target_lane_change", duration=20.0, noise_scale=0.0)
     scenario = generate_synthetic(spec)
     crossing = 10.0 + 3.0 / 2.0
     assert scenario.frame_of == list(range(len(scenario)))  # one object a frame
@@ -643,7 +620,7 @@ def test_synthetic_lane_change_crosses_on_schedule():
 
 
 def test_synthetic_lane_change_emits_lateral_velocity():
-    spec = SynthSpec(kind="target_lane_change", duration=20.0, noise=QUIET)
+    spec = SynthSpec(kind="target_lane_change", duration=20.0, noise_scale=0.0)
     scenario = generate_synthetic(spec)
     by_t = dict(zip(scenario.t, scenario.v_lat))
     assert by_t[5.0] == 0.0
@@ -652,9 +629,9 @@ def test_synthetic_lane_change_emits_lateral_velocity():
 
 
 def test_synthetic_host_curve_objects_on_arc():
-    spec = SynthSpec(kind="host_curve", duration=2.0, noise=QUIET, curve_radius=300.0)
+    spec = SynthSpec(kind="host_curve", duration=2.0, noise_scale=0.0)
     scenario = generate_synthetic(spec)
-    assert scenario.yaw_rate == pytest.approx([spec.host_speed / 300.0] * len(scenario))
+    assert scenario.yaw_rate == pytest.approx([25.0 / 500.0] * len(scenario))
     expected = {"lead": 0.0, "adjacent": -3.5}
     for k, object_id in enumerate(scenario.id):
         alpha = scenario.alpha[scenario.frame_of[k]]
@@ -681,7 +658,7 @@ def test_synthetic_noisy_yaw_reports_flap_power():
     base = SynthSpec(kind="straight_follow", duration=4.0)
     base_var = generate_synthetic(base).var_yaw[0]
     # Reported variance includes the mean-square power of the yaw flap.
-    assert scenario.var_yaw[0] == pytest.approx(base_var + spec.yaw_amplitude**2 / 2.0)
+    assert scenario.var_yaw[0] == pytest.approx(base_var + 0.03**2 / 2.0)
     yaw = scenario.yaw_rate
     assert max(yaw) > 0.02
     assert min(yaw) < -0.02
@@ -701,15 +678,16 @@ def _reference_synthetic(spec):
     """The generator as one scalar draw per noise value, frame by frame: the
     reference that `generate_synthetic`'s single draw must reproduce."""
     rng = np.random.default_rng(spec.seed)
-    half = spec.lane_width / 2.0
-    width = spec.lane_width
-    change_start = (
-        spec.change_time if spec.change_time is not None else spec.duration / 2.0
+    half = 1.75
+    width = 3.5
+    change_start, change_duration = spec.duration / 2.0, 3.0
+    radius, yaw_amplitude, r = 500.0, 0.03, 50.0
+    sigma_x, sigma_y, sigma_v, sigma_yaw = (
+        level * spec.noise_scale for level in (0.2, 0.2, 0.3, 0.005)
     )
-    noise = spec.noise
     bounds = BoundarySet(
         tuple(
-            GaussianScalar(mean, factor * spec.boundary_std)
+            GaussianScalar(mean, factor * 0.3)
             for mean, factor in ((-3.0 * half, 1.5), (-half, 1.0), (half, 1.0),
                                  (3.0 * half, 1.5))
         )
@@ -719,37 +697,33 @@ def _reference_synthetic(spec):
         t = round(k * spec.step, 9)
         yaw_true = yaw_extra = var_yaw_extra = 0.0
         if spec.kind == "host_curve":
-            yaw_true = spec.host_speed / spec.curve_radius
+            yaw_true = 25.0 / radius
         elif spec.kind == "noisy_yaw":
-            yaw_extra = spec.yaw_amplitude * math.sin(
-                2.0 * math.pi * spec.yaw_frequency * t
-            )
-            var_yaw_extra = spec.yaw_amplitude**2 / 2.0
-        r = spec.object_range
+            yaw_extra = yaw_amplitude * math.sin(2.0 * math.pi * 0.25 * t)
+            var_yaw_extra = yaw_amplitude**2 / 2.0
         if spec.kind == "straight_follow":
             truth = [("lead", r, 0.0, None), ("neighbor", 0.6 * r, width, None)]
         elif spec.kind == "adjacent_lane":
             truth = [("left", 0.8 * r, width, None), ("right", 1.2 * r, -width, None)]
         elif spec.kind == "target_lane_change":
-            lateral = _ramp(t, change_start, spec.change_duration, 0.0, width)
-            in_ramp = change_start < t < change_start + spec.change_duration
-            v_lat = width / spec.change_duration if in_ramp else 0.0
+            lateral = _ramp(t, change_start, change_duration, 0.0, width)
+            in_ramp = change_start < t < change_start + change_duration
+            v_lat = width / change_duration if in_ramp else 0.0
             truth = [("changer", r, lateral, v_lat)]
         elif spec.kind == "host_curve":
             truth = [("lead", r, 0.0, None), ("adjacent", 0.8 * r, -width, None)]
         else:
-            lateral = _ramp(t, change_start, spec.change_duration, width, 0.0)
+            lateral = _ramp(t, change_start, change_duration, width, 0.0)
             truth = [("cutin", 0.8 * r, lateral, None), ("far", 1.6 * r, width, None)]
         objects = []
         for object_id, x_true, lateral_true, v_lat in truth:
             x_cart, y_cart = x_true, lateral_true
             if spec.kind == "host_curve":
-                radius = spec.curve_radius
                 phi = x_true / radius
                 x_cart = (radius - lateral_true) * math.sin(phi)
                 y_cart = radius - (radius - lateral_true) * math.cos(phi)
-            x_meas = max(x_cart + rng.normal(0.0, noise.sigma_x), 0.01)
-            y_meas = y_cart + rng.normal(0.0, noise.sigma_y)
+            x_meas = max(x_cart + rng.normal(0.0, sigma_x), 0.01)
+            y_meas = y_cart + rng.normal(0.0, sigma_y)
             edges = (-3.0 * half, -half, half, 3.0 * half)
             measurement = ObjectMeasurement(x_meas, y_meas, v_lat)
             objects.append(dict(
@@ -757,17 +731,17 @@ def _reference_synthetic(spec):
                 x=measurement.x,
                 y=measurement.y,
                 v_lat=measurement.lateral_velocity_input,
-                var_x=noise.sigma_x**2,
-                var_y=noise.sigma_y**2,
+                var_x=sigma_x**2,
+                var_y=sigma_y**2,
                 gt=int(np.searchsorted(edges, lateral_true, side="left")),
             ))
-        v_meas = max(spec.host_speed + rng.normal(0.0, noise.sigma_v), 0.0)
-        yaw_meas = yaw_true + yaw_extra + rng.normal(0.0, noise.sigma_yaw)
+        v_meas = max(25.0 + rng.normal(0.0, sigma_v), 0.0)
+        yaw_meas = yaw_true + yaw_extra + rng.normal(0.0, sigma_yaw)
         host = HostState(v_meas, yaw_meas, 0.0)
         frames.append(dict(
             t=t,
             host=dict(v=host.v, yaw_rate=host.yaw_rate, alpha=host.alpha,
-                      var_v=noise.sigma_v**2, var_yaw=noise.sigma_yaw**2 + var_yaw_extra),
+                      var_v=sigma_v**2, var_yaw=sigma_yaw**2 + var_yaw_extra),
             objects=objects,
             bounds=bounds,
         ))
@@ -782,15 +756,8 @@ def _serialized(scenario):
 
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
 def test_synthetic_matches_the_per_draw_reference(kind):
-    # An instant change (change_duration 0) at t = 0 included: the ramp must
-    # not divide by its duration there.
-    for seed, scale, step, change_time, change_duration in itertools.product(
-        (0, 7, 12), (0.0, 1.0, 2.5), (0.05, 0.1), (None, 0.0, 3.0), (3.0, 0.0)
-    ):
-        spec = SynthSpec(
-            kind, duration=6.0, step=step, seed=seed, noise=NoiseSpec().scaled(scale),
-            change_time=change_time, change_duration=change_duration,
-        )
+    for seed, scale, step in itertools.product((0, 7, 12), (0.0, 1.0, 2.5), (0.05, 0.1)):
+        spec = SynthSpec(kind, duration=6.0, step=step, seed=seed, noise_scale=scale)
         scenario = generate_synthetic(spec)
         reference = _reference_synthetic(spec)
         assert scenario == reference, spec
@@ -798,24 +765,79 @@ def test_synthetic_matches_the_per_draw_reference(kind):
         assert _serialized(scenario) == _serialized(reference), spec
 
 
+@st.composite
+def synth_specs(draw):
+    """Any kind and seed, at most 200 frames of any step above the timestamp
+    resolution, and no noise or up to a million times the default."""
+    step = draw(st.floats(1e-6, 1e6))
+    return SynthSpec(
+        kind=draw(st.sampled_from(SCENARIO_KINDS)),
+        duration=draw(st.floats(step, 200.0 * step)),
+        step=step,
+        seed=draw(st.integers(min_value=0)),
+        noise_scale=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6))),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=synth_specs())
+def test_synthetic_scenarios_keep_the_contract(spec):
+    _assert_keeps_the_contract(generate_synthetic(spec))
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # The largest noise scale whose levels all have a finite square.
+        dict(noise_scale=4.4e154),
+        # A step at the timestamp resolution.
+        dict(duration=2e-7, step=1e-9),
+        # One frame of the largest step.
+        dict(duration=1e300, step=1e300),
+        # The longest duration whose yaw flap phase is finite.
+        dict(duration=1e308, step=1e306),
+    ],
+    ids=["largest_noise", "smallest_step", "largest_step", "longest_duration"],
+)
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_synthetic_scenarios_keep_the_contract_at_the_domain_edges(kind, changes):
+    # Past the ranges the property test draws from, up to the limits the
+    # spec checks allow.
+    _assert_keeps_the_contract(generate_synthetic(SynthSpec(kind, **changes)))
+
+
+def _assert_keeps_the_contract(scenario):
+    values = [scenario.x, scenario.y, scenario.v, scenario.yaw_rate,
+              scenario.var_x, scenario.var_y, scenario.var_v, scenario.var_yaw]
+    assert all(np.isfinite(column).all() for column in values)
+    # The Scenario contract: finite, strictly increasing frame times, ids
+    # unique within a frame, and host and objects within their domains.
+    assert all(math.isfinite(t) for t in scenario.t)
+    assert all(a < b for a, b in zip(scenario.t, scenario.t[1:]))
+    for f, (v, yaw_rate, alpha) in enumerate(zip(scenario.v, scenario.yaw_rate, scenario.alpha)):
+        HostState(v, yaw_rate, alpha)
+        objects = [k for k, frame_index in enumerate(scenario.frame_of) if frame_index == f]
+        assert len({scenario.id[k] for k in objects}) == len(objects)
+    for x, y, v_lat in zip(scenario.x, scenario.y, scenario.v_lat):
+        ObjectMeasurement(x, y, v_lat)
+    assert parse_scenario(_serialized(scenario)) == scenario
+
+
 def test_synthetic_noise_errors_match_the_reference():
     # The generator rejects the noise levels the reference fails on, up
     # front and by name: the reference's errors came from numpy's sampler,
     # from the frame it built, or (a square that overflows) from `**`.
-    for noise, reference_error, match, name in (
-        (NoiseSpec().scaled(-1.0), ValueError, "scale < 0", "sigma_x"),
-        (NoiseSpec().scaled(math.nan), InputDomainError,
-         r"object position must be finite, got \(nan, nan\)", "sigma_x"),
-        (NoiseSpec().scaled(math.inf), InputDomainError,
-         "object position must be finite", "sigma_x"),
-        (NoiseSpec(sigma_yaw=1e160), OverflowError, None, "sigma_yaw"),
+    for scale, reference_error, match in (
+        (-1.0, ValueError, "scale < 0"),
+        (math.nan, InputDomainError, r"object position must be finite, got \(nan, nan\)"),
+        (math.inf, InputDomainError, "object position must be finite"),
     ):
-        spec = SynthSpec("straight_follow", duration=1.0, noise=noise)
+        spec = SynthSpec("straight_follow", duration=1.0, noise_scale=scale)
         with pytest.raises(reference_error, match=match):
             _reference_synthetic(spec)
         with pytest.raises(
             InputDomainError,
-            match=rf"^noise level {name} must be >= 0 with a finite square, got ",
+            match=r"^noise level sigma_x must be >= 0 with a finite square, got ",
         ):
             generate_synthetic(spec)
 
@@ -838,7 +860,7 @@ def test_ground_truth_edges_stay_in_the_lower_region():
     # exactly the edge 1.75 at t = 11.5 (the ramp runs over 10..13 s), so
     # its truth is still the host path there and the left lane one step on.
     scenario = generate_synthetic(
-        SynthSpec("target_lane_change", noise=NoiseSpec().scaled(0.0))
+        SynthSpec("target_lane_change", noise_scale=0.0)
     )
     by_t = {t: k for k, t in enumerate(scenario.t)}  # one object a frame
     assert scenario.y[by_t[11.5]] == 1.75
@@ -865,7 +887,7 @@ def test_pipeline_rejects_unknown_method():
 
 def test_pipeline_straight_follow_assigns_host():
     scenario = generate_synthetic(
-        SynthSpec(kind="straight_follow", duration=5.0, noise=QUIET)
+        SynthSpec(kind="straight_follow", duration=5.0, noise_scale=0.0)
     )
     for method in ("discrete", "continuous"):
         result = run_pipeline(scenario, method=method)
@@ -876,7 +898,7 @@ def test_pipeline_straight_follow_assigns_host():
 
 def test_pipeline_first_step_semantics():
     scenario = generate_synthetic(
-        SynthSpec(kind="straight_follow", duration=0.05, noise=QUIET)
+        SynthSpec(kind="straight_follow", duration=0.05, noise_scale=0.0)
     )
     assert len(scenario) == 1
     lead = scenario.id.index("lead")
@@ -923,7 +945,7 @@ def test_pipeline_drops_stale_tracks():
 
 def test_pipeline_keeps_fresh_tracks():
     scenario = generate_synthetic(
-        SynthSpec(kind="straight_follow", duration=0.15, noise=QUIET)
+        SynthSpec(kind="straight_follow", duration=0.15, noise_scale=0.0)
     )
     result = run_pipeline(scenario, method="discrete")
     lead = result.posteriors[np.array(result.object_id) == "lead", HOST_PATH_INDEX]
@@ -1033,7 +1055,7 @@ def test_zero_noise_adjacent_lane_has_no_false_positives():
     # Objects that never enter the host lane, measured without noise, must
     # never be assigned to it, whatever the parameters.
     scenario = generate_synthetic(
-        SynthSpec(kind="adjacent_lane", duration=3.0, noise=QUIET)
+        SynthSpec(kind="adjacent_lane", duration=3.0, noise_scale=0.0)
     )
     for method, grid in (("discrete", (0.1, 0.01)), ("continuous", (0.05, 0.4))):
         for point in sweep_parameters([scenario], method=method, grid=grid):
