@@ -9,11 +9,12 @@ continues from one scenario into the next.  Messages number a frame within
 its scenario.
 
 `flatten` first checks the `Scenario` contract, which the parser and the
-generator keep: within each scenario, frame times are finite and strictly
-increase, and an id appears at most once per frame.  It then works out the
-tracks on arrays: integer codes for (scenario, id), a stable sort by code,
-and a new track where the gap since the id's previous detection exceeds
-`ABSENCE_TIMEOUT`; on a continued track that gap is the Kalman step `dt`.
+generator keep: within each scenario, `frame_of` gives each id a frame, in
+frame order; frame times are finite and strictly increase; and an id
+appears at most once per frame.  It then works out the tracks on arrays:
+integer codes for (scenario, id), a stable sort by code, and a new track
+where the gap since the id's previous detection exceeds `ABSENCE_TIMEOUT`;
+on a continued track that gap is the Kalman step `dt`.
 Everything that does not depend on the filter parameter runs once over all
 object-frames: the arc transform, its first-order variance, and for the
 discrete method the occupancy of each measurement.
@@ -155,6 +156,32 @@ def _check_frames(times, t, frame_number, ids, frame_of, repeated) -> None:
         raise InputDomainError(f"frame {frame_number[f]} (t={times[f]}): {message}")
 
 
+def _check_frame_of(scenarios, lengths, counts, frame_of) -> None:
+    """Raise an InputDomainError naming `frame_of` where a scenario's column
+    does not place its object-frames in frame order: one entry per id,
+    never decreasing, each in range(len(t)).  `frame_of` holds the columns
+    one after another, `counts` their lengths and `lengths` the frame
+    counts."""
+    for scenario, count in zip(scenarios, counts):
+        if count != len(scenario.id):
+            raise InputDomainError(
+                f"frame_of must have one entry per id, got {count} for {len(scenario.id)} ids"
+            )
+    start = np.repeat(np.cumsum([0, *counts])[:-1], counts)
+    frames = np.repeat(lengths, counts)
+    decreasing = np.concatenate([[False], frame_of[1:] < frame_of[:-1]]) & (
+        np.arange(len(frame_of)) > start
+    )
+    bad = decreasing | (frame_of < 0) | (frame_of >= frames)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if decreasing[k]:
+            raise InputDomainError(
+                f"frame_of must not decrease, got {frame_of[k]} after {frame_of[k - 1]}"
+            )
+        raise InputDomainError(f"frame_of must lie in range({frames[k]}), got {frame_of[k]}")
+
+
 def flatten(scenarios) -> Flat:
     """Arrays of the scenarios' columns, one scenario after another, with
     the tracks `ABSENCE_TIMEOUT` defines; no track continues from one
@@ -165,11 +192,10 @@ def flatten(scenarios) -> Flat:
     times = _joined(scenarios, "t")
     t = np.array(times, dtype=float)
     frame_number = np.arange(len(t)) - np.repeat(first, lengths)
-    frame_of = np.array(
-        [f + start for scenario, start in zip(scenarios, first.tolist())
-         for f in scenario.frame_of],
-        dtype=np.intp,
-    )
+    counts = [len(scenario.frame_of) for scenario in scenarios]
+    frame_of = np.array(_joined(scenarios, "frame_of"), dtype=np.intp)
+    _check_frame_of(scenarios, lengths, counts, frame_of)
+    frame_of += np.repeat(first, counts)
     n = len(frame_of)
 
     # Tracks.  Ids match by equality and hash, within one scenario; sorted by

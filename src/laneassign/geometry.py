@@ -305,13 +305,26 @@ def hellinger_distance(p: Sequence[float], q: Sequence[float]) -> float:
         raise InputDomainError(
             f"distributions must have equal length, got {p_arr.shape} and {q_arr.shape}"
         )
-    if (p_arr < 0.0).any() or (q_arr < 0.0).any():
-        raise InputDomainError("distributions must be nonnegative")
-    for total in (p_arr.sum(), q_arr.sum()):
-        if abs(total - 1.0) > 1e-9:
-            raise InputDomainError(f"distribution must sum to 1, got {total}")
-    coeff = float(np.sqrt(p_arr * q_arr).sum())
-    return math.sqrt(max(0.0, 1.0 - min(coeff, 1.0)))
+    return float(_hellinger_rows(p_arr.reshape(1, -1), q_arr.reshape(1, -1))[0])
+
+
+def _hellinger_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """`hellinger_distance` of each row pair of two (P, K) arrays.  Raises
+    the error of the first failing row."""
+    negative = (p < 0.0).any(axis=-1) | (q < 0.0).any(axis=-1)
+    totals = np.stack([p.sum(axis=-1), q.sum(axis=-1)], axis=-1)
+    unnormalized = np.abs(totals - 1.0) > 1e-9
+    failing = negative | unnormalized.any(axis=-1)
+    if failing.any():
+        row = int(np.argmax(failing))
+        if negative[row]:
+            raise InputDomainError("distributions must be nonnegative")
+        total = totals[row, int(np.argmax(unnormalized[row]))]
+        raise InputDomainError(f"distribution must sum to 1, got {total}")
+    # max(0.0, 1.0 - min(coeff, 1.0)) in Python's terms: 0 for a NaN coeff.
+    coeff = np.sqrt(p * q).sum(axis=-1)
+    gap = 1.0 - np.minimum(coeff, 1.0)
+    return np.sqrt(np.where(gap > 0.0, gap, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -375,21 +388,54 @@ class McPointResult:
 # Default input variances, ordered like InputVector: (v, yaw_rate, x, y).
 DEFAULT_MC_VARIANCES = (0.25, 1e-4, 0.04, 0.04)
 
-
-def _gaussian_bin_masses(mean: float, std: float, edges: np.ndarray) -> np.ndarray:
-    """Probability mass of N(mean, std^2) per bin, including both open tails."""
-    if std == 0.0:
-        masses = np.zeros(len(edges) + 1)
-        masses[int(np.searchsorted(edges, mean, side="left"))] = 1.0
-        return masses
-    cdf = ndtr((edges - mean) / std)
-    return np.diff(np.concatenate(([0.0], cdf, [1.0])))
+# Grid points scored together by `mc_validate`.
+_MC_BLOCK = 64
 
 
-def _empirical_bin_masses(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(edges, samples, side="left")
-    counts = np.bincount(idx, minlength=len(edges) + 1)
-    return counts / samples.size
+def _gaussian_bin_masses(means: np.ndarray, stds: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Probability mass of N(means[i], stds[i]^2) per bin of row i of the
+    (P, bins + 1) `edges`, including both open tails; a zero deviation puts
+    all the mass in the bin `np.searchsorted(edges[i], means[i])` names."""
+    means, stds = means[:, None], stds[:, None]
+    certain = stds == 0.0
+    cdf = np.where(
+        certain, edges >= means, ndtr((edges - means) / np.where(certain, 1.0, stds))
+    )
+    return np.diff(cdf, axis=-1, prepend=0.0, append=1.0)
+
+
+def _bin_index(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(edges, samples, side="left")` for the equal-width
+    `edges` of a linspace, in O(n).
+
+    The index is first estimated arithmetically, then moved one bin at a
+    time against the real edges until none moves: where linspace collapses
+    edges (a deviation tiny against the mean) the estimate can be many bins
+    off.  A NaN sample goes past the last edge, as in `np.searchsorted`.
+    """
+    bins = len(edges) - 1
+    with np.errstate(all="ignore"):
+        guess = samples - edges[0]
+        guess *= bins / (edges[-1] - edges[0])
+        guess += 1.0
+    # NaN to bins + 1; truncation is the floor once negatives are 0.
+    np.fmin(guess, bins + 1, out=guess)
+    np.fmax(guess, 0.0, out=guess)
+    index = guess.astype(np.intp)
+    # below[i] = edges[i - 1] and above[i] = edges[i]; the NaN ends stop
+    # the index at 0 and at bins + 1.
+    padded = np.concatenate(([math.nan], edges, [math.nan]))
+    below, above = padded[:-1], padded[1:]
+    moving = np.arange(len(samples))
+    at, values = index, samples
+    while True:
+        step = (above.take(at) < values).view(np.int8) - (below.take(at) >= values).view(np.int8)
+        moved = np.flatnonzero(step)
+        if not moved.size:
+            return index
+        moving = moving[moved]
+        index[moving] += step[moved]
+        at, values = index[moving], samples[moving]
 
 
 def mc_validate(
@@ -449,10 +495,17 @@ def mc_validate(
         )
     valid = np.isfinite(means) & np.isfinite(stds) & valid_alpha
 
-    results: list[McPointResult] = []
-    for index, ((x, y, v, yaw_rate), ok) in enumerate(zip(points, valid.tolist())):
-        h = math.nan
-        if ok:
+    # Each point's draws, offsets and histogram stay in the loop; the
+    # Gaussian masses and the distances are taken over the rows of a block
+    # of points, which bounds the memory the rows take.
+    hellinger = np.full(len(points), math.nan)
+    scored = np.flatnonzero(valid)
+    for start in range(0, len(scored), _MC_BLOCK):
+        rows = scored[start:start + _MC_BLOCK]
+        edges = np.empty((len(rows), bins + 1))
+        counts = np.empty((len(rows), bins + 2))
+        for row, index in enumerate(rows.tolist()):
+            x, y, v, yaw_rate = points[index]
             rng = np.random.default_rng([seed, index])
             draw_v = np.maximum(rng.normal(v, math.sqrt(var_v), samples), 0.0)
             draw_yaw = rng.normal(yaw_rate, math.sqrt(var_yaw), samples)
@@ -464,19 +517,17 @@ def mc_validate(
             mu = float(offsets.mean())
             sd = float(offsets.std())
             span = 6.0 * sd if sd > 0.0 else 1.0
-            edges = np.linspace(mu - span, mu + span, bins + 1)
-            empirical = _empirical_bin_masses(offsets, edges)
-            linearized = _gaussian_bin_masses(
-                float(means[index]), float(stds[index]), edges
-            )
-            h = hellinger_distance(empirical, linearized)
-        results.append(
-            McPointResult(
-                x, y, v, yaw_rate, var_x, var_y, var_v, var_yaw, h,
-                "ok" if ok else "skipped",
-            )
+            edges[row] = np.linspace(mu - span, mu + span, bins + 1)
+            counts[row] = np.bincount(_bin_index(offsets, edges[row]), minlength=bins + 2)
+        hellinger[rows] = _hellinger_rows(
+            counts / samples, _gaussian_bin_masses(means[rows], stds[rows], edges)
         )
-    return results
+    return [
+        McPointResult(
+            x, y, v, yaw_rate, var_x, var_y, var_v, var_yaw, h, "ok" if ok else "skipped"
+        )
+        for (x, y, v, yaw_rate), h, ok in zip(points, hellinger.tolist(), valid.tolist())
+    ]
 
 
 MC_CSV_COLUMNS = (

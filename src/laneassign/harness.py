@@ -67,12 +67,13 @@ class Scenario:
     timestamps, ids and ground truths reach results and messages unchanged.
     `len` gives the number of frames.
 
-    Within a scenario the frame times are finite and strictly increase,
+    Within a scenario `frame_of` has one entry per id, never decreases and
+    indexes the frames; the frame times are finite and strictly increase,
     and an id appears at most once per frame; the host's values lie in the
     domain of `HostState` and each object's in that of `ObjectMeasurement`.
-    The parser and the generator check all of it; the engine checks the
-    frame times and ids before anything else, and rejects an object-frame
-    outside the domains.
+    The parser and the generator check all of it; the engine checks
+    `frame_of`, the frame times and the ids before anything else, and
+    rejects an object-frame outside the domains.
     """
 
     # One entry per frame.

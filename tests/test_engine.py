@@ -958,6 +958,29 @@ def test_the_contract_is_checked_before_the_domains(method):
     assert_run_matches_loop(scenario, method, PipelineConfig())
 
 
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+@pytest.mark.parametrize(
+    "frame_of, message",
+    [
+        ([1, 0], "frame_of must not decrease, got 0 after 1"),
+        ([0], "frame_of must have one entry per id, got 1 for 2 ids"),
+        ([0, 1, 1], "frame_of must have one entry per id, got 3 for 2 ids"),
+        ([0, 2], "frame_of must lie in range(2), got 2"),
+        ([-1, 0], "frame_of must lie in range(2), got -1"),
+    ],
+    ids=["decreasing", "short", "long", "past the last frame", "negative"],
+)
+def test_a_frame_of_out_of_frame_order_is_named(method, frame_of, message):
+    # One object seen at t = 0.0 and 0.5.
+    scenario = dataclasses.replace(timeline((0.0, "a"), (0.5, "a")), frame_of=frame_of)
+    error = (InputDomainError, message)
+    assert outcome(lambda: run_pipeline(scenario, method))[1] == error
+    assert outcome(lambda: sweep_parameters([straight(3), scenario], method))[1] == error
+    # The column is checked before the frame times.
+    scenario.t[1] = 0.0
+    assert outcome(lambda: run_pipeline(scenario, method))[1] == error
+
+
 def test_overflowing_process_noise_is_an_input_error():
     # (dt * sigma_nu)^2 overflows to an infinite state variance, which the
     # Kalman state rejects.

@@ -9,6 +9,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from laneassign import (
     DEFAULT_MC_VARIANCES,
@@ -27,8 +30,10 @@ from laneassign import (
 )
 from laneassign.geometry import (
     STRAIGHT_YAW_THRESHOLD,
+    _bin_index,
     _jacobian_arrays,
     _lateral_offset_arrays,
+    _transform_arrays,
 )
 
 
@@ -607,6 +612,129 @@ def test_mc_validate_skips_singular_geometry(point, alpha):
     )
     assert results[0].status == "skipped"
     assert math.isnan(results[0].hellinger)
+
+
+@st.composite
+def binned_samples(draw):
+    """Edges as `mc_validate` builds them, and samples on, next to and far
+    from them, including infinities and NaN."""
+    bins = draw(st.integers(2, 200))
+    mu = draw(st.floats(-1e6, 1e6))
+    sd = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(1e-300, 1e-12),
+            # Against |mu| small enough that linspace repeats or collapses edges.
+            st.floats(1e-18, 1e-13).map(lambda scale: abs(mu) * scale),
+            st.floats(1e-12, 1e3),
+        )
+    )
+    span = 6.0 * sd if sd > 0.0 else 1.0
+    edges = np.linspace(mu - span, mu + span, bins + 1)
+    on_edges = np.array(draw(st.lists(st.sampled_from(edges.tolist()), max_size=30)))
+    samples = [
+        on_edges,
+        np.nextafter(on_edges, -math.inf),
+        np.nextafter(on_edges, math.inf),
+        draw(st.lists(st.floats(mu - 2.0 * span, mu + 2.0 * span), max_size=30)),
+        draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=10)),
+        draw(st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=5)),
+    ]
+    return np.concatenate([np.asarray(part, dtype=float) for part in samples]), edges
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(case=binned_samples())
+def test_bin_index_is_searchsorted(case):
+    samples, edges = case
+    got = _bin_index(samples, edges)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, np.searchsorted(edges, samples, side="left"))
+
+
+def reference_mc_validate(points, samples, bins, seed, variances, alpha):
+    """The Hellinger distance of each point, one point at a time, binned
+    with np.searchsorted and scored with `hellinger_distance`; NaN where
+    the point is skipped."""
+    var_v, var_yaw, var_x, var_y = variances
+    sin_a, cos_a = math.sin(alpha), math.cos(alpha)
+    distances = []
+    for index, (x, y, v, yaw_rate) in enumerate(points):
+        with np.errstate(all="ignore"):
+            mean, std = (
+                float(a)
+                for a in _transform_arrays(
+                    np.array([v, yaw_rate, x, y], dtype=float),
+                    np.array([var_v, var_yaw, var_x, var_y]),
+                    sin_a,
+                    cos_a,
+                )
+            )
+        if abs(alpha) >= math.pi / 2 or not (math.isfinite(mean) and math.isfinite(std)):
+            distances.append(math.nan)
+            continue
+        rng = np.random.default_rng([seed, index])
+        draw_v = np.maximum(rng.normal(v, math.sqrt(var_v), samples), 0.0)
+        draw_yaw = rng.normal(yaw_rate, math.sqrt(var_yaw), samples)
+        draw_x = rng.normal(x, math.sqrt(var_x), samples)
+        draw_y = rng.normal(y, math.sqrt(var_y), samples)
+        offsets = _lateral_offset_arrays(draw_v, draw_yaw, draw_x, draw_y, sin_a, cos_a)
+        mu = float(offsets.mean())
+        sd = float(offsets.std())
+        span = 6.0 * sd if sd > 0.0 else 1.0
+        edges = np.linspace(mu - span, mu + span, bins + 1)
+        counts = np.bincount(np.searchsorted(edges, offsets, side="left"), minlength=bins + 2)
+        if std == 0.0:
+            linearized = np.zeros(bins + 2)
+            linearized[np.searchsorted(edges, mean, side="left")] = 1.0
+        else:
+            cdf = ndtr((edges - mean) / std)
+            linearized = np.diff(np.concatenate(([0.0], cdf, [1.0])))
+        distances.append(hellinger_distance(counts / samples, linearized))
+    return distances
+
+
+SINGULAR_POINTS = [
+    (0.0, 10.0, 10.0, 1.0),
+    (40.0, 1.0, -1.0, 0.1),
+    (40.0, math.nan, 20.0, 0.1),
+    (40.0, 1.0, 20.0, math.inf),
+]
+
+
+@pytest.mark.parametrize(
+    "grid, options",
+    [
+        (GridSpec(x_steps=2, bearing_steps=2, v_steps=2, yaw_steps=2), dict(alpha=0.3)),
+        (GridSpec(x_steps=2, bearing_steps=1, v_steps=2, yaw_steps=2), dict(bins=2)),
+        (GridSpec(x_steps=2, bearing_steps=2, v_steps=1, yaw_steps=2), dict(samples=2)),
+        (GridSpec(x_steps=2, bearing_steps=1, v_steps=1, yaw_steps=2),
+         dict(variances=(0.0, 0.0, 0.0, 0.0))),
+        # Zero first-order deviation at x = 0 on a straight path, while the
+        # sampled yaw rates spread the offsets.
+        ([(0.0, 5.0, 10.0, 0.0), (0.0, -2.0, 30.0, 0.0)],
+         dict(samples=300, bins=7, variances=(0.25, 1e-4, 0.0, 0.0))),
+        (GridSpec(x_steps=1, bearing_steps=2, v_steps=1, yaw_steps=1), dict(alpha=math.pi / 2)),
+        # More points than `mc_validate` scores in one block.
+        (GridSpec(x_steps=5, bearing_steps=3, v_steps=3, yaw_steps=3), dict(samples=40, bins=30)),
+        ([(40.0, 1.0, 20.0, 0.1), *SINGULAR_POINTS, (1.0, -0.3, 70.0, -0.7)],
+         dict(samples=300, variances=(0.0, 0.0, 0.0, 0.0))),
+        ([(40.0, 1.0, 20.0, 0.1), *SINGULAR_POINTS, (1.0, -0.3, 70.0, -0.7)],
+         dict(samples=300, seed=9)),
+    ],
+    ids=["alpha", "two bins", "two samples", "zero variances", "zero deviation",
+         "alpha pi/2", "several blocks", "list grid, zero variances", "list grid"],
+)
+def test_mc_validate_equals_the_per_point_reference(grid, options):
+    kwargs = dict(samples=500, bins=100, seed=4, variances=DEFAULT_MC_VARIANCES, alpha=0.0)
+    kwargs.update(options)
+    points = list(grid.points() if isinstance(grid, GridSpec) else grid)
+    results = mc_validate(grid=grid, **kwargs)
+    want = reference_mc_validate(points, **kwargs)
+    assert [r.status == "skipped" for r in results] == [math.isnan(h) for h in want]
+    assert [(r.x, r.y, r.v, r.yaw_rate) for r in results] == points
+    got = [r.hellinger for r in results]
+    assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, want))
 
 
 def test_mc_default_variances_order():
