@@ -39,21 +39,12 @@ class TransitionParams:
 
 
 def _clamp(epsilon, eta):
-    """Clamp broadcast (epsilon, eta) arrays into the valid domain."""
+    """Clamp broadcast (epsilon, eta) arrays into the domain where all matrix
+    entries are valid probabilities: epsilon in [0, 0.3],
+    |eta| <= min(epsilon, 1 - 3 epsilon)."""
     eps = np.minimum(np.maximum(epsilon, 0.0), EPSILON_MAX)
     cap = np.minimum(eps, 1.0 - 3.0 * eps)
     return eps, np.minimum(np.maximum(eta, -cap), cap)
-
-
-def clamp_params(params: TransitionParams) -> tuple[TransitionParams, bool]:
-    """Clamp (epsilon, eta) into the domain where all matrix entries are
-    valid probabilities: epsilon in [0, 0.3], |eta| <= min(epsilon, 1 - 3 epsilon).
-
-    Returns the clamped parameters and whether anything changed.
-    """
-    eps, eta = _clamp(params.epsilon, params.eta)
-    clamped = TransitionParams(float(eps), float(eta))
-    return clamped, clamped != params
 
 
 # The positions of a 5x5 matrix that lie off the band.
@@ -65,7 +56,6 @@ class TransitionMatrix:
     """Validated column-stochastic tridiagonal transition matrix."""
 
     entries: np.ndarray
-    clamped: bool = False
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=float)
@@ -109,10 +99,8 @@ def build_transition_matrix(params: TransitionParams) -> TransitionMatrix:
     to their neighbors.  Entry [3, 4] is epsilon - eta, the one corner where
     the drift term enters with a bare minus sign.
     """
-    valid, clamped = clamp_params(params)
-    return TransitionMatrix(
-        _transition_entries(valid.epsilon, valid.eta), clamped=clamped
-    )
+    eps, eta = _clamp(params.epsilon, params.eta)
+    return TransitionMatrix(_transition_entries(float(eps), float(eta)))
 
 
 def predict(prior: PathPosterior, matrix: TransitionMatrix) -> PathPosterior:

@@ -143,7 +143,8 @@ def _lateral_offset_arrays(v, yaw_rate, x, y, sin_a, cos_a) -> np.ndarray:
     """Vectorized signed lateral offset; inputs broadcast, no validation.
 
     The heading offset enters as its sine and cosine, taken with `math.sin`
-    and `math.cos` by every caller so that scalar and array paths agree.
+    and `math.cos` by every caller (`mc_validate` passes 0.0 and 1.0, their
+    values at zero) so that scalar and array paths agree.
     """
     v = np.asarray(v, dtype=float)
     yaw_rate = np.asarray(yaw_rate, dtype=float)
@@ -311,7 +312,8 @@ def hellinger_distance(p: Sequence[float], q: Sequence[float]) -> float:
 def _hellinger_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """`hellinger_distance` of each row pair of two (P, K) arrays.  Raises
     the error of the first failing row."""
-    negative = (p < 0.0).any(axis=-1) | (q < 0.0).any(axis=-1)
+    # NaN is not nonnegative either; +inf fails the sum.
+    negative = ~(p >= 0.0).all(axis=-1) | ~(q >= 0.0).all(axis=-1)
     totals = np.stack([p.sum(axis=-1), q.sum(axis=-1)], axis=-1)
     unnormalized = np.abs(totals - 1.0) > 1e-9
     failing = negative | unnormalized.any(axis=-1)
@@ -321,10 +323,8 @@ def _hellinger_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             raise InputDomainError("distributions must be nonnegative")
         total = totals[row, int(np.argmax(unnormalized[row]))]
         raise InputDomainError(f"distribution must sum to 1, got {total}")
-    # max(0.0, 1.0 - min(coeff, 1.0)) in Python's terms: 0 for a NaN coeff.
     coeff = np.sqrt(p * q).sum(axis=-1)
-    gap = 1.0 - np.minimum(coeff, 1.0)
-    return np.sqrt(np.where(gap > 0.0, gap, 0.0))
+    return np.sqrt(1.0 - np.minimum(coeff, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +336,9 @@ def _hellinger_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 class GridSpec:
     """Evaluation grid over object position (range/bearing) and host motion.
 
-    Points are the cartesian product of linspaces over the four ranges, with
-    the object position built as x = range, y = x * tan(bearing).  The default
+    Points are the cartesian product of linspaces over x 1..110 m, bearing
+    -21..21 deg, v 1..70 m/s and yaw rate -0.7..0.7 rad/s, with the object
+    position built as x = range, y = x * tan(bearing).  The default
     8 x 4 x 4 x 4 grid has 512 points.
     """
 
@@ -345,10 +346,6 @@ class GridSpec:
     bearing_steps: int = 4
     v_steps: int = 4
     yaw_steps: int = 4
-    x_range: tuple[float, float] = (1.0, 110.0)
-    bearing_range_deg: tuple[float, float] = (-21.0, 21.0)
-    v_range: tuple[float, float] = (1.0, 70.0)
-    yaw_range: tuple[float, float] = (-0.7, 0.7)
 
     def __post_init__(self) -> None:
         for name in ("x_steps", "bearing_steps", "v_steps", "yaw_steps"):
@@ -358,10 +355,10 @@ class GridSpec:
 
     def points(self) -> Iterator[tuple[float, float, float, float]]:
         """Yield (x, y, v, yaw_rate) grid points in row-major order."""
-        xs = np.linspace(*self.x_range, self.x_steps)
-        bearings = np.radians(np.linspace(*self.bearing_range_deg, self.bearing_steps))
-        vs = np.linspace(*self.v_range, self.v_steps)
-        yaws = np.linspace(*self.yaw_range, self.yaw_steps)
+        xs = np.linspace(1.0, 110.0, self.x_steps)
+        bearings = np.radians(np.linspace(-21.0, 21.0, self.bearing_steps))
+        vs = np.linspace(1.0, 70.0, self.v_steps)
+        yaws = np.linspace(-0.7, 0.7, self.yaw_steps)
         for x in xs:
             for b in bearings:
                 for v in vs:
@@ -377,15 +374,12 @@ class McPointResult:
     y: float
     v: float
     yaw_rate: float
-    var_x: float
-    var_y: float
-    var_v: float
-    var_yaw: float
     hellinger: float  # NaN when status != "ok"
     status: str  # "ok" or "skipped"
 
 
-# Default input variances, ordered like InputVector: (v, yaw_rate, x, y).
+# The input variances of every grid point, ordered like InputVector:
+# (v, yaw_rate, x, y).
 DEFAULT_MC_VARIANCES = (0.25, 1e-4, 0.04, 0.04)
 
 # Grid points scored together by `mc_validate`.
@@ -394,13 +388,8 @@ _MC_BLOCK = 64
 
 def _gaussian_bin_masses(means: np.ndarray, stds: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Probability mass of N(means[i], stds[i]^2) per bin of row i of the
-    (P, bins + 1) `edges`, including both open tails; a zero deviation puts
-    all the mass in the bin `np.searchsorted(edges[i], means[i])` names."""
-    means, stds = means[:, None], stds[:, None]
-    certain = stds == 0.0
-    cdf = np.where(
-        certain, edges >= means, ndtr((edges - means) / np.where(certain, 1.0, stds))
-    )
+    (P, bins + 1) `edges`, including both open tails; every deviation is > 0."""
+    cdf = ndtr((edges - means[:, None]) / stds[:, None])
     return np.diff(cdf, axis=-1, prepend=0.0, append=1.0)
 
 
@@ -439,21 +428,17 @@ def _bin_index(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def mc_validate(
-    grid: GridSpec | Iterable[tuple[float, float, float, float]] | None = None,
-    samples: int = 5000,
-    bins: int = 100,
-    seed: int = 0,
-    variances: Sequence[float] = DEFAULT_MC_VARIANCES,
-    alpha: float = 0.0,
+    grid: GridSpec = GridSpec(), samples: int = 5000, bins: int = 100, seed: int = 0
 ) -> list[McPointResult]:
     """Score the first-order propagation against sampling on a grid.
 
-    For every grid point the input Gaussian (diagonal covariance from
-    ``variances``, ordered v/yaw_rate/x/y) is propagated two ways: the
-    first-order transform, and ``samples`` exact evaluations of the offset at
-    random input draws.  Both densities are binned on a common grid of
-    ``bins`` equal-width bins spanning the sampled mean +/- 6 sigma plus two
-    open tails, and compared with the Hellinger distance.
+    For every grid point the input Gaussian (diagonal covariance
+    `DEFAULT_MC_VARIANCES`, ordered v/yaw_rate/x/y, on a path with no
+    heading offset) is propagated two ways: the first-order transform, and
+    ``samples`` exact evaluations of the offset at random input draws.  Both
+    densities are binned on a common grid of ``bins`` equal-width bins
+    spanning the sampled mean +/- 6 sigma plus two open tails, and compared
+    with the Hellinger distance.
 
     Each point uses an independent RNG stream seeded by (seed, point index),
     so results do not depend on evaluation order.  Speed draws are clipped at
@@ -465,35 +450,28 @@ def mc_validate(
         raise InputDomainError(f"bins must be >= 2, got {bins}")
     if seed < 0:
         raise InputDomainError(f"seed must be >= 0, got {seed}")
-    var_v, var_yaw, var_x, var_y = (float(s) for s in variances)
-    for name, value in (("var_v", var_v), ("var_yaw", var_yaw),
-                        ("var_x", var_x), ("var_y", var_y)):
-        if not math.isfinite(value) or value < 0.0:
-            raise InputDomainError(f"{name} must be finite and >= 0, got {value}")
+    return _mc_points(list(grid.points()), samples, bins, seed)
 
-    if grid is None:
-        grid = GridSpec()
-    points = list(grid.points() if isinstance(grid, GridSpec) else grid)
-    sin_a, cos_a = math.sin(alpha), math.cos(alpha)
+
+def _mc_points(
+    points: list[tuple[float, float, float, float]], samples: int, bins: int, seed: int
+) -> list[McPointResult]:
+    """`mc_validate` over (x, y, v, yaw_rate) points, settings unchecked."""
+    sd_v, sd_yaw, sd_x, sd_y = (math.sqrt(s) for s in DEFAULT_MC_VARIANCES)
+    sin_a, cos_a = 0.0, 1.0
 
     # The first-order Gaussians of all points at once.  A point is skipped
-    # where `transform_to_path` would raise: every point for a heading
-    # offset outside the host's domain, else where the mean or deviation is
-    # not finite.
-    valid_alpha = True
-    try:
-        HostState(0.0, 0.0, alpha)
-    except InputDomainError:
-        valid_alpha = False
+    # where `transform_to_path` would raise, that is where the mean or
+    # deviation is not finite; that happens on no point of a `GridSpec`.
     xs, ys, vs, yaws = np.array(points, dtype=float).reshape(-1, 4).T
     with np.errstate(all="ignore"):
         means, stds = _transform_arrays(
             np.stack([vs, yaws, xs, ys], axis=-1),
-            np.array([var_v, var_yaw, var_x, var_y]),
+            np.array(DEFAULT_MC_VARIANCES),
             sin_a,
             cos_a,
         )
-    valid = np.isfinite(means) & np.isfinite(stds) & valid_alpha
+    valid = np.isfinite(means) & np.isfinite(stds)
 
     # Each point's draws, offsets and histogram stay in the loop; the
     # Gaussian masses and the distances are taken over the rows of a block
@@ -507,10 +485,10 @@ def mc_validate(
         for row, index in enumerate(rows.tolist()):
             x, y, v, yaw_rate = points[index]
             rng = np.random.default_rng([seed, index])
-            draw_v = np.maximum(rng.normal(v, math.sqrt(var_v), samples), 0.0)
-            draw_yaw = rng.normal(yaw_rate, math.sqrt(var_yaw), samples)
-            draw_x = rng.normal(x, math.sqrt(var_x), samples)
-            draw_y = rng.normal(y, math.sqrt(var_y), samples)
+            draw_v = np.maximum(rng.normal(v, sd_v, samples), 0.0)
+            draw_yaw = rng.normal(yaw_rate, sd_yaw, samples)
+            draw_x = rng.normal(x, sd_x, samples)
+            draw_y = rng.normal(y, sd_y, samples)
             offsets = _lateral_offset_arrays(
                 draw_v, draw_yaw, draw_x, draw_y, sin_a, cos_a
             )
@@ -523,9 +501,7 @@ def mc_validate(
             counts / samples, _gaussian_bin_masses(means[rows], stds[rows], edges)
         )
     return [
-        McPointResult(
-            x, y, v, yaw_rate, var_x, var_y, var_v, var_yaw, h, "ok" if ok else "skipped"
-        )
+        McPointResult(x, y, v, yaw_rate, h, "ok" if ok else "skipped")
         for (x, y, v, yaw_rate), h, ok in zip(points, hellinger.tolist(), valid.tolist())
     ]
 
@@ -537,15 +513,18 @@ MC_CSV_COLUMNS = (
 
 
 def write_mc_csv(results: Iterable[McPointResult], out: TextIO) -> None:
-    """Write Monte-Carlo validation results as CSV (deterministic byte-wise)."""
+    """Write Monte-Carlo validation results as CSV (deterministic byte-wise).
+
+    The variance columns hold `DEFAULT_MC_VARIANCES`, the same on every row.
+    """
+    var_v, var_yaw, var_x, var_y = (repr(s) for s in DEFAULT_MC_VARIANCES)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(MC_CSV_COLUMNS)
     for res in results:
         writer.writerow(
             [
                 repr(res.x), repr(res.y), repr(res.v), repr(res.yaw_rate),
-                repr(res.var_x), repr(res.var_y), repr(res.var_v),
-                repr(res.var_yaw),
+                var_x, var_y, var_v, var_yaw,
                 "" if math.isnan(res.hellinger) else repr(res.hellinger),
                 res.status,
             ]

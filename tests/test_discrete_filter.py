@@ -26,7 +26,6 @@ from laneassign import (
 from laneassign.discrete_filter import (
     _clamp,
     _transition_entries,
-    clamp_params,
     predict,
     update,
 )
@@ -99,24 +98,28 @@ def test_matrix_eta_shifts_mass_leftward():
         assert biased[col - 1, col] < base[col - 1, col]  # fewer down-moves
 
 
+def entries(epsilon, eta=0.0):
+    return build_transition_matrix(TransitionParams(epsilon, eta)).entries
+
+
 def test_clamp_params():
-    valid, clamped = clamp_params(TransitionParams(0.5, 0.0))
-    assert clamped
-    assert valid.epsilon == EPSILON_MAX
-    valid, clamped = clamp_params(TransitionParams(0.1, 0.5))
-    assert clamped
-    assert valid.eta == pytest.approx(0.1)
-    valid, clamped = clamp_params(TransitionParams(0.28, -0.3))
-    assert clamped
-    assert valid.eta == pytest.approx(-(1.0 - 3.0 * 0.28))
-    valid, clamped = clamp_params(TransitionParams(0.1, -0.05))
-    assert not clamped
-    assert (valid.epsilon, valid.eta) == (0.1, -0.05)
+    # Out-of-domain parameters build the matrix of the nearest valid pair:
+    # epsilon in [0, 0.3], |eta| <= min(epsilon, 1 - 3 epsilon).
+    np.testing.assert_array_equal(entries(0.5), entries(EPSILON_MAX))
+    np.testing.assert_array_equal(entries(0.1, 0.5), entries(0.1, 0.1))
+    np.testing.assert_array_equal(entries(0.28, -0.3), entries(0.28, -(1.0 - 3.0 * 0.28)))
+    assert entries(0.28, -0.3)[3, 4] == pytest.approx(0.28 + (1.0 - 3.0 * 0.28))
+    # A pair inside the domain is used as given.
+    assert entries(0.1, -0.05)[3, 4] == pytest.approx(0.15)
+    assert entries(0.1, -0.05)[0, 0] == pytest.approx(0.95)
 
 
 def test_matrix_flags_clamp():
-    assert build_transition_matrix(TransitionParams(0.4, 0.0)).clamped
-    assert not build_transition_matrix(TransitionParams(0.2, 0.0)).clamped
+    # The built entries show a clamp: 0.4 builds the EPSILON_MAX matrix,
+    # 0.2 its own.
+    np.testing.assert_array_equal(entries(0.4), entries(EPSILON_MAX))
+    np.testing.assert_array_equal(entries(0.2), _transition_entries(0.2, 0.0))
+    assert not np.array_equal(entries(0.2), entries(EPSILON_MAX))
 
 
 def test_params_validation():
@@ -125,9 +128,8 @@ def test_params_validation():
     with pytest.raises(InputDomainError):
         TransitionParams(0.1, math.inf)
     # Out-of-range but finite values are a clamping matter, not an error.
-    valid, clamped = clamp_params(TransitionParams(-0.01, 0.0))
-    assert clamped
-    assert valid.epsilon == 0.0
+    np.testing.assert_array_equal(entries(-0.01), entries(0.0))
+    np.testing.assert_array_equal(entries(0.0), np.eye(5))
 
 
 def test_transition_matrix_validation():

@@ -4,6 +4,8 @@ Reference values are computed with mpmath at 60 significant digits so the
 oracle shares no code (and no rounding behaviour) with the implementation.
 """
 
+import dataclasses
+import inspect
 import math
 
 import mpmath
@@ -30,9 +32,11 @@ from laneassign import (
 )
 from laneassign.geometry import (
     STRAIGHT_YAW_THRESHOLD,
+    McPointResult,
     _bin_index,
     _jacobian_arrays,
     _lateral_offset_arrays,
+    _mc_points,
     _transform_arrays,
 )
 
@@ -530,8 +534,18 @@ def test_hellinger_validation():
     with pytest.raises(InputDomainError, match="must sum to 1"):
         hellinger_distance(np.array([0.5, 0.5 + 5e-7]), np.array([0.5, 0.5]))
     assert hellinger_distance(np.array([0.5, 0.5 + 5e-10]), np.array([0.5, 0.5])) < 1e-4
-    with pytest.raises(InputDomainError):
+    with pytest.raises(InputDomainError, match="^distributions must be nonnegative$"):
         hellinger_distance(np.array([1.1, -0.1]), np.array([0.5, 0.5]))
+    # A non-finite entry is no distribution either, on either side.
+    for bad in ([math.nan, 1.0], [1.0, math.nan], [math.inf, 0.0], [-math.inf, 1.0]):
+        with pytest.raises(InputDomainError):
+            hellinger_distance(bad, [0.5, 0.5])
+        with pytest.raises(InputDomainError):
+            hellinger_distance([0.5, 0.5], bad)
+    with pytest.raises(InputDomainError, match="^distributions must be nonnegative$"):
+        hellinger_distance([math.nan, 1.0], [0.5, 0.5])
+    with pytest.raises(InputDomainError, match="^distribution must sum to 1, got inf$"):
+        hellinger_distance([math.inf, 0.0], [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +572,50 @@ def test_grid_spec_rejects_fewer_than_one_step(name, steps):
         GridSpec(**{name: steps})
 
 
+def test_mc_validate_takes_only_the_settings_a_caller_sets():
+    # The CLI sets the four step counts, the sample and bin counts and the
+    # seed; the ranges, the input variances and the heading offset are fixed.
+    assert [field.name for field in dataclasses.fields(GridSpec)] == [
+        "x_steps", "bearing_steps", "v_steps", "yaw_steps",
+    ]
+    assert list(inspect.signature(mc_validate).parameters) == [
+        "grid", "samples", "bins", "seed",
+    ]
+    assert [field.name for field in dataclasses.fields(McPointResult)] == [
+        "x", "y", "v", "yaw_rate", "hellinger", "status",
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(steps=st.tuples(*[st.integers(1, 12)] * 4))
+def test_every_grid_point_has_a_finite_first_order_gaussian(steps):
+    # var_x = var_y = 0.04 and a position gradient of unit norm put every
+    # first-order deviation at 0.2 or more, so no grid point is skipped and
+    # none has a point-mass Gaussian.
+    grid = GridSpec(*steps)
+    xs, ys, vs, yaws = np.array(list(grid.points())).T
+    assert len(xs) == math.prod(steps)
+    means, stds = _transform_arrays(
+        np.stack([vs, yaws, xs, ys], axis=-1), np.array(DEFAULT_MC_VARIANCES), 0.0, 1.0
+    )
+    assert np.isfinite(means).all()
+    assert (stds >= 0.2 * (1.0 - 1e-9)).all()
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (dict(samples=1), r"^samples must be >= 2, got 1$"),
+        (dict(bins=1), r"^bins must be >= 2, got 1$"),
+    ],
+    ids=["one sample", "one bin"],
+)
+def test_mc_validate_rejects_too_few_samples_or_bins(options, message):
+    grid = GridSpec(x_steps=1, bearing_steps=1, v_steps=1, yaw_steps=1)
+    with pytest.raises(InputDomainError, match=message):
+        mc_validate(grid=grid, **options)
+
+
 def test_mc_validate_rejects_a_negative_seed():
     grid = GridSpec(x_steps=1, bearing_steps=1, v_steps=1, yaw_steps=1)
     with pytest.raises(InputDomainError, match=r"^seed must be >= 0, got -1$"):
@@ -581,35 +639,28 @@ def test_mc_validate_deterministic():
     assert [r.hellinger for r in a] != [r.hellinger for r in c]
 
 
-def test_mc_validate_zero_variance_collapses():
-    # With no input noise both distributions are a point mass in one bin.
-    grid = GridSpec(x_steps=1, bearing_steps=1, v_steps=1, yaw_steps=1)
-    results = mc_validate(grid=grid, samples=500, variances=(0.0, 0.0, 0.0, 0.0))
-    assert results[0].status == "ok"
-    assert results[0].hellinger == pytest.approx(0.0, abs=1e-12)
+SINGULAR_POINTS = [
+    # v=10, yaw=1 puts the circle center at (0, 10); bearing 90 deg is
+    # impossible, so the point is built by hand.
+    (0.0, 10.0, 10.0, 1.0),
+    (40.0, 1.0, -1.0, 0.1),  # negative speed
+    (40.0, math.nan, 20.0, 0.1),  # NaN coordinate
+    # An infinite yaw rate, which the parser and HostState reject.
+    (40.0, 1.0, 20.0, math.inf),
+    (40.0, 1.0, 20.0, -math.inf),
+    (math.inf, 1.0, 20.0, 0.1),  # infinite coordinate
+    (40.0, 1.0, math.nan, 0.1),  # NaN speed
+    (40.0, 1.0, 20.0, math.nan),  # NaN yaw rate
+]
 
 
 @pytest.mark.parametrize(
-    "point, alpha",
-    [
-        # v=10, yaw=1 puts the circle center at (0, 10); bearing 90 deg is
-        # impossible, so the point is built by hand in a one-point grid.
-        ((0.0, 10.0, 10.0, 1.0), 0.0),
-        ((40.0, 1.0, -1.0, 0.1), 0.0),  # negative speed
-        ((40.0, math.nan, 20.0, 0.1), 0.0),  # NaN coordinate
-        ((40.0, 1.0, 20.0, 0.1), math.pi / 2),  # heading offset out of range
-        # An infinite yaw rate gives a finite offset and deviation.
-        ((40.0, 1.0, 20.0, math.inf), 0.0),
-    ],
-    ids=["circle center", "negative speed", "nan coordinate", "alpha pi/2", "inf yaw rate"],
+    "point", SINGULAR_POINTS,
+    ids=["circle center", "negative speed", "nan coordinate", "inf yaw rate",
+         "-inf yaw rate", "inf coordinate", "nan speed", "nan yaw rate"],
 )
-def test_mc_validate_skips_singular_geometry(point, alpha):
-    results = mc_validate(
-        grid=[point],
-        samples=100,
-        variances=(0.0, 0.0, 0.0, 0.0),
-        alpha=alpha,
-    )
+def test_mc_validate_skips_singular_geometry(point):
+    results = _mc_points([point], samples=100, bins=100, seed=0)
     assert results[0].status == "skipped"
     assert math.isnan(results[0].hellinger)
 
@@ -652,12 +703,11 @@ def test_bin_index_is_searchsorted(case):
     np.testing.assert_array_equal(got, np.searchsorted(edges, samples, side="left"))
 
 
-def reference_mc_validate(points, samples, bins, seed, variances, alpha):
+def reference_mc_validate(points, samples, bins, seed):
     """The Hellinger distance of each point, one point at a time, binned
     with np.searchsorted and scored with `hellinger_distance`; NaN where
     the point is skipped."""
-    var_v, var_yaw, var_x, var_y = variances
-    sin_a, cos_a = math.sin(alpha), math.cos(alpha)
+    var_v, var_yaw, var_x, var_y = DEFAULT_MC_VARIANCES
     distances = []
     for index, (x, y, v, yaw_rate) in enumerate(points):
         with np.errstate(all="ignore"):
@@ -665,12 +715,12 @@ def reference_mc_validate(points, samples, bins, seed, variances, alpha):
                 float(a)
                 for a in _transform_arrays(
                     np.array([v, yaw_rate, x, y], dtype=float),
-                    np.array([var_v, var_yaw, var_x, var_y]),
-                    sin_a,
-                    cos_a,
+                    np.array(DEFAULT_MC_VARIANCES),
+                    0.0,
+                    1.0,
                 )
             )
-        if abs(alpha) >= math.pi / 2 or not (math.isfinite(mean) and math.isfinite(std)):
+        if not (math.isfinite(mean) and math.isfinite(std)):
             distances.append(math.nan)
             continue
         rng = np.random.default_rng([seed, index])
@@ -678,58 +728,46 @@ def reference_mc_validate(points, samples, bins, seed, variances, alpha):
         draw_yaw = rng.normal(yaw_rate, math.sqrt(var_yaw), samples)
         draw_x = rng.normal(x, math.sqrt(var_x), samples)
         draw_y = rng.normal(y, math.sqrt(var_y), samples)
-        offsets = _lateral_offset_arrays(draw_v, draw_yaw, draw_x, draw_y, sin_a, cos_a)
+        offsets = _lateral_offset_arrays(draw_v, draw_yaw, draw_x, draw_y, 0.0, 1.0)
         mu = float(offsets.mean())
         sd = float(offsets.std())
         span = 6.0 * sd if sd > 0.0 else 1.0
         edges = np.linspace(mu - span, mu + span, bins + 1)
         counts = np.bincount(np.searchsorted(edges, offsets, side="left"), minlength=bins + 2)
-        if std == 0.0:
-            linearized = np.zeros(bins + 2)
-            linearized[np.searchsorted(edges, mean, side="left")] = 1.0
-        else:
-            cdf = ndtr((edges - mean) / std)
-            linearized = np.diff(np.concatenate(([0.0], cdf, [1.0])))
+        cdf = ndtr((edges - mean) / std)
+        linearized = np.diff(np.concatenate(([0.0], cdf, [1.0])))
         distances.append(hellinger_distance(counts / samples, linearized))
     return distances
-
-
-SINGULAR_POINTS = [
-    (0.0, 10.0, 10.0, 1.0),
-    (40.0, 1.0, -1.0, 0.1),
-    (40.0, math.nan, 20.0, 0.1),
-    (40.0, 1.0, 20.0, math.inf),
-]
 
 
 @pytest.mark.parametrize(
     "grid, options",
     [
-        (GridSpec(x_steps=2, bearing_steps=2, v_steps=2, yaw_steps=2), dict(alpha=0.3)),
         (GridSpec(x_steps=2, bearing_steps=1, v_steps=2, yaw_steps=2), dict(bins=2)),
         (GridSpec(x_steps=2, bearing_steps=2, v_steps=1, yaw_steps=2), dict(samples=2)),
-        (GridSpec(x_steps=2, bearing_steps=1, v_steps=1, yaw_steps=2),
-         dict(variances=(0.0, 0.0, 0.0, 0.0))),
-        # Zero first-order deviation at x = 0 on a straight path, while the
-        # sampled yaw rates spread the offsets.
-        ([(0.0, 5.0, 10.0, 0.0), (0.0, -2.0, 30.0, 0.0)],
-         dict(samples=300, bins=7, variances=(0.25, 1e-4, 0.0, 0.0))),
-        (GridSpec(x_steps=1, bearing_steps=2, v_steps=1, yaw_steps=1), dict(alpha=math.pi / 2)),
         # More points than `mc_validate` scores in one block.
         (GridSpec(x_steps=5, bearing_steps=3, v_steps=3, yaw_steps=3), dict(samples=40, bins=30)),
-        ([(40.0, 1.0, 20.0, 0.1), *SINGULAR_POINTS, (1.0, -0.3, 70.0, -0.7)],
-         dict(samples=300, variances=(0.0, 0.0, 0.0, 0.0))),
+        # A list of points goes through `_mc_points`, the loop `mc_validate` runs.
         ([(40.0, 1.0, 20.0, 0.1), *SINGULAR_POINTS, (1.0, -0.3, 70.0, -0.7)],
          dict(samples=300, seed=9)),
+        # The least first-order deviation, 0.2 from position alone at x = 0
+        # on a straight path, while the sampled yaw rates spread the offsets.
+        ([(0.0, 5.0, 10.0, 0.0), (0.0, -2.0, 30.0, 0.0)], dict(samples=300, bins=7)),
+        # No point is scored, so no block runs.
+        (SINGULAR_POINTS, dict(samples=50)),
     ],
-    ids=["alpha", "two bins", "two samples", "zero variances", "zero deviation",
-         "alpha pi/2", "several blocks", "list grid, zero variances", "list grid"],
+    ids=["two bins", "two samples", "several blocks", "list grid",
+         "least deviation", "singular points only"],
 )
 def test_mc_validate_equals_the_per_point_reference(grid, options):
-    kwargs = dict(samples=500, bins=100, seed=4, variances=DEFAULT_MC_VARIANCES, alpha=0.0)
+    kwargs = dict(samples=500, bins=100, seed=4)
     kwargs.update(options)
-    points = list(grid.points() if isinstance(grid, GridSpec) else grid)
-    results = mc_validate(grid=grid, **kwargs)
+    if isinstance(grid, GridSpec):
+        points = list(grid.points())
+        results = mc_validate(grid, **kwargs)
+    else:
+        points = grid
+        results = _mc_points(points, **kwargs)
     want = reference_mc_validate(points, **kwargs)
     assert [r.status == "skipped" for r in results] == [math.isnan(h) for h in want]
     assert [(r.x, r.y, r.v, r.yaw_rate) for r in results] == points
@@ -752,5 +790,9 @@ def test_write_mc_csv(tmp_path):
     assert lines[0] == "x,y,v,yaw_rate,var_x,var_y,var_v,var_yaw,hellinger,status"
     assert len(lines) == 1 + len(results)
     first = lines[1].split(",")
+    # Every row carries DEFAULT_MC_VARIANCES in the column order.
+    assert {tuple(line.split(",")[4:8]) for line in lines[1:]} == {
+        ("0.04", "0.04", "0.25", "0.0001")
+    }
     assert first[-1] == "ok"
     assert float(first[-2]) == results[0].hellinger
