@@ -10,9 +10,9 @@ that path's width -- the property that makes the likelihood well calibrated.
 import numpy as np
 
 from laneassign import (
+    DEFAULT_BOUNDS,
     PATH_LABELS,
     GaussianScalar,
-    extrapolate_boundaries,
     lane_occupancy,
 )
 
@@ -22,11 +22,10 @@ def bar(p, width=24):
 
 
 def show_sweep(sigma):
-    bounds = extrapolate_boundaries()
     print(f"combined sigma = {sigma} m, boundaries at -5.25/-1.75/+1.75/+5.25")
     print(f"{'offset':>8} " + " ".join(f"{f'p{k}':>6}" for k in range(5)))
     for mu in np.arange(-5.0, 5.5, 1.0):
-        p = lane_occupancy(GaussianScalar(float(mu), sigma), bounds)
+        p = lane_occupancy(GaussianScalar(float(mu), sigma), DEFAULT_BOUNDS)
         row = " ".join(f"{p[k]:>6.3f}" for k in range(5))
         print(f"{mu:>8.1f} {row}   {bar(p[2])}")
     print("(the bar tracks the host-path mass p2)")
@@ -34,20 +33,18 @@ def show_sweep(sigma):
 
 
 def show_host_path_profile():
-    bounds = extrapolate_boundaries()
     print("host-path mass at lane center vs combined sigma")
     for sigma in (0.1, 0.3, 0.7, 1.2, 2.0):
-        p = lane_occupancy(GaussianScalar(0.0, sigma), bounds)
+        p = lane_occupancy(GaussianScalar(0.0, sigma), DEFAULT_BOUNDS)
         print(f"  sigma {sigma:>4} m -> p2 = {p[2]:.4f}  {bar(p[2], 40)}")
     print()
 
 
 def show_width_recovery():
-    bounds = extrapolate_boundaries()
     step = 0.02
     mus = np.arange(-40.0, 40.0, step)
     masses = np.array(
-        [lane_occupancy(GaussianScalar(float(m), 0.7), bounds).probs for m in mus]
+        [lane_occupancy(GaussianScalar(float(m), 0.7), DEFAULT_BOUNDS).probs for m in mus]
     )
     integrals = masses.sum(axis=0) * step
     print("integral of each path's occupancy over the object position")

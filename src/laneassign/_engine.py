@@ -9,9 +9,10 @@ continues from one scenario into the next.  Messages number a frame within
 its scenario.
 
 `flatten` first checks the `Scenario` contract, which the parser and the
-generator keep: within each scenario, `frame_of` gives each id a frame, in
-frame order; frame times are finite and strictly increase; and an id
-appears at most once per frame.  It then works out the tracks on arrays:
+generator keep: within each scenario, every column has one entry per frame
+or one per id; `frame_of` gives each id a frame, in frame order; frame
+times are finite and strictly increase; and an id appears at most once per
+frame.  It then works out the tracks on arrays:
 integer codes for (scenario, id), a stable sort by code, and a new track
 where the gap since the id's previous detection exceeds `ABSENCE_TIMEOUT`;
 on a continued track that gap is the Kalman step `dt`.
@@ -82,7 +83,7 @@ from .geometry import (
     transform_to_path,
 )
 from .likelihood import (
-    _DEFAULT_BOUNDS,
+    DEFAULT_BOUNDS,
     N_PATHS,
     PathPosterior,
     _occupancy_arrays,
@@ -156,17 +157,29 @@ def _check_frames(times, t, frame_number, ids, frame_of, repeated) -> None:
         raise InputDomainError(f"frame {frame_number[f]} (t={times[f]}): {message}")
 
 
-def _check_frame_of(scenarios, lengths, counts, frame_of) -> None:
-    """Raise an InputDomainError naming `frame_of` where a scenario's column
-    does not place its object-frames in frame order: one entry per id,
-    never decreasing, each in range(len(t)).  `frame_of` holds the columns
-    one after another, `counts` their lengths and `lengths` the frame
-    counts."""
-    for scenario, count in zip(scenarios, counts):
-        if count != len(scenario.id):
-            raise InputDomainError(
-                f"frame_of must have one entry per id, got {count} for {len(scenario.id)} ids"
-            )
+# The columns of a `Scenario` with one entry per frame, and per id; each is
+# measured against the first of its kind.
+_COLUMNS = {
+    "frame": ("t", "v", "yaw_rate", "alpha", "var_v", "var_yaw", "bounds"),
+    "id": ("id", "frame_of", "x", "y", "var_x", "var_y", "v_lat", "gt"),
+}
+
+
+def _check_columns(scenarios, lengths, counts, frame_of) -> None:
+    """Raise an InputDomainError naming the first column of a scenario
+    whose length is off, or else `frame_of` where it does not place the
+    object-frames in frame order: never decreasing, each in range(len(t)).
+    `frame_of` holds the columns one after another, `counts` their lengths
+    and `lengths` the frame counts."""
+    for scenario in scenarios:
+        for unit, (first, *names) in _COLUMNS.items():
+            want = len(getattr(scenario, first))
+            for name in names:
+                got = len(getattr(scenario, name))
+                if got != want:
+                    raise InputDomainError(
+                        f"{name} must have one entry per {unit}, got {got} for {want} {unit}s"
+                    )
     start = np.repeat(np.cumsum([0, *counts])[:-1], counts)
     frames = np.repeat(lengths, counts)
     decreasing = np.concatenate([[False], frame_of[1:] < frame_of[:-1]]) & (
@@ -194,7 +207,7 @@ def flatten(scenarios) -> Flat:
     frame_number = np.arange(len(t)) - np.repeat(first, lengths)
     counts = [len(scenario.frame_of) for scenario in scenarios]
     frame_of = np.array(_joined(scenarios, "frame_of"), dtype=np.intp)
-    _check_frame_of(scenarios, lengths, counts, frame_of)
+    _check_columns(scenarios, lengths, counts, frame_of)
     frame_of += np.repeat(first, counts)
     n = len(frame_of)
 
@@ -238,7 +251,7 @@ def flatten(scenarios) -> Flat:
          list(map(math.sin, inside)), list(map(math.cos, inside))],
         dtype=float,
     )[:, frame_of]
-    bounds = [b if b is not None else _DEFAULT_BOUNDS for b in _joined(scenarios, "bounds")]
+    bounds = [b if b is not None else DEFAULT_BOUNDS for b in _joined(scenarios, "bounds")]
     distinct = {id(b): b for b in bounds}
     arrays = {i: b.arrays() for i, b in distinct.items()}
     x, y, var_x, var_y = np.array(

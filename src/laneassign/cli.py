@@ -14,11 +14,13 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 
 from .geometry import GridSpec, mc_validate, write_mc_csv
 from .harness import (
     METHODS,
     SCENARIO_KINDS,
+    SWEEP_CONFIG,
     PipelineConfig,
     SynthSpec,
     build_suite,
@@ -38,39 +40,45 @@ def _out_stream(path: str):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _add_filter_flags(parser: argparse.ArgumentParser, eta_gain_default: float) -> None:
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The flags among `names` that the command line sets; the library
+    applies its own defaults to the others."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
+def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
     """The flags `run` and `sweep` share; `sweep` takes its swept parameter
     from --grid."""
     parser.add_argument(
-        "--eta-gain", type=float, default=eta_gain_default,
+        "--eta-gain", type=float,
         help="discrete method only: drift gain applied to the lateral-velocity "
-        "input; the continuous method drifts by the raw v_lat "
-        f"(default {eta_gain_default})",
+        "input; the continuous method drifts by the raw v_lat",
     )
     parser.add_argument(
-        "--p-min", type=float, default=0.3,
-        help="acceptance threshold on the median index probability (default 0.3)",
+        "--p-min", type=float,
+        help="acceptance threshold on the median index probability",
     )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = PipelineConfig(args.epsilon, args.eta_gain, args.sigma_nu, args.p_min)
-    result = run_pipeline(load_scenario(args.scenario), args.method, config)
+    config = PipelineConfig(**_given(args, "epsilon", "eta_gain", "sigma_nu", "p_min"))
+    scenario = load_scenario(args.scenario)
+    result = run_pipeline(scenario, config=config, **_given(args, "method"))
     with _out_stream(args.out) as out:
         write_run_csv(result, out)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.scenario:
+    if "scenario" in args:
         scenarios = [load_scenario(path) for path in args.scenario]
     else:
         kinds = SCENARIO_KINDS if args.suite == "all" else (args.suite,)
-        scenarios = list(build_suite(kinds, seed=args.seed, step=args.step).values())
+        scenarios = list(build_suite(kinds, **_given(args, "seed", "step")).values())
     grid = None
-    if args.grid:
+    if "grid" in args:
         grid = [float(part) for part in args.grid.split(",") if part.strip()]
-    config = PipelineConfig(eta_gain=args.eta_gain, p_min=args.p_min)
+    config = replace(SWEEP_CONFIG, **_given(args, "eta_gain", "p_min"))
     points = sweep_parameters(scenarios, args.method, grid, config)
     with _out_stream(args.out) as out:
         write_roc_csv(points, out)
@@ -78,7 +86,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = SynthSpec(args.kind, args.duration, args.step, args.seed, args.noise_scale)
+    spec = SynthSpec(args.kind, **_given(args, "duration", "step", "seed", "noise_scale"))
     scenario = generate_synthetic(spec)
     with _out_stream(args.out) as out:
         write_scenario(scenario, out)
@@ -86,50 +94,47 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc_validate(args: argparse.Namespace) -> int:
-    grid = GridSpec(
-        x_steps=args.x_steps,
-        bearing_steps=args.bearing_steps,
-        v_steps=args.v_steps,
-        yaw_steps=args.yaw_steps,
-    )
-    results = mc_validate(grid, samples=args.samples, bins=args.bins, seed=args.seed)
+    grid = GridSpec(**_given(args, "x_steps", "bearing_steps", "v_steps", "yaw_steps"))
+    results = mc_validate(grid, **_given(args, "samples", "bins", "seed"))
     with _out_stream(args.out) as out:
         write_mc_csv(results, out)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the four subcommands.  An optional flag left out is
+    absent from the parsed namespace, so the library's default applies."""
     parser = argparse.ArgumentParser(
         prog="laneassign",
         description="Probabilistic path assignment filters and their harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one method over a scenario file")
+    def add_command(name: str, **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
+
+    run = add_command("run", help="run one method over a scenario file")
     run.add_argument("--scenario", required=True, help="scenario JSONL file")
+    run.add_argument("--method", choices=METHODS, help="filter method")
     run.add_argument(
-        "--method", choices=METHODS, default="discrete",
-        help="filter method (default discrete)",
+        "--epsilon", type=float,
+        help="discrete method only: neighbor-transition rate",
     )
     run.add_argument(
-        "--epsilon", type=float, default=0.05,
-        help="discrete method only: neighbor-transition rate (default 0.05)",
+        "--sigma-nu", type=float,
+        help="continuous method only: process noise in m/s",
     )
-    run.add_argument(
-        "--sigma-nu", type=float, default=0.1,
-        help="continuous method only: process noise in m/s (default 0.1)",
-    )
-    _add_filter_flags(run, eta_gain_default=0.05)
+    _add_filter_flags(run)
     run.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
     run.set_defaults(func=_cmd_run)
 
-    sweep = sub.add_parser("sweep", help="ROC over a parameter grid")
+    sweep = add_command("sweep", help="ROC over a parameter grid")
     sweep.add_argument(
         "--method", choices=METHODS, required=True,
         help="method to sweep: discrete sweeps epsilon, continuous sigma_nu",
     )
     sweep.add_argument(
-        "--scenario", nargs="+", default=None,
+        "--scenario", nargs="+",
         help="scenario files to pool; omit to use the bundled synthetic suite",
     )
     sweep.add_argument(
@@ -137,41 +142,34 @@ def build_parser() -> argparse.ArgumentParser:
         help="bundled suite selection when no scenario files are given",
     )
     sweep.add_argument(
-        "--grid", default=None,
-        help="comma-separated parameter values overriding the default grid",
+        "--grid", help="comma-separated parameter values overriding the default grid",
     )
-    # Sweeps run without the lateral-velocity drift by default so the swept
-    # parameter is the only thing that changes the transition model.
-    _add_filter_flags(sweep, eta_gain_default=0.0)
-    sweep.add_argument("--seed", type=int, default=0, help="suite generation seed")
-    sweep.add_argument(
-        "--step", type=float, default=0.05, help="suite frame period in s"
-    )
+    _add_filter_flags(sweep)
+    sweep.add_argument("--seed", type=int, help="suite generation seed")
+    sweep.add_argument("--step", type=float, help="suite frame period in s")
     sweep.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
     sweep.set_defaults(func=_cmd_sweep)
 
-    synth = sub.add_parser("synth", help="generate a synthetic scenario")
+    synth = add_command("synth", help="generate a synthetic scenario")
     synth.add_argument("--kind", choices=SCENARIO_KINDS, required=True)
-    synth.add_argument("--duration", type=float, default=20.0, help="seconds")
-    synth.add_argument("--step", type=float, default=0.05, help="frame period in s")
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--duration", type=float, help="seconds")
+    synth.add_argument("--step", type=float, help="frame period in s")
+    synth.add_argument("--seed", type=int)
     synth.add_argument(
-        "--noise-scale", type=float, default=1.0,
+        "--noise-scale", type=float,
         help="scale factor on all measurement noise levels (0 disables noise)",
     )
     synth.add_argument("--out", default="-", help="output JSONL path, '-' for stdout")
     synth.set_defaults(func=_cmd_synth)
 
-    mc = sub.add_parser(
+    mc = add_command(
         "mc-validate", help="Monte-Carlo check of the uncertainty propagation"
     )
-    mc.add_argument("--samples", type=int, default=5000, help="draws per grid point")
-    mc.add_argument("--bins", type=int, default=100, help="histogram bins")
-    mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--x-steps", type=int, default=8)
-    mc.add_argument("--bearing-steps", type=int, default=4)
-    mc.add_argument("--v-steps", type=int, default=4)
-    mc.add_argument("--yaw-steps", type=int, default=4)
+    mc.add_argument("--samples", type=int, help="draws per grid point")
+    mc.add_argument("--bins", type=int, help="histogram bins")
+    mc.add_argument("--seed", type=int)
+    for axis in ("x", "bearing", "v", "yaw"):
+        mc.add_argument(f"--{axis}-steps", type=int, help=f"grid points along {axis}")
     mc.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
     mc.set_defaults(func=_cmd_mc_validate)
 

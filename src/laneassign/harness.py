@@ -9,8 +9,11 @@ run's result is columnar too: a `RunResult` holds the engine's arrays, one
 entry per object-frame.  `run_pipeline` and `sweep_parameters` (one result
 per grid value) build it in one place, `write_run_csv` writes it and
 `compute_roc` counts it.  A synthetic scenario takes the five settings of
-a `SynthSpec`; the rest of its scene is the module constants below and the
-default boundary layout.
+a `SynthSpec`; the rest of its scene is the module constants below and
+`likelihood.DEFAULT_BOUNDS`.  Each default lives in one place here:
+`PipelineConfig` for a run, `SWEEP_CONFIG` for a sweep and `SynthSpec` for
+a synthetic scenario and the bundled suite.  The CLI passes on only the
+flags it is given, so its outputs are those of the library calls.
 
 Scenario files are UTF-8 JSON lines, one frame per line:
 
@@ -24,7 +27,7 @@ Scenario files are UTF-8 JSON lines, one frame per line:
 `host.alpha`, per-object `v_lat`/`gt` and the frame's `bounds` are optional;
 unknown fields anywhere are rejected.  Timestamps must strictly increase.
 Boundary overrides are given directly in path coordinates (pre-transformed
-camera cues); without them the default boundary layout is used.
+camera cues); without them `DEFAULT_BOUNDS` is used.
 """
 
 from __future__ import annotations
@@ -41,13 +44,7 @@ import numpy as np
 from ._engine import _joined, filter_batch
 from .estimator import DEFAULT_P_MIN
 from .geometry import GaussianScalar, HostState, InputDomainError, ObjectMeasurement
-from .likelihood import _DEFAULT_BOUNDS, HOST_PATH_INDEX, N_PATHS, BoundarySet
-
-# The per-object stages the engine replaces stay importable from here, where
-# the benchmark's tracer (bench/tracing.py) counts their calls.
-from .estimator import assign  # noqa: F401
-from .geometry import transform_to_path  # noqa: F401
-from .likelihood import extrapolate_boundaries  # noqa: F401
+from .likelihood import DEFAULT_BOUNDS, HOST_PATH_INDEX, N_PATHS, BoundarySet
 
 
 class ScenarioFormatError(ValueError):
@@ -67,13 +64,14 @@ class Scenario:
     timestamps, ids and ground truths reach results and messages unchanged.
     `len` gives the number of frames.
 
-    Within a scenario `frame_of` has one entry per id, never decreases and
-    indexes the frames; the frame times are finite and strictly increase,
-    and an id appears at most once per frame; the host's values lie in the
-    domain of `HostState` and each object's in that of `ObjectMeasurement`.
-    The parser and the generator check all of it; the engine checks
-    `frame_of`, the frame times and the ids before anything else, and
-    rejects an object-frame outside the domains.
+    Within a scenario each column has one entry per frame (as `t` has) or
+    per id (as `id` has); `frame_of` never decreases and indexes the
+    frames; the frame times are finite and strictly increase, and an id
+    appears at most once per frame; the host's values lie in the domain of
+    `HostState` and each object's in that of `ObjectMeasurement`.  The
+    parser and the generator check all of it; the engine checks the column
+    lengths, `frame_of`, the frame times and the ids before anything else,
+    and rejects an object-frame outside the domains.
     """
 
     # One entry per frame.
@@ -374,7 +372,7 @@ def generate_synthetic(spec: SynthSpec) -> Scenario:
                          a cut-in object merges into the host lane and a far
                          object holds the left lane
 
-    The lanes are the default boundary layout, which every frame carries.
+    The lanes are `DEFAULT_BOUNDS`, which every frame carries.
     Ground truth indices come from the construction's true lateral offsets,
     never from the noisy measurements.  The yaw flap's mean-square power is
     included in the reported yaw variance, so the downstream uncertainty
@@ -424,7 +422,7 @@ def generate_synthetic(spec: SynthSpec) -> Scenario:
         )
     # The region edges are the lane markings; the objects keep to the
     # middle of a lane, or ramp from one middle to the next.
-    edges = [b.mean for b in _DEFAULT_BOUNDS.boundaries]
+    edges = [b.mean for b in DEFAULT_BOUNDS.boundaries]
     width = edges[2] - edges[1]
 
     # Over the change, the lane changer's offset goes linearly from 0 to one
@@ -480,7 +478,7 @@ def generate_synthetic(spec: SynthSpec) -> Scenario:
         alpha=[0.0] * n_frames,
         var_v=[sigma_v**2] * n_frames,
         var_yaw=[sigma_yaw**2 + var_yaw_extra] * n_frames,
-        bounds=[_DEFAULT_BOUNDS] * n_frames,
+        bounds=[DEFAULT_BOUNDS] * n_frames,
         frame_of=np.repeat(np.arange(n_frames), len(ids)).tolist(),
         id=list(ids) * n_frames,
         x=x.tolist(),
@@ -614,20 +612,24 @@ def compute_roc(result: RunResult, parameter_label: str = "") -> RocPoint:
 
 EPSILON_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 SIGMA_NU_GRID = tuple(float(s) for s in np.geomspace(0.04, 0.4, 6))
+# A sweep runs without the lateral-velocity drift, so that the swept
+# parameter is the only thing that changes the transition model.
+SWEEP_CONFIG = PipelineConfig(eta_gain=0.0)
 
 
 def sweep_parameters(
     scenarios: Sequence[Scenario],
     method: str,
     grid: Sequence[float] | None = None,
-    config: PipelineConfig = PipelineConfig(),
+    config: PipelineConfig = SWEEP_CONFIG,
 ) -> list[RocPoint]:
     """One RocPoint per grid value, pooling results over all given scenarios.
 
     Each scenario is filtered independently (fresh state); results are
     pooled per grid value.  The swept parameter is epsilon for the discrete
     method and sigma_nu for the continuous one; the default grids cover six
-    decades of epsilon and 0.04..0.4 m/s of sigma_nu.
+    decades of epsilon and 0.04..0.4 m/s of sigma_nu.  `config` gives the
+    other settings, `SWEEP_CONFIG` by default.
     """
     _check_method(method)
     parameter = "epsilon" if method == "discrete" else "sigma_nu"
@@ -644,7 +646,9 @@ def sweep_parameters(
 
 
 def build_suite(
-    kinds: Sequence[str] = SCENARIO_KINDS, seed: int = 0, step: float = 0.05
+    kinds: Sequence[str] = SCENARIO_KINDS,
+    seed: int = SynthSpec.seed,
+    step: float = SynthSpec.step,
 ) -> dict[str, Scenario]:
     """The bundled synthetic suite: one scenario per kind, with the spec's
     defaults, except 30 s of `noisy_yaw`."""

@@ -5,7 +5,8 @@ the offset sign convention (positive = left), so index 0 is rightmost, 2 is
 the host path and 4 is leftmost.  Both the object offset and the boundary
 positions carry Gaussian uncertainty; the occupancy probability of a region is
 the probability that the offset falls between its two boundaries, with each
-boundary blurred by the combined standard deviation.
+boundary blurred by the combined standard deviation.  `DEFAULT_BOUNDS` is
+the one layout used wherever a frame carries no boundaries of its own.
 """
 
 from __future__ import annotations
@@ -125,37 +126,14 @@ def lane_occupancy(obj: GaussianScalar, bounds: BoundarySet) -> PathPosterior:
     return PathPosterior(probs)
 
 
-# The synthesized outer boundaries are less certain than the inner pair
-# they extend; their deviations are the inner ones times this factor.
-_OUTER_STD_INFLATION = 1.5
-
-# Without measured boundaries the host path is centered and 3.5 m wide.
-_DEFAULT_INNER = (GaussianScalar(-1.75, 0.3), GaussianScalar(1.75, 0.3))
-
-
-def extrapolate_boundaries(
-    inner: tuple[GaussianScalar, GaussianScalar] | None = None,
-) -> BoundarySet:
-    """Build a full boundary set from the inner pair.
-
-    Args:
-        inner: Measured (right, left) host-path boundaries.  When None, the
-            default pair is used: half width 1.75 m, deviation 0.3 m.
-
-    The outer boundaries are placed one inner-width outward from the inner
-    pair, so all three path regions share the inner width.
-    """
-    right, left = inner if inner is not None else _DEFAULT_INNER
-    width = left.mean - right.mean
-    if width <= 0.0:
-        raise InputDomainError(
-            f"inner boundaries must be ordered right < left, got "
-            f"{right.mean} >= {left.mean}"
-        )
-    outer_right = GaussianScalar(right.mean - width, right.std * _OUTER_STD_INFLATION)
-    outer_left = GaussianScalar(left.mean + width, left.std * _OUTER_STD_INFLATION)
-    return BoundarySet((outer_right, right, left, outer_left))
-
-
-# The boundaries of every frame that carries none.
-_DEFAULT_BOUNDS = extrapolate_boundaries()
+# The boundaries of every frame that carries none: a centered host path
+# 3.5 m wide with edges of deviation 0.3 m, and one more lane of the same
+# width on each side, whose outer edges are 1.5 times less certain.
+DEFAULT_BOUNDS = BoundarySet(
+    (
+        GaussianScalar(-5.25, 0.3 * 1.5),
+        GaussianScalar(-1.75, 0.3),
+        GaussianScalar(1.75, 0.3),
+        GaussianScalar(5.25, 0.3 * 1.5),
+    )
+)

@@ -5,6 +5,7 @@ import laneassign
 EXPORTS = [
     "Assignment",
     "BoundarySet",
+    "DEFAULT_BOUNDS",
     "DEFAULT_MC_VARIANCES",
     "DEFAULT_P_MIN",
     "EPSILON_GRID",
@@ -40,7 +41,6 @@ EXPORTS = [
     "build_transition_matrix",
     "compute_roc",
     "discretize_posterior",
-    "extrapolate_boundaries",
     "generate_synthetic",
     "hellinger_distance",
     "jacobian_lateral_offset",

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -9,22 +10,25 @@ import pytest
 
 from laneassign import (
     Assignment,
+    GridSpec,
     HostState,
     ObjectMeasurement,
     PathPosterior,
-    PipelineConfig,
     SynthSpec,
     build_suite,
     generate_synthetic,
+    load_scenario,
+    mc_validate,
     parse_scenario,
     run_pipeline,
     sweep_parameters,
+    write_mc_csv,
     write_roc_csv,
     write_run_csv,
     write_scenario,
 )
-from laneassign.cli import main
-from laneassign.harness import SCENARIO_KINDS
+from laneassign.cli import build_parser, main
+from laneassign.harness import SCENARIO_KINDS, SWEEP_CONFIG
 
 
 def read_csv(path):
@@ -236,9 +240,74 @@ def test_sweep_csv_is_the_library_csv(tmp_path, method, source):
         scenarios = [parse_scenario(path.read_text()) for path in paths]
     assert main(argv) == 0
     expected = io.StringIO(newline="")
-    config = PipelineConfig(eta_gain=0.0, p_min=0.3)  # the `sweep` defaults
-    write_roc_csv(sweep_parameters(scenarios, method, config=config), expected)
+    write_roc_csv(sweep_parameters(scenarios, method), expected)
     assert out.read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+def test_sweep_flags_replace_the_library_sweep_settings(tmp_path, method):
+    # A typed filter flag replaces that one setting of SWEEP_CONFIG.
+    out = tmp_path / "roc.csv"
+    argv = ["sweep", "--method", method, "--suite", "target_lane_change",
+            "--eta-gain", "0.5", "--p-min", "0.4", "--out", str(out)]
+    assert main(argv) == 0
+    config = dataclasses.replace(SWEEP_CONFIG, eta_gain=0.5, p_min=0.4)
+    expected = io.StringIO(newline="")
+    write_roc_csv(sweep_parameters(
+        list(build_suite(["target_lane_change"]).values()), method, config=config
+    ), expected)
+    assert out.read_bytes() == expected.getvalue().encode()
+
+
+def run_library(scenario_path):
+    return write_run_csv, run_pipeline(load_scenario(scenario_path))
+
+
+def synth_library(_):
+    return write_scenario, generate_synthetic(SynthSpec("target_lane_change"))
+
+
+def mc_library(_):
+    return write_mc_csv, mc_validate(GridSpec(1, 1, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "argv, library",
+    [
+        (["run", "--scenario", "{scenario}"], run_library),
+        (["synth", "--kind", "target_lane_change"], synth_library),
+        (["mc-validate", "--x-steps", "1", "--bearing-steps", "1", "--v-steps", "1",
+          "--yaw-steps", "2"], mc_library),
+    ],
+    ids=["run", "synth", "mc-validate"],
+)
+def test_a_command_without_optional_flags_is_the_library_call(tmp_path, argv, library):
+    # The command line states no default of its own: left out, a setting
+    # takes the library's default.  The lane change reports v_lat, so the
+    # run reads eta_gain.
+    scenario = tmp_path / "s.jsonl"
+    with open(scenario, "w", encoding="utf-8") as handle:
+        write_scenario(generate_synthetic(SynthSpec("target_lane_change")), handle)
+    out = tmp_path / "out"
+    assert main([arg.format(scenario=scenario) for arg in argv] + ["--out", str(out)]) == 0
+    write, value = library(scenario)
+    expected = io.StringIO(newline="")
+    write(value, expected)
+    assert out.read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "argv, given",
+    [
+        (["run", "--scenario", "s.jsonl"], {"scenario", "out"}),
+        (["sweep", "--method", "discrete"], {"method", "suite", "out"}),
+        (["synth", "--kind", "host_curve"], {"kind", "out"}),
+        (["mc-validate"], {"out"}),
+    ],
+)
+def test_the_parser_fills_in_no_library_setting(argv, given):
+    args = vars(build_parser().parse_args(argv))
+    assert args.keys() - {"command", "func"} == given
 
 
 @pytest.mark.parametrize("source", ["suite", "files"])
@@ -408,6 +477,14 @@ def test_error_exit_code_on_bad_grid(tmp_path):
     write_minimal_scenario(scenario)
     assert main(["sweep", "--method", "discrete", "--scenario", str(scenario),
                  "--grid", "0.1,abc"]) == 2
+
+
+@pytest.mark.parametrize("grid", ["", ","])
+def test_a_grid_flag_without_values_is_an_error(tmp_path, capsys, grid):
+    # Only a left-out --grid gives the default grid.
+    assert main(["sweep", "--method", "discrete", "--suite", "straight_follow",
+                 "--grid", grid, "--out", str(tmp_path / "roc.csv")]) == 2
+    assert capsys.readouterr().err == "error: parameter grid must be nonempty\n"
 
 
 def test_argparse_rejects_unknown_choice(tmp_path):

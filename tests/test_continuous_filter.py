@@ -9,13 +9,13 @@ import pytest
 from scenario_builder import one_object
 
 from laneassign import (
+    DEFAULT_BOUNDS,
     GaussianScalar,
     InputDomainError,
     KalmanState,
     PipelineConfig,
     ProcessNoise,
     discretize_posterior,
-    extrapolate_boundaries,
     kf_init,
     kf_predict,
     kf_update,
@@ -190,7 +190,7 @@ def test_filter_tracks_moving_object():
 
 
 def test_discretize_matches_lane_occupancy():
-    bounds = extrapolate_boundaries()
+    bounds = DEFAULT_BOUNDS
     state = KalmanState(1.2, 0.25, 0.0)
     got = discretize_posterior(state, bounds)
     want = lane_occupancy(GaussianScalar(1.2, 0.5), bounds)
@@ -198,13 +198,13 @@ def test_discretize_matches_lane_occupancy():
 
 
 def test_discretize_confident_center():
-    bounds = extrapolate_boundaries()
+    bounds = DEFAULT_BOUNDS
     p = discretize_posterior(KalmanState(0.0, 0.01, 0.0), bounds)
     assert p[2] > 0.99
 
 
 def test_discretize_is_stateless():
-    bounds = extrapolate_boundaries()
+    bounds = DEFAULT_BOUNDS
     state = KalmanState(0.7, 0.3, 0.0)
     a = discretize_posterior(state, bounds)
     b = discretize_posterior(state, bounds)
@@ -217,7 +217,7 @@ def test_stateful_filter_first_step_is_init():
     # first posterior is the measurement's occupancy.
     scenario = one_object([(1.0, 0.8, 0.16, None)])
     got = run_pipeline(scenario, "continuous", PipelineConfig(sigma_nu=0.1)).posteriors[0]
-    want = lane_occupancy(GaussianScalar(0.8, math.sqrt(0.16)), extrapolate_boundaries())
+    want = lane_occupancy(GaussianScalar(0.8, math.sqrt(0.16)), DEFAULT_BOUNDS)
     np.testing.assert_allclose(got, want.probs, atol=1e-15)
 
 
@@ -235,5 +235,5 @@ def test_stateful_filter_applies_lateral_velocity():
     scenario = one_object([(0.0, 0.0, 0.25, None), (1.0, 0.8, 0.25, 1.0)])
     got = run_pipeline(scenario, "continuous", PipelineConfig(sigma_nu=0.1)).posteriors[1]
     pred = kf_predict(kf_init(GaussianScalar(0.0, 0.5), 0.0), 1.0, 1.0, ProcessNoise(0.1))
-    want = discretize_posterior(kf_update(pred, GaussianScalar(0.8, 0.5)), extrapolate_boundaries())
+    want = discretize_posterior(kf_update(pred, GaussianScalar(0.8, 0.5)), DEFAULT_BOUNDS)
     np.testing.assert_allclose(got, want.probs, atol=1e-15)

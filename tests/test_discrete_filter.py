@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scenario_builder import one_object
 
 from laneassign import (
+    DEFAULT_BOUNDS,
     EPSILON_MAX,
     GaussianScalar,
     InputDomainError,
@@ -19,7 +20,6 @@ from laneassign import (
     TransitionMatrix,
     TransitionParams,
     build_transition_matrix,
-    extrapolate_boundaries,
     lane_occupancy,
     run_pipeline,
 )
@@ -325,13 +325,13 @@ def test_filter_first_step_equals_measurement_likelihood():
     # measurement likelihood.
     scenario = one_object([(0.0, 1.2, 0.16, None)])
     got = run_pipeline(scenario, "discrete", PipelineConfig(epsilon=0.1)).posteriors[0]
-    want = lane_occupancy(GaussianScalar(1.2, math.sqrt(0.16)), extrapolate_boundaries())
+    want = lane_occupancy(GaussianScalar(1.2, math.sqrt(0.16)), DEFAULT_BOUNDS)
     np.testing.assert_allclose(got, want.probs, atol=1e-15)
 
 
 def test_filter_converges_on_constant_measurement():
     matrix = build_transition_matrix(TransitionParams(0.05))
-    measured = lane_occupancy(GaussianScalar(3.5, 0.5), extrapolate_boundaries())
+    measured = lane_occupancy(GaussianScalar(3.5, 0.5), DEFAULT_BOUNDS)
     p = PathPosterior.uniform()
     for _ in range(30):
         p = update(predict(p, matrix), measured)
@@ -348,7 +348,7 @@ def test_filter_lateral_velocity_sets_bias():
     got = run_pipeline(scenario, "discrete", config).posteriors[0]
     want = update(
         predict(PathPosterior.uniform(), build_transition_matrix(TransitionParams(0.1, 0.05))),
-        lane_occupancy(GaussianScalar(0.5, math.sqrt(0.36)), extrapolate_boundaries()),
+        lane_occupancy(GaussianScalar(0.5, math.sqrt(0.36)), DEFAULT_BOUNDS),
     )
     np.testing.assert_allclose(got, want.probs, atol=1e-15)
 
@@ -362,6 +362,6 @@ def test_filter_clamps_out_of_range_epsilon():
     matrix = build_transition_matrix(TransitionParams(EPSILON_MAX, 0.0))
     p = PathPosterior.uniform()
     for y, row in zip((0.5, 2.0), got):
-        measured = lane_occupancy(GaussianScalar(y, math.sqrt(0.36)), extrapolate_boundaries())
+        measured = lane_occupancy(GaussianScalar(y, math.sqrt(0.36)), DEFAULT_BOUNDS)
         p = update(predict(p, matrix), measured)
         np.testing.assert_allclose(row, p.probs, atol=1e-15)

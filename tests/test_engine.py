@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 from scenario_builder import scenario_of
 
 from laneassign import (
+    DEFAULT_BOUNDS,
     EPSILON_MAX,
     STRAIGHT_YAW_THRESHOLD,
     BoundarySet,
@@ -55,7 +56,6 @@ from laneassign import (
     build_transition_matrix,
     compute_roc,
     discretize_posterior,
-    extrapolate_boundaries,
     generate_synthetic,
     kf_init,
     kf_predict,
@@ -67,10 +67,9 @@ from laneassign import (
 )
 from laneassign._engine import ABSENCE_TIMEOUT, filter_batch, flatten
 from laneassign.discrete_filter import predict, update
-from laneassign.harness import EPSILON_GRID, SIGMA_NU_GRID
+from laneassign.harness import EPSILON_GRID, SIGMA_NU_GRID, SWEEP_CONFIG
 
 POSTERIOR_TOL = 1e-12
-DEFAULT_BOUNDS = extrapolate_boundaries()
 
 
 def objects_by_frame(scenario):
@@ -508,9 +507,6 @@ def assert_run_matches(scenario, method, config):
 # ---------------------------------------------------------------------------
 # bundled suite and drifting transition matrices
 # ---------------------------------------------------------------------------
-
-
-SWEEP_CONFIG = PipelineConfig(eta_gain=0.0)  # the CLI's sweep default
 
 
 @pytest.mark.parametrize(
@@ -979,6 +975,45 @@ def test_a_frame_of_out_of_frame_order_is_named(method, frame_of, message):
     # The column is checked before the frame times.
     scenario.t[1] = 0.0
     assert outcome(lambda: run_pipeline(scenario, method))[1] == error
+
+
+FRAME_COLUMNS = ("t", "v", "yaw_rate", "alpha", "var_v", "var_yaw", "bounds")
+OBJECT_COLUMNS = ("frame_of", "id", "x", "y", "var_x", "var_y", "v_lat", "gt")
+
+
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+@pytest.mark.parametrize("name", FRAME_COLUMNS + OBJECT_COLUMNS)
+def test_a_column_of_the_wrong_length_is_named(method, name):
+    # Three frames of two objects.  A column is measured against `t` or
+    # `id`; where one of those is off, the first other column is named.
+    unit, count = ("frame", 3) if name in FRAME_COLUMNS else ("id", 6)
+    for changed in (count - 1, count + 1):
+        scenario = straight(3)
+        setattr(scenario, name, (getattr(scenario, name) * 2)[:changed])
+        if name in ("t", "id"):
+            named, got, want = ("v" if unit == "frame" else "frame_of"), count, changed
+        else:
+            named, got, want = name, changed, count
+        error = (
+            InputDomainError,
+            f"{named} must have one entry per {unit}, got {got} for {want} {unit}s",
+        )
+        assert outcome(lambda: run_pipeline(scenario, method))[1] == error
+        assert outcome(lambda: sweep_parameters([straight(3), scenario], method))[1] == error
+
+
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+def test_columns_are_checked_per_scenario(method):
+    # The last detection's values moved from the first scenario to the front
+    # of the second: the joined columns keep their total length, but each
+    # scenario's are off by one.
+    a = generate_synthetic(SynthSpec("straight_follow", duration=1.0))
+    b = generate_synthetic(SynthSpec("host_curve", duration=1.0))
+    for name in ("x", "y", "var_x", "var_y"):
+        getattr(b, name).insert(0, getattr(a, name).pop())
+    error = (InputDomainError, "x must have one entry per id, got 39 for 40 ids")
+    assert outcome(lambda: filter_batch([a, b], method, PipelineConfig(), [0.01]))[1] == error
+    assert outcome(lambda: sweep_parameters([a, b], method))[1] == error
 
 
 def test_overflowing_process_noise_is_an_input_error():

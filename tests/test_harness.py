@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scenario_builder import scenario_of
 
 from laneassign import (
+    DEFAULT_BOUNDS,
     HOST_PATH_INDEX,
     BoundarySet,
     GaussianScalar,
@@ -872,6 +873,13 @@ def test_build_suite_covers_all_kinds():
     suite = build_suite()
     assert set(suite) == set(SCENARIO_KINDS)
     assert all(len(scenario) > 0 for scenario in suite.values())
+
+
+def test_the_suite_lanes_are_the_one_default_layout():
+    # The engine scores each distinct layout object once, so the generator
+    # hands every frame the one `DEFAULT_BOUNDS`, not a copy.
+    for scenario in build_suite().values():
+        assert all(bounds is DEFAULT_BOUNDS for bounds in scenario.bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from laneassign import (
+    DEFAULT_BOUNDS,
     HOST_PATH_INDEX,
     N_PATHS,
     BoundarySet,
     GaussianScalar,
     InputDomainError,
     PathPosterior,
-    extrapolate_boundaries,
     lane_occupancy,
 )
 from laneassign.likelihood import _occupancy_arrays
@@ -205,27 +205,17 @@ def test_occupancy_clamps_inconsistent_boundary_noise():
 
 
 # ---------------------------------------------------------------------------
-# extrapolate_boundaries
+# DEFAULT_BOUNDS
 # ---------------------------------------------------------------------------
 
 
-def test_extrapolate_from_inner_pair():
-    inner = (GaussianScalar(-2.0, 0.1), GaussianScalar(1.0, 0.2))
-    bounds = extrapolate_boundaries(inner=inner)
-    means = [b.mean for b in bounds.boundaries]
-    assert means == pytest.approx([-5.0, -2.0, 1.0, 4.0])
-    assert bounds.boundaries[0].std == pytest.approx(0.15)
-    assert bounds.boundaries[3].std == pytest.approx(0.3)
-
-
-def test_extrapolate_default_when_no_inner():
-    bounds = extrapolate_boundaries()
-    means = [b.mean for b in bounds.boundaries]
-    assert means == pytest.approx([-5.25, -1.75, 1.75, 5.25])
-    assert all(b.std == pytest.approx(0.3) for b in bounds.boundaries[1:3])
-    assert all(b.std == pytest.approx(0.45) for b in (bounds.boundaries[0], bounds.boundaries[3]))
-
-
-def test_extrapolate_rejects_inverted_inner():
-    with pytest.raises(InputDomainError):
-        extrapolate_boundaries(inner=(GaussianScalar(1.0, 0.1), GaussianScalar(-1.0, 0.1)))
+def test_default_bounds_are_pinned():
+    # A centered 3.5 m host path and one lane each side.  The outer
+    # deviation is the product 0.3 * 1.5, which is not the float 0.45; the
+    # pinned synthetic scenarios carry it.
+    assert [(b.mean, b.std) for b in DEFAULT_BOUNDS.boundaries] == [
+        (-5.25, 0.44999999999999996),
+        (-1.75, 0.3),
+        (1.75, 0.3),
+        (5.25, 0.44999999999999996),
+    ]
