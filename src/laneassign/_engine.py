@@ -30,14 +30,16 @@ parameter (epsilon or sigma_nu; G = 1 for a plain run).  The step's formulas
 are the filter modules' array functions, which the per-object API calls
 with one row.  A sweep flattens all its scenarios into one schedule, so a
 level carries the tracks of every scenario.  The results go back to
-processing order, and the gated median is taken on the whole result;
-`harness` hands each parameter value's slice of it to callers as a
-`RunResult`.
+processing order, and the gated median is taken on the whole result.
+`filter_batch` returns one `RunResult` per parameter value, the type that
+`run_pipeline` and `sweep_parameters` hand to callers, with the frame times
+and ids that `flatten` joined.
 
-The settings (p_min, and epsilon and eta_gain or sigma_nu) are checked
-first, since no frame is at fault where one is out of range.  Invariants
-of the data, the domains of `ObjectMeasurement` and `HostState` among them,
-are checked once per array, not per step.  Where a check fails, the
+The method, the parameter values and the settings (p_min, and epsilon and
+eta_gain or sigma_nu) are checked first, in that order, since no frame is
+at fault where one is out of range.  Invariants of the data, the domains
+of `ObjectMeasurement` and `HostState` among them, are checked once per
+array, not per step.  Where a check fails, the
 earliest failing object-frame is replayed through the per-object
 functions: `ObjectMeasurement`, `transform_to_path`, then
 `build_transition_matrix`, `predict`, `update` and `lane_occupancy`, or
@@ -94,6 +96,26 @@ from .likelihood import (
 # starts a new track when it is seen again.
 ABSENCE_TIMEOUT = 1.0
 
+METHODS = ("discrete", "continuous")
+
+
+@dataclass(frozen=True, eq=False)
+class RunResult:
+    """Results of one method, one entry per object-frame in processing order
+    (scenario by scenario, frame by frame, objects in frame order)."""
+
+    method: str
+    t: list  # timestamp of the object-frame's frame, as given
+    object_id: list
+    ground_truth: list  # None where absent
+    index: np.ndarray  # (N,) gated median index
+    probability: np.ndarray  # (N,) posterior mass at the index
+    accepted: np.ndarray  # (N,) the mass reaches p_min
+    posteriors: np.ndarray  # (N, 5)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
 
 @dataclass
 class Flat:
@@ -105,6 +127,7 @@ class Flat:
     alpha: list  # (F,) heading offsets as given
     bounds: list  # (F,) BoundarySet of each frame
     frame_of: np.ndarray  # (N,) index into the F frames
+    ids: list  # (N,) object ids as given
     inputs: np.ndarray  # (N, 4) v, yaw_rate, x, y
     variances: np.ndarray  # (N, 4) in the same order
     sin_a: np.ndarray  # (N,) heading offset of the frame
@@ -118,16 +141,6 @@ class Flat:
     rank: np.ndarray  # (N,) position of each object-frame in `order`
     source: np.ndarray  # (N,) position in `order` of the previous object-frame, by `order`
     starts: np.ndarray  # (D + 1,) where each of the D levels starts in `order`, then N
-
-
-@dataclass
-class Batch:
-    """Per object-frame results for G parameter values."""
-
-    posteriors: np.ndarray  # (N, G, 5)
-    index: np.ndarray  # (N, G) median index
-    probability: np.ndarray  # (N, G) posterior mass at the median index
-    accepted: np.ndarray  # (N, G)
 
 
 def _joined(scenarios, name: str) -> list:
@@ -264,6 +277,7 @@ def flatten(scenarios) -> Flat:
         alpha=alpha,
         bounds=bounds,
         frame_of=frame_of,
+        ids=ids,
         inputs=np.column_stack([v, yaw_rate, x, y]),
         variances=np.column_stack([var_v, var_yaw, var_x, var_y]),
         sin_a=sin_a,
@@ -306,15 +320,11 @@ def _discrete(flat: Flat, z_mean, z_std, epsilon: np.ndarray, eta_gain: float):
     pair = eta_index[flat.order]
     posteriors = np.empty((n, g, N_PATHS, 1))
     uniform = np.full((g, N_PATHS, 1), 1.0 / N_PATHS)
-    # A valid prediction has an entry of at least about 1/5, so the total
-    # can only vanish where the measurement has an entry below the smallest
-    # normal number; only levels with such a measurement can need a reset.
-    tiny = occupancy.min(axis=1) < np.finfo(float).tiny
-    for start, stop, rare in _levels(flat, tiny):
+    for start, stop in zip(flat.starts[:-1].tolist(), flat.starts[1:].tolist()):
         # Level 0 holds exactly the object-frames that start a track.
         prior = uniform if start == 0 else posteriors[flat.source[start:stop]]
         posteriors[start:stop] = _bayes_update_arrays(
-            matrices[pair[start:stop]] @ prior, measured[start:stop], rare
+            matrices[pair[start:stop]] @ prior, measured[start:stop]
         )
     posteriors = posteriors[flat.rank, ..., 0]
     # eta_gain is finite, but eta_gain * v_lat can overflow.
@@ -359,18 +369,25 @@ def _continuous(flat: Flat, z_mean, z_std, sigma_nu: np.ndarray):
     return posteriors, failed, np.stack([mean, var], axis=-1)
 
 
-def filter_batch(scenarios, method: str, config, values) -> Batch:
+def filter_batch(scenarios, method: str, config, values=None) -> list[RunResult]:
     """Run `method` over the columns of a list of scenarios, one after
-    another, for every value of its parameter.
+    another, for every value of its parameter: one RunResult per value.
 
     `values` are the epsilons (discrete) or the sigma_nus (continuous) of
-    the batch; the other settings come from `config`.  The settings are
-    checked first, and an InputDomainError names the first one out of
-    range.  Then an InputDomainError names the earliest frame that breaks
+    the batch, by default the one `config` gives; the other settings come
+    from `config`.  The method is checked first, then that there is a
+    value, then the settings, and an InputDomainError names the first that
+    fails.  Then an InputDomainError names the earliest frame that breaks
     the `Scenario` contract; otherwise a ValueError names the earliest
     failing frame of the first scenario that fails.
     """
+    if method not in METHODS:
+        raise InputDomainError(f"unknown method {method!r}; expected one of {METHODS}")
+    if values is None:
+        values = [config.epsilon if method == "discrete" else config.sigma_nu]
     values = np.asarray(values, dtype=float)
+    if not len(values):
+        raise InputDomainError("parameter grid must be nonempty")
     if not 0.0 <= config.p_min <= 1.0:
         raise InputDomainError(f"p_min must lie in [0, 1], got {config.p_min}")
     if method == "discrete":
@@ -411,7 +428,15 @@ def filter_batch(scenarios, method: str, config, values) -> Batch:
         _replay(flat, k, method, config, float(values[g]), states[:, g])
     probability = np.take_along_axis(posteriors, index[..., None], axis=2)[..., 0]
     accepted = probability >= config.p_min
-    return Batch(posteriors, index, probability, accepted)
+    t = [flat.times[f] for f in flat.frame_of.tolist()]
+    gt = _joined(scenarios, "gt")
+    return [
+        RunResult(
+            method, t, flat.ids, gt, index[:, g], probability[:, g],
+            accepted[:, g], posteriors[:, g],
+        )
+        for g in range(len(values))
+    ]
 
 
 def _replay(flat, k, method, config, value, states):

@@ -77,7 +77,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scenarios = list(build_suite(kinds, **_given(args, "seed", "step")).values())
     grid = None
     if "grid" in args:
-        grid = [float(part) for part in args.grid.split(",") if part.strip()]
+        try:
+            grid = [float(part) for part in args.grid.split(",") if part.strip()]
+        except ValueError as exc:
+            raise ValueError(f"--grid {args.grid!r}: {exc}") from None
     config = replace(SWEEP_CONFIG, **_given(args, "eta_gain", "p_min"))
     points = sweep_parameters(scenarios, args.method, grid, config)
     with _out_stream(args.out) as out:

@@ -107,29 +107,27 @@ def predict(prior: PathPosterior, matrix: TransitionMatrix) -> PathPosterior:
     return PathPosterior(matrix.entries @ prior.probs)
 
 
-def _bayes_update_arrays(predicted, measured, may_reset=True):
+def _bayes_update_arrays(predicted, measured):
     """Bayes update of predicted column vectors (..., G, 5, 1) with the
     measurement column vectors that broadcast against them.
 
     Where prior and measurement have disjoint support the product vanishes;
     such a posterior restarts from the measurement rather than coming out
-    undefined, with one warning per row of G values.  `may_reset=False`
-    skips that check for measurements that cannot cancel a prediction.  The
-    caller silences the 0/0 of such a posterior.
+    undefined, with one warning per row of G values.  The caller silences
+    the 0/0 of such a posterior.
     """
     product = predicted * measured
     total = product.sum(axis=-2, keepdims=True)
     posterior = product / total
-    if may_reset:
-        reset = total[..., 0, 0] <= 0.0
-        if reset.any():
-            for _ in range(np.count_nonzero(reset.any(axis=-1))):
-                logger.warning(
-                    "path posterior and measurement have zero overlap; "
-                    "resetting filter to the measurement"
-                )
-            restart = measured / measured.sum(axis=-2, keepdims=True)
-            posterior = np.where(reset[..., None, None], restart, posterior)
+    reset = total[..., 0, 0] <= 0.0
+    if reset.any():
+        for _ in range(np.count_nonzero(reset.any(axis=-1))):
+            logger.warning(
+                "path posterior and measurement have zero overlap; "
+                "resetting filter to the measurement"
+            )
+        restart = measured / measured.sum(axis=-2, keepdims=True)
+        posterior = np.where(reset[..., None, None], restart, posterior)
     return posterior
 
 

@@ -6,9 +6,9 @@ object-frame.  The parser and the synthetic generator fill them,
 `write_scenario` writes them and the engine (`_engine`) reads them, so no
 per-frame or per-object value is built between a file and a result.  A
 run's result is columnar too: a `RunResult` holds the engine's arrays, one
-entry per object-frame.  `run_pipeline` and `sweep_parameters` (one result
-per grid value) build it in one place, `write_run_csv` writes it and
-`compute_roc` counts it.  A synthetic scenario takes the five settings of
+entry per object-frame.  The engine builds it, one per parameter value,
+`run_pipeline` and `sweep_parameters` hand it on, `write_run_csv` writes it
+and `compute_roc` counts it.  A synthetic scenario takes the five settings of
 a `SynthSpec`; the rest of its scene is the module constants below and
 `likelihood.DEFAULT_BOUNDS`.  Each default lives in one place here:
 `PipelineConfig` for a run, `SWEEP_CONFIG` for a sweep and `SynthSpec` for
@@ -41,7 +41,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._engine import _joined, filter_batch
+from ._engine import METHODS, RunResult, filter_batch
 from .estimator import DEFAULT_P_MIN
 from .geometry import GaussianScalar, HostState, InputDomainError, ObjectMeasurement
 from .likelihood import DEFAULT_BOUNDS, HOST_PATH_INDEX, N_PATHS, BoundarySet
@@ -136,7 +136,12 @@ def _number(record: dict, key: str, where: str, line: int) -> float:
         raise ScenarioFormatError(
             f"line {line}: field {key!r} in {where} must be a number"
         )
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        # An integer beyond the float range reads as the float literal 1e400
+        # does, as an infinity, which the domain checks reject.
+        return math.inf if value > 0 else -math.inf
 
 
 def _variance(record: dict, key: str, where: str, line: int) -> float:
@@ -219,7 +224,9 @@ def parse_scenario(stream: str | Iterable[str]) -> Scenario:
             continue
         try:
             record = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # Besides syntax errors (JSONDecodeError): integers longer than
+            # the interpreter converts, and nesting deeper than it recurses.
             raise ScenarioFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
         _check_keys(record, _FRAME_KEYS, "frame", line_no)
         t = _number(record, "t", "frame", line_no)
@@ -496,8 +503,6 @@ def generate_synthetic(spec: SynthSpec) -> Scenario:
 # Pipeline
 # ---------------------------------------------------------------------------
 
-METHODS = ("discrete", "continuous")
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -507,49 +512,6 @@ class PipelineConfig:
     eta_gain: float = 0.05
     sigma_nu: float = 0.1
     p_min: float = DEFAULT_P_MIN
-
-
-@dataclass(frozen=True, eq=False)
-class RunResult:
-    """Results of one method, one entry per object-frame in processing order
-    (scenario by scenario, frame by frame, objects in frame order)."""
-
-    method: str
-    t: list  # timestamp of the object-frame's frame, as given
-    object_id: list
-    ground_truth: list  # None where absent
-    index: np.ndarray  # (N,) gated median index
-    probability: np.ndarray  # (N,) posterior mass at the index
-    accepted: np.ndarray  # (N,) the mass reaches p_min
-    posteriors: np.ndarray  # (N, 5)
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-
-def _check_method(method: str) -> None:
-    if method not in METHODS:
-        raise InputDomainError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
-def _run_results(
-    scenarios: Sequence[Scenario], method: str, config: PipelineConfig, grid=None
-) -> list[RunResult]:
-    """One RunResult per value in `grid` of the method's parameter (epsilon
-    or sigma_nu), pooled over the scenarios; without a grid, for the one
-    value `config` gives it."""
-    if grid is None:
-        grid = [config.epsilon if method == "discrete" else config.sigma_nu]
-    batch = filter_batch(scenarios, method, config, grid)
-    t = [s.t[frame_index] for s in scenarios for frame_index in s.frame_of]
-    ids, gt = _joined(scenarios, "id"), _joined(scenarios, "gt")
-    return [
-        RunResult(
-            method, t, ids, gt, batch.index[:, g],
-            batch.probability[:, g], batch.accepted[:, g], batch.posteriors[:, g],
-        )
-        for g in range(len(grid))
-    ]
 
 
 def run_pipeline(
@@ -566,8 +528,7 @@ def run_pipeline(
     not affect any per-object output.  A ValueError names the out-of-range
     setting, or else the earliest frame that fails.
     """
-    _check_method(method)
-    return _run_results([scenario], method, config)[0]
+    return filter_batch([scenario], method, config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +592,11 @@ def sweep_parameters(
     decades of epsilon and 0.04..0.4 m/s of sigma_nu.  `config` gives the
     other settings, `SWEEP_CONFIG` by default.
     """
-    _check_method(method)
     parameter = "epsilon" if method == "discrete" else "sigma_nu"
     if grid is None:
         grid = EPSILON_GRID if method == "discrete" else SIGMA_NU_GRID
     grid = list(grid)
-    if not grid:
-        raise InputDomainError("parameter grid must be nonempty")
-    results = _run_results(list(scenarios), method, config, grid)
+    results = filter_batch(list(scenarios), method, config, grid)
     return [
         compute_roc(result, f"{parameter}={value:g}")
         for result, value in zip(results, grid)

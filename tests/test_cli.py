@@ -472,11 +472,29 @@ def test_run_names_the_out_of_range_setting(tmp_path, capsys, flags, message, ob
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_error_exit_code_on_bad_grid(tmp_path):
+@pytest.mark.parametrize(
+    "x, next_line, line",
+    [("1" + "0" * 400, "", 1), ("1" * 4400, "", 1), ("50.0", "[" * 100_000, 2)],
+)
+def test_unreadable_scenario_lines_exit_2(tmp_path, capsys, x, next_line, line):
+    # A float overflow, an integer too long to convert and nesting too deep
+    # to decode each name their line instead of ending in a traceback.
+    scenario = tmp_path / "s.jsonl"
+    write_minimal_scenario(scenario, n_frames=1)
+    text = scenario.read_text().replace('"x": 50.0', f'"x": {x}')
+    scenario.write_text(text + next_line)
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+
+def test_error_exit_code_on_bad_grid(tmp_path, capsys):
     scenario = tmp_path / "s.jsonl"
     write_minimal_scenario(scenario)
     assert main(["sweep", "--method", "discrete", "--scenario", str(scenario),
                  "--grid", "0.1,abc"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --grid '0.1,abc': could not convert string to float: 'abc'\n"
+    )
 
 
 @pytest.mark.parametrize("grid", ["", ","])

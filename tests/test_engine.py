@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scenario_builder import scenario_of
+from scenario_builder import one_object, scenario_of
 
 from laneassign import (
     DEFAULT_BOUNDS,
@@ -445,11 +445,11 @@ def frame_named(error):
     return int(re.match(r"frame (\d+) ", error[1]).group(1))
 
 
-def assert_results_equal(posteriors, index, accepted, expected):
-    """Batch columns of one parameter value against an expected result."""
-    np.testing.assert_allclose(posteriors, expected.posteriors, rtol=0, atol=POSTERIOR_TOL)
-    assert index.tolist() == expected.index.tolist()
-    assert accepted.tolist() == expected.accepted.tolist()
+def assert_results_equal(got, expected):
+    """The posteriors, indices and gates of one result against another."""
+    np.testing.assert_allclose(got.posteriors, expected.posteriors, rtol=0, atol=POSTERIOR_TOL)
+    assert got.index.tolist() == expected.index.tolist()
+    assert got.accepted.tolist() == expected.accepted.tolist()
 
 
 def assert_batch_matches(scenario, method, config, values):
@@ -458,7 +458,7 @@ def assert_batch_matches(scenario, method, config, values):
     declines, each value's loop run is the reference instead; when loop runs
     fail, the batch must raise the error of the earliest failing frame over
     all values."""
-    batch, error = outcome(lambda: filter_batch([scenario], method, config, values))
+    results, error = outcome(lambda: filter_batch([scenario], method, config, values))
     configs = [with_value(config, method, value) for value in values]
     expected = None if error else reference_runs(scenario, method, configs)
     if expected is None:
@@ -470,10 +470,9 @@ def assert_batch_matches(scenario, method, config, values):
             assert frame_named(error) == min(frame_named(e) for e in loop_errors)
             return None
         expected = [result for result, _ in runs]
-    for g, want in enumerate(expected):
-        assert_results_equal(
-            batch.posteriors[:, g], batch.index[:, g], batch.accepted[:, g], want
-        )
+    assert len(results) == len(expected)
+    for got, want in zip(results, expected):
+        assert_results_equal(got, want)
     return expected
 
 
@@ -481,7 +480,7 @@ def assert_run_equal(got, want):
     assert (got.method, got.t, got.object_id, got.ground_truth) == (
         want.method, want.t, want.object_id, want.ground_truth
     )
-    assert_results_equal(got.posteriors, got.index, got.accepted, want)
+    assert_results_equal(got, want)
     assert (np.abs(got.probability - want.probability) <= POSTERIOR_TOL).all()
 
 
@@ -556,13 +555,12 @@ def test_multi_scenario_batch_keeps_tracks_per_scenario(method, values):
         for seed, kind in enumerate(kinds)
     ]
     config = PipelineConfig(eta_gain=0.05)
-    batch = filter_batch(scenarios, method, config, values)
-    for g, value in enumerate(values):
+    results = filter_batch(scenarios, method, config, values)
+    assert len(results) == len(values)
+    for got, value in zip(results, values):
         per_value = with_value(config, method, value)
         expected = concatenated([reference_run(s, method, per_value) for s in scenarios])
-        assert_results_equal(
-            batch.posteriors[:, g], batch.index[:, g], batch.accepted[:, g], expected
-        )
+        assert_results_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -902,6 +900,40 @@ def test_non_finite_eta_gain_is_named(kind, eta_gain):
         assert outcome(call)[1] == (InputDomainError, message)
     assert outcome(lambda: loop_run(scenario, "discrete", config))[1] == (
         InputDomainError, f"frame 0 (t=0.0): {message}"
+    )
+
+
+def test_an_overflowing_drift_names_the_frame():
+    # eta_gain and v_lat are finite, but their product overflows: the one
+    # discrete failure that the transform lets through.
+    scenario = one_object([(0.0, 0.0, 0.04, 1e300), (0.05, 0.0, 0.04, 1e300)])
+    config = PipelineConfig(eta_gain=1e10)
+    error = (
+        InputDomainError,
+        "frame 0 (t=0.0): transition parameters must be finite, got epsilon=0.05, eta=inf",
+    )
+    assert outcome(lambda: run_pipeline(scenario, "discrete", config))[1] == error
+    assert outcome(
+        lambda: sweep_parameters([scenario], "discrete", [config.epsilon], config)
+    )[1] == error
+    assert_run_matches_loop(scenario, "discrete", config)
+
+
+def test_the_method_is_checked_before_the_grid_and_the_settings():
+    error = (
+        InputDomainError,
+        "unknown method 'bogus'; expected one of ('discrete', 'continuous')",
+    )
+    suite = list(build_suite().values())
+    out_of_range = PipelineConfig(p_min=2.0)
+    for grid in (None, []):
+        assert outcome(lambda: sweep_parameters(suite, "bogus", grid))[1] == error
+        assert outcome(lambda: sweep_parameters(suite, "bogus", grid, out_of_range))[1] == error
+    assert outcome(lambda: run_pipeline(suite[0], "bogus"))[1] == error
+    assert outcome(lambda: run_pipeline(suite[0], "bogus", out_of_range))[1] == error
+    # Then the grid, then the settings.
+    assert outcome(lambda: sweep_parameters(suite, "discrete", [], out_of_range))[1] == (
+        InputDomainError, "parameter grid must be nonempty"
     )
 
 

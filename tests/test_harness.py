@@ -429,6 +429,41 @@ def test_parser_errors_match_the_dataclass_reference(name):
     assert str(got.value) == str(expected.value)
 
 
+# Text that made the JSON decoder or the float conversion fail outside the
+# parser's checks: integers too large for a float, integers longer than the
+# interpreter converts, and nesting deeper than it recurses.
+UNREADABLE = {
+    "x beyond the float range": (
+        GOOD.replace('"x": 50.0', '"x": 1' + "0" * 400),
+        "line 1: object position must be finite, got (inf, 0.1)",
+    ),
+    "t beyond the float range": (
+        GOOD.replace('"t": 0.0', '"t": -1' + "0" * 400),
+        "line 1: timestamp must be finite, got -inf",
+    ),
+    "variance beyond the float range": (
+        GOOD.replace('"var_y": 0.04', '"var_y": 1' + "0" * 400),
+        "line 1: field 'var_y' in object must be finite and >= 0",
+    ),
+    "integer too long to convert": (
+        GOOD.replace('"x": 50.0', '"x": ' + "1" * 4400),
+        "line 1: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion",
+    ),
+    "nesting too deep": (
+        GOOD + "\n" + "[" * 100_000,
+        "line 2: invalid JSON: maximum recursion depth exceeded",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(UNREADABLE))
+def test_unreadable_numbers_and_nesting_name_the_line(name):
+    text, message = UNREADABLE[name]
+    with pytest.raises(ScenarioFormatError) as got:
+        parse_scenario(text)
+    assert str(got.value).startswith(message)
+
+
 def test_round_trip_through_serialization():
     scenario = generate_synthetic(SynthSpec(kind="target_lane_change", duration=2.0))
     assert parse_scenario(_serialized(scenario)) == scenario
