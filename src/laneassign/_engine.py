@@ -458,11 +458,11 @@ def _replay(flat, k, method, config, value, states):
             posterior = update(predict(prior, matrix), lane_occupancy(z, bounds))
         else:
             if p < 0:
-                state = kf_init(z, t)
+                state = kf_init(z)
             else:
-                before = float(flat.times[flat.frame_of[p]])
-                state = KalmanState(*states[p].tolist(), before)
-                state = kf_update(kf_predict(state, u, t - before, ProcessNoise(value)), z)
+                state = KalmanState(*states[p].tolist())
+                noise = ProcessNoise(value)
+                state = kf_update(kf_predict(state, u, float(flat.dt[k]), noise), z)
             posterior = discretize_posterior(state, bounds)
         assign(posterior, config.p_min)
     except ValueError as exc:

@@ -36,20 +36,19 @@ class ProcessNoise:
 class KalmanState:
     mean: float
     variance: float
-    timestamp: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mean) or not math.isfinite(self.timestamp):
-            raise InputDomainError("state mean and timestamp must be finite")
+        if not math.isfinite(self.mean):
+            raise InputDomainError("state mean must be finite")
         if not math.isfinite(self.variance) or self.variance < 0.0:
             raise InputDomainError(
                 f"state variance must be finite and >= 0, got {self.variance}"
             )
 
 
-def kf_init(z: GaussianScalar, timestamp: float) -> KalmanState:
+def kf_init(z: GaussianScalar) -> KalmanState:
     """Initialize the state from the first measurement."""
-    return KalmanState(z.mean, z.variance, timestamp)
+    return KalmanState(z.mean, z.variance)
 
 
 def _kf_motion_arrays(dt, u, sigma_nu):
@@ -94,11 +93,11 @@ def kf_predict(
     mean, var = _kf_predict_arrays(
         state.mean, state.variance, *_kf_motion_arrays(dt, u, noise.sigma_nu)
     )
-    return KalmanState(mean, var, state.timestamp + dt)
+    return KalmanState(mean, var)
 
 
 def kf_update(state: KalmanState, z: GaussianScalar) -> KalmanState:
-    """Fuse a measurement; the timestamp is unchanged."""
+    """Fuse a measurement."""
     with np.errstate(invalid="ignore"):
         mean, var, contradiction = _kf_update_arrays(
             state.mean, np.float64(state.variance), z.mean, z.variance
@@ -107,7 +106,7 @@ def kf_update(state: KalmanState, z: GaussianScalar) -> KalmanState:
         raise InputDomainError(
             f"certain state {state.mean} contradicts certain measurement {z.mean}"
         )
-    return KalmanState(float(mean), float(var), state.timestamp)
+    return KalmanState(float(mean), float(var))
 
 
 def discretize_posterior(state: KalmanState, bounds: BoundarySet) -> PathPosterior:

@@ -27,7 +27,8 @@ Scenario files are UTF-8 JSON lines, one frame per line:
 `host.alpha`, per-object `v_lat`/`gt` and the frame's `bounds` are optional;
 unknown fields anywhere are rejected.  Timestamps must strictly increase.
 Boundary overrides are given directly in path coordinates (pre-transformed
-camera cues); without them `DEFAULT_BOUNDS` is used.
+camera cues); without them `DEFAULT_BOUNDS` is used.  A parse error names its
+line, which `parse_scenario` adds in one place, and `load_scenario` its file.
 """
 
 from __future__ import annotations
@@ -114,28 +115,26 @@ _OBJECT_KEYS = _schema(id=True, x=True, y=True, var_x=True, var_y=True,
 _BOUND_KEYS = _schema(mu=True, sigma=True)
 
 
-def _check_keys(record: dict, schema: tuple, where: str, line: int) -> None:
+def _check_keys(record: dict, schema: tuple, where: str) -> None:
     fields, allowed, required = schema
     if not isinstance(record, dict):
-        raise ScenarioFormatError(f"line {line}: {where} must be an object")
+        raise ScenarioFormatError(f"{where} must be an object")
     if required <= record.keys() <= allowed:
         return
     for key in record:
         if key not in fields:
-            raise ScenarioFormatError(f"line {line}: unknown field {key!r} in {where}")
+            raise ScenarioFormatError(f"unknown field {key!r} in {where}")
     for key, needed in fields.items():
         if needed and key not in record:
-            raise ScenarioFormatError(f"line {line}: missing field {key!r} in {where}")
+            raise ScenarioFormatError(f"missing field {key!r} in {where}")
 
 
-def _number(record: dict, key: str, where: str, line: int) -> float:
+def _number(record: dict, key: str, where: str) -> float:
     value = record[key]
     if type(value) is float:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFormatError(
-            f"line {line}: field {key!r} in {where} must be a number"
-        )
+        raise ScenarioFormatError(f"field {key!r} in {where} must be a number")
     try:
         return float(value)
     except OverflowError:
@@ -144,44 +143,35 @@ def _number(record: dict, key: str, where: str, line: int) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _variance(record: dict, key: str, where: str, line: int) -> float:
-    value = _number(record, key, where, line)
+def _variance(record: dict, key: str, where: str) -> float:
+    value = _number(record, key, where)
     if not math.isfinite(value) or value < 0.0:
-        raise ScenarioFormatError(
-            f"line {line}: field {key!r} in {where} must be finite and >= 0"
-        )
+        raise ScenarioFormatError(f"field {key!r} in {where} must be finite and >= 0")
     return value
 
 
-def _parse_object(record: dict, line: int, scenario: Scenario) -> None:
+def _parse_object(record: dict, scenario: Scenario) -> None:
     """Check one object record and append it to the object-frame columns."""
-    _check_keys(record, _OBJECT_KEYS, "object", line)
+    _check_keys(record, _OBJECT_KEYS, "object")
     object_id = record["id"]
     if isinstance(object_id, bool) or not isinstance(object_id, (str, int)):
-        raise ScenarioFormatError(f"line {line}: field 'id' must be a string")
-    v_lat = None
-    if "v_lat" in record:
-        v_lat = _number(record, "v_lat", "object", line)
+        raise ScenarioFormatError("field 'id' must be a string")
+    v_lat = _number(record, "v_lat", "object") if "v_lat" in record else None
     gt = None
     if "gt" in record:
         gt = record["gt"]
         if isinstance(gt, bool) or not isinstance(gt, int) or not 0 <= gt < N_PATHS:
-            raise ScenarioFormatError(
-                f"line {line}: field 'gt' must be an integer in 0..{N_PATHS - 1}"
-            )
-    x = _number(record, "x", "object", line)
-    y = _number(record, "y", "object", line)
+            raise ScenarioFormatError(f"field 'gt' must be an integer in 0..{N_PATHS - 1}")
+    x = _number(record, "x", "object")
+    y = _number(record, "y", "object")
     if not (0.0 < x < math.inf and math.isfinite(y)) or (
         v_lat is not None and not math.isfinite(v_lat)
     ):
         # ObjectMeasurement's domain, checked without building one; where
         # it fails, the constructor words the error.
-        try:
-            ObjectMeasurement(x, y, v_lat)
-        except InputDomainError as exc:
-            raise ScenarioFormatError(f"line {line}: {exc}") from exc
-    var_x = _variance(record, "var_x", "object", line)
-    var_y = _variance(record, "var_y", "object", line)
+        ObjectMeasurement(x, y, v_lat)
+    var_x = _variance(record, "var_x", "object")
+    var_y = _variance(record, "var_y", "object")
     scenario.id.append(str(object_id))
     scenario.x.append(x)
     scenario.y.append(y)
@@ -191,106 +181,99 @@ def _parse_object(record: dict, line: int, scenario: Scenario) -> None:
     scenario.gt.append(gt)
 
 
-def _parse_bounds(records: list, line: int) -> BoundarySet:
+def _parse_bounds(records: list) -> BoundarySet:
     if not isinstance(records, list) or len(records) != 4:
-        raise ScenarioFormatError(f"line {line}: 'bounds' must list exactly 4 entries")
+        raise ScenarioFormatError("'bounds' must list exactly 4 entries")
     parsed = []
     for record in records:
-        _check_keys(record, _BOUND_KEYS, "bounds entry", line)
-        mu = _number(record, "mu", "bounds entry", line)
-        sigma = _number(record, "sigma", "bounds entry", line)
-        try:
-            parsed.append(GaussianScalar(mu, sigma))
-        except InputDomainError as exc:
-            raise ScenarioFormatError(f"line {line}: {exc}") from exc
+        _check_keys(record, _BOUND_KEYS, "bounds entry")
+        parsed.append(GaussianScalar(_number(record, "mu", "bounds entry"),
+                                     _number(record, "sigma", "bounds entry")))
+    return BoundarySet(tuple(parsed))
+
+
+def _parse_frame(raw: str, scenario: Scenario) -> None:
+    """Check one frame line and append it to the columns.  Errors carry no
+    line number; `parse_scenario` adds it."""
     try:
-        return BoundarySet(tuple(parsed))
-    except InputDomainError as exc:
-        raise ScenarioFormatError(f"line {line}: {exc}") from exc
+        record = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        # Besides syntax errors (JSONDecodeError): integers longer than the
+        # interpreter converts, and nesting deeper than it recurses.
+        raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
+    _check_keys(record, _FRAME_KEYS, "frame")
+    t = _number(record, "t", "frame")
+    if scenario.t and t <= scenario.t[-1]:
+        raise ScenarioFormatError(
+            f"timestamps must strictly increase ({t} after {scenario.t[-1]})"
+        )
+
+    host_record = record["host"]
+    _check_keys(host_record, _HOST_KEYS, "host")
+    alpha = _number(host_record, "alpha", "host") if "alpha" in host_record else 0.0
+    v = _number(host_record, "v", "host")
+    yaw_rate = _number(host_record, "yaw_rate", "host")
+    if not (0.0 <= v < math.inf and math.isfinite(yaw_rate)
+            and abs(alpha) < math.pi / 2):
+        # HostState's domain, checked without building one; where it fails,
+        # the constructor words the error.
+        HostState(v, yaw_rate, alpha)
+    if not math.isfinite(t):
+        raise ScenarioFormatError(f"timestamp must be finite, got {t}")
+
+    object_records = record["objects"]
+    if not isinstance(object_records, list):
+        raise ScenarioFormatError("'objects' must be a list")
+    first = len(scenario.id)
+    for object_record in object_records:
+        _parse_object(object_record, scenario)
+    seen_ids = set()
+    for object_id in scenario.id[first:]:
+        if object_id in seen_ids:
+            raise ScenarioFormatError(f"duplicate object id {object_id!r}")
+        seen_ids.add(object_id)
+
+    bounds = _parse_bounds(record["bounds"]) if "bounds" in record else None
+    var_v = _variance(host_record, "var_v", "host")
+    var_yaw = _variance(host_record, "var_yaw", "host")
+    frame_index = len(scenario.t)
+    scenario.t.append(t)
+    scenario.v.append(v)
+    scenario.yaw_rate.append(yaw_rate)
+    scenario.alpha.append(alpha)
+    scenario.var_v.append(var_v)
+    scenario.var_yaw.append(var_yaw)
+    scenario.bounds.append(bounds)
+    scenario.frame_of.extend([frame_index] * (len(scenario.id) - first))
 
 
 def parse_scenario(stream: str | Iterable[str]) -> Scenario:
     """Parse a JSON-lines scenario; blank lines are ignored.
 
     Raises ScenarioFormatError naming the offending field and 1-based line
-    number on any schema violation, and on non-increasing timestamps.
+    number on any schema violation, and on non-increasing timestamps; the
+    line number is added here, around the check of each line.
     """
     if isinstance(stream, str):
         stream = stream.splitlines()
     scenario = Scenario()
-    previous_t: float | None = None
     for line_no, raw in enumerate(stream, start=1):
         if not raw.strip():
             continue
         try:
-            record = json.loads(raw)
-        except (ValueError, RecursionError) as exc:
-            # Besides syntax errors (JSONDecodeError): integers longer than
-            # the interpreter converts, and nesting deeper than it recurses.
-            raise ScenarioFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-        _check_keys(record, _FRAME_KEYS, "frame", line_no)
-        t = _number(record, "t", "frame", line_no)
-        if previous_t is not None and t <= previous_t:
-            raise ScenarioFormatError(
-                f"line {line_no}: timestamps must strictly increase "
-                f"({t} after {previous_t})"
-            )
-        previous_t = t
-
-        host_record = record["host"]
-        _check_keys(host_record, _HOST_KEYS, "host", line_no)
-        alpha = 0.0
-        if "alpha" in host_record:
-            alpha = _number(host_record, "alpha", "host", line_no)
-        v = _number(host_record, "v", "host", line_no)
-        yaw_rate = _number(host_record, "yaw_rate", "host", line_no)
-        if not (0.0 <= v < math.inf and math.isfinite(yaw_rate)
-                and abs(alpha) < math.pi / 2):
-            # HostState's domain, checked without building one; where it
-            # fails, the constructor words the error.
-            try:
-                HostState(v, yaw_rate, alpha)
-            except InputDomainError as exc:
-                raise ScenarioFormatError(f"line {line_no}: {exc}") from exc
-        if not math.isfinite(t):
-            raise ScenarioFormatError(
-                f"line {line_no}: timestamp must be finite, got {t}"
-            )
-
-        object_records = record["objects"]
-        if not isinstance(object_records, list):
-            raise ScenarioFormatError(f"line {line_no}: 'objects' must be a list")
-        first = len(scenario.id)
-        for object_record in object_records:
-            _parse_object(object_record, line_no, scenario)
-        seen_ids = set()
-        for object_id in scenario.id[first:]:
-            if object_id in seen_ids:
-                raise ScenarioFormatError(
-                    f"line {line_no}: duplicate object id {object_id!r}"
-                )
-            seen_ids.add(object_id)
-
-        bounds = None
-        if "bounds" in record:
-            bounds = _parse_bounds(record["bounds"], line_no)
-        var_v = _variance(host_record, "var_v", "host", line_no)
-        var_yaw = _variance(host_record, "var_yaw", "host", line_no)
-        frame_index = len(scenario.t)
-        scenario.t.append(t)
-        scenario.v.append(v)
-        scenario.yaw_rate.append(yaw_rate)
-        scenario.alpha.append(alpha)
-        scenario.var_v.append(var_v)
-        scenario.var_yaw.append(var_yaw)
-        scenario.bounds.append(bounds)
-        scenario.frame_of.extend([frame_index] * (len(scenario.id) - first))
+            _parse_frame(raw, scenario)
+        except (ScenarioFormatError, InputDomainError) as exc:
+            raise ScenarioFormatError(f"line {line_no}: {exc}") from exc
     return scenario
 
 
 def load_scenario(path: str) -> Scenario:
+    """`parse_scenario` over a file; its errors name the file too."""
     with open(path, encoding="utf-8") as handle:
-        return parse_scenario(handle)
+        try:
+            return parse_scenario(handle)
+        except ScenarioFormatError as exc:
+            raise ScenarioFormatError(f"{path}: {exc}") from exc
 
 
 def write_scenario(scenario: Scenario, out: TextIO) -> None:
@@ -547,20 +530,34 @@ class RocPoint:
     frames_evaluated: int
 
 
+def _path_indices(values: Sequence) -> np.ndarray | None:
+    """`values` as an array, or None unless each is a Python or numpy
+    integer (not a bool) in 0..N_PATHS - 1."""
+    if all(issubclass(kind, (int, np.integer)) and kind is not bool
+           for kind in set(map(type, values))):
+        truth = np.array(values)
+        if ((truth >= 0) & (truth < N_PATHS)).all():
+            return truth
+    return None
+
+
 def compute_roc(result: RunResult, parameter_label: str = "") -> RocPoint:
     """Host-lane TP/FP rates at object-frame granularity.
 
     TP rate: of the object-frames truly on the host path, the fraction with
     an accepted host-path assignment.  FP rate: of the object-frames truly
     elsewhere, the fraction with an accepted host-path assignment.  Rejected
-    assignments count as non-assignments on both sides.
+    assignments count as non-assignments on both sides.  Every ground truth
+    must be an integer path index; the error names the first that is not.
     """
-    if None in result.ground_truth:
-        k = result.ground_truth.index(None)
-        raise InputDomainError(
-            f"object {result.object_id[k]!r} at t={result.t[k]} has no ground truth"
-        )
-    on_host = np.array(result.ground_truth, dtype=int) == HOST_PATH_INDEX
+    truth = _path_indices(result.ground_truth)
+    if truth is None:
+        k, gt = next((k, gt) for k, gt in enumerate(result.ground_truth)
+                     if _path_indices([gt]) is None)
+        fault = " has no ground truth" if gt is None else (
+            f": ground truth must be an integer in 0..{N_PATHS - 1}, got {gt!r}")
+        raise InputDomainError(f"object {result.object_id[k]!r} at t={result.t[k]}{fault}")
+    on_host = truth == HOST_PATH_INDEX
     assigned_host = result.accepted & (result.index == HOST_PATH_INDEX)
     tp_total = int(on_host.sum())
     fp_total = len(on_host) - tp_total

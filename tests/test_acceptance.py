@@ -209,7 +209,7 @@ def test_criterion_7_kalman_least_squares_and_whitening():
     rng = np.random.default_rng(20240007)
     z_means = rng.normal(loc=1.0, scale=0.7, size=500)
     z_vars = rng.uniform(0.02, 3.0, size=500)
-    state = kf_init(GaussianScalar(z_means[0], math.sqrt(z_vars[0])), 0.0)
+    state = kf_init(GaussianScalar(z_means[0], math.sqrt(z_vars[0])))
     for mean, var in zip(z_means[1:], z_vars[1:]):
         state = kf_update(state, GaussianScalar(mean, math.sqrt(var)))
     weights = 1.0 / z_vars
@@ -221,7 +221,7 @@ def test_criterion_7_kalman_least_squares_and_whitening():
     dt, sigma_nu, sigma_z = 0.1, 0.25, 0.4
     noise = ProcessNoise(sigma_nu)
     truth = 0.0
-    kstate = kf_init(GaussianScalar(truth + rng.normal(0.0, sigma_z), sigma_z), 0.0)
+    kstate = kf_init(GaussianScalar(truth + rng.normal(0.0, sigma_z), sigma_z))
     normalized = np.empty(10_000)
     for k in range(10_000):
         truth += rng.normal(0.0, dt * sigma_nu)

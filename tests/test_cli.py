@@ -4,7 +4,11 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -478,13 +482,25 @@ def test_run_names_the_out_of_range_setting(tmp_path, capsys, flags, message, ob
 )
 def test_unreadable_scenario_lines_exit_2(tmp_path, capsys, x, next_line, line):
     # A float overflow, an integer too long to convert and nesting too deep
-    # to decode each name their line instead of ending in a traceback.
+    # to decode each name their file and line instead of ending in a
+    # traceback.
     scenario = tmp_path / "s.jsonl"
     write_minimal_scenario(scenario, n_frames=1)
     text = scenario.read_text().replace('"x": 50.0', f'"x": {x}')
     scenario.write_text(text + next_line)
     assert main(["run", "--scenario", str(scenario)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+    assert capsys.readouterr().err.startswith(f"error: {scenario}: line {line}: ")
+
+
+def test_sweep_names_the_scenario_file_that_fails_to_parse(tmp_path, capsys):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    write_minimal_scenario(good)
+    write_minimal_scenario(bad, n_frames=1)
+    bad.write_text(bad.read_text().replace('"x": 50.0', '"x": -40.0'))
+    assert main(["sweep", "--method", "discrete", "--scenario", str(good), str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 1: objects must be ahead of the host, got x=-40.0\n"
+    )
 
 
 def test_error_exit_code_on_bad_grid(tmp_path, capsys):
@@ -518,3 +534,23 @@ def test_stdout_output(capsys):
                  "--out", "-"]) == 0
     out = capsys.readouterr().out
     assert len(parse_scenario(out)) == 4
+
+
+def test_the_module_runs_as_a_script(tmp_path):
+    # `python -m laneassign.cli`, as the README offers it.  The child finds
+    # the package through PYTHONPATH, which pytest's `pythonpath` setting
+    # does not reach.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "laneassign.cli", *args],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    done = cli("synth", "--kind", "straight_follow", "--duration", "0.1")
+    assert done.returncode == 0
+    assert len(parse_scenario(done.stdout)) == 2
+    done = cli("run", "--scenario", str(tmp_path / "missing.jsonl"))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")

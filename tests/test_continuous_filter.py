@@ -40,32 +40,30 @@ def test_process_noise_must_be_positive():
 
 
 def test_state_validation():
-    KalmanState(0.0, 0.0, 0.0)  # zero variance is legal
+    KalmanState(0.0, 0.0)  # zero variance is legal
     with pytest.raises(InputDomainError):
-        KalmanState(0.0, -1e-9, 0.0)
-    with pytest.raises(InputDomainError):
-        KalmanState(math.nan, 1.0, 0.0)
+        KalmanState(0.0, -1e-9)
+    with pytest.raises(InputDomainError, match="^state mean must be finite$"):
+        KalmanState(math.nan, 1.0)
 
 
 def test_init_copies_measurement():
-    s = kf_init(GaussianScalar(1.5, 0.4), timestamp=2.0)
+    s = kf_init(GaussianScalar(1.5, 0.4))
     assert s.mean == 1.5
     assert s.variance == pytest.approx(0.16)
-    assert s.timestamp == 2.0
 
 
 def test_predict_examples():
-    s = kf_predict(KalmanState(0.0, 1.0, 0.0), u=0.0, dt=0.1, noise=ProcessNoise(0.4))
+    s = kf_predict(KalmanState(0.0, 1.0), u=0.0, dt=0.1, noise=ProcessNoise(0.4))
     assert s.mean == 0.0
     assert s.variance == pytest.approx(1.0016, abs=1e-12)
-    s = kf_predict(KalmanState(1.0, 0.5, 0.0), u=2.0, dt=0.5, noise=ProcessNoise(0.1))
+    s = kf_predict(KalmanState(1.0, 0.5), u=2.0, dt=0.5, noise=ProcessNoise(0.1))
     assert s.mean == pytest.approx(2.0)
     assert s.variance == pytest.approx(0.5025, abs=1e-12)
-    assert s.timestamp == pytest.approx(0.5)
 
 
 def test_predict_rejects_bad_dt():
-    s = KalmanState(0.0, 1.0, 0.0)
+    s = KalmanState(0.0, 1.0)
     with pytest.raises(InputDomainError):
         kf_predict(s, 0.0, 0.0, ProcessNoise(0.1))
     with pytest.raises(InputDomainError):
@@ -76,13 +74,13 @@ def test_predict_never_decreases_variance():
     rng = np.random.default_rng(3)
     for _ in range(100):
         var = rng.uniform(0.0, 4.0)
-        s = KalmanState(rng.normal(), var, 0.0)
+        s = KalmanState(rng.normal(), var)
         out = kf_predict(s, rng.normal(), rng.uniform(0.01, 1.0), ProcessNoise(rng.uniform(0.01, 1.0)))
         assert out.variance > var
 
 
 def test_update_equal_weight_fusion():
-    s = kf_update(KalmanState(0.0, 1.0, 0.0), GaussianScalar(1.0, 1.0))
+    s = kf_update(KalmanState(0.0, 1.0), GaussianScalar(1.0, 1.0))
     assert s.mean == pytest.approx(0.5)
     assert s.variance == pytest.approx(0.5)
 
@@ -95,7 +93,7 @@ def test_update_matches_product_of_gaussians():
         prior_var = rng.uniform(1e-4, 5.0)
         z_mean = rng.normal(scale=3.0)
         z_var = rng.uniform(1e-4, 5.0)
-        got = kf_update(KalmanState(prior_mean, prior_var, 0.0), GaussianScalar(z_mean, math.sqrt(z_var)))
+        got = kf_update(KalmanState(prior_mean, prior_var), GaussianScalar(z_mean, math.sqrt(z_var)))
         want_var = 1.0 / (1.0 / prior_var + 1.0 / z_var)
         want_mean = want_var * (prior_mean / prior_var + z_mean / z_var)
         assert got.mean == pytest.approx(want_mean, rel=1e-12, abs=1e-12)
@@ -103,19 +101,19 @@ def test_update_matches_product_of_gaussians():
 
 
 def test_update_ignores_useless_measurement():
-    s = kf_update(KalmanState(1.0, 0.01, 0.0), GaussianScalar(50.0, 1e9))
+    s = kf_update(KalmanState(1.0, 0.01), GaussianScalar(50.0, 1e9))
     assert s.mean == pytest.approx(1.0, abs=1e-6)
     assert s.variance == pytest.approx(0.01, rel=1e-6)
 
 
 def test_update_trusts_exact_measurement():
-    s = kf_update(KalmanState(1.0, 2.0, 0.0), GaussianScalar(3.0, 0.0))
+    s = kf_update(KalmanState(1.0, 2.0), GaussianScalar(3.0, 0.0))
     assert s.mean == 3.0
     assert s.variance == 0.0
 
 
 def test_update_certain_state_vs_certain_measurement():
-    s = KalmanState(1.0, 0.0, 0.0)
+    s = KalmanState(1.0, 0.0)
     assert kf_update(s, GaussianScalar(1.0, 0.0)) == s
     with pytest.raises(InputDomainError):
         kf_update(s, GaussianScalar(2.0, 0.0))
@@ -125,7 +123,7 @@ def test_update_never_increases_variance():
     rng = np.random.default_rng(13)
     for _ in range(100):
         var = rng.uniform(1e-6, 5.0)
-        s = kf_update(KalmanState(0.0, var, 0.0), GaussianScalar(rng.normal(), rng.uniform(0.0, 3.0)))
+        s = kf_update(KalmanState(0.0, var), GaussianScalar(rng.normal(), rng.uniform(0.0, 3.0)))
         assert s.variance <= var
 
 
@@ -140,7 +138,7 @@ def test_static_case_matches_batch_least_squares():
     rng = np.random.default_rng(17)
     z_means = rng.normal(loc=2.0, scale=0.5, size=200)
     z_vars = rng.uniform(0.05, 2.0, size=200)
-    state = kf_init(GaussianScalar(z_means[0], math.sqrt(z_vars[0])), 0.0)
+    state = kf_init(GaussianScalar(z_means[0], math.sqrt(z_vars[0])))
     for mean, var in zip(z_means[1:], z_vars[1:]):
         state = kf_update(state, GaussianScalar(mean, math.sqrt(var)))
     weights = 1.0 / z_vars
@@ -156,7 +154,7 @@ def test_innovations_are_white_on_matched_model():
     dt, sigma_nu, sigma_z = 0.1, 0.3, 0.5
     noise = ProcessNoise(sigma_nu)
     truth = 0.0
-    state = kf_init(GaussianScalar(truth + rng.normal(0.0, sigma_z), sigma_z), 0.0)
+    state = kf_init(GaussianScalar(truth + rng.normal(0.0, sigma_z), sigma_z))
     normalized = []
     for _ in range(2000):
         truth += rng.normal(0.0, dt * sigma_nu)
@@ -178,7 +176,7 @@ def test_filter_tracks_moving_object():
         truth = 3.5 * min(k * dt / 5.0, 1.0)  # drifts one lane left over 5 s
         z = GaussianScalar(truth + rng.normal(0.0, 0.3), 0.3)
         if state is None:
-            state = kf_init(z, 0.0)
+            state = kf_init(z)
         else:
             state = kf_update(kf_predict(state, 0.0, dt, noise), z)
     assert state.mean == pytest.approx(3.5, abs=0.3)
@@ -191,7 +189,7 @@ def test_filter_tracks_moving_object():
 
 def test_discretize_matches_lane_occupancy():
     bounds = DEFAULT_BOUNDS
-    state = KalmanState(1.2, 0.25, 0.0)
+    state = KalmanState(1.2, 0.25)
     got = discretize_posterior(state, bounds)
     want = lane_occupancy(GaussianScalar(1.2, 0.5), bounds)
     np.testing.assert_array_equal(got.probs, want.probs)
@@ -199,13 +197,13 @@ def test_discretize_matches_lane_occupancy():
 
 def test_discretize_confident_center():
     bounds = DEFAULT_BOUNDS
-    p = discretize_posterior(KalmanState(0.0, 0.01, 0.0), bounds)
+    p = discretize_posterior(KalmanState(0.0, 0.01), bounds)
     assert p[2] > 0.99
 
 
 def test_discretize_is_stateless():
     bounds = DEFAULT_BOUNDS
-    state = KalmanState(0.7, 0.3, 0.0)
+    state = KalmanState(0.7, 0.3)
     a = discretize_posterior(state, bounds)
     b = discretize_posterior(state, bounds)
     np.testing.assert_array_equal(a.probs, b.probs)
@@ -234,6 +232,6 @@ def test_stateful_filter_applies_lateral_velocity():
     # One second at +1 m/s shifts the prediction a meter before the update.
     scenario = one_object([(0.0, 0.0, 0.25, None), (1.0, 0.8, 0.25, 1.0)])
     got = run_pipeline(scenario, "continuous", PipelineConfig(sigma_nu=0.1)).posteriors[1]
-    pred = kf_predict(kf_init(GaussianScalar(0.0, 0.5), 0.0), 1.0, 1.0, ProcessNoise(0.1))
+    pred = kf_predict(kf_init(GaussianScalar(0.0, 0.5)), 1.0, 1.0, ProcessNoise(0.1))
     want = discretize_posterior(kf_update(pred, GaussianScalar(0.8, 0.5)), DEFAULT_BOUNDS)
     np.testing.assert_allclose(got, want.probs, atol=1e-15)

@@ -320,9 +320,10 @@ def reference_runs(scenario, method, configs):
 # ---------------------------------------------------------------------------
 
 
-def loop_step(method, config, state, z, bounds, t, u):
+def loop_step(method, config, state, z, bounds, dt, u):
     """One step of a track through the per-object functions, from its state
-    (None on a new track): the new state and the posterior."""
+    (None on a new track) over the dt seconds since its previous detection:
+    the new state and the posterior."""
     if method == "discrete":
         if not math.isfinite(config.eta_gain):
             raise InputDomainError(f"eta_gain must be finite, got {config.eta_gain}")
@@ -334,11 +335,9 @@ def loop_step(method, config, state, z, bounds, t, u):
         return state, state
     noise = ProcessNoise(config.sigma_nu)
     if state is None:
-        state = kf_init(z, t)
+        state = kf_init(z)
     else:
-        # From the frame time of the track's previous detection.
-        state = kf_update(kf_predict(state, u, t - state.timestamp, noise), z)
-        state = dataclasses.replace(state, timestamp=t)
+        state = kf_update(kf_predict(state, u, dt, noise), z)
     return state, discretize_posterior(state, bounds)
 
 
@@ -391,8 +390,8 @@ def loop_run(scenario, method, config, transforms=None):
                     )
                     transforms[k] = transform_to_path(inputs, s.alpha[f])
                 states[s.id[k]], posterior = loop_step(
-                    method, config, states.get(s.id[k]), transforms[k], bounds, t,
-                    s.v_lat[k] or 0.0,
+                    method, config, states.get(s.id[k]), transforms[k], bounds,
+                    t - last_seen.get(s.id[k], t), s.v_lat[k] or 0.0,
                 )
                 last_seen[s.id[k]] = t
                 assignment = assign(posterior, config.p_min)

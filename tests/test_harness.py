@@ -197,40 +197,82 @@ def test_parse_rejects_duplicate_object_ids():
         parse_scenario(as_stream(d))
 
 
-def _reference_parse_object(record, line):
+def _reference_parse_object(record):
     """One object record as the parser built it before it emitted columns,
     as a dict for `scenario_of`."""
-    _check_keys(record, _OBJECT_KEYS, "object", line)
+    _check_keys(record, _OBJECT_KEYS, "object")
     object_id = record["id"]
     if isinstance(object_id, bool) or not isinstance(object_id, (str, int)):
-        raise ScenarioFormatError(f"line {line}: field 'id' must be a string")
+        raise ScenarioFormatError("field 'id' must be a string")
     v_lat = None
     if "v_lat" in record:
-        v_lat = _number(record, "v_lat", "object", line)
+        v_lat = _number(record, "v_lat", "object")
     gt = None
     if "gt" in record:
         gt = record["gt"]
         if isinstance(gt, bool) or not isinstance(gt, int) or not 0 <= gt < N_PATHS:
-            raise ScenarioFormatError(
-                f"line {line}: field 'gt' must be an integer in 0..{N_PATHS - 1}"
-            )
-    try:
-        measurement = ObjectMeasurement(
-            x=_number(record, "x", "object", line),
-            y=_number(record, "y", "object", line),
-            lateral_velocity_input=v_lat,
-        )
-    except InputDomainError as exc:
-        raise ScenarioFormatError(f"line {line}: {exc}") from exc
+            raise ScenarioFormatError(f"field 'gt' must be an integer in 0..{N_PATHS - 1}")
+    measurement = ObjectMeasurement(
+        x=_number(record, "x", "object"),
+        y=_number(record, "y", "object"),
+        lateral_velocity_input=v_lat,
+    )
     return dict(
         id=str(object_id),
         x=measurement.x,
         y=measurement.y,
         v_lat=measurement.lateral_velocity_input,
-        var_x=_variance(record, "var_x", "object", line),
-        var_y=_variance(record, "var_y", "object", line),
+        var_x=_variance(record, "var_x", "object"),
+        var_y=_variance(record, "var_y", "object"),
         gt=gt,
     )
+
+
+def _reference_parse_frame(raw, previous_t):
+    """One frame line as the parser built it before it emitted columns, as a
+    dict for `scenario_of`; `previous_t` is the time of the frame before."""
+    try:
+        record = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
+    _check_keys(record, _FRAME_KEYS, "frame")
+    t = _number(record, "t", "frame")
+    if previous_t is not None and t <= previous_t:
+        raise ScenarioFormatError(
+            f"timestamps must strictly increase ({t} after {previous_t})"
+        )
+    host_record = record["host"]
+    _check_keys(host_record, _HOST_KEYS, "host")
+    alpha = 0.0
+    if "alpha" in host_record:
+        alpha = _number(host_record, "alpha", "host")
+    host = HostState(
+        v=_number(host_record, "v", "host"),
+        yaw_rate=_number(host_record, "yaw_rate", "host"),
+        alpha=alpha,
+    )
+    if not math.isfinite(t):
+        raise ScenarioFormatError(f"timestamp must be finite, got {t}")
+    object_records = record["objects"]
+    if not isinstance(object_records, list):
+        raise ScenarioFormatError("'objects' must be a list")
+    objects = [_reference_parse_object(rec) for rec in object_records]
+    seen_ids = set()
+    for obj in objects:
+        if obj["id"] in seen_ids:
+            raise ScenarioFormatError(f"duplicate object id {obj['id']!r}")
+        seen_ids.add(obj["id"])
+    bounds = None
+    if "bounds" in record:
+        bounds = _parse_bounds(record["bounds"])
+    host_values = dict(
+        v=host.v,
+        yaw_rate=host.yaw_rate,
+        alpha=host.alpha,
+        var_v=_variance(host_record, "var_v", "host"),
+        var_yaw=_variance(host_record, "var_yaw", "host"),
+    )
+    return dict(t=t, host=host_values, objects=objects, bounds=bounds)
 
 
 def _reference_parse(stream):
@@ -239,61 +281,13 @@ def _reference_parse(stream):
     if isinstance(stream, str):
         stream = stream.splitlines()
     frames = []
-    previous_t = None
     for line_no, raw in enumerate(stream, start=1):
         if not raw.strip():
             continue
         try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ScenarioFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-        _check_keys(record, _FRAME_KEYS, "frame", line_no)
-        t = _number(record, "t", "frame", line_no)
-        if previous_t is not None and t <= previous_t:
-            raise ScenarioFormatError(
-                f"line {line_no}: timestamps must strictly increase "
-                f"({t} after {previous_t})"
-            )
-        previous_t = t
-        host_record = record["host"]
-        _check_keys(host_record, _HOST_KEYS, "host", line_no)
-        alpha = 0.0
-        if "alpha" in host_record:
-            alpha = _number(host_record, "alpha", "host", line_no)
-        try:
-            host = HostState(
-                v=_number(host_record, "v", "host", line_no),
-                yaw_rate=_number(host_record, "yaw_rate", "host", line_no),
-                alpha=alpha,
-            )
-        except InputDomainError as exc:
+            frames.append(_reference_parse_frame(raw, frames[-1]["t"] if frames else None))
+        except (ScenarioFormatError, InputDomainError) as exc:
             raise ScenarioFormatError(f"line {line_no}: {exc}") from exc
-        if not math.isfinite(t):
-            raise ScenarioFormatError(
-                f"line {line_no}: timestamp must be finite, got {t}"
-            )
-        object_records = record["objects"]
-        if not isinstance(object_records, list):
-            raise ScenarioFormatError(f"line {line_no}: 'objects' must be a list")
-        objects = [_reference_parse_object(rec, line_no) for rec in object_records]
-        seen_ids = set()
-        for obj in objects:
-            if obj["id"] in seen_ids:
-                raise ScenarioFormatError(
-                    f"line {line_no}: duplicate object id {obj['id']!r}"
-                )
-            seen_ids.add(obj["id"])
-        bounds = None
-        if "bounds" in record:
-            bounds = _parse_bounds(record["bounds"], line_no)
-        host_values = dict(
-            v=host.v,
-            yaw_rate=host.yaw_rate,
-            alpha=host.alpha,
-            var_v=_variance(host_record, "var_v", "host", line_no),
-            var_yaw=_variance(host_record, "var_yaw", "host", line_no),
-        )
-        frames.append(dict(t=t, host=host_values, objects=objects, bounds=bounds))
     return scenario_of(frames)
 
 
@@ -525,6 +519,69 @@ def test_scenarios_round_trip_through_the_writer(text):
     written = _serialized(scenario)
     assert parse_scenario(written) == scenario
     assert _reference_parse(written) == scenario
+
+
+# Values that a fault puts in place of a field's value: a null, a bool, a
+# string, a list, non-finite numbers, and numbers out of range for a
+# variance, a speed, a position, a heading or a ground truth.
+BAD_VALUES = (None, True, "1", [1.0], math.nan, math.inf, -math.inf, -1.0, 9, 1e9)
+
+
+def _records(frame, kind):
+    """The records of one kind in a frame, where they are still objects."""
+    found = {"frame": [frame], "host": [frame.get("host")],
+             "object": frame.get("objects"), "bound": frame.get("bounds")}[kind]
+    return [r for r in found if isinstance(r, dict)] if isinstance(found, list) else []
+
+
+@st.composite
+def faulty_scenario_texts(draw):
+    """1-4 valid frame lines, each with every optional field, an int id and
+    int numbers, and 0-3 faults on each: a value replaced by one of
+    `BAD_VALUES`, a key dropped, an unknown key added, or the time of the
+    frame before repeated or reversed."""
+    lines = []
+    for k in range(draw(st.integers(1, 4))):
+        frame = json.loads(_fault(frame={"t": k}, host={"alpha": 0.01},
+                                  object={"v_lat": -0.4, "gt": 2}))
+        frame["objects"].append({"id": 7, "x": 20, "y": -3, "var_x": 1, "var_y": 0})
+        for _ in range(draw(st.integers(0, 3))):
+            fault = draw(st.sampled_from(["value", "drop", "unknown", "time"]))
+            if fault == "time":
+                if k:
+                    frame["t"] = draw(st.sampled_from([k - 1, k - 1.5]))
+                continue
+            records = _records(frame, draw(st.sampled_from(["frame", "host", "object", "bound"])))
+            if not records:
+                continue
+            record = draw(st.sampled_from(records))
+            if fault == "unknown":
+                record["extra"] = 0.0
+            elif record:
+                key = draw(st.sampled_from(sorted(record)))
+                if fault == "drop":
+                    del record[key]
+                else:
+                    record[key] = draw(st.sampled_from(BAD_VALUES))
+        lines.append(json.dumps(frame))
+        if draw(st.booleans()):
+            lines.append("")
+    return "\n".join(lines)
+
+
+def _outcome(parse, text):
+    """The scenario that `parse` reads from text, or its error message."""
+    try:
+        return parse(text)
+    except ScenarioFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(text=faulty_scenario_texts())
+def test_faulty_scenarios_fail_as_the_dataclass_reference_does(text):
+    # The order of the checks on lines with several faults, beyond `FAULTS`.
+    assert _outcome(parse_scenario, text) == _outcome(_reference_parse, text)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,6 +1109,22 @@ def test_compute_roc_requires_ground_truth():
     result = result_stub([(2, 2, True), (None, 2, True)])
     with pytest.raises(InputDomainError, match=r"^object 'o' at t=0.0 has no ground truth$"):
         compute_roc(result)
+
+
+@pytest.mark.parametrize("gt", ["2", 2.7, True, 7, -1])
+def test_compute_roc_rejects_a_ground_truth_that_is_no_path_index(gt):
+    # The parser rejects each of these; in a hand-built result they would
+    # count as host path ("2", 2.7) or as another path (True, 7, -1).
+    message = f"object 'o' at t=0.0: ground truth must be an integer in 0..4, got {gt!r}"
+    for rows in ([(gt, 2, True)], [(2, 2, True), (gt, 2, True)]):
+        with pytest.raises(InputDomainError) as got:
+            compute_roc(result_stub(rows))
+        assert str(got.value) == message
+
+
+def test_compute_roc_takes_numpy_integers():
+    point = compute_roc(result_stub([(np.int64(2), 2, True), (np.int64(3), 2, False)]))
+    assert (point.tp_rate, point.fp_rate, point.frames_evaluated) == (1.0, 0.0, 2)
 
 
 def test_sweep_single_point_matches_direct_run():
