@@ -124,6 +124,7 @@ class Flat:
 
     times: list  # (F,) frame times as given, over the F frames of all scenarios
     frame_number: np.ndarray  # (F,) index of each frame within its scenario
+    scenario_of: np.ndarray  # (F,) index of each frame's scenario
     alpha: list  # (F,) heading offsets as given
     bounds: list  # (F,) BoundarySet of each frame
     frame_of: np.ndarray  # (N,) index into the F frames
@@ -143,12 +144,18 @@ class Flat:
     starts: np.ndarray  # (D + 1,) where each of the D levels starts in `order`, then N
 
 
+def _in_scenario(error: ValueError, index) -> ValueError:
+    """`error`, with the index of the scenario at fault as its `scenario`."""
+    error.scenario = int(index)
+    return error
+
+
 def _joined(scenarios, name: str) -> list:
     """Column `name` of the scenarios, one after another."""
     return [value for scenario in scenarios for value in getattr(scenario, name)]
 
 
-def _check_frames(times, t, frame_number, ids, frame_of, repeated) -> None:
+def _check_frames(times, t, frame_number, scenario_of, ids, frame_of, repeated) -> None:
     """Raise the InputDomainError of the earliest frame that breaks the
     `Scenario` contract, in the parser's words: within a scenario frame
     times are finite and strictly increase, and no id repeats within a
@@ -167,7 +174,10 @@ def _check_frames(times, t, frame_number, ids, frame_of, repeated) -> None:
             message = f"timestamp must be finite, got {times[f]}"
         else:
             message = f"duplicate object id {ids[k]!r}"
-        raise InputDomainError(f"frame {frame_number[f]} (t={times[f]}): {message}")
+        raise _in_scenario(
+            InputDomainError(f"frame {frame_number[f]} (t={times[f]}): {message}"),
+            scenario_of[f],
+        )
 
 
 # The columns of a `Scenario` with one entry per frame, and per id; each is
@@ -184,15 +194,15 @@ def _check_columns(scenarios, lengths, counts, frame_of) -> None:
     object-frames in frame order: never decreasing, each in range(len(t)).
     `frame_of` holds the columns one after another, `counts` their lengths
     and `lengths` the frame counts."""
-    for scenario in scenarios:
+    for index, scenario in enumerate(scenarios):
         for unit, (first, *names) in _COLUMNS.items():
             want = len(getattr(scenario, first))
             for name in names:
                 got = len(getattr(scenario, name))
                 if got != want:
-                    raise InputDomainError(
+                    raise _in_scenario(InputDomainError(
                         f"{name} must have one entry per {unit}, got {got} for {want} {unit}s"
-                    )
+                    ), index)
     start = np.repeat(np.cumsum([0, *counts])[:-1], counts)
     frames = np.repeat(lengths, counts)
     decreasing = np.concatenate([[False], frame_of[1:] < frame_of[:-1]]) & (
@@ -202,10 +212,11 @@ def _check_columns(scenarios, lengths, counts, frame_of) -> None:
     if bad.any():
         k = int(np.argmax(bad))
         if decreasing[k]:
-            raise InputDomainError(
-                f"frame_of must not decrease, got {frame_of[k]} after {frame_of[k - 1]}"
-            )
-        raise InputDomainError(f"frame_of must lie in range({frames[k]}), got {frame_of[k]}")
+            message = f"frame_of must not decrease, got {frame_of[k]} after {frame_of[k - 1]}"
+        else:
+            message = f"frame_of must lie in range({frames[k]}), got {frame_of[k]}"
+        index = np.searchsorted(np.cumsum(counts), k, side="right")
+        raise _in_scenario(InputDomainError(message), index)
 
 
 def flatten(scenarios) -> Flat:
@@ -218,6 +229,7 @@ def flatten(scenarios) -> Flat:
     times = _joined(scenarios, "t")
     t = np.array(times, dtype=float)
     frame_number = np.arange(len(t)) - np.repeat(first, lengths)
+    scenario_of = np.repeat(np.arange(len(scenarios)), lengths)
     counts = [len(scenario.frame_of) for scenario in scenarios]
     frame_of = np.array(_joined(scenarios, "frame_of"), dtype=np.intp)
     _check_columns(scenarios, lengths, counts, frame_of)
@@ -234,7 +246,9 @@ def flatten(scenarios) -> Flat:
     earlier, later = by_track[:-1], by_track[1:]
     seen, now = frame_of[earlier], frame_of[later]
     same_id = key[earlier] == key[later]
-    _check_frames(times, t, frame_number, ids, frame_of, later[same_id & (seen == now)])
+    _check_frames(
+        times, t, frame_number, scenario_of, ids, frame_of, later[same_id & (seen == now)]
+    )
     # The frame times increase, so the track is dropped where the gap to
     # the id's next detection exceeds the timeout.
     continues = same_id & ~(t[now] - t[seen] > ABSENCE_TIMEOUT)
@@ -274,6 +288,7 @@ def flatten(scenarios) -> Flat:
     return Flat(
         times=times,
         frame_number=frame_number,
+        scenario_of=scenario_of,
         alpha=alpha,
         bounds=bounds,
         frame_of=frame_of,
@@ -379,7 +394,8 @@ def filter_batch(scenarios, method: str, config, values=None) -> list[RunResult]
     value, then the settings, and an InputDomainError names the first that
     fails.  Then an InputDomainError names the earliest frame that breaks
     the `Scenario` contract; otherwise a ValueError names the earliest
-    failing frame of the first scenario that fails.
+    failing frame of the first scenario that fails.  An error of one
+    scenario holds its index in the list as its `scenario` attribute.
     """
     if method not in METHODS:
         raise InputDomainError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -466,7 +482,9 @@ def _replay(flat, k, method, config, value, states):
             posterior = discretize_posterior(state, bounds)
         assign(posterior, config.p_min)
     except ValueError as exc:
-        raise type(exc)(f"frame {flat.frame_number[f]} (t={t}): {exc}") from exc
+        raise _in_scenario(
+            type(exc)(f"frame {flat.frame_number[f]} (t={t}): {exc}"), flat.scenario_of[f]
+        ) from exc
     raise RuntimeError(
         f"frame {flat.frame_number[f]} (t={t}): the batch check rejects an "
         "object-frame that the per-object functions accept"

@@ -82,7 +82,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ValueError(f"--grid {args.grid!r}: {exc}") from None
     config = replace(SWEEP_CONFIG, **_given(args, "eta_gain", "p_min"))
-    points = sweep_parameters(scenarios, args.method, grid, config)
+    try:
+        points = sweep_parameters(scenarios, args.method, grid, config)
+    except ValueError as exc:
+        # The engine marks an error of one scenario with its index.
+        if "scenario" not in args or not hasattr(exc, "scenario"):
+            raise
+        raise type(exc)(f"{args.scenario[exc.scenario]}: {exc}") from exc
     with _out_stream(args.out) as out:
         write_roc_csv(points, out)
     return 0

@@ -153,14 +153,17 @@ def _lateral_offset_arrays(v, yaw_rate, x, y, sin_a, cos_a) -> np.ndarray:
 
     straight = np.abs(yaw_rate) < STRAIGHT_YAW_THRESHOLD
     safe_yaw = np.where(straight, 1.0, yaw_rate)
-    r = v / safe_yaw
-    sgn = np.where(r >= 0.0, 1.0, -1.0)
-    # Algebraically r - sgn(r) * d with d the distance to the circle center,
-    # rewritten as a quotient so nothing cancels when |r| is large.
-    along = x * sin_a - y * cos_a
-    dist = np.hypot(x + sin_a * r, y - cos_a * r)
-    curved = -(x * x + y * y + 2.0 * r * along) / (sgn * (dist + np.abs(r)))
-    line = y * cos_a - x * sin_a
+    # Huge finite inputs overflow to an infinite or NaN offset, which the
+    # callers reject with their own message.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = v / safe_yaw
+        sgn = np.where(r >= 0.0, 1.0, -1.0)
+        # Algebraically r - sgn(r) * d with d the distance to the circle
+        # center, rewritten as a quotient so nothing cancels when |r| is large.
+        along = x * sin_a - y * cos_a
+        dist = np.hypot(x + sin_a * r, y - cos_a * r)
+        curved = -(x * x + y * y + 2.0 * r * along) / (sgn * (dist + np.abs(r)))
+        line = y * cos_a - x * sin_a
     return np.where(straight, line, curved)
 
 

@@ -29,6 +29,15 @@ unknown fields anywhere are rejected.  Timestamps must strictly increase.
 Boundary overrides are given directly in path coordinates (pre-transformed
 camera cues); without them `DEFAULT_BOUNDS` is used.  A parse error names its
 line, which `parse_scenario` adds in one place, and `load_scenario` its file.
+
+The parser decodes `PARSE_BLOCK` lines at a time and checks the block by
+column: one type test per record kind and per field, one count of the keys
+per record kind, one array test per number column and one set per frame for
+the ids.  A block that passes extends the columns; a block that fails is walked
+again line by line, from the state the earlier blocks left, so that the
+first failing line raises its own message.  `write_run_csv` writes
+`WRITE_BLOCK` rows at a time, each column's `repr`s joined into lines.  The
+blocks bound the records and strings alive at once.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -247,31 +256,182 @@ def _parse_frame(raw: str, scenario: Scenario) -> None:
     scenario.frame_of.extend([frame_index] * (len(scenario.id) - first))
 
 
-def parse_scenario(stream: str | Iterable[str]) -> Scenario:
-    """Parse a JSON-lines scenario; blank lines are ignored.
+# Lines checked column by column at a time, and rows written at a time: a
+# block bounds the decoded records, and the cell strings, alive at once.
+PARSE_BLOCK = 64
+WRITE_BLOCK = 256
 
-    Raises ScenarioFormatError naming the offending field and 1-based line
-    number on any schema violation, and on non-increasing timestamps; the
-    line number is added here, around the check of each line.
-    """
-    if isinstance(stream, str):
-        stream = stream.splitlines()
-    scenario = Scenario()
-    for line_no, raw in enumerate(stream, start=1):
+# An optional field that a record leaves out.
+_ABSENT = object()
+_GT_VALUES = frozenset([*range(N_PATHS), _ABSENT])
+
+
+def _columns(records: list, schema: tuple) -> dict | None:
+    """The fields of `records` column by column, `_ABSENT` where a record
+    leaves an optional field out; None unless each record is a dict that
+    holds every required field of `schema` and no field it does not know."""
+    fields, _, _ = schema
+    if not set(map(type, records)) <= {dict}:
+        return None
+    columns, held = {}, 0
+    for key, needed in fields.items():
+        try:
+            columns[key] = [record[key] for record in records]
+            held += len(records)
+        except KeyError:
+            if needed:
+                return None
+            columns[key] = column = [record.get(key, _ABSENT) for record in records]
+            held += len(records) - column.count(_ABSENT)
+    # Every key a record holds is one of the fields counted.
+    return columns if sum(map(len, records)) == held else None
+
+
+def _floats(column: list, absent=None) -> list | None:
+    """A column of numbers as floats, `absent` where a value is `_ABSENT`;
+    None where a value is no number, or an integer lies beyond the float
+    range (which `_number` reads as an infinity, and every field rejects)."""
+    kinds = set(map(type, column))
+    if kinds <= {float}:
+        return column
+    if not kinds <= {float, int, object}:  # object: the type of _ABSENT
+        return None
+    try:
+        return [absent if value is _ABSENT else float(value) for value in column]
+    except OverflowError:
+        return None
+
+
+def _extend(scenario: Scenario, records: list) -> bool:
+    """Check the decoded frame lines of one block column by column and
+    append them to the columns.  False, with the scenario unchanged, where
+    a check fails.  The checks accept only what `_parse_frame` accepts, and
+    give the values it gives."""
+    frame = _columns(records, _FRAME_KEYS)
+    if frame is None or not set(map(type, frame["objects"])) <= {list}:
+        return False
+    host = _columns(frame["host"], _HOST_KEYS)
+    obj = _columns([o for objects in frame["objects"] for o in objects], _OBJECT_KEYS)
+    if host is None or obj is None:
+        return False
+    floats = {
+        "t": _floats(frame["t"]), "v": _floats(host["v"]),
+        "yaw_rate": _floats(host["yaw_rate"]), "alpha": _floats(host["alpha"], 0.0),
+        "var_v": _floats(host["var_v"]), "var_yaw": _floats(host["var_yaw"]),
+        "x": _floats(obj["x"]), "y": _floats(obj["y"]), "var_x": _floats(obj["var_x"]),
+        "var_y": _floats(obj["var_y"]), "v_lat": _floats(obj["v_lat"]),
+    }
+    ids, gt = obj["id"], obj["gt"]
+    id_kinds, gt_kinds = set(map(type, ids)), set(map(type, gt))
+    if (None in floats.values() or not id_kinds <= {str, int}
+            or not gt_kinds <= {int, object} or not set(gt) <= _GT_VALUES):
+        return False
+    if id_kinds != {str}:
+        ids = list(map(str, ids))
+    counts = list(map(len, frame["objects"]))
+    stop = 0
+    for count in counts:
+        start, stop = stop, stop + count
+        if len(set(ids[start:stop])) < count:
+            return False
+    t, v, yaw_rate, alpha, var_v, var_yaw = np.array(
+        [floats[name] for name in ("t", "v", "yaw_rate", "alpha", "var_v", "var_yaw")]
+    )
+    x, y, var_x, var_y = np.array([floats[name] for name in ("x", "y", "var_x", "var_y")])
+    variances = np.concatenate([var_v, var_yaw, var_x, var_y])
+    if not (
+        np.isfinite(t).all()
+        and (np.diff(t) > 0.0).all()
+        and (not len(t) or not scenario.t or t[0] > scenario.t[-1])
+        and ((0.0 <= v) & (v < math.inf)).all()
+        and np.isfinite(yaw_rate).all()
+        and (np.abs(alpha) < math.pi / 2).all()
+        and ((0.0 < x) & (x < math.inf)).all()
+        and np.isfinite(y).all()
+        and ((0.0 <= variances) & (variances < math.inf)).all()
+        and np.isfinite([u for u in floats["v_lat"] if u is not None]).all()
+    ):
+        return False
+    try:
+        bounds = [None if b is _ABSENT else _parse_bounds(b) for b in frame["bounds"]]
+    except (ScenarioFormatError, InputDomainError):
+        return False
+    first = len(scenario.t)
+    scenario.frame_of += itertools.chain.from_iterable(
+        map(itertools.repeat, range(first, first + len(counts)), counts)
+    )
+    for name, column in floats.items():
+        getattr(scenario, name).extend(column)
+    scenario.bounds += bounds
+    scenario.id += ids
+    scenario.gt += [None if g is _ABSENT else g for g in gt] if object in gt_kinds else gt
+    return True
+
+
+def _parse_lines(lines: list, first: int, scenario: Scenario, unreadable=None) -> None:
+    """Check and append the lines of one block, numbered from `first`:
+    column by column where they all pass, else line by line up to the first
+    that fails.  `unreadable` is the UnicodeDecodeError of the line after
+    them, if the stream could not decode it.  The one place that adds a line
+    number to an error."""
+    try:
+        records = [json.loads(raw) for raw in lines if raw.strip()]
+    except (ValueError, RecursionError):
+        records = None
+    passed = records is not None and _extend(scenario, records)
+    for line_no, raw in enumerate([] if passed else lines, start=first):
         if not raw.strip():
             continue
         try:
             _parse_frame(raw, scenario)
         except (ScenarioFormatError, InputDomainError) as exc:
             raise ScenarioFormatError(f"line {line_no}: {exc}") from exc
-    return scenario
+    if unreadable is not None:
+        line_no = first + len(lines)
+        raise ScenarioFormatError(f"line {line_no}: invalid UTF-8: {unreadable}") from unreadable
+
+
+def parse_scenario(stream: str | Iterable[str]) -> Scenario:
+    """Parse a JSON-lines scenario; blank lines are ignored.
+
+    Raises ScenarioFormatError naming the offending field and 1-based line
+    number on any schema violation, and on non-increasing timestamps.  A
+    UnicodeDecodeError of the stream is reported at the line it was
+    reading.  Lines are read and checked `PARSE_BLOCK` at a time.
+    """
+    if isinstance(stream, str):
+        stream = stream.splitlines()
+    scenario = Scenario()
+    lines = iter(stream)
+    first = 1
+    while True:
+        block, unreadable = [], None
+        try:
+            for raw in itertools.islice(lines, PARSE_BLOCK):
+                block.append(raw)
+        except UnicodeDecodeError as exc:
+            unreadable = exc
+        _parse_lines(block, first, scenario, unreadable)
+        if len(block) < PARSE_BLOCK:
+            return scenario
+        first += PARSE_BLOCK
+
+
+def _utf8_lines(handle: TextIO) -> Iterator[str]:
+    """The lines of a file opened with errors="surrogateescape", each decoded
+    on its own: a line that is not UTF-8 raises the UnicodeDecodeError of
+    its bytes."""
+    for raw in handle:
+        if not raw.isascii():
+            raw.encode("utf-8", "surrogateescape").decode("utf-8")
+        yield raw
 
 
 def load_scenario(path: str) -> Scenario:
     """`parse_scenario` over a file; its errors name the file too."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         try:
-            return parse_scenario(handle)
+            return parse_scenario(_utf8_lines(handle))
         except ScenarioFormatError as exc:
             raise ScenarioFormatError(f"{path}: {exc}") from exc
 
@@ -626,22 +786,31 @@ ROC_CSV_COLUMNS = ("param", "tp_rate", "fp_rate", "frames")
 
 
 def write_run_csv(result: RunResult, out: TextIO) -> None:
-    """Per-object-frame results; `assigned` is empty on rejected assignments."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(RUN_CSV_COLUMNS)
-    assigned = [
-        i if a else "" for i, a in zip(result.index.tolist(), result.accepted.tolist())
-    ]
-    writer.writerows(
-        zip(
-            [repr(float(t)) for t in result.t],
-            result.object_id,
-            itertools.repeat(result.method),
-            assigned,
-            result.probability.tolist(),
-            *result.posteriors.T.tolist(),
+    """Per-object-frame results; `assigned` is empty on rejected assignments.
+
+    The bytes are those of `csv.writer(out, lineterminator="\n")`.  Rows go
+    out `WRITE_BLOCK` at a time, as the `repr`s of their floats joined into
+    lines; a block with an id that is no plain string, or that holds a
+    character the writer may quote, goes through `csv.writer` itself.
+    """
+    out.write(",".join(RUN_CSV_COLUMNS) + "\n")
+    for start in range(0, len(result), WRITE_BLOCK):
+        rows = slice(start, start + WRITE_BLOCK)
+        ids = result.object_id[rows]
+        assigned = [
+            str(i) if a else ""
+            for i, a in zip(result.index[rows].tolist(), result.accepted[rows].tolist())
+        ]
+        lines = zip(
+            list(map(repr, map(float, result.t[rows]))), ids,
+            itertools.repeat(result.method), assigned,
+            list(map(repr, result.probability[rows].tolist())),
+            *(list(map(repr, p)) for p in result.posteriors[rows].T.tolist()),
         )
-    )
+        if set(map(type, ids)) <= {str} and not any(c in "".join(ids) for c in ',"\r\n'):
+            out.write("\n".join(map(",".join, lines)) + "\n")
+        else:
+            csv.writer(out, lineterminator="\n").writerows(lines)
 
 
 def write_roc_csv(points: Iterable[RocPoint], out: TextIO) -> None:

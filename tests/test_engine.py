@@ -860,6 +860,30 @@ def test_sweep_error_names_the_first_failing_scenario():
         sweep_parameters(scenarios, "discrete", EPSILON_GRID)
 
 
+def test_an_error_of_one_scenario_holds_its_index():
+    # The CLI names the scenario's file by this index; a scenario without
+    # frames still counts.
+    failing = straight(5)
+    failing.var_v[3] = -1.0
+    unordered = straight(3)
+    unordered.t[2] = unordered.t[1]
+    misplaced = dataclasses.replace(straight(2), frame_of=[0, 1, 0, 1])
+    for scenarios, index in (
+        ([straight(3), failing], 1),
+        ([Scenario(), straight(2), failing, failing], 2),
+        ([straight(2), unordered], 1),
+        ([straight(2), straight(3), misplaced], 2),
+        ([Scenario(), dataclasses.replace(straight(2), gt=[])], 1),
+    ):
+        for method in ("discrete", "continuous"):
+            with pytest.raises(ValueError) as got:
+                sweep_parameters(scenarios, method)
+            assert got.value.scenario == index
+    with pytest.raises(InputDomainError) as got:
+        sweep_parameters([failing], "discrete", [])
+    assert not hasattr(got.value, "scenario")
+
+
 PARAMETER_ERRORS = [
     ("discrete", PipelineConfig(epsilon=math.nan), "epsilon must be finite, got nan"),
     ("discrete", PipelineConfig(eta_gain=math.inf), "eta_gain must be finite, got inf"),

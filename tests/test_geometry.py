@@ -258,7 +258,6 @@ def test_jacobian_singular_at_circle_center():
         jacobian_lateral_offset(make_host(10.0, 1.0), 0.0, 10.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "v, yaw_rate, x, y, alpha, message",
     [

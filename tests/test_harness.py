@@ -1,5 +1,6 @@
 """Tests for scenario I/O, synthesis, the pipeline, and ROC evaluation."""
 
+import csv
 import dataclasses
 import importlib.util
 import io
@@ -45,6 +46,8 @@ from laneassign.harness import (
     _OBJECT_KEYS,
     EPSILON_GRID,
     N_PATHS,
+    PARSE_BLOCK,
+    RUN_CSV_COLUMNS,
     SCENARIO_KINDS,
     SIGMA_NU_GRID,
     _check_keys,
@@ -308,6 +311,17 @@ def _valid_scenario(name):
     if name.startswith("replay-"):
         records = _replay_generator().generate(int(name[len("replay-"):]))
         return "\n".join(json.dumps(r) for r in records) + "\n"
+    if name == "blocks":
+        # Int and float numbers, objects with and without the optional
+        # fields, and frames with and without bounds in every block, with
+        # blank lines across a block boundary.
+        lines = [_fault(frame={"t": k}, object={"id": k % 3, "x": 10 + k % 7, "gt": 2})
+                 if k % 2 else
+                 _fault(frame={"t": k + 0.5}, drop_frame=["bounds"],
+                        object={"id": "a", "v_lat": -k})
+                 for k in range(2 * PARSE_BLOCK + 5)]
+        lines[PARSE_BLOCK - 2:PARSE_BLOCK - 2] = ["", " ", "\t", ""]
+        return "\n".join(lines)
     first = minimal_frame_dict(t=0)
     first["objects"] = [
         {"id": 1, "x": 50, "y": 0, "var_x": 0, "var_y": 1, "gt": 0},
@@ -319,13 +333,19 @@ def _valid_scenario(name):
 
 
 @pytest.mark.parametrize(
-    "name", SCENARIO_KINDS + tuple(f"replay-{seed}" for seed in range(4)) + ("hand-written",)
+    "name",
+    SCENARIO_KINDS + tuple(f"replay-{seed}" for seed in range(4)) + ("hand-written", "blocks"),
 )
 def test_parser_matches_the_dataclass_reference(name):
     text = _valid_scenario(name)
     scenario = parse_scenario(text)
-    assert scenario == _reference_parse(text)
+    reference = _reference_parse(text)
+    assert scenario == reference
     assert len(scenario) > 0
+    # Equal is not enough: 1 == 1.0 and 1 == True.
+    for column in dataclasses.fields(Scenario):
+        got, expected = getattr(scenario, column.name), getattr(reference, column.name)
+        assert list(map(type, got)) == list(map(type, expected)), column.name
 
 
 def _fault(**changes):
@@ -411,6 +431,42 @@ FAULTS = {
     "faults on two lines": _fault(frame={"t": 0.0}) + "\n" + _fault(
         frame={"t": 1.0}, object={"gt": 7}) + "\n" + _fault(frame={"t": 2.0, "x": 1}),
 }
+
+
+def _long_text(n_lines, changed):
+    """`n_lines` good frame lines, the one on line k + 1 at t = k, with the
+    lines that `changed` numbers (from 1) replaced by its text."""
+    lines = [_fault(frame={"t": k}) for k in range(n_lines)]
+    for line_no, text in changed.items():
+        lines[line_no - 1] = text
+    return "\n".join(lines)
+
+
+# The parser checks PARSE_BLOCK lines at a time; a fault near the edge of a
+# block, or past the first one, must still be named at its own line.
+B = PARSE_BLOCK
+FAULTS.update({
+    "fault on the first line of the second block": _long_text(
+        2 * B, {B + 1: _fault(frame={"t": B}, object={"gt": 9})}),
+    "fault on the last line of the first block": _long_text(
+        2 * B, {B: _fault(frame={"t": B - 1}, host={"v": -1.0})}),
+    "fault on the last line of the last block": _long_text(
+        2 * B, {2 * B: _fault(frame={"t": 2 * B - 1}, object={"x": 0})}),
+    "faults on the last and the first line of two blocks": _long_text(3 * B, {
+        2 * B: _fault(frame={"t": 2 * B - 1}, object={"vx": 1.0}),
+        2 * B + 1: _fault(frame={"t": 2 * B}, host={"v": None})}),
+    "t decrease across a block boundary": _long_text(
+        2 * B, {B + 1: _fault(frame={"t": B - 1.5})}),
+    "t equal across a block boundary": _long_text(B + 1, {B + 1: _fault(frame={"t": B - 1})}),
+    "duplicate id in the second block": _long_text(3 * B, {B + 7: _fault(frame={
+        "t": B + 6, "objects": [
+            {"id": "a", "x": 50.0, "y": 0.1, "var_x": 0.04, "var_y": 0.04},
+            {"id": "b", "x": 30.0, "y": 3.5, "var_x": 0.04, "var_y": 0.04},
+            {"id": "a", "x": 20.0, "y": 0.1, "var_x": 0.04, "var_y": 0.04}]})}),
+    "bad line after blank lines across a block boundary": "\n".join(
+        [_fault(frame={"t": k}) for k in range(B - 3)] + [""] * 6 + ["  ", "{not json"]),
+    "invalid JSON in a later block": _long_text(2 * B + 2, {2 * B + 2: GOOD[:-1]}),
+})
 
 
 @pytest.mark.parametrize("name", list(FAULTS))
@@ -1197,6 +1253,71 @@ def test_write_run_csv():
     second = lines[2].split(",")
     assert second[3] == ""  # rejected assignment leaves the column empty
     assert float(second[4]) == pytest.approx(0.9)
+
+
+def _csv_writer_bytes(result):
+    """What `csv.writer` wrote for a run: the reference of `write_run_csv`."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(RUN_CSV_COLUMNS)
+    writer.writerows(
+        zip(
+            [repr(float(t)) for t in result.t],
+            result.object_id,
+            itertools.repeat(result.method),
+            [i if a else "" for i, a in zip(result.index.tolist(), result.accepted.tolist())],
+            result.probability.tolist(),
+            *result.posteriors.T.tolist(),
+        )
+    )
+    return buffer.getvalue().encode()
+
+
+# Ids the csv writer quotes or might, and ones it leaves alone.
+AWKWARD_IDS = ("a,b", 'q"t', "n\nl", "c\rr", "\r\n", '"', ",", "", " lead", "é✓", "plain")
+
+
+@st.composite
+def run_results(draw):
+    """A run of 0, 1 or about WRITE_BLOCK rows: ids from `AWKWARD_IDS`, any
+    text, ints or None, times as floats or ints, random posteriors."""
+    from laneassign.harness import WRITE_BLOCK
+
+    n = draw(st.sampled_from([0, 1, 2, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1]))
+    pool = draw(st.lists(st.one_of(st.sampled_from(AWKWARD_IDS), st.text(max_size=4),
+                                   st.integers(), st.none()), min_size=1, max_size=6))
+    plain = draw(st.booleans())  # only plain string ids, the common case
+    ids = ["s%d" % k for k in range(n)] if plain else [pool[k % len(pool)] for k in range(n)]
+    times = draw(st.lists(st.one_of(st.floats(), st.integers(-10**6, 10**6)),
+                          min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    posteriors = rng.dirichlet(np.ones(N_PATHS), size=n)
+    index = rng.integers(0, N_PATHS, size=n)
+    return RunResult(
+        draw(st.sampled_from(["discrete", "continuous"])),
+        [times[k % len(times)] for k in range(n)], ids, [None] * n, index,
+        posteriors[np.arange(n), index], rng.random(n) < 0.7, posteriors,
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(result=run_results())
+def test_write_run_csv_writes_the_csv_writer_bytes(result):
+    buffer = io.StringIO()
+    write_run_csv(result, buffer)
+    assert buffer.getvalue().encode() == _csv_writer_bytes(result)
+
+
+@pytest.mark.parametrize("object_id", AWKWARD_IDS + (7, None))
+def test_write_run_csv_writes_each_id_as_the_csv_writer_does(object_id):
+    # Each id alone among plain ones, so that no other id decides the block.
+    result = dataclasses.replace(
+        result_stub([(2, 2, True), (3, 3, False), (0, 0, True)]),
+        t=[0.1, 0.2, 3], object_id=["a", object_id, "b"],
+    )
+    buffer = io.StringIO()
+    write_run_csv(result, buffer)
+    assert buffer.getvalue().encode() == _csv_writer_bytes(result)
 
 
 def test_write_roc_csv():
