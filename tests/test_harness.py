@@ -41,19 +41,12 @@ from laneassign import (
     write_scenario,
 )
 from laneassign.harness import (
-    _FRAME_KEYS,
-    _HOST_KEYS,
-    _OBJECT_KEYS,
     EPSILON_GRID,
     N_PATHS,
     PARSE_BLOCK,
     RUN_CSV_COLUMNS,
     SCENARIO_KINDS,
     SIGMA_NU_GRID,
-    _check_keys,
-    _number,
-    _parse_bounds,
-    _variance,
 )
 
 
@@ -198,6 +191,71 @@ def test_parse_rejects_duplicate_object_ids():
     d["objects"].append(dict(d["objects"][0]))
     with pytest.raises(ScenarioFormatError, match="lead"):
         parse_scenario(as_stream(d))
+
+
+# The reference parser's helpers, kept here as the line-by-line parser had
+# them, so that a fault in the parser under test is not on both sides of a
+# comparison.
+
+
+def _schema(**fields: bool) -> tuple[dict[str, bool], frozenset, frozenset]:
+    """Fields of one record kind (name -> required), with the allowed and the
+    required names as sets."""
+    required = frozenset(key for key, needed in fields.items() if needed)
+    return fields, frozenset(fields), required
+
+
+_FRAME_KEYS = _schema(t=True, host=True, objects=True, bounds=False)
+_HOST_KEYS = _schema(v=True, yaw_rate=True, var_v=True, var_yaw=True, alpha=False)
+_OBJECT_KEYS = _schema(id=True, x=True, y=True, var_x=True, var_y=True,
+                       v_lat=False, gt=False)
+_BOUND_KEYS = _schema(mu=True, sigma=True)
+
+
+def _check_keys(record: dict, schema: tuple, where: str) -> None:
+    fields, allowed, required = schema
+    if not isinstance(record, dict):
+        raise ScenarioFormatError(f"{where} must be an object")
+    if required <= record.keys() <= allowed:
+        return
+    for key in record:
+        if key not in fields:
+            raise ScenarioFormatError(f"unknown field {key!r} in {where}")
+    for key, needed in fields.items():
+        if needed and key not in record:
+            raise ScenarioFormatError(f"missing field {key!r} in {where}")
+
+
+def _number(record: dict, key: str, where: str) -> float:
+    value = record[key]
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioFormatError(f"field {key!r} in {where} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        # An integer beyond the float range reads as the float literal 1e400
+        # does, as an infinity, which the domain checks reject.
+        return math.inf if value > 0 else -math.inf
+
+
+def _variance(record: dict, key: str, where: str) -> float:
+    value = _number(record, key, where)
+    if not math.isfinite(value) or value < 0.0:
+        raise ScenarioFormatError(f"field {key!r} in {where} must be finite and >= 0")
+    return value
+
+
+def _parse_bounds(records: list) -> BoundarySet:
+    if not isinstance(records, list) or len(records) != 4:
+        raise ScenarioFormatError("'bounds' must list exactly 4 entries")
+    parsed = []
+    for record in records:
+        _check_keys(record, _BOUND_KEYS, "bounds entry")
+        parsed.append(GaussianScalar(_number(record, "mu", "bounds entry"),
+                                     _number(record, "sigma", "bounds entry")))
+    return BoundarySet(tuple(parsed))
 
 
 def _reference_parse_object(record):
