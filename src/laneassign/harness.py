@@ -30,18 +30,19 @@ Boundary overrides are given directly in path coordinates (pre-transformed
 camera cues); without them `DEFAULT_BOUNDS` is used.  A parse error names its
 line, which `parse_scenario` adds in one place, and `load_scenario` its file.
 
-The parser decodes `PARSE_BLOCK` lines at a time and checks the block by
-column: one type test per record kind and per field, one count of the keys
-per record kind, one array test per number column and one set per frame for
-the ids.  A block that passes extends the columns; a block that fails is walked
-again line by line, from the state the earlier blocks left, so that the
-first failing line raises its own message.  `write_run_csv` writes
+The format is one table, `_CHECKS`, with a row per check in the order in
+which a line is checked; `write_scenario` takes its field names from it.
+The parser decodes `PARSE_BLOCK` lines at a time and applies each row to a
+whole column of the block.  Where checks fail, the error is the first that
+a line-by-line parser would raise: that of the first failing line, with
+its objects and bounds entries taken one at a time.  `write_run_csv` writes
 `WRITE_BLOCK` rows at a time, each column's `repr`s joined into lines.  The
 blocks bound the records and strings alive at once.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import json
@@ -110,285 +111,286 @@ class Scenario:
 # Parsing and serialization
 # ---------------------------------------------------------------------------
 
-def _schema(**fields: bool) -> tuple[dict[str, bool], frozenset, frozenset]:
-    """Fields of one record kind (name -> required), with the allowed and the
-    required names as sets."""
-    required = frozenset(key for key, needed in fields.items() if needed)
-    return fields, frozenset(fields), required
-
-
-_FRAME_KEYS = _schema(t=True, host=True, objects=True, bounds=False)
-_HOST_KEYS = _schema(v=True, yaw_rate=True, var_v=True, var_yaw=True, alpha=False)
-_OBJECT_KEYS = _schema(id=True, x=True, y=True, var_x=True, var_y=True,
-                       v_lat=False, gt=False)
-_BOUND_KEYS = _schema(mu=True, sigma=True)
-
-
-def _check_keys(record: dict, schema: tuple, where: str) -> None:
-    fields, allowed, required = schema
-    if not isinstance(record, dict):
-        raise ScenarioFormatError(f"{where} must be an object")
-    if required <= record.keys() <= allowed:
-        return
-    for key in record:
-        if key not in fields:
-            raise ScenarioFormatError(f"unknown field {key!r} in {where}")
-    for key, needed in fields.items():
-        if needed and key not in record:
-            raise ScenarioFormatError(f"missing field {key!r} in {where}")
-
-
-def _number(record: dict, key: str, where: str) -> float:
-    value = record[key]
-    if type(value) is float:
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFormatError(f"field {key!r} in {where} must be a number")
-    try:
-        return float(value)
-    except OverflowError:
-        # An integer beyond the float range reads as the float literal 1e400
-        # does, as an infinity, which the domain checks reject.
-        return math.inf if value > 0 else -math.inf
-
-
-def _variance(record: dict, key: str, where: str) -> float:
-    value = _number(record, key, where)
-    if not math.isfinite(value) or value < 0.0:
-        raise ScenarioFormatError(f"field {key!r} in {where} must be finite and >= 0")
-    return value
-
-
-def _parse_object(record: dict, scenario: Scenario) -> None:
-    """Check one object record and append it to the object-frame columns."""
-    _check_keys(record, _OBJECT_KEYS, "object")
-    object_id = record["id"]
-    if isinstance(object_id, bool) or not isinstance(object_id, (str, int)):
-        raise ScenarioFormatError("field 'id' must be a string")
-    v_lat = _number(record, "v_lat", "object") if "v_lat" in record else None
-    gt = None
-    if "gt" in record:
-        gt = record["gt"]
-        if isinstance(gt, bool) or not isinstance(gt, int) or not 0 <= gt < N_PATHS:
-            raise ScenarioFormatError(f"field 'gt' must be an integer in 0..{N_PATHS - 1}")
-    x = _number(record, "x", "object")
-    y = _number(record, "y", "object")
-    if not (0.0 < x < math.inf and math.isfinite(y)) or (
-        v_lat is not None and not math.isfinite(v_lat)
-    ):
-        # ObjectMeasurement's domain, checked without building one; where
-        # it fails, the constructor words the error.
-        ObjectMeasurement(x, y, v_lat)
-    var_x = _variance(record, "var_x", "object")
-    var_y = _variance(record, "var_y", "object")
-    scenario.id.append(str(object_id))
-    scenario.x.append(x)
-    scenario.y.append(y)
-    scenario.var_x.append(var_x)
-    scenario.var_y.append(var_y)
-    scenario.v_lat.append(v_lat)
-    scenario.gt.append(gt)
-
-
-def _parse_bounds(records: list) -> BoundarySet:
-    if not isinstance(records, list) or len(records) != 4:
-        raise ScenarioFormatError("'bounds' must list exactly 4 entries")
-    parsed = []
-    for record in records:
-        _check_keys(record, _BOUND_KEYS, "bounds entry")
-        parsed.append(GaussianScalar(_number(record, "mu", "bounds entry"),
-                                     _number(record, "sigma", "bounds entry")))
-    return BoundarySet(tuple(parsed))
-
-
-def _parse_frame(raw: str, scenario: Scenario) -> None:
-    """Check one frame line and append it to the columns.  Errors carry no
-    line number; `parse_scenario` adds it."""
-    try:
-        record = json.loads(raw)
-    except (ValueError, RecursionError) as exc:
-        # Besides syntax errors (JSONDecodeError): integers longer than the
-        # interpreter converts, and nesting deeper than it recurses.
-        raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
-    _check_keys(record, _FRAME_KEYS, "frame")
-    t = _number(record, "t", "frame")
-    if scenario.t and t <= scenario.t[-1]:
-        raise ScenarioFormatError(
-            f"timestamps must strictly increase ({t} after {scenario.t[-1]})"
-        )
-
-    host_record = record["host"]
-    _check_keys(host_record, _HOST_KEYS, "host")
-    alpha = _number(host_record, "alpha", "host") if "alpha" in host_record else 0.0
-    v = _number(host_record, "v", "host")
-    yaw_rate = _number(host_record, "yaw_rate", "host")
-    if not (0.0 <= v < math.inf and math.isfinite(yaw_rate)
-            and abs(alpha) < math.pi / 2):
-        # HostState's domain, checked without building one; where it fails,
-        # the constructor words the error.
-        HostState(v, yaw_rate, alpha)
-    if not math.isfinite(t):
-        raise ScenarioFormatError(f"timestamp must be finite, got {t}")
-
-    object_records = record["objects"]
-    if not isinstance(object_records, list):
-        raise ScenarioFormatError("'objects' must be a list")
-    first = len(scenario.id)
-    for object_record in object_records:
-        _parse_object(object_record, scenario)
-    seen_ids = set()
-    for object_id in scenario.id[first:]:
-        if object_id in seen_ids:
-            raise ScenarioFormatError(f"duplicate object id {object_id!r}")
-        seen_ids.add(object_id)
-
-    bounds = _parse_bounds(record["bounds"]) if "bounds" in record else None
-    var_v = _variance(host_record, "var_v", "host")
-    var_yaw = _variance(host_record, "var_yaw", "host")
-    frame_index = len(scenario.t)
-    scenario.t.append(t)
-    scenario.v.append(v)
-    scenario.yaw_rate.append(yaw_rate)
-    scenario.alpha.append(alpha)
-    scenario.var_v.append(var_v)
-    scenario.var_yaw.append(var_yaw)
-    scenario.bounds.append(bounds)
-    scenario.frame_of.extend([frame_index] * (len(scenario.id) - first))
-
-
-# Lines checked column by column at a time, and rows written at a time: a
-# block bounds the decoded records, and the cell strings, alive at once.
+# Lines checked at a time, and rows written at a time: a block bounds the
+# decoded records, and the cell strings, alive at once.
 PARSE_BLOCK = 64
 WRITE_BLOCK = 256
 
 # An optional field that a record leaves out.
 _ABSENT = object()
-_GT_VALUES = frozenset([*range(N_PATHS), _ABSENT])
 
 
-def _columns(records: list, schema: tuple) -> dict | None:
-    """The fields of `records` column by column, `_ABSENT` where a record
-    leaves an optional field out; None unless each record is a dict that
-    holds every required field of `schema` and no field it does not know."""
-    fields, _, _ = schema
-    if not set(map(type, records)) <= {dict}:
-        return None
-    columns, held = {}, 0
-    for key, needed in fields.items():
-        try:
-            columns[key] = [record[key] for record in records]
-            held += len(records)
-        except KeyError:
-            if needed:
-                return None
-            columns[key] = column = [record.get(key, _ABSENT) for record in records]
-            held += len(records) - column.count(_ABSENT)
-    # Every key a record holds is one of the fields counted.
-    return columns if sum(map(len, records)) == held else None
-
-
-def _floats(column: list, absent=None) -> list | None:
-    """A column of numbers as floats, `absent` where a value is `_ABSENT`;
-    None where a value is no number, or an integer lies beyond the float
-    range (which `_number` reads as an infinity, and every field rejects)."""
-    kinds = set(map(type, column))
-    if kinds <= {float}:
-        return column
-    if not kinds <= {float, int, object}:  # object: the type of _ABSENT
-        return None
+def _float(value) -> float:
+    """A JSON number as a float.  An integer beyond the float range reads as
+    the float literal 1e400 does, as an infinity, which the domains reject."""
     try:
-        return [absent if value is _ABSENT else float(value) for value in column]
+        return float(value)
     except OverflowError:
-        return None
+        return math.inf if value > 0 else -math.inf
 
 
-def _extend(scenario: Scenario, records: list) -> bool:
-    """Check the decoded frame lines of one block column by column and
-    append them to the columns.  False, with the scenario unchanged, where
-    a check fails.  The checks accept only what `_parse_frame` accepts, and
-    give the values it gives."""
-    frame = _columns(records, _FRAME_KEYS)
-    if frame is None or not set(map(type, frame["objects"])) <= {list}:
-        return False
-    host = _columns(frame["host"], _HOST_KEYS)
-    obj = _columns([o for objects in frame["objects"] for o in objects], _OBJECT_KEYS)
-    if host is None or obj is None:
-        return False
-    floats = {
-        "t": _floats(frame["t"]), "v": _floats(host["v"]),
-        "yaw_rate": _floats(host["yaw_rate"]), "alpha": _floats(host["alpha"], 0.0),
-        "var_v": _floats(host["var_v"]), "var_yaw": _floats(host["var_yaw"]),
-        "x": _floats(obj["x"]), "y": _floats(obj["y"]), "var_x": _floats(obj["var_x"]),
-        "var_y": _floats(obj["var_y"]), "v_lat": _floats(obj["v_lat"]),
-    }
-    ids, gt = obj["id"], obj["gt"]
-    id_kinds, gt_kinds = set(map(type, ids)), set(map(type, gt))
-    if (None in floats.values() or not id_kinds <= {str, int}
-            or not gt_kinds <= {int, object} or not set(gt) <= _GT_VALUES):
-        return False
-    if id_kinds != {str}:
-        ids = list(map(str, ids))
-    counts = list(map(len, frame["objects"]))
-    stop = 0
-    for count in counts:
-        start, stop = stop, stop + count
-        if len(set(ids[start:stop])) < count:
-            return False
-    t, v, yaw_rate, alpha, var_v, var_yaw = np.array(
-        [floats[name] for name in ("t", "v", "yaw_rate", "alpha", "var_v", "var_yaw")]
-    )
-    x, y, var_x, var_y = np.array([floats[name] for name in ("x", "y", "var_x", "var_y")])
-    variances = np.concatenate([var_v, var_yaw, var_x, var_y])
-    if not (
-        np.isfinite(t).all()
-        and (np.diff(t) > 0.0).all()
-        and (not len(t) or not scenario.t or t[0] > scenario.t[-1])
-        and ((0.0 <= v) & (v < math.inf)).all()
-        and np.isfinite(yaw_rate).all()
-        and (np.abs(alpha) < math.pi / 2).all()
-        and ((0.0 < x) & (x < math.inf)).all()
-        and np.isfinite(y).all()
-        and ((0.0 <= variances) & (variances < math.inf)).all()
-        and np.isfinite([u for u in floats["v_lat"] if u is not None]).all()
-    ):
-        return False
+# Value types: the Python types that a field's JSON value may have, the
+# conversion of such a value, the stand-in for a value of another type, and
+# the message for one (None: the message of the row).
+_NUMBER = ((float, int), _float, math.nan, "field {field!r} in {kind} must be a number")
+_STRING = ((str, int), str, "", "field {field!r} must be a string")
+_INTEGER = ((int,), int, None, None)
+_LIST = ((list,), list, [], None)
+_RECORD = ((dict,), dict, {}, None)
+_PATH_INDICES = frozenset([None, *range(N_PATHS)])
+# The domain test and the message of a variance.
+_VARIANCE = (lambda b, var: ~((0.0 <= np.array(var)) & (np.array(var) < math.inf)),
+             "field {field!r} in {kind} must be finite and >= 0")
+
+
+def _outside_host_state(block, _) -> np.ndarray:
+    v, yaw_rate, alpha = (np.array(block.values[f]) for f in ("v", "yaw_rate", "alpha"))
+    return ~((0.0 <= v) & (v < math.inf) & np.isfinite(yaw_rate)
+             & (np.abs(alpha) < math.pi / 2))
+
+
+def _outside_object_measurement(block, _) -> np.ndarray:
+    x, y = np.array(block.values["x"]), np.array(block.values["y"])
+    v_lat = block.values["v_lat"]  # None where absent, which is inside the domain
+    lateral = np.isfinite(np.array(v_lat, dtype=float))
+    lateral |= np.array([u is None for u in v_lat], dtype=bool)
+    return ~((0.0 < x) & (x < math.inf) & np.isfinite(y) & lateral)
+
+
+def _first_repeat(block, k) -> str:
+    seen = set()
+    repeat = next(i for i in block.split("id")[k] if i in seen or seen.add(i))
+    return f"duplicate object id {repeat!r}"
+
+
+# The checks of the scenario format, in the order in which a line is checked.
+# A row gives the kind of record, the field, whether the field is required,
+# its value type (None where an earlier row converted the field), its domain
+# test and the message where the test fails.  A test takes the block and the
+# field's column and gives the mask of the kind's records that fail.  A
+# message is a template over the field and the kind, or a function of the
+# block and the record that words it; where a constructor words the error,
+# the function calls the constructor.  A kind's keys are checked at its
+# first row.
+_CHECKS = (
+    ("frame", "t", True, _NUMBER, lambda b, t: np.array(t) <= [b.last_t, *t[:-1]],
+     lambda b, k: "timestamps must strictly increase ({} after {})".format(
+         b.values["t"][k], [b.last_t, *b.values["t"]][k])),
+    ("frame", "host", True, _RECORD, None, "host must be an object"),
+    ("host", "alpha", False, _NUMBER, None, None),
+    ("host", "v", True, _NUMBER, None, None),
+    ("host", "yaw_rate", True, _NUMBER, _outside_host_state,
+     lambda b, k: HostState(*b.at(k, "v", "yaw_rate", "alpha"))),
+    ("frame", "t", True, None, lambda b, t: ~np.isfinite(t),
+     lambda b, k: f"timestamp must be finite, got {b.values['t'][k]}"),
+    ("frame", "objects", True, _LIST, None, "'objects' must be a list"),
+    ("object", "id", True, _STRING,
+     lambda b, ids: "\r" in "".join(ids) and ["\r" in i for i in ids],
+     "field 'id' must not hold a carriage return"),
+    ("object", "v_lat", False, _NUMBER, None, None),
+    ("object", "gt", False, _INTEGER,
+     lambda b, gt: not set(gt) <= _PATH_INDICES and [g not in _PATH_INDICES for g in gt],
+     f"field 'gt' must be an integer in 0..{N_PATHS - 1}"),
+    ("object", "x", True, _NUMBER, None, None),
+    ("object", "y", True, _NUMBER, _outside_object_measurement,
+     lambda b, k: ObjectMeasurement(*b.at(k, "x", "y", "v_lat"))),
+    ("object", "var_x", True, _NUMBER, *_VARIANCE),
+    ("object", "var_y", True, _NUMBER, *_VARIANCE),
+    ("frame", "objects", True, None,
+     lambda b, _: [len(set(ids)) < len(ids) for ids in b.split("id")], _first_repeat),
+    ("frame", "bounds", False, _LIST,
+     lambda b, bounds: [e is not None and len(e) != 4 for e in bounds],
+     "'bounds' must list exactly 4 entries"),
+    ("bounds entry", "mu", True, _NUMBER, None, None),
+    ("bounds entry", "sigma", True, _NUMBER, lambda b, _: ~(
+        np.isfinite(b.values["mu"]) & np.isfinite(b.values["sigma"])
+        & (np.array(b.values["sigma"]) >= 0.0)),
+     lambda b, k: GaussianScalar(*b.at(k, "mu", "sigma"))),
+    ("frame", "bounds", False, None,
+     lambda b, _: [len(m) == 4 and not m[0] < m[1] < m[2] < m[3] for m in b.split("mu")],
+     lambda b, k: BoundarySet(tuple(map(GaussianScalar, b.split("mu")[k],
+                                        b.split("sigma")[k])))),
+    ("host", "var_v", True, _NUMBER, *_VARIANCE),
+    ("host", "var_yaw", True, _NUMBER, *_VARIANCE),
+)
+# Each kind's fields (name -> required), the required ones first; the
+# writer writes them in this order.  An absent optional field reads as None,
+# the heading offset as HostState's default, 0.
+_FIELDS = {
+    kind: {name: required for of, name, required, value_type, *_ in
+           sorted(_CHECKS, key=lambda row: not row[2]) if of == kind and value_type}
+    for kind in dict.fromkeys(row[0] for row in _CHECKS)
+}
+_DEFAULTS = {"alpha": 0.0}
+# Rows in a run of one kind: a frame's records of that kind pass through the
+# run one record at a time.
+_RUNS = list(itertools.accumulate(
+    (a[0] != b[0] for a, b in zip(_CHECKS, _CHECKS[1:])), initial=0))
+# The frame field that holds a kind's records: one record, or a list of them.
+_HELD_IN = {"host": "host", "object": "objects", "bounds entry": "bounds"}
+
+
+def _typed(column: list, value_type: tuple, absent) -> tuple[list, list | None]:
+    """The values of `column` converted to `value_type`, `absent` where a
+    record leaves the field out, with the mask of the values of another
+    type, or None where there is none."""
+    accepted, convert, stand_in, _ = value_type
+    if set(map(type, column)) <= {accepted[0]}:
+        return column, None
+    bad = [type(value) not in accepted and value is not _ABSENT for value in column]
+    return [absent if value is _ABSENT else stand_in if wrong else convert(value)
+            for value, wrong in zip(column, bad)], bad
+
+
+def _columns(records: list, fields: dict) -> tuple[dict, list | None]:
+    """The fields of `records` column by column, `_ABSENT` where a record
+    leaves one out, with the mask of the records that are no object or
+    whose keys are not the kind's, or None where there is none."""
+    if set(map(type, records)) <= {dict}:
+        columns, held, complete = {}, 0, True
+        for key, required in fields.items():
+            try:
+                columns[key] = [record[key] for record in records]
+                held += len(records)
+            except KeyError:
+                columns[key] = column = [record.get(key, _ABSENT) for record in records]
+                held += len(records) - column.count(_ABSENT)
+                complete = complete and not required
+        # Every key a record holds is one of the fields counted.
+        if complete and sum(map(len, records)) == held:
+            return columns, None
+    required = {key for key, needed in fields.items() if needed}
+    bad = [type(r) is not dict or not required <= r.keys() <= fields.keys() for r in records]
+    records = [r if type(r) is dict else {} for r in records]
+    return {key: [r.get(key, _ABSENT) for r in records] for key in fields}, bad
+
+
+def _keys_message(record, fields: dict, kind: str) -> str:
+    if type(record) is not dict:
+        return f"{kind} must be an object"
+    for key in record:
+        if key not in fields:
+            return f"unknown field {key!r} in {kind}"
+    missing = next(key for key, needed in fields.items() if needed and key not in record)
+    return f"missing field {missing!r} in {kind}"
+
+
+class _Block:
+    """The frame records of one block as the rows of `_CHECKS` see them:
+    per kind, the records, and per field, its column over the records of
+    its kind and the index of each frame's first record."""
+
+    def __init__(self, frames: list, last_t: float):
+        self.frames = frames
+        self.last_t = last_t  # the time of the frame before the block, NaN if none
+        self.records, self.offsets, self.values = {}, {}, {}
+
+    def add(self, kind: str) -> list | None:
+        """Take the records of `kind` and their fields; returns the mask of
+        the records that are no object or whose keys are not the kind's."""
+        if kind == "frame":
+            lists = [[frame] for frame in self.frames]
+        else:
+            lists = [held if type(held) is list else [] if held is None else [held]
+                     for held in self.values[_HELD_IN[kind]]]
+        self.records[kind] = list(itertools.chain.from_iterable(lists))
+        offsets = [0, *itertools.accumulate(map(len, lists))]
+        self.offsets.update(dict.fromkeys(_FIELDS[kind], offsets))
+        columns, bad = _columns(self.records[kind], _FIELDS[kind])
+        self.values.update(columns)
+        return bad
+
+    def split(self, field: str) -> list:
+        """The values of `field`, frame by frame."""
+        offsets, values = self.offsets[field], self.values[field]
+        return [values[i:j] for i, j in zip(offsets, offsets[1:])]
+
+    def at(self, k: int, *fields: str) -> list:
+        return [self.values[field][k] for field in fields]
+
+
+def _check(frames: list, last_t: float) -> tuple[_Block, tuple | None]:
+    """Apply `_CHECKS` to the decoded frame records of one block, each row
+    to a whole column.  Returns the block, with None where every check
+    passes, else the index of the frame that fails, the message and the
+    constructor's error that words it (or None).  The check that fails is
+    the first by frame, then by row, where the records of a kind pass
+    through each run of its rows one record at a time."""
+    block, failures = _Block(frames, last_t), []
+
+    def note(bad, row, stage):
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            offsets = block.offsets[_CHECKS[row][1]]
+            frame = bisect.bisect_right(offsets, k) - 1
+            failures.append(((frame, _RUNS[row], k - offsets[frame], row, stage), k))
+
+    for row, (kind, field, required, value_type, test, _) in enumerate(_CHECKS):
+        if kind not in block.records:
+            note(block.add(kind), row, 0)
+        if value_type is not None:
+            absent = value_type[2] if required else _DEFAULTS.get(field)
+            block.values[field], bad = _typed(block.values[field], value_type, absent)
+            note(bad, row, 1)
+        if test is not None:
+            note(test(block, block.values[field]), row, 2)
+    if not failures:
+        return block, None
+    (frame, *_, row, stage), k = min(failures)
+    kind, field, _, value_type, _, message = _CHECKS[row]
+    if stage == 0:
+        return block, (frame, _keys_message(block.records[kind][k], _FIELDS[kind], kind), None)
+    if stage == 1:
+        message = value_type[3] or message
+    if isinstance(message, str):
+        return block, (frame, message.format(field=field, kind=kind), None)
     try:
-        bounds = [None if b is _ABSENT else _parse_bounds(b) for b in frame["bounds"]]
-    except (ScenarioFormatError, InputDomainError):
-        return False
+        return block, (frame, message(block, k), None)
+    except InputDomainError as exc:
+        return block, (frame, str(exc), exc)
+
+
+def _extend(scenario: Scenario, block: _Block) -> None:
+    """Append the checked records of a block to the scenario's columns."""
     first = len(scenario.t)
-    scenario.frame_of += itertools.chain.from_iterable(
-        map(itertools.repeat, range(first, first + len(counts)), counts)
-    )
-    for name, column in floats.items():
-        getattr(scenario, name).extend(column)
-    scenario.bounds += bounds
-    scenario.id += ids
-    scenario.gt += [None if g is _ABSENT else g for g in gt] if object in gt_kinds else gt
-    return True
+    scenario.frame_of += np.repeat(
+        np.arange(first, first + len(block.frames)), np.diff(block.offsets["id"])
+    ).tolist()
+    for name in ("t", *_FIELDS["host"], *_FIELDS["object"]):
+        getattr(scenario, name).extend(block.values[name])
+    scenario.bounds += [
+        None if entries is None else BoundarySet(tuple(map(GaussianScalar, mu, sigma)))
+        for entries, mu, sigma in zip(
+            block.values["bounds"], block.split("mu"), block.split("sigma"))
+    ]
 
 
 def _parse_lines(lines: list, first: int, scenario: Scenario, unreadable=None) -> None:
-    """Check and append the lines of one block, numbered from `first`:
-    column by column where they all pass, else line by line up to the first
-    that fails.  `unreadable` is the UnicodeDecodeError of the line after
-    them, if the stream could not decode it.  The one place that adds a line
-    number to an error."""
-    try:
-        records = [json.loads(raw) for raw in lines if raw.strip()]
-    except (ValueError, RecursionError):
-        records = None
-    passed = records is not None and _extend(scenario, records)
-    for line_no, raw in enumerate([] if passed else lines, start=first):
+    """Check and append the lines of one block, numbered from `first`.
+    `unreadable` is the UnicodeDecodeError of the line after them, if the
+    stream could not decode it.  The one place that adds a line number to
+    an error."""
+    frames, numbers, fault = [], [], None
+    for line_no, raw in enumerate(lines, start=first):
         if not raw.strip():
             continue
         try:
-            _parse_frame(raw, scenario)
-        except (ScenarioFormatError, InputDomainError) as exc:
-            raise ScenarioFormatError(f"line {line_no}: {exc}") from exc
-    if unreadable is not None:
-        line_no = first + len(lines)
-        raise ScenarioFormatError(f"line {line_no}: invalid UTF-8: {unreadable}") from unreadable
+            frames.append(json.loads(raw))
+        except (ValueError, RecursionError) as exc:
+            # Besides syntax errors (JSONDecodeError): integers longer than
+            # the interpreter converts, and nesting deeper than it recurses.
+            fault = line_no, f"invalid JSON: {exc}", exc
+            break
+        numbers.append(line_no)
+    if unreadable is not None and fault is None:
+        fault = first + len(lines), f"invalid UTF-8: {unreadable}", unreadable
+    block, failed = _check(frames, scenario.t[-1] if scenario.t else math.nan)
+    if failed is not None:
+        fault = numbers[failed[0]], *failed[1:]
+    if fault is not None:
+        line_no, message, cause = fault
+        raise ScenarioFormatError(f"line {line_no}: {message}") from cause
+    _extend(scenario, block)
 
 
 def parse_scenario(stream: str | Iterable[str]) -> Scenario:
@@ -397,10 +399,12 @@ def parse_scenario(stream: str | Iterable[str]) -> Scenario:
     Raises ScenarioFormatError naming the offending field and 1-based line
     number on any schema violation, and on non-increasing timestamps.  A
     UnicodeDecodeError of the stream is reported at the line it was
-    reading.  Lines are read and checked `PARSE_BLOCK` at a time.
+    reading.  Text is split into lines as a file read with universal
+    newlines is, at "\\n", "\\r" and "\\r\\n" only.  Lines are read and
+    checked `PARSE_BLOCK` at a time.
     """
     if isinstance(stream, str):
-        stream = stream.splitlines()
+        stream = stream.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     scenario = Scenario()
     lines = iter(stream)
     first = 1
@@ -436,32 +440,27 @@ def load_scenario(path: str) -> Scenario:
             raise ScenarioFormatError(f"{path}: {exc}") from exc
 
 
+def _record(kind: str, values: Iterable) -> dict:
+    """A record of `kind` with `values` in the order of its fields, leaving
+    out those that are None."""
+    return {field: value for field, value in zip(_FIELDS[kind], values) if value is not None}
+
+
 def write_scenario(scenario: Scenario, out: TextIO) -> None:
     """Write a scenario as scenario lines, which `parse_scenario` reads back."""
     objects = [[] for _ in scenario.t]
-    for frame_index, object_id, x, y, var_x, var_y, v_lat, gt in zip(
-        scenario.frame_of, scenario.id, scenario.x, scenario.y, scenario.var_x,
-        scenario.var_y, scenario.v_lat, scenario.gt,
+    for frame_index, *values in zip(
+        scenario.frame_of, *(getattr(scenario, name) for name in _FIELDS["object"])
     ):
-        record = {"id": object_id, "x": x, "y": y, "var_x": var_x, "var_y": var_y}
-        if v_lat is not None:
-            record["v_lat"] = v_lat
-        if gt is not None:
-            record["gt"] = gt
-        objects[frame_index].append(record)
-    for t, v, yaw_rate, var_v, var_yaw, alpha, bounds, frame_objects in zip(
-        scenario.t, scenario.v, scenario.yaw_rate, scenario.var_v, scenario.var_yaw,
-        scenario.alpha, scenario.bounds, objects,
+        objects[frame_index].append(_record("object", values))
+    for t, bounds, frame_objects, *host in zip(
+        scenario.t, scenario.bounds, objects,
+        *(getattr(scenario, name) for name in _FIELDS["host"]),
     ):
-        host = {"v": v, "yaw_rate": yaw_rate, "var_v": var_v, "var_yaw": var_yaw,
-                "alpha": alpha}
-        record = {"t": t, "host": host, "objects": frame_objects}
         if bounds is not None:
-            record["bounds"] = [
-                {"mu": b.mean, "sigma": b.std} for b in bounds.boundaries
-            ]
-        out.write(json.dumps(record))
-        out.write("\n")
+            bounds = [_record("bounds entry", (b.mean, b.std)) for b in bounds.boundaries]
+        frame = (t, _record("host", host), frame_objects, bounds)
+        out.write(json.dumps(_record("frame", frame)) + "\n")
 
 
 # ---------------------------------------------------------------------------

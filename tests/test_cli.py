@@ -174,16 +174,9 @@ def test_run_csv_is_the_library_csv(tmp_path, kind, method):
     assert out.read_bytes() == expected.getvalue().encode()
 
 
-def csv_writer_cell(value):
-    """`value` as a cell of `csv.writer` in a row of several."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([value, ""])
-    return buffer.getvalue()[:-2]
-
-
 def test_run_quotes_ids_as_csv_writer_does(tmp_path):
-    ids = ["a,b", 'q"t', "n\nl", " lead", "", "c\rr"]
-    quoted = ['"a,b"', '"q""t"', '"n\nl"', " lead", "", csv_writer_cell("c\rr")]
+    ids = ["a,b", 'q"t', "n\nl", " lead", ""]
+    quoted = ['"a,b"', '"q""t"', '"n\nl"', " lead", ""]
     scenario, out = tmp_path / "s.jsonl", tmp_path / "run.csv"
     write_minimal_scenario(scenario, n_frames=1)
     frame = json.loads(scenario.read_text())
@@ -193,9 +186,37 @@ def test_run_quotes_ids_as_csv_writer_does(tmp_path):
     text = out.read_bytes().decode()
     for cell in quoted:
         assert f"\n0.0,{cell},discrete," in text
+    assert [row[1] for row in read_csv(out)[1:]] == ids
+
+
+def test_run_rejects_an_id_with_a_carriage_return(tmp_path, capsys):
     # The csv writer of Python 3.11 leaves a lone \r unquoted (it quotes the
-    # line terminator, not \r), so the reader splits the last row.
-    assert [row[1] for row in read_csv(out)[1:len(ids)]] == ids[:-1]
+    # line terminator, not \r), so the run CSV of such an id would not read
+    # back.
+    scenario, out = tmp_path / "s.jsonl", tmp_path / "run.csv"
+    write_minimal_scenario(scenario, n_frames=2)
+    first, second = scenario.read_text().splitlines()
+    scenario.write_text(first + "\n" + second.replace('"lead"', '"c\\rr"') + "\n")
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {scenario}: line 2: field 'id' must not hold a carriage return\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u0085"])
+def test_text_file_and_run_read_the_same_ids(tmp_path, separator):
+    # JSON allows these characters raw in a string; only "\n", "\r" and
+    # "\r\n" end a line, in a file and in text alike.
+    scenario, out = tmp_path / "s.jsonl", tmp_path / "run.csv"
+    write_minimal_scenario(scenario, n_frames=2)
+    text = scenario.read_text().replace('"lead"', f'"a{separator}b"')
+    scenario.write_text(text, encoding="utf-8")
+    ids = [f"a{separator}b"] * 2
+    assert parse_scenario(text).id == ids
+    assert load_scenario(str(scenario)).id == ids
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert [row[1] for row in read_csv(out)[1:]] == ids
 
 
 def count_constructions(monkeypatch):

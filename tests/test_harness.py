@@ -265,6 +265,8 @@ def _reference_parse_object(record):
     object_id = record["id"]
     if isinstance(object_id, bool) or not isinstance(object_id, (str, int)):
         raise ScenarioFormatError("field 'id' must be a string")
+    if isinstance(object_id, str) and "\r" in object_id:
+        raise ScenarioFormatError("field 'id' must not hold a carriage return")
     v_lat = None
     if "v_lat" in record:
         v_lat = _number(record, "v_lat", "object")
@@ -455,6 +457,7 @@ FAULTS = {
     "gt null": _fault(object={"gt": None}),
     "id float": _fault(object={"id": 1.5}),
     "id bool": _fault(object={"id": False}),
+    "id with a carriage return": _fault(object={"id": "c\rr", "gt": 9}),
     "object behind": _fault(object={"x": -5.0}),
     "object at zero": _fault(object={"x": 0}),
     "object x inf": _fault(object={"x": math.inf}),
@@ -488,6 +491,14 @@ FAULTS = {
     "host and time faults": _fault(frame={"t": math.nan}, host={"v": -1.0}),
     "faults on two lines": _fault(frame={"t": 0.0}) + "\n" + _fault(
         frame={"t": 1.0}, object={"gt": 7}) + "\n" + _fault(frame={"t": 2.0, "x": 1}),
+    # Each object passes all of its checks before the next one starts.
+    "late fault in one object, early fault in the next": _fault(frame={"objects": [
+        {"id": "a", "x": 50.0, "y": 0.1, "var_x": 0.04, "var_y": -1.0},
+        {"id": "b", "x": 30.0, "y": 3.5, "var_x": 0.04, "var_y": 0.04, "vx": 1.0}]}),
+    "bad bounds entry and bad var_v": _fault(bound={"sigma": -0.3}, host={"var_v": -1.0}),
+    "non-finite t and a bad second object": _fault(frame={"t": math.nan, "objects": [
+        {"id": "a", "x": 50.0, "y": 0.1, "var_x": 0.04, "var_y": 0.04},
+        {"id": "b", "x": -1.0, "y": 0.1, "var_x": 0.04, "var_y": 0.04}]}),
 }
 
 
