@@ -139,21 +139,20 @@ _LIST = ((list,), list, [], None)
 _RECORD = ((dict,), dict, {}, None)
 _PATH_INDICES = frozenset([None, *range(N_PATHS)])
 # The domain test and the message of a variance.
-_VARIANCE = (lambda b, var: ~((0.0 <= np.array(var)) & (np.array(var) < math.inf)),
+_VARIANCE = (lambda b, var: ~((0.0 <= var) & (var < math.inf)),
              "field {field!r} in {kind} must be finite and >= 0")
 
 
 def _outside_host_state(block, _) -> np.ndarray:
-    v, yaw_rate, alpha = (np.array(block.values[f]) for f in ("v", "yaw_rate", "alpha"))
-    return ~((0.0 <= v) & (v < math.inf) & np.isfinite(yaw_rate)
-             & (np.abs(alpha) < math.pi / 2))
+    v, yaw_rate, alpha = (block.arrays[f] for f in ("v", "yaw_rate", "alpha"))
+    return ~((0.0 <= v) & (v < math.inf) & np.isfinite(yaw_rate) & (np.abs(alpha) < math.pi / 2))
 
 
 def _outside_object_measurement(block, _) -> np.ndarray:
-    x, y = np.array(block.values["x"]), np.array(block.values["y"])
-    v_lat = block.values["v_lat"]  # None where absent, which is inside the domain
-    lateral = np.isfinite(np.array(v_lat, dtype=float))
-    lateral |= np.array([u is None for u in v_lat], dtype=bool)
+    x, y, v_lat = (block.arrays[f] for f in ("x", "y", "v_lat"))
+    lateral = np.isfinite(v_lat)
+    if not lateral.all():  # NaN where v_lat is absent, which is inside the domain
+        lateral |= [u is None for u in block.values["v_lat"]]
     return ~((0.0 < x) & (x < math.inf) & np.isfinite(y) & lateral)
 
 
@@ -167,13 +166,13 @@ def _first_repeat(block, k) -> str:
 # A row gives the kind of record, the field, whether the field is required,
 # its value type (None where an earlier row converted the field), its domain
 # test and the message where the test fails.  A test takes the block and the
-# field's column and gives the mask of the kind's records that fail.  A
-# message is a template over the field and the kind, or a function of the
-# block and the record that words it; where a constructor words the error,
-# the function calls the constructor.  A kind's keys are checked at its
-# first row.
+# field's column, an array of floats for a number, and gives the mask of the
+# kind's records that fail.  A message is a template over the field and the
+# kind, or a function of the block and the record that words it, calling the
+# constructor that words the error where there is one.  A kind's keys are
+# checked at its first row.
 _CHECKS = (
-    ("frame", "t", True, _NUMBER, lambda b, t: np.array(t) <= [b.last_t, *t[:-1]],
+    ("frame", "t", True, _NUMBER, lambda b, t: t <= [b.last_t, *b.values["t"][:-1]],
      lambda b, k: "timestamps must strictly increase ({} after {})".format(
          b.values["t"][k], [b.last_t, *b.values["t"]][k])),
     ("frame", "host", True, _RECORD, None, "host must be an object"),
@@ -202,9 +201,8 @@ _CHECKS = (
      lambda b, bounds: [e is not None and len(e) != 4 for e in bounds],
      "'bounds' must list exactly 4 entries"),
     ("bounds entry", "mu", True, _NUMBER, None, None),
-    ("bounds entry", "sigma", True, _NUMBER, lambda b, _: ~(
-        np.isfinite(b.values["mu"]) & np.isfinite(b.values["sigma"])
-        & (np.array(b.values["sigma"]) >= 0.0)),
+    ("bounds entry", "sigma", True, _NUMBER, lambda b, sigma: ~(
+        np.isfinite(b.arrays["mu"]) & np.isfinite(sigma) & (sigma >= 0.0)),
      lambda b, k: GaussianScalar(*b.at(k, "mu", "sigma"))),
     ("frame", "bounds", False, None,
      lambda b, _: [len(m) == 4 and not m[0] < m[1] < m[2] < m[3] for m in b.split("mu")],
@@ -226,7 +224,8 @@ _DEFAULTS = {"alpha": 0.0}
 # run one record at a time.
 _RUNS = list(itertools.accumulate(
     (a[0] != b[0] for a, b in zip(_CHECKS, _CHECKS[1:])), initial=0))
-# The frame field that holds a kind's records: one record, or a list of them.
+# The frame field that holds a kind's records: one record, a list of them, or
+# None where it is absent.
 _HELD_IN = {"host": "host", "object": "objects", "bounds entry": "bounds"}
 
 
@@ -278,21 +277,19 @@ def _keys_message(record, fields: dict, kind: str) -> str:
 class _Block:
     """The frame records of one block as the rows of `_CHECKS` see them:
     per kind, the records, and per field, its column over the records of
-    its kind and the index of each frame's first record."""
+    its kind (and as an array of floats for a number, NaN where absent) and
+    the index of each frame's first record."""
 
     def __init__(self, frames: list, last_t: float):
         self.frames = frames
         self.last_t = last_t  # the time of the frame before the block, NaN if none
-        self.records, self.offsets, self.values = {}, {}, {}
+        self.records, self.offsets, self.values, self.arrays = {}, {}, {}, {}
 
     def add(self, kind: str) -> list | None:
         """Take the records of `kind` and their fields; returns the mask of
         the records that are no object or whose keys are not the kind's."""
-        if kind == "frame":
-            lists = [[frame] for frame in self.frames]
-        else:
-            lists = [held if type(held) is list else [] if held is None else [held]
-                     for held in self.values[_HELD_IN[kind]]]
+        held = [[r] for r in self.frames] if kind == "frame" else self.values[_HELD_IN[kind]]
+        lists = [h if type(h) is list else [] if h is None else [h] for h in held]
         self.records[kind] = list(itertools.chain.from_iterable(lists))
         offsets = [0, *itertools.accumulate(map(len, lists))]
         self.offsets.update(dict.fromkeys(_FIELDS[kind], offsets))
@@ -319,7 +316,7 @@ def _check(frames: list, last_t: float) -> tuple[_Block, tuple | None]:
     block, failures = _Block(frames, last_t), []
 
     def note(bad, row, stage):
-        if np.any(bad):
+        if bad is not None and np.any(bad):
             k = int(np.argmax(bad))
             offsets = block.offsets[_CHECKS[row][1]]
             frame = bisect.bisect_right(offsets, k) - 1
@@ -331,9 +328,11 @@ def _check(frames: list, last_t: float) -> tuple[_Block, tuple | None]:
         if value_type is not None:
             absent = value_type[2] if required else _DEFAULTS.get(field)
             block.values[field], bad = _typed(block.values[field], value_type, absent)
+            if value_type is _NUMBER:
+                block.arrays[field] = np.array(block.values[field], dtype=float)
             note(bad, row, 1)
         if test is not None:
-            note(test(block, block.values[field]), row, 2)
+            note(test(block, block.arrays.get(field, block.values[field])), row, 2)
     if not failures:
         return block, None
     (frame, *_, row, stage), k = min(failures)
