@@ -30,19 +30,15 @@ Boundary overrides are given directly in path coordinates (pre-transformed
 camera cues); without them `DEFAULT_BOUNDS` is used.  A parse error names its
 line, which `parse_scenario` adds in one place, and `load_scenario` its file.
 
-The format is one table, `_CHECKS`, with a row per check in the order in
-which a line is checked; `write_scenario` takes its field names from it.
-The parser decodes `PARSE_BLOCK` lines at a time and applies each row to a
-whole column of the block.  Where checks fail, the error is the first that
-a line-by-line parser would raise: that of the first failing line, with
-its objects and bounds entries taken one at a time.  `write_run_csv` writes
-`WRITE_BLOCK` rows at a time, each column's `repr`s joined into lines.  The
-blocks bound the records and strings alive at once.
+The parser decodes, checks and appends one line at a time, so its error is
+that of the first failing line and no later line is read.  `write_scenario`
+writes the fields of `_FIELDS` in its order.  `write_run_csv` writes
+`WRITE_BLOCK` rows at a time, each column's `repr`s joined into lines, which
+bounds the strings alive at once.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import itertools
 import json
@@ -111,285 +107,163 @@ class Scenario:
 # Parsing and serialization
 # ---------------------------------------------------------------------------
 
-# Lines checked at a time, and rows written at a time: a block bounds the
-# decoded records, and the cell strings, alive at once.
-PARSE_BLOCK = 64
+# Rows written at a time by `write_run_csv`: a block bounds the cell strings
+# alive at once.
 WRITE_BLOCK = 256
 
-# An optional field that a record leaves out.
-_ABSENT = object()
+# Each kind's fields (name -> required), the required ones first; the writer
+# writes them in this order.  An absent optional field reads as None, the
+# heading offset as HostState's default, 0.
+_FIELDS = {
+    "frame": {"t": True, "host": True, "objects": True, "bounds": False},
+    "host": {"v": True, "yaw_rate": True, "var_v": True, "var_yaw": True, "alpha": False},
+    "object": {"id": True, "x": True, "y": True, "var_x": True, "var_y": True,
+               "v_lat": False, "gt": False},
+    "bounds entry": {"mu": True, "sigma": True},
+}
 
 
-def _float(value) -> float:
-    """A JSON number as a float.  An integer beyond the float range reads as
-    the float literal 1e400 does, as an infinity, which the domains reject."""
+def _check_keys(record, kind: str) -> None:
+    """Check that `record` is an object with the fields of `kind`."""
+    fields = _FIELDS[kind]
+    if type(record) is not dict:
+        raise ScenarioFormatError(f"{kind} must be an object")
+    for key in record:
+        if key not in fields:
+            raise ScenarioFormatError(f"unknown field {key!r} in {kind}")
+    for key, required in fields.items():
+        if required and key not in record:
+            raise ScenarioFormatError(f"missing field {key!r} in {kind}")
+
+
+def _number(record: dict, key: str, kind: str) -> float:
+    """The field `key` of a record of `kind` as a float.  An integer beyond
+    the float range reads as the float literal 1e400 does, as an infinity,
+    which the domains reject."""
+    value = record[key]
+    if type(value) is float:
+        return value
+    if type(value) is not int:  # bool is a subclass of int, not int
+        raise ScenarioFormatError(f"field {key!r} in {kind} must be a number")
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
 
 
-# Value types: the Python types that a field's JSON value may have, the
-# conversion of such a value, the stand-in for a value of another type, and
-# the message for one (None: the message of the row).
-_NUMBER = ((float, int), _float, math.nan, "field {field!r} in {kind} must be a number")
-_STRING = ((str, int), str, "", "field {field!r} must be a string")
-_INTEGER = ((int,), int, None, None)
-_LIST = ((list,), list, [], None)
-_RECORD = ((dict,), dict, {}, None)
-_PATH_INDICES = frozenset([None, *range(N_PATHS)])
-# The domain test and the message of a variance.
-_VARIANCE = (lambda b, var: ~((0.0 <= var) & (var < math.inf)),
-             "field {field!r} in {kind} must be finite and >= 0")
+def _variance(record: dict, key: str, kind: str) -> float:
+    value = _number(record, key, kind)
+    if not 0.0 <= value < math.inf:
+        raise ScenarioFormatError(f"field {key!r} in {kind} must be finite and >= 0")
+    return value
 
 
-def _outside_host_state(block, _) -> np.ndarray:
-    v, yaw_rate, alpha = (block.arrays[f] for f in ("v", "yaw_rate", "alpha"))
-    return ~((0.0 <= v) & (v < math.inf) & np.isfinite(yaw_rate) & (np.abs(alpha) < math.pi / 2))
+def _parse_line(raw: str, scenario: Scenario) -> None:
+    """Decode one frame line, check it and append it to the columns.
 
-
-def _outside_object_measurement(block, _) -> np.ndarray:
-    x, y, v_lat = (block.arrays[f] for f in ("x", "y", "v_lat"))
-    lateral = np.isfinite(v_lat)
-    if not lateral.all():  # NaN where v_lat is absent, which is inside the domain
-        lateral |= [u is None for u in block.values["v_lat"]]
-    return ~((0.0 < x) & (x < math.inf) & np.isfinite(y) & lateral)
-
-
-def _first_repeat(block, k) -> str:
-    seen = set()
-    repeat = next(i for i in block.split("id")[k] if i in seen or seen.add(i))
-    return f"duplicate object id {repeat!r}"
-
-
-# The checks of the scenario format, in the order in which a line is checked.
-# A row gives the kind of record, the field, whether the field is required,
-# its value type (None where an earlier row converted the field), its domain
-# test and the message where the test fails.  A test takes the block and the
-# field's column, an array of floats for a number, and gives the mask of the
-# kind's records that fail.  A message is a template over the field and the
-# kind, or a function of the block and the record that words it, calling the
-# constructor that words the error where there is one.  A kind's keys are
-# checked at its first row.
-_CHECKS = (
-    ("frame", "t", True, _NUMBER, lambda b, t: t <= [b.last_t, *b.values["t"][:-1]],
-     lambda b, k: "timestamps must strictly increase ({} after {})".format(
-         b.values["t"][k], [b.last_t, *b.values["t"]][k])),
-    ("frame", "host", True, _RECORD, None, "host must be an object"),
-    ("host", "alpha", False, _NUMBER, None, None),
-    ("host", "v", True, _NUMBER, None, None),
-    ("host", "yaw_rate", True, _NUMBER, _outside_host_state,
-     lambda b, k: HostState(*b.at(k, "v", "yaw_rate", "alpha"))),
-    ("frame", "t", True, None, lambda b, t: ~np.isfinite(t),
-     lambda b, k: f"timestamp must be finite, got {b.values['t'][k]}"),
-    ("frame", "objects", True, _LIST, None, "'objects' must be a list"),
-    ("object", "id", True, _STRING,
-     lambda b, ids: "\r" in "".join(ids) and ["\r" in i for i in ids],
-     "field 'id' must not hold a carriage return"),
-    ("object", "v_lat", False, _NUMBER, None, None),
-    ("object", "gt", False, _INTEGER,
-     lambda b, gt: not set(gt) <= _PATH_INDICES and [g not in _PATH_INDICES for g in gt],
-     f"field 'gt' must be an integer in 0..{N_PATHS - 1}"),
-    ("object", "x", True, _NUMBER, None, None),
-    ("object", "y", True, _NUMBER, _outside_object_measurement,
-     lambda b, k: ObjectMeasurement(*b.at(k, "x", "y", "v_lat"))),
-    ("object", "var_x", True, _NUMBER, *_VARIANCE),
-    ("object", "var_y", True, _NUMBER, *_VARIANCE),
-    ("frame", "objects", True, None,
-     lambda b, _: [len(set(ids)) < len(ids) for ids in b.split("id")], _first_repeat),
-    ("frame", "bounds", False, _LIST,
-     lambda b, bounds: [e is not None and len(e) != 4 for e in bounds],
-     "'bounds' must list exactly 4 entries"),
-    ("bounds entry", "mu", True, _NUMBER, None, None),
-    ("bounds entry", "sigma", True, _NUMBER, lambda b, sigma: ~(
-        np.isfinite(b.arrays["mu"]) & np.isfinite(sigma) & (sigma >= 0.0)),
-     lambda b, k: GaussianScalar(*b.at(k, "mu", "sigma"))),
-    ("frame", "bounds", False, None,
-     lambda b, _: [len(m) == 4 and not m[0] < m[1] < m[2] < m[3] for m in b.split("mu")],
-     lambda b, k: BoundarySet(tuple(map(GaussianScalar, b.split("mu")[k],
-                                        b.split("sigma")[k])))),
-    ("host", "var_v", True, _NUMBER, *_VARIANCE),
-    ("host", "var_yaw", True, _NUMBER, *_VARIANCE),
-)
-# Each kind's fields (name -> required), the required ones first; the
-# writer writes them in this order.  An absent optional field reads as None,
-# the heading offset as HostState's default, 0.
-_FIELDS = {
-    kind: {name: required for of, name, required, value_type, *_ in
-           sorted(_CHECKS, key=lambda row: not row[2]) if of == kind and value_type}
-    for kind in dict.fromkeys(row[0] for row in _CHECKS)
-}
-_DEFAULTS = {"alpha": 0.0}
-# Rows in a run of one kind: a frame's records of that kind pass through the
-# run one record at a time.
-_RUNS = list(itertools.accumulate(
-    (a[0] != b[0] for a, b in zip(_CHECKS, _CHECKS[1:])), initial=0))
-# The frame field that holds a kind's records: one record, a list of them, or
-# None where it is absent.
-_HELD_IN = {"host": "host", "object": "objects", "bounds entry": "bounds"}
-
-
-def _typed(column: list, value_type: tuple, absent) -> tuple[list, list | None]:
-    """The values of `column` converted to `value_type`, `absent` where a
-    record leaves the field out, with the mask of the values of another
-    type, or None where there is none."""
-    accepted, convert, stand_in, _ = value_type
-    if set(map(type, column)) <= {accepted[0]}:
-        return column, None
-    bad = [type(value) not in accepted and value is not _ABSENT for value in column]
-    return [absent if value is _ABSENT else stand_in if wrong else convert(value)
-            for value, wrong in zip(column, bad)], bad
-
-
-def _columns(records: list, fields: dict) -> tuple[dict, list | None]:
-    """The fields of `records` column by column, `_ABSENT` where a record
-    leaves one out, with the mask of the records that are no object or
-    whose keys are not the kind's, or None where there is none."""
-    if set(map(type, records)) <= {dict}:
-        columns, held, complete = {}, 0, True
-        for key, required in fields.items():
-            try:
-                columns[key] = [record[key] for record in records]
-                held += len(records)
-            except KeyError:
-                columns[key] = column = [record.get(key, _ABSENT) for record in records]
-                held += len(records) - column.count(_ABSENT)
-                complete = complete and not required
-        # Every key a record holds is one of the fields counted.
-        if complete and sum(map(len, records)) == held:
-            return columns, None
-    required = {key for key, needed in fields.items() if needed}
-    bad = [type(r) is not dict or not required <= r.keys() <= fields.keys() for r in records]
-    records = [r if type(r) is dict else {} for r in records]
-    return {key: [r.get(key, _ABSENT) for r in records] for key in fields}, bad
-
-
-def _keys_message(record, fields: dict, kind: str) -> str:
-    if type(record) is not dict:
-        return f"{kind} must be an object"
-    for key in record:
-        if key not in fields:
-            return f"unknown field {key!r} in {kind}"
-    missing = next(key for key, needed in fields.items() if needed and key not in record)
-    return f"missing field {missing!r} in {kind}"
-
-
-class _Block:
-    """The frame records of one block as the rows of `_CHECKS` see them:
-    per kind, the records, and per field, its column over the records of
-    its kind (and as an array of floats for a number, NaN where absent) and
-    the index of each frame's first record."""
-
-    def __init__(self, frames: list, last_t: float):
-        self.frames = frames
-        self.last_t = last_t  # the time of the frame before the block, NaN if none
-        self.records, self.offsets, self.values, self.arrays = {}, {}, {}, {}
-
-    def add(self, kind: str) -> list | None:
-        """Take the records of `kind` and their fields; returns the mask of
-        the records that are no object or whose keys are not the kind's."""
-        held = [[r] for r in self.frames] if kind == "frame" else self.values[_HELD_IN[kind]]
-        lists = [h if type(h) is list else [] if h is None else [h] for h in held]
-        self.records[kind] = list(itertools.chain.from_iterable(lists))
-        offsets = [0, *itertools.accumulate(map(len, lists))]
-        self.offsets.update(dict.fromkeys(_FIELDS[kind], offsets))
-        columns, bad = _columns(self.records[kind], _FIELDS[kind])
-        self.values.update(columns)
-        return bad
-
-    def split(self, field: str) -> list:
-        """The values of `field`, frame by frame."""
-        offsets, values = self.offsets[field], self.values[field]
-        return [values[i:j] for i, j in zip(offsets, offsets[1:])]
-
-    def at(self, k: int, *fields: str) -> list:
-        return [self.values[field][k] for field in fields]
-
-
-def _check(frames: list, last_t: float) -> tuple[_Block, tuple | None]:
-    """Apply `_CHECKS` to the decoded frame records of one block, each row
-    to a whole column.  Returns the block, with None where every check
-    passes, else the index of the frame that fails, the message and the
-    constructor's error that words it (or None).  The check that fails is
-    the first by frame, then by row, where the records of a kind pass
-    through each run of its rows one record at a time."""
-    block, failures = _Block(frames, last_t), []
-
-    def note(bad, row, stage):
-        if bad is not None and np.any(bad):
-            k = int(np.argmax(bad))
-            offsets = block.offsets[_CHECKS[row][1]]
-            frame = bisect.bisect_right(offsets, k) - 1
-            failures.append(((frame, _RUNS[row], k - offsets[frame], row, stage), k))
-
-    for row, (kind, field, required, value_type, test, _) in enumerate(_CHECKS):
-        if kind not in block.records:
-            note(block.add(kind), row, 0)
-        if value_type is not None:
-            absent = value_type[2] if required else _DEFAULTS.get(field)
-            block.values[field], bad = _typed(block.values[field], value_type, absent)
-            if value_type is _NUMBER:
-                block.arrays[field] = np.array(block.values[field], dtype=float)
-            note(bad, row, 1)
-        if test is not None:
-            note(test(block, block.arrays.get(field, block.values[field])), row, 2)
-    if not failures:
-        return block, None
-    (frame, *_, row, stage), k = min(failures)
-    kind, field, _, value_type, _, message = _CHECKS[row]
-    if stage == 0:
-        return block, (frame, _keys_message(block.records[kind][k], _FIELDS[kind], kind), None)
-    if stage == 1:
-        message = value_type[3] or message
-    if isinstance(message, str):
-        return block, (frame, message.format(field=field, kind=kind), None)
+    The checks run in this order, and the first that fails raises: the
+    frame's keys, `t`, its increase, the host's keys, `alpha`, `v` and
+    `yaw_rate`, the `HostState` domain, a finite `t`, `objects`, each object
+    in turn (keys, `id`, `v_lat`, `gt`, `x`, `y`, the `ObjectMeasurement`
+    domain, `var_x`, `var_y`), duplicate ids, `bounds` (each entry in turn,
+    then their order), and the host's `var_v` and `var_yaw`.  The object loop
+    tests each value inline and calls a helper, or the constructor, only to
+    word an error, so that no per-object value is built.
+    """
     try:
-        return block, (frame, message(block, k), None)
-    except InputDomainError as exc:
-        return block, (frame, str(exc), exc)
+        frame = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        # Besides syntax errors (JSONDecodeError): integers longer than the
+        # interpreter converts, and nesting deeper than it recurses.
+        raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
+    _check_keys(frame, "frame")
+    t = _number(frame, "t", "frame")
+    if scenario.t and t <= scenario.t[-1]:
+        raise ScenarioFormatError(f"timestamps must strictly increase ({t} after {scenario.t[-1]})")
+    host = frame["host"]
+    _check_keys(host, "host")
+    alpha = _number(host, "alpha", "host") if "alpha" in host else 0.0
+    v = _number(host, "v", "host")
+    yaw_rate = _number(host, "yaw_rate", "host")
+    if not (0.0 <= v < math.inf and math.isfinite(yaw_rate) and abs(alpha) < math.pi / 2):
+        HostState(v, yaw_rate, alpha)
+    if not math.isfinite(t):
+        raise ScenarioFormatError(f"timestamp must be finite, got {t}")
+    objects = frame["objects"]
+    if type(objects) is not list:
+        raise ScenarioFormatError("'objects' must be a list")
 
-
-def _extend(scenario: Scenario, block: _Block) -> None:
-    """Append the checked records of a block to the scenario's columns."""
-    first = len(scenario.t)
-    scenario.frame_of += np.repeat(
-        np.arange(first, first + len(block.frames)), np.diff(block.offsets["id"])
-    ).tolist()
-    for name in ("t", *_FIELDS["host"], *_FIELDS["object"]):
-        getattr(scenario, name).extend(block.values[name])
-    scenario.bounds += [
-        None if entries is None else BoundarySet(tuple(map(GaussianScalar, mu, sigma)))
-        for entries, mu, sigma in zip(
-            block.values["bounds"], block.split("mu"), block.split("sigma"))
-    ]
-
-
-def _parse_lines(lines: list, first: int, scenario: Scenario, unreadable=None) -> None:
-    """Check and append the lines of one block, numbered from `first`.
-    `unreadable` is the UnicodeDecodeError of the line after them, if the
-    stream could not decode it.  The one place that adds a line number to
-    an error."""
-    frames, numbers, fault = [], [], None
-    for line_no, raw in enumerate(lines, start=first):
-        if not raw.strip():
-            continue
+    first = len(scenario.id)
+    inf = math.inf
+    for record in objects:
+        # The key check's fast path: the five required fields, and no others
+        # but the optional ones.
         try:
-            frames.append(json.loads(raw))
-        except (ValueError, RecursionError) as exc:
-            # Besides syntax errors (JSONDecodeError): integers longer than
-            # the interpreter converts, and nesting deeper than it recurses.
-            fault = line_no, f"invalid JSON: {exc}", exc
-            break
-        numbers.append(line_no)
-    if unreadable is not None and fault is None:
-        fault = first + len(lines), f"invalid UTF-8: {unreadable}", unreadable
-    block, failed = _check(frames, scenario.t[-1] if scenario.t else math.nan)
-    if failed is not None:
-        fault = numbers[failed[0]], *failed[1:]
-    if fault is not None:
-        line_no, message, cause = fault
-        raise ScenarioFormatError(f"line {line_no}: {message}") from cause
-    _extend(scenario, block)
+            object_id, x, y, var_x, var_y = (
+                record["id"], record["x"], record["y"], record["var_x"], record["var_y"])
+            if len(record) != 5 + ("v_lat" in record) + ("gt" in record):
+                _check_keys(record, "object")
+        except (KeyError, TypeError):  # a field missing, or no object
+            _check_keys(record, "object")
+        if type(object_id) is str:
+            if "\r" in object_id:
+                raise ScenarioFormatError("field 'id' must not hold a carriage return")
+        elif type(object_id) is int:
+            object_id = str(object_id)
+        else:
+            raise ScenarioFormatError("field 'id' must be a string")
+        v_lat = record.get("v_lat")
+        if type(v_lat) is not float and "v_lat" in record:
+            v_lat = _number(record, "v_lat", "object")
+        gt = record.get("gt")
+        if gt is not None or "gt" in record:
+            if type(gt) is not int or not 0 <= gt < N_PATHS:
+                raise ScenarioFormatError(f"field 'gt' must be an integer in 0..{N_PATHS - 1}")
+        if type(x) is not float:
+            x = _number(record, "x", "object")
+        if type(y) is not float:
+            y = _number(record, "y", "object")
+        if not (0.0 < x < inf and -inf < y < inf) or (
+                v_lat is not None and not -inf < v_lat < inf):
+            ObjectMeasurement(x, y, v_lat)
+        if type(var_x) is not float or not 0.0 <= var_x < inf:
+            var_x = _variance(record, "var_x", "object")
+        if type(var_y) is not float or not 0.0 <= var_y < inf:
+            var_y = _variance(record, "var_y", "object")
+        scenario.id.append(object_id)
+        scenario.x.append(x)
+        scenario.y.append(y)
+        scenario.var_x.append(var_x)
+        scenario.var_y.append(var_y)
+        scenario.v_lat.append(v_lat)
+        scenario.gt.append(gt)
+    ids = scenario.id[first:]
+    if len(set(ids)) < len(ids):
+        seen = set()
+        repeat = next(i for i in ids if i in seen or seen.add(i))
+        raise ScenarioFormatError(f"duplicate object id {repeat!r}")
+
+    bounds = None
+    if "bounds" in frame:
+        entries = frame["bounds"]
+        if type(entries) is not list or len(entries) != 4:
+            raise ScenarioFormatError("'bounds' must list exactly 4 entries")
+        bounds = []
+        for entry in entries:
+            _check_keys(entry, "bounds entry")
+            bounds.append(GaussianScalar(_number(entry, "mu", "bounds entry"),
+                                         _number(entry, "sigma", "bounds entry")))
+        bounds = BoundarySet(tuple(bounds))
+    var_v = _variance(host, "var_v", "host")
+    var_yaw = _variance(host, "var_yaw", "host")
+    scenario.frame_of += [len(scenario.t)] * (len(scenario.id) - first)
+    scenario.t.append(t)
+    scenario.v.append(v)
+    scenario.yaw_rate.append(yaw_rate)
+    scenario.alpha.append(alpha)
+    scenario.var_v.append(var_v)
+    scenario.var_yaw.append(var_yaw)
+    scenario.bounds.append(bounds)
 
 
 def parse_scenario(stream: str | Iterable[str]) -> Scenario:
@@ -399,25 +273,24 @@ def parse_scenario(stream: str | Iterable[str]) -> Scenario:
     number on any schema violation, and on non-increasing timestamps.  A
     UnicodeDecodeError of the stream is reported at the line it was
     reading.  Text is split into lines as a file read with universal
-    newlines is, at "\\n", "\\r" and "\\r\\n" only.  Lines are read and
-    checked `PARSE_BLOCK` at a time.
+    newlines is, at "\\n", "\\r" and "\\r\\n" only, and a line's terminator
+    is dropped before it is decoded, so text, a file and a list of lines
+    give the same message.  Lines are read and checked one at a time, and
+    no line after the first that fails is read.
     """
     if isinstance(stream, str):
         stream = stream.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     scenario = Scenario()
-    lines = iter(stream)
-    first = 1
-    while True:
-        block, unreadable = [], None
-        try:
-            for raw in itertools.islice(lines, PARSE_BLOCK):
-                block.append(raw)
-        except UnicodeDecodeError as exc:
-            unreadable = exc
-        _parse_lines(block, first, scenario, unreadable)
-        if len(block) < PARSE_BLOCK:
-            return scenario
-        first += PARSE_BLOCK
+    line_no = 0
+    try:
+        for line_no, raw in enumerate(stream, start=1):
+            if raw.strip():
+                _parse_line(raw.rstrip("\r\n"), scenario)
+    except UnicodeDecodeError as exc:  # the stream's, reading the next line
+        raise ScenarioFormatError(f"line {line_no + 1}: invalid UTF-8: {exc}") from exc
+    except (ScenarioFormatError, InputDomainError) as exc:
+        raise ScenarioFormatError(f"line {line_no}: {exc}") from exc
+    return scenario
 
 
 def _utf8_lines(handle: TextIO) -> Iterator[str]:

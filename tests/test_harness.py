@@ -32,6 +32,7 @@ from laneassign import (
     compute_roc,
     generate_synthetic,
     lane_occupancy,
+    load_scenario,
     parse_scenario,
     run_pipeline,
     sweep_parameters,
@@ -43,7 +44,6 @@ from laneassign import (
 from laneassign.harness import (
     EPSILON_GRID,
     N_PATHS,
-    PARSE_BLOCK,
     RUN_CSV_COLUMNS,
     SCENARIO_KINDS,
     SIGMA_NU_GRID,
@@ -354,6 +354,12 @@ def _reference_parse(stream):
     return scenario_of(frames)
 
 
+# Lines in a block: scenarios of several blocks put faults and blank lines at
+# and past the block edges, where a parser that reads ahead in blocks must
+# still name each fault at its own line.
+PARSE_BLOCK = 64
+
+
 def _replay_generator():
     path = Path(__file__).resolve().parents[1] / "bench" / "replay_gen.py"
     spec = importlib.util.spec_from_file_location("replay_gen", path)
@@ -511,8 +517,8 @@ def _long_text(n_lines, changed):
     return "\n".join(lines)
 
 
-# The parser checks PARSE_BLOCK lines at a time; a fault near the edge of a
-# block, or past the first one, must still be named at its own line.
+# A fault near the edge of a block, or past the first one, is named at its
+# own line.
 B = PARSE_BLOCK
 FAULTS.update({
     "fault on the first line of the second block": _long_text(
@@ -538,14 +544,26 @@ FAULTS.update({
 })
 
 
+def _messages(text, tmp_path):
+    """The error messages of `text` parsed as text, loaded from a file
+    (without the path before them) and parsed as "\\n"-terminated lines."""
+    path = tmp_path / "scenario.jsonl"
+    path.write_text(text, encoding="utf-8")
+    messages = []
+    for parse, source in ((parse_scenario, text), (load_scenario, str(path)),
+                          (parse_scenario, [line + "\n" for line in text.split("\n")])):
+        with pytest.raises(ScenarioFormatError) as got:
+            parse(source)
+        messages.append(str(got.value).removeprefix(f"{path}: "))
+    return messages
+
+
 @pytest.mark.parametrize("name", list(FAULTS))
-def test_parser_errors_match_the_dataclass_reference(name):
+def test_parser_errors_match_the_dataclass_reference(name, tmp_path):
     text = FAULTS[name]
     with pytest.raises(ScenarioFormatError) as expected:
         _reference_parse(text)
-    with pytest.raises(ScenarioFormatError) as got:
-        parse_scenario(text)
-    assert str(got.value) == str(expected.value)
+    assert _messages(text, tmp_path) == [str(expected.value)] * 3
 
 
 # Text that made the JSON decoder or the float conversion fail outside the
@@ -576,11 +594,23 @@ UNREADABLE = {
 
 
 @pytest.mark.parametrize("name", list(UNREADABLE))
-def test_unreadable_numbers_and_nesting_name_the_line(name):
+def test_unreadable_numbers_and_nesting_name_the_line(name, tmp_path):
     text, message = UNREADABLE[name]
-    with pytest.raises(ScenarioFormatError) as got:
-        parse_scenario(text)
-    assert str(got.value).startswith(message)
+    messages = _messages(text, tmp_path)
+    assert messages[0].startswith(message)
+    assert messages == [messages[0]] * 3
+
+
+@pytest.mark.parametrize("faulty", [GOOD[:-1], _fault(object={"x": 0})],
+                         ids=["invalid JSON", "object at zero"])
+def test_parsing_stops_at_the_failing_line(faulty):
+    def lines():
+        yield GOOD
+        yield faulty
+        pytest.fail("a line after the failing one was read")
+
+    with pytest.raises(ScenarioFormatError, match="^line 2: "):
+        parse_scenario(lines())
 
 
 def test_round_trip_through_serialization():
