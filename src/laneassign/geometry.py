@@ -6,7 +6,9 @@ rotated by the heading offset alpha.  This module maps object positions from
 the host frame onto the signed lateral offset from that path, propagates
 Gaussian input uncertainty through the map to first order, and provides a
 Monte-Carlo harness that scores the linearization with the Hellinger distance
-between the propagated density and a sampled one.
+between the propagated density and a sampled one.  It also holds the
+standard normal CDF that the occupancy scores and the Monte-Carlo bin masses
+take their region probabilities from.
 
 Sign conventions: x forward, y to the left, positive yaw rate turns left, and
 the lateral offset is positive for objects left of the path.
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
-from scipy.special import ndtr
 
 
 class InputDomainError(ValueError):
@@ -389,10 +390,170 @@ DEFAULT_MC_VARIANCES = (0.25, 1e-4, 0.04, 0.04)
 _MC_BLOCK = 64
 
 
+# The standard normal CDF, ported from Cephes (S. L. Moshier, Cephes Math
+# Library: ndtr.c for erf and erfc, exp.c for the exponential).  Numerator
+# coefficients are highest degree first; the denominators have an implicit
+# leading 1.  They are 0-d arrays because numpy converts a Python float
+# operand again on every call.
+def _coefficients(*values: float) -> tuple[np.ndarray, ...]:
+    return tuple(np.array(v) for v in values)
+
+
+_ERF_T = _coefficients(
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = _coefficients(
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = _coefficients(
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = _coefficients(
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = _coefficients(
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = _coefficients(
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_EXP_P = _coefficients(
+    1.26177193074810590878e-4, 3.02994407707441961300e-2, 9.99999999999999999910e-1,
+)
+_EXP_Q = _coefficients(
+    3.00198505138664455042e-6, 2.52448340349684104192e-3, 2.27265548208155028766e-1,
+    2.00000000000000000009e0,
+)
+_SQRT1_2 = 7.07106781186547524401e-1
+_LOG2E = 1.4426950408889634073599
+_LN2_HI = 6.93145751953125e-1  # ln 2 = _LN2_HI + _LN2_LO; n * _LN2_HI is exact
+_LN2_LO = 1.42860682030941723212e-6
+# Cephes' erfc(z) is 0 where z * z > MAXLOG, which for a double z holds
+# exactly where z > sqrt(MAXLOG).
+_ERFC_ZMAX = math.sqrt(7.09782712893383996843e2)
+# Branch keys 1..9 of `_ndtr`, whose first positions bound its groups.
+_NDTR_GROUPS = np.arange(1, 10)
+
+
+def _polevl(x: np.ndarray, coef: tuple, out: np.ndarray) -> np.ndarray:
+    """Cephes polevl: the polynomial with coefficients `coef` at x, by
+    Horner's rule, in `out`."""
+    np.multiply(x, coef[0], out=out)
+    out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _p1evl(x: np.ndarray, coef: tuple, out: np.ndarray) -> np.ndarray:
+    """Cephes p1evl: `_polevl` with a leading coefficient 1 before `coef`."""
+    np.add(x, coef[0], out=out)
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _ndtr(a) -> np.ndarray:
+    """The standard normal CDF, elementwise, by the algorithm of Cephes `ndtr`.
+
+    With z = |a| / sqrt2: 0.5 + 0.5 erf(a / sqrt2) for z < 1/sqrt2, else
+    0.5 erfc(z), mirrored to 1 - 0.5 erfc(z) for a > 0.  erf is x T(x^2) /
+    U(x^2); erfc is 1 - erf below z = 1, exp(-z^2) P(z) / Q(z) below 8,
+    exp(-z^2) R(z) / S(z) beyond, and 0 where z^2 > MAXLOG.  exp is Cephes'
+    own (Cody-Waite reduction by ln 2, a rational approximation, `ldexp`),
+    so every step is +, -, *, /, floor or ldexp and the bits depend on
+    neither the C library nor the CPU.  NaN stays NaN.
+
+    The values are sorted by branch and sign (a stable sort of a small
+    integer key), each branch runs on its contiguous slice, and the results
+    are scattered back.  Where the result is exactly 1 (z >= 8, a > 0) or
+    exactly 0 nothing is evaluated.
+    """
+    shape = np.shape(a)
+    a = np.asarray(a, dtype=float).ravel()
+    z = a * _SQRT1_2
+    np.abs(z, out=z)
+    # key = 2 * branch + (a > 0); branch 0 takes erf, 1 takes erfc = 1 - erf,
+    # 2 P/Q, 3 R/S and 4 nothing.  NaN compares false: key 0.
+    key = (z >= _SQRT1_2).view(np.uint8)
+    key += z >= 1.0
+    key += z >= 8.0
+    key += z > _ERFC_ZMAX
+    key += key
+    key += a > 0.0
+    order = np.argsort(key, kind="stable")
+    b1, b2, b3, b4, b5, b6, b7, b8, b9 = np.searchsorted(key.take(order), _NDTR_GROUPS)
+    zs = z.take(order)
+    y = z  # z is not read again; y takes the results in sorted order
+    work = np.empty((2, b7))
+    if b4:
+        zt = zs[:b4]
+        zz, q = work[:, :b4]
+        np.multiply(zt, zt, out=zz)
+        erf = _polevl(zz, _ERF_T, y[:b4])
+        erf *= zt
+        erf /= _p1evl(zz, _ERF_U, q)
+        # 0.5 + 0.5 erf(x), erf odd; then 0.5 (1 - erf(z)), mirrored
+        y[:b2] *= 0.5
+        np.subtract(0.5, y[:b1], out=y[:b1])
+        y[b1:b2] += 0.5
+        np.subtract(1.0, y[b2:b4], out=y[b2:b4])
+        y[b2:b4] *= 0.5
+        np.subtract(1.0, y[b3:b4], out=y[b3:b4])
+    if b7 > b4:
+        zt = zs[b4:b7]
+        e = y[b4:b7]
+        zz, px = work[:, b4:b7]
+        # exp(-z^2) = 2^n exp(r) with n = floor(-z^2 log2(e) + 1/2); u = -r
+        np.multiply(zt, zt, out=zz)
+        np.multiply(zz, -_LOG2E, out=px)
+        px += 0.5
+        np.floor(px, out=px)
+        n = px.astype(np.int32)
+        u = np.multiply(px, _LN2_HI, out=e)
+        u += zz
+        px *= _LN2_LO
+        u += px
+        np.multiply(u, u, out=zz)
+        # exp(r) = 1 + 2 r P(r^2) / (Q(r^2) - r P(r^2))
+        rp = _polevl(zz, _EXP_P, px)
+        rp *= u
+        q = _polevl(zz, _EXP_Q, u)
+        q += rp
+        rp /= q
+        rp *= 2.0
+        np.subtract(1.0, rp, out=rp)
+        np.ldexp(rp, n, out=e)
+        m = b6 - b4
+        if m:
+            e[:m] *= _polevl(zt[:m], _ERFC_P, zz[:m])
+            e[:m] /= _p1evl(zt[:m], _ERFC_Q, px[:m])
+        if b7 > b6:
+            e[m:] *= _polevl(zt[m:], _ERFC_R, zz[m:])
+            e[m:] /= _p1evl(zt[m:], _ERFC_S, px[m:])
+        e *= 0.5
+        np.subtract(1.0, y[b5:b6], out=y[b5:b6])
+    y[b7:b8] = 1.0
+    y[b8:b9] = 0.0
+    y[b9:] = 1.0
+    zs[order] = y  # zs is free again: it takes the results in input order
+    return zs.reshape(shape)
+
+
 def _gaussian_bin_masses(means: np.ndarray, stds: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Probability mass of N(means[i], stds[i]^2) per bin of row i of the
     (P, bins + 1) `edges`, including both open tails; every deviation is > 0."""
-    cdf = ndtr((edges - means[:, None]) / stds[:, None])
+    cdf = _ndtr((edges - means[:, None]) / stds[:, None])
     return np.diff(cdf, axis=-1, prepend=0.0, append=1.0)
 
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-from .geometry import GaussianScalar, InputDomainError
+from .geometry import GaussianScalar, InputDomainError, _ndtr
 
 N_PATHS = 5
 N_BOUNDARIES = 4
@@ -103,7 +102,7 @@ def _occupancy_arrays(mean, std, bound_means, bound_stds) -> np.ndarray:
             delta / sigma,
             np.where(delta == 0.0, 0.0, np.copysign(np.inf, delta)),
         )
-    cdf = ndtr(t)
+    cdf = _ndtr(t)
     edges = np.zeros(cdf.shape[:-1] + (1,))
     raw = np.diff(np.concatenate([edges, cdf, edges + 1.0], axis=-1), axis=-1)
     raw = np.where(raw < 0.0, 0.0, raw)

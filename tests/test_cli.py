@@ -648,3 +648,15 @@ def test_the_module_runs_as_a_script(tmp_path):
     done = cli("run", "--scenario", str(tmp_path / "missing.jsonl"))
     assert done.returncode == 2
     assert done.stderr.startswith("error: ")
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # Phi is the package's own port; a fresh interpreter that imports the
+    # command line loads numpy and nothing of scipy.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, laneassign.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 
 from laneassign import (
     DEFAULT_MC_VARIANCES,
@@ -37,6 +36,7 @@ from laneassign.geometry import (
     _jacobian_arrays,
     _lateral_offset_arrays,
     _mc_points,
+    _ndtr,
     _transform_arrays,
 )
 
@@ -733,7 +733,7 @@ def reference_mc_validate(points, samples, bins, seed):
         span = 6.0 * sd if sd > 0.0 else 1.0
         edges = np.linspace(mu - span, mu + span, bins + 1)
         counts = np.bincount(np.searchsorted(edges, offsets, side="left"), minlength=bins + 2)
-        cdf = ndtr((edges - mean) / std)
+        cdf = _ndtr((edges - mean) / std)
         linearized = np.diff(np.concatenate(([0.0], cdf, [1.0])))
         distances.append(hellinger_distance(counts / samples, linearized))
     return distances

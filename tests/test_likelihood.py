@@ -16,6 +16,7 @@ from laneassign import (
     PathPosterior,
     lane_occupancy,
 )
+from laneassign.geometry import _ndtr
 from laneassign.likelihood import _occupancy_arrays
 
 
@@ -48,9 +49,72 @@ def test_cdf_anchor_values():
     assert std_normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
 
 
+def _both_sides(x):
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+# Arguments on both sides of every branch edge of the Cephes port: |a| = 1
+# (erf tables inside), sqrt2 (erfc = 1 - erf inside), 8 sqrt2 (P/Q inside,
+# R/S beyond), the saturation near +8.5, where 1 - Phi(-a) rounds to 1, and
+# the underflow, where Cephes' erfc is 0 (a < -sqrt(2 MAXLOG) = -37.68)
+# and where the exact Phi rounds to 0 (a below about -38.5); then -37.6,
+# whose Phi is subnormal, and the signed zeros and infinities.
+BRANCH_EDGES = [
+    t
+    for edge in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0))
+    for t in _both_sides(edge) + _both_sides(-edge)
+] + [
+    *_both_sides(8.5),
+    *_both_sides(-math.sqrt(2.0 * 7.09782712893383996843e2)),
+    *_both_sides(-38.5),
+    -37.6,
+    0.0,
+    -0.0,
+    math.inf,
+    -math.inf,
+]
+
+
 def test_cdf_matches_high_precision():
     for t in np.linspace(-8.0, 8.0, 97):
         assert std_normal_cdf(t) == pytest.approx(phi_exact(t), rel=1e-13, abs=1e-300)
+    # A normal double result is held to 1e-13 relative; below the smallest
+    # normal double only an absolute bound of that size holds, since Cephes
+    # (and scipy) cut erfc to 0 where the exact Phi is still about 6e-311.
+    tiny = np.finfo(float).tiny
+    for t in BRANCH_EDGES:
+        got, exact = float(_ndtr(t)), phi_exact(t)
+        if exact >= tiny:
+            assert got == pytest.approx(exact, rel=1e-13), t
+        else:
+            assert abs(got - exact) <= tiny, t
+    assert 0.0 < _ndtr(-37.6) < tiny
+    assert math.isnan(_ndtr(math.nan))
+
+
+def test_cdf_keeps_the_shape_and_the_order():
+    t = np.linspace(-40.0, 40.0, 24).reshape(2, 3, 4)
+    assert _ndtr(t).shape == (2, 3, 4)
+    assert _ndtr(0.5).shape == ()
+    assert _ndtr([]).shape == (0,)
+    # Each value's bits do not depend on the batch it comes in.
+    each = np.array([float(_ndtr(x)) for x in t.ravel()])
+    assert np.array_equal(_ndtr(t).ravel(), each)
+    assert np.array_equal(_ndtr(t[:, ::-1]), _ndtr(t)[:, ::-1])
+
+
+def test_cdf_is_within_4_ulp_of_scipy():
+    pytest.importorskip("scipy")
+    from scipy.special import ndtr
+
+    rng = np.random.default_rng(24)
+    t = np.concatenate([
+        rng.uniform(-40.0, 40.0, 200_000),
+        rng.uniform(-1.5, 1.5, 50_000),
+        rng.normal(0.0, 5.0, 200_000),
+    ])
+    ours, theirs = _ndtr(t), ndtr(t)
+    assert (np.abs(ours - theirs) <= 4 * np.spacing(np.abs(theirs))).all()
 
 
 def test_cdf_rejects_nan():

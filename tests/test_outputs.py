@@ -30,13 +30,13 @@ HASHES = {
     "synth-target_lane_change": "09b2ae837a7d8ca4822f0c53b56291e7d2b76b09273daefe01ce08ee0a170c99",
     "synth-host_curve": "f2f09c47bb44ed5c57089ea4868807c2601c4d6889074e8145cedf31229cfc45",
     "synth-noisy_yaw": "d613402a9da3054f0139c9b71b1be19f6c617268c811375c7b0f5d8963fed37d",
-    "run-discrete-noisy_yaw": "73c17989474305df41eec6b7883147732503d73ad71acc960e81c316ce221235",
-    "run-discrete-target_lane_change": "0daf8581a481800ea2361015db717ffba916006e2f5f1ef401c702cb25e0d29c",
-    "run-continuous-noisy_yaw": "852582c51a5f9985def478d3c45f6dbcd9e229253d11d7188fe6e11a1c7c2718",
-    "run-continuous-target_lane_change": "e03d34501b4492a3f9c01d8929c21b7838332a84404466a2b177f478f7d7541a",
+    "run-discrete-noisy_yaw": "c11b6ca48df37694d0f3420ba26cf365196da4b3bbb66f493a08437821d42b85",
+    "run-discrete-target_lane_change": "45e1e256542770244024dd86cca189820ec455ac240217531b1d08e975b9aea2",
+    "run-continuous-noisy_yaw": "399bd737fe4157702ed3eab9d63f884acb9f8747a4f99406fe3b708488814b21",
+    "run-continuous-target_lane_change": "305a0e68b71b440af94a751de97ff5d52fc9d5e22cb0b3573b127f8890b32d60",
     "sweep-discrete": "6edea3edc48331b0057125340897022bcccb3566dfdc42cefa586f69ff05d0d0",
     "sweep-continuous": "6927f081e574a88c029f5680f84660e260297795c1c989320e7ba5d9dae0ad65",
-    "mc-validate": "8d31034f95b8b68400a989a13428780c3b3398a4e78eccdc9ffafac3372817f6",
+    "mc-validate": "bf09fa8d3a8113bd8471f43e74d9f8b6fa9debb83eb07729389358285021f37b",
 }
 
 
