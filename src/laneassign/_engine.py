@@ -26,9 +26,12 @@ otherwise, so the object-frames of one depth depend only on those of the
 depth before.  Sorted by depth once, the object-frames of each depth form a
 contiguous slice, a level, and each level takes one vectorized
 predict/update for all its object-frames and all G values of the swept
-parameter (epsilon or sigma_nu; G = 1 for a plain run).  The step's formulas
-are the filter modules' array functions, which the per-object API calls
-with one row.  A sweep flattens all its scenarios into one schedule, so a
+parameter (epsilon or sigma_nu; G = 1 for a plain run).  A level step
+gathers the states of the depth before, and for the discrete method the
+transition matrices, with `take`; the Bayes update builds its
+zero-overlap reset mask only when some normalizer is not positive.  The step's formulas are the
+filter modules' array functions, which the per-object API calls with one
+row.  A sweep flattens all its scenarios into one schedule, so a
 level carries the tracks of every scenario.  The results go back to
 processing order, and the gated median is taken on the whole result.
 `filter_batch` returns one `RunResult` per parameter value, the type that
@@ -51,6 +54,7 @@ over those functions would have raised.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -153,6 +157,14 @@ def _in_scenario(error: ValueError, index) -> ValueError:
 def _joined(scenarios, name: str) -> list:
     """Column `name` of the scenarios, one after another."""
     return [value for scenario in scenarios for value in getattr(scenario, name)]
+
+
+def _floats(scenarios, name: str) -> np.ndarray:
+    """Column `name` of the scenarios, one after another, as a float array;
+    `np.fromiter` converts a list in half the time `np.array` takes."""
+    return np.fromiter(
+        itertools.chain.from_iterable(getattr(scenario, name) for scenario in scenarios), float
+    )
 
 
 def _check_frames(times, t, frame_number, scenario_of, ids, frame_of, repeated) -> None:
@@ -274,16 +286,19 @@ def flatten(scenarios) -> Flat:
     inside = np.array(alpha, dtype=float)
     inside = np.where(np.abs(inside) < math.pi / 2, inside, math.nan).tolist()
     v, yaw_rate, var_v, var_yaw, sin_a, cos_a = np.array(
-        [*(_joined(scenarios, name) for name in ("v", "yaw_rate", "var_v", "var_yaw")),
-         list(map(math.sin, inside)), list(map(math.cos, inside))],
-        dtype=float,
+        [*(_floats(scenarios, name) for name in ("v", "yaw_rate", "var_v", "var_yaw")),
+         np.fromiter(map(math.sin, inside), float), np.fromiter(map(math.cos, inside), float)]
     )[:, frame_of]
     bounds = [b if b is not None else DEFAULT_BOUNDS for b in _joined(scenarios, "bounds")]
-    distinct = {id(b): b for b in bounds}
-    arrays = {i: b.arrays() for i, b in distinct.items()}
-    x, y, var_x, var_y = np.array(
-        [_joined(scenarios, name) for name in ("x", "y", "var_x", "var_y")], dtype=float
-    ).reshape(4, -1)
+    # The boundary arrays of each distinct BoundarySet, in order of first
+    # use, and the row of each frame's set.
+    distinct = dict(zip(map(id, bounds), bounds))
+    slots = dict(zip(distinct, itertools.count()))
+    slot = np.fromiter(map(slots.__getitem__, map(id, bounds)), np.intp, len(bounds))
+    bound_means, bound_stds = np.array(
+        [b.arrays() for b in distinct.values()]
+    ).reshape(-1, 2, 4).transpose(1, 0, 2).take(slot[frame_of], axis=1)
+    x, y, var_x, var_y = (_floats(scenarios, name) for name in ("x", "y", "var_x", "var_y"))
     lateral_velocity = [0.0 if u is None else u for u in _joined(scenarios, "v_lat")]
     return Flat(
         times=times,
@@ -297,8 +312,8 @@ def flatten(scenarios) -> Flat:
         variances=np.column_stack([var_v, var_yaw, var_x, var_y]),
         sin_a=sin_a,
         cos_a=cos_a,
-        bound_means=np.array([arrays[id(b)][0] for b in bounds]).reshape(-1, 4)[frame_of],
-        bound_stds=np.array([arrays[id(b)][1] for b in bounds]).reshape(-1, 4)[frame_of],
+        bound_means=bound_means,
+        bound_stds=bound_stds,
         lateral_velocity=np.array(lateral_velocity, dtype=float),
         previous=previous,
         dt=dt,
@@ -330,18 +345,19 @@ def _discrete(flat: Flat, z_mean, z_std, epsilon: np.ndarray, eta_gain: float):
 
     # By level from here on, as column vectors, so that one matmul predicts
     # every posterior of a level for all G values.
-    occupancy = occupancy[flat.order]
+    occupancy = occupancy.take(flat.order, axis=0)
     measured = occupancy[:, None, :, None]
     pair = eta_index[flat.order]
     posteriors = np.empty((n, g, N_PATHS, 1))
     uniform = np.full((g, N_PATHS, 1), 1.0 / N_PATHS)
+    # `take` gathers a level's rows in a third of the time fancy indexing does.
     for start, stop in zip(flat.starts[:-1].tolist(), flat.starts[1:].tolist()):
         # Level 0 holds exactly the object-frames that start a track.
-        prior = uniform if start == 0 else posteriors[flat.source[start:stop]]
+        prior = uniform if start == 0 else posteriors.take(flat.source[start:stop], axis=0)
         posteriors[start:stop] = _bayes_update_arrays(
-            matrices[pair[start:stop]] @ prior, measured[start:stop]
+            matrices.take(pair[start:stop], axis=0) @ prior, measured[start:stop]
         )
-    posteriors = posteriors[flat.rank, ..., 0]
+    posteriors = posteriors[..., 0].take(flat.rank, axis=0)
     # eta_gain is finite, but eta_gain * v_lat can overflow.
     return posteriors, ~np.isfinite(eta)[:, None], posteriors
 
@@ -367,20 +383,22 @@ def _continuous(flat: Flat, z_mean, z_std, sigma_nu: np.ndarray):
             var[level] = r[level]
             continue
         prior = flat.source[level]
-        m, v = _kf_predict_arrays(mean[prior], var[prior], drift[level], process[level])
+        m, v = _kf_predict_arrays(
+            mean.take(prior, axis=0), var.take(prior, axis=0), drift[level], process[level]
+        )
         mean[level], var[level], clash = _kf_update_arrays(
             m, v, z[level], r[level], rare
         )
         if rare:
             contradiction[level] = clash
-    mean, var = mean[flat.rank], var[flat.rank]
+    mean, var = mean.take(flat.rank, axis=0), var.take(flat.rank, axis=0)
     # One value at a time, which keeps the temporaries at (N, 4).
     posteriors = np.empty((n, g, N_PATHS))
     for column in range(g):
         posteriors[:, column] = _occupancy_arrays(
             mean[:, column], np.sqrt(var[:, column]), flat.bound_means, flat.bound_stds
         )
-    failed = ~(np.isfinite(mean) & np.isfinite(var)) | contradiction[flat.rank]
+    failed = ~(np.isfinite(mean) & np.isfinite(var)) | contradiction.take(flat.rank, axis=0)
     return posteriors, failed, np.stack([mean, var], axis=-1)
 
 
@@ -433,11 +451,9 @@ def filter_batch(scenarios, method: str, config, values=None) -> list[RunResult]
             | ~(np.isfinite(z_mean) & np.isfinite(z_std))[:, None]
             # ObjectMeasurement's domain, where the transform does not reject it.
             | ~((flat.inputs[:, 2] > 0.0) & np.isfinite(flat.lateral_velocity))[:, None]
-            | ~(
-                np.isfinite(posteriors).all(axis=2)
-                & (posteriors >= 0.0).all(axis=2)
-                & (np.abs(posteriors.sum(axis=2) - 1.0) <= 1e-9)
-            )
+            # A posterior that is not finite fails one of the two: NaN and
+            # -inf are not >= 0, and +inf makes the sum infinite.
+            | ~((posteriors >= 0.0).all(axis=2) & (np.abs(posteriors.sum(axis=2) - 1.0) <= 1e-9))
         )
     if failed.any():
         k, g = (int(i) for i in np.argwhere(failed)[0])

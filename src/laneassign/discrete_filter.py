@@ -117,17 +117,19 @@ def _bayes_update_arrays(predicted, measured):
     the 0/0 of such a posterior.
     """
     product = predicted * measured
-    total = product.sum(axis=-2, keepdims=True)
-    posterior = product / total
-    reset = total[..., 0, 0] <= 0.0
-    if reset.any():
-        for _ in range(np.count_nonzero(reset.any(axis=-1))):
-            logger.warning(
-                "path posterior and measurement have zero overlap; "
-                "resetting filter to the measurement"
-            )
-        restart = measured / measured.sum(axis=-2, keepdims=True)
-        posterior = np.where(reset[..., None, None], restart, posterior)
+    total = np.add.reduce(product, axis=-2, keepdims=True)
+    posterior = np.divide(product, total, out=product)
+    # The mask is built only where some total is not positive (or is NaN).
+    if not total.min() > 0.0:
+        reset = total[..., 0, 0] <= 0.0
+        if reset.any():
+            for _ in range(np.count_nonzero(reset.any(axis=-1))):
+                logger.warning(
+                    "path posterior and measurement have zero overlap; "
+                    "resetting filter to the measurement"
+                )
+            restart = measured / measured.sum(axis=-2, keepdims=True)
+            posterior = np.where(reset[..., None, None], restart, posterior)
     return posterior
 
 

@@ -31,10 +31,22 @@ class Assignment:
 def _median_indices(probs: np.ndarray) -> np.ndarray:
     """Vectorized `median_index` over the last axis; -1 where no index
     qualifies (a vector that violates the posterior invariants)."""
-    cumulative = np.cumsum(probs, axis=-1)
-    qualifies = cumulative >= 0.5
-    qualifies[..., 1:] &= 1.0 - cumulative[..., :-1] >= 0.5
-    return np.where(qualifies.any(axis=-1), qualifies.argmax(axis=-1), -1)
+    rows = probs.reshape(-1, probs.shape[-1])
+    # cumulative[l] holds P(X <= l) of every row, a running sum with the
+    # bits of np.cumsum; each index is one contiguous array, since numpy
+    # works slowly along a short last axis.
+    cumulative = np.empty((rows.shape[1], len(rows)))
+    cumulative[0] = rows[:, 0]
+    for l in range(1, len(cumulative)):
+        np.add(cumulative[l - 1], rows[:, l], out=cumulative[l])
+    index = np.full(len(rows), -1)
+    # From the highest index down, so that the lowest qualifying one stays.
+    for l in reversed(range(len(cumulative))):
+        qualifies = cumulative[l] >= 0.5
+        if l:
+            qualifies &= 1.0 - cumulative[l - 1] >= 0.5
+        np.copyto(index, l, where=qualifies)
+    return index.reshape(probs.shape[:-1])
 
 
 def median_index(posterior: PathPosterior) -> int:

@@ -381,6 +381,26 @@ class SynthSpec:
     noise_scale: float = 1.0
 
 
+def _frame_times(n_frames: int, step: float) -> list:
+    """`[round(k * step, 9) for k in range(n_frames)]`, rounded by numpy
+    wherever that gives the same floats.
+
+    round() takes the correctly rounded 9-decimal digits of k * step and
+    converts them back to the nearest double.  Where k * step * 1e9 lies
+    below 2**52 and clearly short of a half-way point, `rint` of it finds the
+    same digits, and dividing them by 1e9 (both exact) rounds their value to
+    the nearest double, as the conversion does.  Other entries call round().
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.arange(n_frames) * step * 1e9
+        digits = np.rint(scaled)
+        sure = np.abs(scaled - digits) < 0.5 - np.abs(scaled) * 2.0**-52
+    times = (digits / 1e9).tolist()
+    for k in np.flatnonzero(~(sure & (np.abs(scaled) < 2.0**52))).tolist():
+        times[k] = round(k * step, 9)
+    return times
+
+
 def generate_synthetic(spec: SynthSpec) -> Scenario:
     """Deterministically generate one synthetic scenario.
 
@@ -434,7 +454,7 @@ def generate_synthetic(spec: SynthSpec) -> Scenario:
 
     rng = np.random.default_rng(spec.seed)
     n_frames = int(round(spec.duration / spec.step))
-    t = [round(k * spec.step, 9) for k in range(n_frames)]
+    t = _frame_times(n_frames, spec.step)
     times = np.array(t)
     if not (np.diff(times) > 0.0).all():
         raise InputDomainError(
@@ -581,6 +601,13 @@ def compute_roc(result: RunResult, parameter_label: str = "") -> RocPoint:
     assignments count as non-assignments on both sides.  Every ground truth
     must be an integer path index; the error names the first that is not.
     """
+    return _roc_point(_on_host(result), result, parameter_label)
+
+
+def _on_host(result: RunResult) -> np.ndarray:
+    """(N,) whether each object-frame of `result` truly lies on the host
+    path; raises an InputDomainError naming the first ground truth that is
+    not an integer path index."""
     truth = _path_indices(result.ground_truth)
     if truth is None:
         k, gt = next((k, gt) for k, gt in enumerate(result.ground_truth)
@@ -588,7 +615,11 @@ def compute_roc(result: RunResult, parameter_label: str = "") -> RocPoint:
         fault = " has no ground truth" if gt is None else (
             f": ground truth must be an integer in 0..{N_PATHS - 1}, got {gt!r}")
         raise InputDomainError(f"object {result.object_id[k]!r} at t={result.t[k]}{fault}")
-    on_host = truth == HOST_PATH_INDEX
+    return truth == HOST_PATH_INDEX
+
+
+def _roc_point(on_host: np.ndarray, result: RunResult, parameter_label: str) -> RocPoint:
+    """`compute_roc` of `result`, given its `_on_host` mask."""
     assigned_host = result.accepted & (result.index == HOST_PATH_INDEX)
     tp_total = int(on_host.sum())
     fp_total = len(on_host) - tp_total
@@ -625,8 +656,10 @@ def sweep_parameters(
         grid = EPSILON_GRID if method == "discrete" else SIGMA_NU_GRID
     grid = list(grid)
     results = filter_batch(list(scenarios), method, config, grid)
+    # The results share one ground-truth list, checked once.
+    on_host = _on_host(results[0])
     return [
-        compute_roc(result, f"{parameter}={value:g}")
+        _roc_point(on_host, result, f"{parameter}={value:g}")
         for result, value in zip(results, grid)
     ]
 

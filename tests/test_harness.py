@@ -47,6 +47,7 @@ from laneassign.harness import (
     RUN_CSV_COLUMNS,
     SCENARIO_KINDS,
     SIGMA_NU_GRID,
+    _frame_times,
 )
 
 
@@ -842,6 +843,17 @@ def test_synthetic_frame_grid():
     assert all(bounds is not None for bounds in scenario.bounds)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(step=st.one_of(
+    st.floats(1e-10, 1e8),
+    # Steps whose multiples lie on or near a half-way point of the 9th
+    # decimal, or beyond 2**52 once scaled.
+    st.sampled_from([5e-10, 1.5e-9, 2.5e-9, 1e7 + 0.1, 1e300]),
+))
+def test_synthetic_frame_times_are_rounded_to_9_decimals(step):
+    assert _frame_times(300, step) == [round(k * step, 9) for k in range(300)]
+
+
 def test_synthetic_straight_follow_truth():
     scenario = generate_synthetic(
         SynthSpec(kind="straight_follow", duration=2.0, noise_scale=0.0)
@@ -1275,6 +1287,24 @@ def test_compute_roc_rejects_a_ground_truth_that_is_no_path_index(gt):
         with pytest.raises(InputDomainError) as got:
             compute_roc(result_stub(rows))
         assert str(got.value) == message
+
+
+@pytest.mark.parametrize("gt, fault", [
+    (None, " has no ground truth"),
+    (7, ": ground truth must be an integer in 0..4, got 7"),
+])
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+def test_sweep_rejects_a_ground_truth_with_the_message_of_compute_roc(method, gt, fault):
+    # The sweep checks the ground truth once for all grid values.
+    frames = [minimal_frame_dict(0.0), minimal_frame_dict(0.05)]
+    frames[0]["objects"][0]["gt"] = 2
+    frames[1]["objects"][0]["gt"] = gt
+    scenario = scenario_of(frames)
+    with pytest.raises(InputDomainError) as roc:
+        compute_roc(run_pipeline(scenario, method))
+    with pytest.raises(InputDomainError) as sweep:
+        sweep_parameters([scenario], method)
+    assert str(sweep.value) == str(roc.value) == f"object 'lead' at t=0.05{fault}"
 
 
 def test_compute_roc_takes_numpy_integers():
