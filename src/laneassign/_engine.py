@@ -28,10 +28,10 @@ contiguous slice, a level, and each level takes one vectorized
 predict/update for all its object-frames and all G values of the swept
 parameter (epsilon or sigma_nu; G = 1 for a plain run).  A level step
 gathers the states of the depth before, and for the discrete method the
-transition matrices, with `take`; the Bayes update builds its
-zero-overlap reset mask only when some normalizer is not positive.  The step's formulas are the
-filter modules' array functions, which the per-object API calls with one
-row.  A sweep flattens all its scenarios into one schedule, so a
+transition matrices, with `take`; the Bayes update builds its zero-overlap
+reset mask only when some normalizer is not positive.  The step's formulas
+are the filter modules' array functions, which the per-object API calls
+with one row.  A sweep flattens all its scenarios into one schedule, so a
 level carries the tracks of every scenario.  The results go back to
 processing order, and the gated median is taken on the whole result.
 `filter_batch` returns one `RunResult` per parameter value, the type that
