@@ -28,15 +28,18 @@ contiguous slice, a level, and each level takes one vectorized
 predict/update for all its object-frames and all G values of the swept
 parameter (epsilon or sigma_nu; G = 1 for a plain run).  A level step
 gathers the states of the depth before, and for the discrete method the
-transition matrices, with `take`; the Bayes update builds its zero-overlap
-reset mask only when some normalizer is not positive.  The step's formulas
-are the filter modules' array functions, which the per-object API calls
-with one row.  A sweep flattens all its scenarios into one schedule, so a
-level carries the tracks of every scenario.  The results go back to
-processing order, and the gated median is taken on the whole result.
-`filter_batch` returns one `RunResult` per parameter value, the type that
-`run_pipeline` and `sweep_parameters` hand to callers, with the frame times
-and ids that `flatten` joined.
+transition matrices, with `take`.  The Bayes update builds its zero-overlap
+reset mask only when some normalizer is not positive, and the Kalman update
+its certain-state mask only when some measurement has zero variance; a
+certain state that contradicts a certain measurement becomes a NaN state,
+which fails like a state that overflows.  The step's formulas are the
+filter modules' array functions, which the per-object API calls with one
+row.  A sweep flattens all its scenarios into one schedule, so a level
+carries the tracks of every scenario.  The results go back to processing
+order, and the gated median is taken on the whole result.  `filter_batch`
+returns one `RunResult` per parameter value, the type that `run_pipeline`
+and `sweep_parameters` hand to callers, with the frame times and ids that
+`flatten` joined.
 
 The method, the parameter values and the settings (p_min, and epsilon and
 eta_gain or sigma_nu) are checked first, in that order, since no frame is
@@ -324,14 +327,6 @@ def flatten(scenarios) -> Flat:
     )
 
 
-def _levels(flat: Flat, rare: np.ndarray):
-    """(start, stop, rare) of each level, the object-frames of one depth:
-    its slice of `flat.order`, and whether `rare` (given by `order`) holds
-    for one of its object-frames."""
-    flags = np.logical_or.reduceat(rare, flat.starts[:-1]).tolist()
-    return zip(flat.starts[:-1].tolist(), flat.starts[1:].tolist(), flags)
-
-
 def _discrete(flat: Flat, z_mean, z_std, epsilon: np.ndarray, eta_gain: float):
     """Bayes filter over the batch: posteriors (N, G, 5), which are also the
     filter states, and the object-frames whose transition parameters fail."""
@@ -375,8 +370,8 @@ def _continuous(flat: Flat, z_mean, z_std, sigma_nu: np.ndarray):
     )
     mean = np.empty((n, g))
     var = np.empty((n, g))
-    contradiction = np.zeros((n, g), dtype=bool)
-    for start, stop, rare in _levels(flat, r[:, 0] == 0.0):
+    may_contradict = not (r > 0.0).all()
+    for start, stop in zip(flat.starts[:-1].tolist(), flat.starts[1:].tolist()):
         level = slice(start, stop)
         if start == 0:
             mean[level] = z[level]
@@ -386,11 +381,7 @@ def _continuous(flat: Flat, z_mean, z_std, sigma_nu: np.ndarray):
         m, v = _kf_predict_arrays(
             mean.take(prior, axis=0), var.take(prior, axis=0), drift[level], process[level]
         )
-        mean[level], var[level], clash = _kf_update_arrays(
-            m, v, z[level], r[level], rare
-        )
-        if rare:
-            contradiction[level] = clash
+        mean[level], var[level] = _kf_update_arrays(m, v, z[level], r[level], may_contradict)
     mean, var = mean.take(flat.rank, axis=0), var.take(flat.rank, axis=0)
     # One value at a time, which keeps the temporaries at (N, 4).
     posteriors = np.empty((n, g, N_PATHS))
@@ -398,8 +389,7 @@ def _continuous(flat: Flat, z_mean, z_std, sigma_nu: np.ndarray):
         posteriors[:, column] = _occupancy_arrays(
             mean[:, column], np.sqrt(var[:, column]), flat.bound_means, flat.bound_stds
         )
-    failed = ~(np.isfinite(mean) & np.isfinite(var)) | contradiction.take(flat.rank, axis=0)
-    return posteriors, failed, np.stack([mean, var], axis=-1)
+    return posteriors, ~(np.isfinite(mean) & np.isfinite(var)), np.stack([mean, var], axis=-1)
 
 
 def filter_batch(scenarios, method: str, config, values=None) -> list[RunResult]:
@@ -432,8 +422,7 @@ def filter_batch(scenarios, method: str, config, values=None) -> list[RunResult]
             raise InputDomainError(f"eta_gain must be finite, got {config.eta_gain}")
     else:
         for sigma_nu in values.tolist():
-            if not (math.isfinite(sigma_nu) and sigma_nu > 0.0):
-                raise InputDomainError(f"sigma_nu must be finite and > 0, got {sigma_nu}")
+            ProcessNoise(sigma_nu)
     with np.errstate(all="ignore"):
         flat = flatten(scenarios)
         z_mean, z_std = _transform_arrays(

@@ -71,6 +71,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if "scenario" in args:
+        # --suite has a default, so it counts as given where it differs.
+        suite_flags = ["suite"] if args.suite != "all" else []
+        suite_flags += _given(args, "seed", "step")
+        if suite_flags:
+            flags = ", ".join(f"--{name}" for name in suite_flags)
+            raise ValueError(f"{flags}: only for the bundled suite, not with --scenario")
         scenarios = [load_scenario(path) for path in args.scenario]
     else:
         kinds = SCENARIO_KINDS if args.suite == "all" else (args.suite,)

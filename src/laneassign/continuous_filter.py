@@ -66,22 +66,19 @@ def _kf_predict_arrays(mean, var, drift, process):
 
 def _kf_update_arrays(mean, var, z, r, may_contradict=True):
     """Kalman update of the predicted (mean, var) with measurements (z, r)
-    over broadcast arrays: the updated mean and variance, and the mask where
-    a certain state (var = 0) contradicts a certain measurement (r = 0)
-    (False when that case is skipped).
+    over broadcast arrays: the updated mean and variance.
 
-    Where both sides are certain the state is kept; only exact agreement is
-    consistent.  `may_contradict=False` skips that case for measurements
-    that are all uncertain.  The caller passes `var` as a numpy value, so
-    that the 0/0 gain of such a case is a NaN, and silences its warning.
+    Where both sides are certain (var = r = 0) only exact agreement is
+    consistent: the state is kept where z equals the mean, and elsewhere the
+    0/0 gain leaves the mean and variance NaN.  `may_contradict=False` skips
+    the first case for measurements that are all uncertain.  The caller
+    passes `var` as a numpy value, so that 0/0 is a NaN, and silences its
+    warning.
     """
     gain = var / (var + r)
-    contradiction = False
     if may_contradict:
-        certain = (r == 0.0) & (var == 0.0)
-        gain = np.where(certain, 0.0, gain)
-        contradiction = certain & (z != mean)
-    return mean + gain * (z - mean), (1.0 - gain) * var, contradiction
+        gain = np.where((r == 0.0) & (var == 0.0) & (z == mean), 0.0, gain)
+    return mean + gain * (z - mean), (1.0 - gain) * var
 
 
 def kf_predict(
@@ -99,10 +96,9 @@ def kf_predict(
 def kf_update(state: KalmanState, z: GaussianScalar) -> KalmanState:
     """Fuse a measurement."""
     with np.errstate(invalid="ignore"):
-        mean, var, contradiction = _kf_update_arrays(
-            state.mean, np.float64(state.variance), z.mean, z.variance
-        )
-    if contradiction:
+        mean, var = _kf_update_arrays(state.mean, np.float64(state.variance), z.mean, z.variance)
+    # The only NaN two finite, certain Gaussians update to.
+    if math.isnan(mean) and state.variance == z.variance == 0.0:
         raise InputDomainError(
             f"certain state {state.mean} contradicts certain measurement {z.mean}"
         )

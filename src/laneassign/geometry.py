@@ -336,6 +336,18 @@ def _hellinger_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# The most grid points, draws per point and histogram bins `mc_validate`
+# takes.  Each grid point keeps its coordinates and result, about 440 bytes,
+# so the points take up to 0.45 GB.  A point's draws are four 8 MB arrays at
+# the cap, and its offsets and bin indices add to a peak of about 0.1 GB.  A
+# block of `_MC_BLOCK` points holds its edges and counts, (64, bins) float
+# arrays of 51 MB each at the cap, and the normal CDF of the edges peaks at
+# about six times that: about 0.5 GB in all.
+MAX_MC_POINTS = 10**6
+MAX_MC_SAMPLES = 10**6
+MAX_MC_BINS = 10**5
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Evaluation grid over object position (range/bearing) and host motion.
@@ -356,6 +368,11 @@ class GridSpec:
             steps = getattr(self, name)
             if steps < 1:
                 raise InputDomainError(f"{name} must be >= 1, got {steps}")
+        points = self.x_steps * self.bearing_steps * self.v_steps * self.yaw_steps
+        if points > MAX_MC_POINTS:
+            raise InputDomainError(
+                f"the grid must have at most {MAX_MC_POINTS} points, got {points}"
+            )
 
     def points(self) -> Iterator[tuple[float, float, float, float]]:
         """Yield (x, y, v, yaw_rate) grid points in row-major order."""
@@ -610,8 +627,12 @@ def mc_validate(
     """
     if samples < 2:
         raise InputDomainError(f"samples must be >= 2, got {samples}")
+    if samples > MAX_MC_SAMPLES:
+        raise InputDomainError(f"samples must be <= {MAX_MC_SAMPLES}, got {samples}")
     if bins < 2:
         raise InputDomainError(f"bins must be >= 2, got {bins}")
+    if bins > MAX_MC_BINS:
+        raise InputDomainError(f"bins must be <= {MAX_MC_BINS}, got {bins}")
     if seed < 0:
         raise InputDomainError(f"seed must be >= 0, got {seed}")
     return _mc_points(list(grid.points()), samples, bins, seed)

@@ -402,6 +402,28 @@ def test_sweep_scenario_flag_needs_a_path(tmp_path):
     assert not (tmp_path / "roc.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--seed", "5", "--step", "0.1", "--suite", "host_curve"], "--suite, --seed, --step"),
+        (["--step", "0.1"], "--step"),
+        (["--suite", "host_curve"], "--suite"),
+    ],
+)
+def test_sweep_rejects_suite_flags_next_to_scenario_files(tmp_path, capsys, flags, named):
+    # They select and generate the bundled suite, which the files replace.
+    scenario = tmp_path / "s.jsonl"
+    write_minimal_scenario(scenario)
+    out = tmp_path / "roc.csv"
+    code = main(["sweep", "--method", "discrete", "--scenario", str(scenario), *flags,
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {named}: only for the bundled suite, not with --scenario\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_builtin_suite_is_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -463,6 +485,32 @@ def test_mc_validate_csv(tmp_path):
 def test_mc_validate_names_the_out_of_range_flag(tmp_path, capsys, flags, message):
     out = tmp_path / "mc.csv"
     assert main(["mc-validate", "--samples", "10", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--x-steps", "100000", "--bearing-steps", "100000"],
+         "the grid must have at most 1000000 points, got 10000000000"),
+        (["--samples", "100000000000"], "samples must be <= 1000000, got 100000000000"),
+        (["--bins", "1000000000000"], "bins must be <= 100000, got 1000000000000"),
+    ],
+)
+def test_mc_validate_rejects_work_beyond_its_caps(tmp_path, capsys, flags, message):
+    # Unchecked, 10^10 points never finish, and the draws and bins run out
+    # of memory.
+    out = tmp_path / "mc.csv"
+    one_point = ["--x-steps", "1", "--bearing-steps", "1", "--v-steps", "1", "--yaw-steps", "1"]
+    tracemalloc.start()
+    try:
+        code = main(["mc-validate", "--samples", "2", *one_point, *flags, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 10**6  # failed before allocating the points, draws or bins
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

@@ -119,6 +119,16 @@ def test_update_certain_state_vs_certain_measurement():
         kf_update(s, GaussianScalar(2.0, 0.0))
 
 
+def test_update_names_a_contradiction_only_between_certain_sides():
+    # The innovation overflows in both; only the certain measurement
+    # contradicts the state, and the uncertain one leaves a NaN mean.
+    s = KalmanState(-1e308, 0.0)
+    with pytest.raises(InputDomainError, match="^certain state -1e[+]308 contradicts"):
+        kf_update(s, GaussianScalar(1e308, 0.0))
+    with pytest.raises(InputDomainError, match="^state mean must be finite$"):
+        kf_update(s, GaussianScalar(1e308, 1.0))
+
+
 def test_update_never_increases_variance():
     rng = np.random.default_rng(13)
     for _ in range(100):

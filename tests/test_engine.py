@@ -702,6 +702,77 @@ def test_object_order_and_ids_do_not_change_any_per_object_output(scenario, rng)
                 assert getattr(g, name).tobytes() == getattr(w, name)[source].tobytes(), name
 
 
+# ---------------------------------------------------------------------------
+# invariances on the bundled suite
+# ---------------------------------------------------------------------------
+
+RESULT_COLUMNS = ("index", "probability", "accepted", "posteriors")
+
+
+def mirrored(scenario):
+    """`scenario` reflected across the host's path: lateral positions, yaw
+    rates, heading offsets and lateral velocities negated, every boundary
+    set mirrored, and region i relabelled 4 - i."""
+    def mirror(bounds):
+        bounds = bounds or DEFAULT_BOUNDS
+        return BoundarySet(
+            tuple(GaussianScalar(-b.mean, b.std) for b in reversed(bounds.boundaries))
+        )
+
+    mirrors = {id(bounds): mirror(bounds) for bounds in scenario.bounds}
+    return dataclasses.replace(
+        scenario,
+        yaw_rate=[-yaw_rate for yaw_rate in scenario.yaw_rate],
+        alpha=[-alpha for alpha in scenario.alpha],
+        bounds=[mirrors[id(bounds)] for bounds in scenario.bounds],
+        y=[-y for y in scenario.y],
+        v_lat=[None if u is None else -u for u in scenario.v_lat],
+        gt=[None if gt is None else 4 - gt for gt in scenario.gt],
+    )
+
+
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+def test_mirroring_the_suite_mirrors_every_result(method):
+    suite = list(build_suite(seed=0).values())
+    (want,) = filter_batch(suite, method, PipelineConfig())
+    (got,) = filter_batch([mirrored(scenario) for scenario in suite], method, PipelineConfig())
+    assert np.abs(got.posteriors - want.posteriors[:, ::-1]).max() <= POSTERIOR_TOL
+    assert (got.index == 4 - want.index).all()
+    assert (got.accepted == want.accepted).all()
+
+
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+def test_shifting_every_time_changes_no_result(method):
+    # The Kalman step is a difference of frame times, which the shift
+    # rounds; the discrete filter reads the times only through the timeout.
+    suite = list(build_suite(seed=0).values())
+    shifted = [dataclasses.replace(s, t=[t + 1000.0 for t in s.t]) for s in suite]
+    (want,) = filter_batch(suite, method, PipelineConfig())
+    (got,) = filter_batch(shifted, method, PipelineConfig())
+    if method == "discrete":
+        for name in RESULT_COLUMNS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    else:
+        assert_results_equal(got, want)
+        assert np.abs(got.probability - want.probability).max() <= POSTERIOR_TOL
+
+
+@pytest.mark.parametrize(
+    "method, values", [("discrete", (0.1, 1e-4)), ("continuous", (0.04, 0.4))]
+)
+def test_pooling_the_suite_changes_no_result(method, values):
+    suite = list(build_suite(seed=0).values())
+    pooled = filter_batch(suite, method, PipelineConfig(), values)
+    separate = [filter_batch([scenario], method, PipelineConfig(), values) for scenario in suite]
+    for g, got in enumerate(pooled):
+        want = concatenated([results[g] for results in separate])
+        assert (got.t, got.object_id, got.ground_truth) == (
+            want.t, want.object_id, want.ground_truth
+        )
+        for name in RESULT_COLUMNS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def reference_schedule(scenarios):
     """The track schedule as the engine's per-object dict loop built it
     before it worked on columns: the reference for `flatten`."""
@@ -1136,6 +1207,14 @@ def test_certain_state_contradicting_certain_measurement():
     with pytest.raises(InputDomainError, match=r"^frame 2 .*contradicts certain"):
         run_pipeline(scenario, "continuous", config)
     assert_run_matches_loop(scenario, "continuous", config)
+
+    # In a sweep the contradicting value fails first, wherever it lies in
+    # the grid, and its message is the per-object one.
+    message = "frame 2 (t=0.1): certain state 0.0 contradicts certain measurement 0.5"
+    for grid in ([1e-300, 0.1], [0.1, 1e-300]):
+        with pytest.raises(InputDomainError) as error:
+            sweep_parameters([scenario], "continuous", grid)
+        assert str(error.value) == message
 
 
 SHARP = BoundarySet(tuple(GaussianScalar(mean, 0.0) for mean in (-5.0, -1.0, 1.0, 5.0)))

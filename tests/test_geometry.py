@@ -571,6 +571,14 @@ def test_grid_spec_rejects_fewer_than_one_step(name, steps):
         GridSpec(**{name: steps})
 
 
+def test_grid_spec_caps_its_points():
+    GridSpec(1000, 1000, 1, 1)  # at the cap
+    with pytest.raises(
+        InputDomainError, match=r"^the grid must have at most 1000000 points, got 2000000$"
+    ):
+        GridSpec(1000, 1000, 2, 1)
+
+
 def test_mc_validate_takes_only_the_settings_a_caller_sets():
     # The CLI sets the four step counts, the sample and bin counts and the
     # seed; the ranges, the input variances and the heading offset are fixed.
