@@ -36,7 +36,8 @@ which fails like a state that overflows.  The step's formulas are the
 filter modules' array functions, which the per-object API calls with one
 row.  A sweep flattens all its scenarios into one schedule, so a level
 carries the tracks of every scenario.  The results go back to processing
-order, and the gated median is taken on the whole result.  `filter_batch`
+order, where one pass of `estimator._assign_arrays`, the kernel behind
+`assign`, checks every posterior and takes its gated median.  `filter_batch`
 returns one `RunResult` per parameter value, the type that `run_pipeline`
 and `sweep_parameters` hand to callers, with the frame times and ids that
 `flatten` joined.
@@ -83,7 +84,7 @@ from .discrete_filter import (
     predict,
     update,
 )
-from .estimator import _median_indices, assign
+from .estimator import _assign_arrays, assign
 from .geometry import (
     InputDomainError,
     InputVector,
@@ -434,21 +435,17 @@ def filter_batch(scenarios, method: str, config, values=None) -> list[RunResult]
             )
         else:
             posteriors, failed, states = _continuous(flat, z_mean, z_std, values)
-        index = _median_indices(posteriors)
+        index, probability, accepted = _assign_arrays(posteriors, config.p_min)
         failed = (
             failed
+            | (index < 0)
             | ~(np.isfinite(z_mean) & np.isfinite(z_std))[:, None]
             # ObjectMeasurement's domain, where the transform does not reject it.
             | ~((flat.inputs[:, 2] > 0.0) & np.isfinite(flat.lateral_velocity))[:, None]
-            # A posterior that is not finite fails one of the two: NaN and
-            # -inf are not >= 0, and +inf makes the sum infinite.
-            | ~((posteriors >= 0.0).all(axis=2) & (np.abs(posteriors.sum(axis=2) - 1.0) <= 1e-9))
         )
     if failed.any():
         k, g = (int(i) for i in np.argwhere(failed)[0])
         _replay(flat, k, method, config, float(values[g]), states[:, g])
-    probability = np.take_along_axis(posteriors, index[..., None], axis=2)[..., 0]
-    accepted = probability >= config.p_min
     t = [flat.times[f] for f in flat.frame_of.tolist()]
     gt = _joined(scenarios, "gt")
     return [

@@ -71,15 +71,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if "scenario" in args:
-        # --suite has a default, so it counts as given where it differs.
-        suite_flags = ["suite"] if args.suite != "all" else []
-        suite_flags += _given(args, "seed", "step")
+        suite_flags = _given(args, "suite", "seed", "step")
         if suite_flags:
             flags = ", ".join(f"--{name}" for name in suite_flags)
             raise ValueError(f"{flags}: only for the bundled suite, not with --scenario")
         scenarios = [load_scenario(path) for path in args.scenario]
     else:
-        kinds = SCENARIO_KINDS if args.suite == "all" else (args.suite,)
+        kinds = SCENARIO_KINDS if getattr(args, "suite", "all") == "all" else (args.suite,)
         scenarios = list(build_suite(kinds, **_given(args, "seed", "step")).values())
     grid = None
     if "grid" in args:
@@ -153,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario files to pool; omit to use the bundled synthetic suite",
     )
     sweep.add_argument(
-        "--suite", choices=SCENARIO_KINDS + ("all",), default="all",
+        "--suite", choices=SCENARIO_KINDS + ("all",),
         help="bundled suite selection when no scenario files are given",
     )
     sweep.add_argument(

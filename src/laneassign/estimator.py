@@ -28,25 +28,27 @@ class Assignment:
     accepted: bool
 
 
-def _median_indices(probs: np.ndarray) -> np.ndarray:
-    """Vectorized `median_index` over the last axis; -1 where no index
-    qualifies (a vector that violates the posterior invariants)."""
+def _assign_arrays(probs: np.ndarray, p_min: float):
+    """Vectorized `assign` over the last axis, without the p_min check:
+    index, probability and accepted.  The index is -1 on a row that is not
+    a distribution in `PathPosterior`'s terms: an entry below 0 or NaN, or
+    a sum more than 1e-9 from 1."""
     rows = probs.reshape(-1, probs.shape[-1])
-    # cumulative[l] holds P(X <= l) of every row, a running sum with the
-    # bits of np.cumsum; each index is one contiguous array, since numpy
-    # works slowly along a short last axis.
-    cumulative = np.empty((rows.shape[1], len(rows)))
-    cumulative[0] = rows[:, 0]
-    for l in range(1, len(cumulative)):
-        np.add(cumulative[l - 1], rows[:, l], out=cumulative[l])
-    index = np.full(len(rows), -1)
-    # From the highest index down, so that the lowest qualifying one stays.
-    for l in reversed(range(len(cumulative))):
-        qualifies = cumulative[l] >= 0.5
-        if l:
-            qualifies &= 1.0 - cumulative[l - 1] >= 0.5
-        np.copyto(index, l, where=qualifies)
-    return index.reshape(probs.shape[:-1])
+    # One contiguous array per index, since numpy works slowly along a short
+    # last axis.  The running sum P(X <= l) is non-decreasing on a valid row,
+    # so the median, the first l with P(X <= l) >= 0.5 (and then P(X >= l)
+    # >= 0.5), counts the l below 0.5; the last sum has the bits of np.sum.
+    total = rows[:, 0].copy()
+    low = total.copy()
+    index = (total < 0.5).astype(np.intp)
+    for l in range(1, rows.shape[1]):
+        np.add(total, rows[:, l], out=total)
+        np.minimum(low, rows[:, l], out=low)  # NaN propagates
+        index += total < 0.5
+    index[~((low >= 0.0) & (np.abs(total - 1.0) <= 1e-9))] = -1
+    probability = np.take_along_axis(rows, index[:, None], axis=1)[:, 0]
+    shape = probs.shape[:-1]
+    return index.reshape(shape), probability.reshape(shape), (probability >= p_min).reshape(shape)
 
 
 def median_index(posterior: PathPosterior) -> int:
@@ -55,16 +57,14 @@ def median_index(posterior: PathPosterior) -> int:
     Scanning from the lowest index makes the exact-0.5 tie resolve to the
     lower of the two qualifying indices, deterministically.
     """
-    index = int(_median_indices(posterior.probs))
-    if index < 0:
-        raise RuntimeError("no median index; posterior violates its invariants")
-    return index
+    return assign(posterior, 0.0).index
 
 
 def assign(posterior: PathPosterior, p_min: float = DEFAULT_P_MIN) -> Assignment:
     """Assign the median index, accepted iff its posterior mass reaches p_min."""
     if not 0.0 <= p_min <= 1.0:
         raise InputDomainError(f"p_min must lie in [0, 1], got {p_min}")
-    index = median_index(posterior)
-    probability = posterior[index]
-    return Assignment(index, probability, probability >= p_min)
+    index, probability, accepted = _assign_arrays(posterior.probs, p_min)
+    if index < 0:
+        raise RuntimeError("no median index; posterior violates its invariants")
+    return Assignment(int(index), float(probability), bool(accepted))

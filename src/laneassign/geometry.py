@@ -340,9 +340,9 @@ def _hellinger_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 # takes.  Each grid point keeps its coordinates and result, about 440 bytes,
 # so the points take up to 0.45 GB.  A point's draws are four 8 MB arrays at
 # the cap, and its offsets and bin indices add to a peak of about 0.1 GB.  A
-# block of `_MC_BLOCK` points holds its edges and counts, (64, bins) float
-# arrays of 51 MB each at the cap, and the normal CDF of the edges peaks at
-# about six times that: about 0.5 GB in all.
+# block of points holds their edges and counts, at most `_MC_BLOCK_EDGES`
+# edges or one point's, and the normal CDF of the edges peaks at about six
+# times that: about 8 MB at the bins cap (one point, by tracemalloc).
 MAX_MC_POINTS = 10**6
 MAX_MC_SAMPLES = 10**6
 MAX_MC_BINS = 10**5
@@ -403,8 +403,9 @@ class McPointResult:
 # (v, yaw_rate, x, y).
 DEFAULT_MC_VARIANCES = (0.25, 1e-4, 0.04, 0.04)
 
-# Grid points scored together by `mc_validate`.
-_MC_BLOCK = 64
+# Histogram edges scored together by `mc_validate`: a block holds
+# `max(1, _MC_BLOCK_EDGES // (bins + 1))` points, 64 at the default 100 bins.
+_MC_BLOCK_EDGES = 64 * 101
 
 
 # The standard normal CDF, ported from Cephes (S. L. Moshier, Cephes Math
@@ -663,8 +664,9 @@ def _mc_points(
     # of points, which bounds the memory the rows take.
     hellinger = np.full(len(points), math.nan)
     scored = np.flatnonzero(valid)
-    for start in range(0, len(scored), _MC_BLOCK):
-        rows = scored[start:start + _MC_BLOCK]
+    block = max(1, _MC_BLOCK_EDGES // (bins + 1))
+    for start in range(0, len(scored), block):
+        rows = scored[start:start + block]
         edges = np.empty((len(rows), bins + 1))
         counts = np.empty((len(rows), bins + 2))
         for row, index in enumerate(rows.tolist()):

@@ -102,9 +102,7 @@ def _occupancy_arrays(mean, std, bound_means, bound_stds) -> np.ndarray:
             delta / sigma,
             np.where(delta == 0.0, 0.0, np.copysign(np.inf, delta)),
         )
-    cdf = _ndtr(t)
-    edges = np.zeros(cdf.shape[:-1] + (1,))
-    raw = np.diff(np.concatenate([edges, cdf, edges + 1.0], axis=-1), axis=-1)
+    raw = np.diff(_ndtr(t), axis=-1, prepend=0.0, append=1.0)
     raw = np.where(raw < 0.0, 0.0, raw)
     return raw / raw.sum(axis=-1, keepdims=True)
 

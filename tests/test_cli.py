@@ -334,7 +334,7 @@ def test_a_command_without_optional_flags_is_the_library_call(tmp_path, argv, li
     "argv, given",
     [
         (["run", "--scenario", "s.jsonl"], {"scenario", "out"}),
-        (["sweep", "--method", "discrete"], {"method", "suite", "out"}),
+        (["sweep", "--method", "discrete"], {"method", "out"}),
         (["synth", "--kind", "host_curve"], {"kind", "out"}),
         (["mc-validate"], {"out"}),
     ],
@@ -408,6 +408,7 @@ def test_sweep_scenario_flag_needs_a_path(tmp_path):
         (["--seed", "5", "--step", "0.1", "--suite", "host_curve"], "--suite, --seed, --step"),
         (["--step", "0.1"], "--step"),
         (["--suite", "host_curve"], "--suite"),
+        (["--suite", "all"], "--suite"),
     ],
 )
 def test_sweep_rejects_suite_flags_next_to_scenario_files(tmp_path, capsys, flags, named):

@@ -773,6 +773,54 @@ def test_pooling_the_suite_changes_no_result(method, values):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+def frames_of(scenario, keep):
+    """`scenario` with only the frames `keep` marks, and their objects."""
+    number = np.cumsum(keep) - 1
+    objects = [k for k, f in enumerate(scenario.frame_of) if keep[f]]
+    frame_columns = ("t", "v", "yaw_rate", "alpha", "var_v", "var_yaw", "bounds")
+    object_columns = ("id", "x", "y", "var_x", "var_y", "v_lat", "gt")
+    return dataclasses.replace(
+        scenario,
+        **{name: [v for v, k in zip(getattr(scenario, name), keep) if k] for name in frame_columns},
+        **{name: [getattr(scenario, name)[k] for k in objects] for name in object_columns},
+        frame_of=[int(number[scenario.frame_of[k]]) for k in objects],
+    )
+
+
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+def test_splitting_at_a_gap_changes_no_result(method):
+    # A 1.5 s gap drops every track, so the frames after it start afresh
+    # whether or not they share a scenario with the frames before.
+    assert ABSENCE_TIMEOUT < 1.5
+    for kind, scenario in build_suite(seed=0).items():
+        t = np.array(scenario.t)
+        whole = frames_of(scenario, ~((t > 9.0) & (t < 10.5)))
+        parts = [frames_of(scenario, t <= 9.0), frames_of(scenario, t >= 10.5)]
+        (got,) = filter_batch([whole], method, PipelineConfig())
+        want = concatenated([filter_batch([part], method, PipelineConfig())[0] for part in parts])
+        assert (got.t, got.object_id, got.ground_truth) == (
+            want.t, want.object_id, want.ground_truth
+        ), kind
+        for name in RESULT_COLUMNS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (kind, name)
+
+
+@pytest.mark.xfail(reason="ROADMAP item 3", strict=True)
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+def test_halving_the_frame_period_moves_no_posterior_far(method):
+    # The same noise-free scene sampled every 25 and 50 ms; at the times
+    # both share, the posteriors should agree whatever the frame period.
+    for kind in ("target_lane_change", "noisy_yaw"):
+        posteriors = []
+        for step in (0.025, 0.05):
+            scenario = generate_synthetic(SynthSpec(kind, step=step, noise_scale=0.0))
+            (result,) = filter_batch([scenario], method, PipelineConfig())
+            posteriors.append(dict(zip(zip(result.t, result.object_id), result.posteriors)))
+        fine, coarse = posteriors
+        assert coarse.keys() <= fine.keys(), kind
+        assert max(np.abs(fine[key] - coarse[key]).max() for key in coarse) <= 0.02, kind
+
+
 def reference_schedule(scenarios):
     """The track schedule as the engine's per-object dict loop built it
     before it worked on columns: the reference for `flatten`."""

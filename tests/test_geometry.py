@@ -7,6 +7,7 @@ oracle shares no code (and no rounding behaviour) with the implementation.
 import dataclasses
 import inspect
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -752,8 +753,11 @@ def reference_mc_validate(points, samples, bins, seed):
     [
         (GridSpec(x_steps=2, bearing_steps=1, v_steps=2, yaw_steps=2), dict(bins=2)),
         (GridSpec(x_steps=2, bearing_steps=2, v_steps=1, yaw_steps=2), dict(samples=2)),
-        # More points than `mc_validate` scores in one block.
-        (GridSpec(x_steps=5, bearing_steps=3, v_steps=3, yaw_steps=3), dict(samples=40, bins=30)),
+        # More points than `mc_validate` scores in one block, 64 at 100 bins.
+        (GridSpec(x_steps=5, bearing_steps=3, v_steps=3, yaw_steps=3), dict(samples=40)),
+        # So many bins that a block holds one point.
+        (GridSpec(x_steps=3, bearing_steps=1, v_steps=1, yaw_steps=1),
+         dict(samples=40, bins=4000)),
         # A list of points goes through `_mc_points`, the loop `mc_validate` runs.
         ([(40.0, 1.0, 20.0, 0.1), *SINGULAR_POINTS, (1.0, -0.3, 70.0, -0.7)],
          dict(samples=300, seed=9)),
@@ -763,7 +767,7 @@ def reference_mc_validate(points, samples, bins, seed):
         # No point is scored, so no block runs.
         (SINGULAR_POINTS, dict(samples=50)),
     ],
-    ids=["two bins", "two samples", "several blocks", "list grid",
+    ids=["two bins", "two samples", "several blocks", "one-point blocks", "list grid",
          "least deviation", "singular points only"],
 )
 def test_mc_validate_equals_the_per_point_reference(grid, options):
@@ -780,6 +784,19 @@ def test_mc_validate_equals_the_per_point_reference(grid, options):
     assert [(r.x, r.y, r.v, r.yaw_rate) for r in results] == points
     got = [r.hellinger for r in results]
     assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, want))
+
+
+def test_mc_validate_memory_does_not_grow_with_bins_per_block():
+    # A block is sized by its histogram edges, not its points: 64 points of
+    # 10^4 bins each peaked at 47.6 MB when every block held 64 points.
+    grid = GridSpec(x_steps=4, bearing_steps=4, v_steps=4, yaw_steps=1)
+    tracemalloc.start()
+    try:
+        mc_validate(grid, samples=100, bins=10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
 
 
 def test_mc_default_variances_order():
