@@ -577,12 +577,14 @@ def _gaussian_bin_masses(means: np.ndarray, stds: np.ndarray, edges: np.ndarray)
 
 def _bin_index(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """`np.searchsorted(edges, samples, side="left")` for the equal-width
-    `edges` of a linspace, in O(n).
+    `edges` of a linspace, in O(n) where the arithmetic is right.
 
-    The index is first estimated arithmetically, then moved one bin at a
-    time against the real edges until none moves: where linspace collapses
-    edges (a deviation tiny against the mean) the estimate can be many bins
-    off.  A NaN sample goes past the last edge, as in `np.searchsorted`.
+    The index is estimated arithmetically and kept where the real edges
+    bracket its sample, edges[i - 1] < sample <= edges[i], with NaN beyond
+    both ends; a NaN sample is estimated past the last edge, as
+    `np.searchsorted` places it.  The samples the estimate misses, as where
+    linspace collapses edges (a deviation tiny against the mean), take
+    `np.searchsorted`'s index.
     """
     bins = len(edges) - 1
     with np.errstate(all="ignore"):
@@ -593,20 +595,12 @@ def _bin_index(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
     np.fmin(guess, bins + 1, out=guess)
     np.fmax(guess, 0.0, out=guess)
     index = guess.astype(np.intp)
-    # below[i] = edges[i - 1] and above[i] = edges[i]; the NaN ends stop
-    # the index at 0 and at bins + 1.
     padded = np.concatenate(([math.nan], edges, [math.nan]))
-    below, above = padded[:-1], padded[1:]
-    moving = np.arange(len(samples))
-    at, values = index, samples
-    while True:
-        step = (above.take(at) < values).view(np.int8) - (below.take(at) >= values).view(np.int8)
-        moved = np.flatnonzero(step)
-        if not moved.size:
-            return index
-        moving = moving[moved]
-        index[moving] += step[moved]
-        at, values = index[moving], samples[moving]
+    missed = np.flatnonzero(
+        (padded[1:].take(index) < samples) | (padded[:-1].take(index) >= samples)
+    )
+    index[missed] = np.searchsorted(edges, samples[missed], side="left")
+    return index
 
 
 def mc_validate(

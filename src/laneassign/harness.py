@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from ._engine import METHODS, RunResult, filter_batch
+from ._engine import METHODS, RunResult, _in_scenario, filter_batch
 from .estimator import DEFAULT_P_MIN
 from .geometry import GaussianScalar, HostState, InputDomainError, ObjectMeasurement
 from .likelihood import DEFAULT_BOUNDS, HOST_PATH_INDEX, N_PATHS, BoundarySet
@@ -604,17 +604,20 @@ def compute_roc(result: RunResult, parameter_label: str = "") -> RocPoint:
     return _roc_point(_on_host(result), result, parameter_label)
 
 
-def _on_host(result: RunResult) -> np.ndarray:
+def _on_host(result: RunResult, sizes: Sequence[int] = ()) -> np.ndarray:
     """(N,) whether each object-frame of `result` truly lies on the host
     path; raises an InputDomainError naming the first ground truth that is
-    not an integer path index."""
+    not an integer path index.  `sizes` gives the object-frames of each
+    pooled scenario (none: one scenario), and the error holds the index of
+    the one at fault as its `scenario`, as the engine's errors do."""
     truth = _path_indices(result.ground_truth)
     if truth is None:
         k, gt = next((k, gt) for k, gt in enumerate(result.ground_truth)
                      if _path_indices([gt]) is None)
         fault = " has no ground truth" if gt is None else (
             f": ground truth must be an integer in 0..{N_PATHS - 1}, got {gt!r}")
-        raise InputDomainError(f"object {result.object_id[k]!r} at t={result.t[k]}{fault}")
+        error = InputDomainError(f"object {result.object_id[k]!r} at t={result.t[k]}{fault}")
+        raise _in_scenario(error, np.searchsorted(np.cumsum(sizes), k, side="right"))
     return truth == HOST_PATH_INDEX
 
 
@@ -654,10 +657,10 @@ def sweep_parameters(
     parameter = "epsilon" if method == "discrete" else "sigma_nu"
     if grid is None:
         grid = EPSILON_GRID if method == "discrete" else SIGMA_NU_GRID
-    grid = list(grid)
+    grid = [float(value) for value in grid]
     results = filter_batch(list(scenarios), method, config, grid)
     # The results share one ground-truth list, checked once.
-    on_host = _on_host(results[0])
+    on_host = _on_host(results[0], [len(scenario.id) for scenario in scenarios])
     return [
         _roc_point(on_host, result, f"{parameter}={value:g}")
         for result, value in zip(results, grid)

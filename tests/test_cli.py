@@ -646,6 +646,23 @@ def test_sweep_names_the_scenario_file_that_fails_in_the_engine(tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize("order", ["good first", "bad first"])
+def test_sweep_names_the_scenario_file_without_ground_truth(tmp_path, capsys, order):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    write_minimal_scenario(good)
+    write_minimal_scenario(bad)
+    frames = [json.loads(line) for line in bad.read_text().splitlines()]
+    for frame in frames:
+        del frame["objects"][0]["gt"]
+    bad.write_text("".join(json.dumps(frame) + "\n" for frame in frames))
+    paths = [good, bad] if order == "good first" else [bad, good]
+    argv = ["sweep", "--method", "discrete", "--scenario", *map(str, paths)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: object 'lead' at t=0.0 has no ground truth\n"
+    )
+
+
 def test_error_exit_code_on_bad_grid(tmp_path, capsys):
     scenario = tmp_path / "s.jsonl"
     write_minimal_scenario(scenario)

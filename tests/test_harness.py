@@ -1321,6 +1321,16 @@ def test_sweep_single_point_matches_direct_run():
     assert points[0] == want
 
 
+@pytest.mark.parametrize(
+    "grid", [["0.1", "1e-3"], [np.float64(0.1), np.float64(1e-3)]], ids=["strings", "numpy"]
+)
+def test_sweep_runs_and_labels_the_float_of_each_grid_value(grid):
+    scenario = generate_synthetic(SynthSpec(kind="target_lane_change", duration=2.0))
+    assert sweep_parameters([scenario], "discrete", grid) == (
+        sweep_parameters([scenario], "discrete", [0.1, 1e-3])
+    )
+
+
 def test_sweep_default_grids():
     scenario = generate_synthetic(SynthSpec(kind="straight_follow", duration=1.0))
     eps_points = sweep_parameters([scenario], method="discrete")
