@@ -44,12 +44,15 @@ and `sweep_parameters` hand to callers, with the frame times and ids that
 
 The method, the parameter values and the settings (p_min, and epsilon and
 eta_gain or sigma_nu) are checked first, in that order, since no frame is
-at fault where one is out of range.  Invariants of the data, the domains
-of `ObjectMeasurement` and `HostState` among them, are checked once per
-array, not per step.  Where a check fails, the
-earliest failing object-frame is replayed through the per-object
-functions: `ObjectMeasurement`, `transform_to_path`, then
-`build_transition_matrix`, `predict`, `update` and `lane_occupancy`, or
+at fault where one is out of range.  Invariants of the data are checked
+once per array, not per step.  The input domains are tested where the
+transform runs: `_transform_arrays` gives NaN outside those of
+`InputVector` and `HostState`, whose heading offset `flatten` sets to NaN
+before its sine, and `filter_batch` adds ObjectMeasurement's x > 0 and
+finite v_lat to the transform's non-finite results as its one domain
+term.  Where a check fails, the earliest failing object-frame is replayed
+through the per-object functions: `ObjectMeasurement`, `transform_to_path`,
+then `build_transition_matrix`, `predict`, `update` and `lane_occupancy`, or
 `kf_init`, `kf_predict`, `kf_update` and `discretize_posterior`, then
 `assign`.  That replay runs the same formulas on the one object-frame, so
 its input checks raise the error, with the message, that a per-object loop
@@ -436,13 +439,10 @@ def filter_batch(scenarios, method: str, config, values=None) -> list[RunResult]
         else:
             posteriors, failed, states = _continuous(flat, z_mean, z_std, values)
         index, probability, accepted = _assign_arrays(posteriors, config.p_min)
-        failed = (
-            failed
-            | (index < 0)
-            | ~(np.isfinite(z_mean) & np.isfinite(z_std))[:, None]
-            # ObjectMeasurement's domain, where the transform does not reject it.
-            | ~((flat.inputs[:, 2] > 0.0) & np.isfinite(flat.lateral_velocity))[:, None]
-        )
+        # The transform's domains, and ObjectMeasurement's x > 0 and finite v_lat.
+        inside = np.isfinite(z_mean) & np.isfinite(z_std) & (flat.inputs[:, 2] > 0.0)
+        inside &= np.isfinite(flat.lateral_velocity)
+        failed = failed | (index < 0) | ~inside[:, None]
     if failed.any():
         k, g = (int(i) for i in np.argwhere(failed)[0])
         _replay(flat, k, method, config, float(values[g]), states[:, g])

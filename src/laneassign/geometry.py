@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -140,6 +140,34 @@ class InputVector:
         object.__setattr__(self, "covariance", cov)
 
 
+class _Arc(NamedTuple):
+    """The host-path circle at broadcast inputs, from `_arc`."""
+
+    straight: np.ndarray  # |yaw_rate| < STRAIGHT_YAW_THRESHOLD
+    safe_yaw: np.ndarray  # the yaw rate that divides, 1 on the straight branch
+    r: np.ndarray  # signed radius v / yaw_rate
+    sgn: np.ndarray  # sign of r, 1 at 0
+    line: np.ndarray  # offset from the straight path, y cos(alpha) - x sin(alpha)
+    cx: np.ndarray  # the object's offset from the circle center
+    cy: np.ndarray
+    dist: np.ndarray  # hypot(cx, cy)
+
+
+def _arc(v, yaw_rate, x, y, sin_a, cos_a) -> _Arc:
+    """The host-path circle at broadcast float inputs; no validation.  Huge
+    finite inputs overflow to an infinite or NaN offset, which the callers
+    reject with their own message."""
+    straight = np.abs(yaw_rate) < STRAIGHT_YAW_THRESHOLD
+    safe_yaw = np.where(straight, 1.0, yaw_rate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = v / safe_yaw
+        sgn = np.where(r >= 0.0, 1.0, -1.0)
+        line = y * cos_a - x * sin_a
+        cx = x + sin_a * r
+        cy = y - cos_a * r
+        return _Arc(straight, safe_yaw, r, sgn, line, cx, cy, np.hypot(cx, cy))
+
+
 def _lateral_offset_arrays(v, yaw_rate, x, y, sin_a, cos_a) -> np.ndarray:
     """Vectorized signed lateral offset; inputs broadcast, no validation.
 
@@ -152,20 +180,14 @@ def _lateral_offset_arrays(v, yaw_rate, x, y, sin_a, cos_a) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 
-    straight = np.abs(yaw_rate) < STRAIGHT_YAW_THRESHOLD
-    safe_yaw = np.where(straight, 1.0, yaw_rate)
-    # Huge finite inputs overflow to an infinite or NaN offset, which the
-    # callers reject with their own message.
+    arc = _arc(v, yaw_rate, x, y, sin_a, cos_a)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = v / safe_yaw
-        sgn = np.where(r >= 0.0, 1.0, -1.0)
         # Algebraically r - sgn(r) * d with d the distance to the circle
         # center, rewritten as a quotient so nothing cancels when |r| is large.
-        along = x * sin_a - y * cos_a
-        dist = np.hypot(x + sin_a * r, y - cos_a * r)
-        curved = -(x * x + y * y + 2.0 * r * along) / (sgn * (dist + np.abs(r)))
-        line = y * cos_a - x * sin_a
-    return np.where(straight, line, curved)
+        curved = -(x * x + y * y - 2.0 * arc.r * arc.line) / (
+            arc.sgn * (arc.dist + np.abs(arc.r))
+        )
+    return np.where(arc.straight, arc.line, curved)
 
 
 def _jacobian_arrays(v, yaw_rate, x, y, sin_a, cos_a) -> np.ndarray:
@@ -179,28 +201,22 @@ def _jacobian_arrays(v, yaw_rate, x, y, sin_a, cos_a) -> np.ndarray:
         *(np.asarray(a, dtype=float) for a in (v, yaw_rate, x, y, sin_a, cos_a))
     )
     across = x * cos_a + y * sin_a
-    straight = np.abs(yaw_rate) < STRAIGHT_YAW_THRESHOLD
+    arc = _arc(v, yaw_rate, x, y, sin_a, cos_a)
+    safe_yaw, r, sgn, dist = arc.safe_yaw, arc.r, arc.sgn, arc.dist
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d_yaw_line = np.where(v == 0.0, 0.0, -across * across / (2.0 * v))
-        safe_yaw = np.where(straight, 1.0, yaw_rate)
-        r = v / safe_yaw
-        sgn = np.where(r >= 0.0, 1.0, -1.0)
-        along = x * sin_a - y * cos_a
-        cx = x + sin_a * r
-        cy = y - cos_a * r
-        dist = np.hypot(cx, cy)
-        # d(offset)/dr = 1 - sgn * (r + along) / dist; when the two terms
-        # nearly cancel (large |r|) use dist^2 - (r + along)^2 = across^2
+        # d(offset)/dr = 1 - sgn * (r - line) / dist; when the two terms
+        # nearly cancel (large |r|) use dist^2 - (r - line)^2 = across^2
         # instead.
-        w = sgn * (r + along)
+        w = sgn * (r - arc.line)
         num = np.where(w > 0.0, across * across / (dist + w), dist - w)
         d_r = num / dist
         curved = np.stack(
-            [d_r / safe_yaw, -d_r * r / safe_yaw, -sgn * cx / dist, -sgn * cy / dist],
+            [d_r / safe_yaw, -d_r * r / safe_yaw, -sgn * arc.cx / dist, -sgn * arc.cy / dist],
             axis=-1,
         )
     line = np.stack([np.zeros_like(v), d_yaw_line, -sin_a, cos_a], axis=-1)
-    return np.where(straight[..., None], line, curved)
+    return np.where(arc.straight[..., None], line, curved)
 
 
 def lateral_path_offset(host: HostState, x: float, y: float) -> float:
@@ -244,10 +260,10 @@ def jacobian_lateral_offset(host: HostState, x: float, y: float) -> np.ndarray:
     sin_a, cos_a = math.sin(host.alpha), math.cos(host.alpha)
     jac = _jacobian_arrays(host.v, host.yaw_rate, x, y, sin_a, cos_a)
     # The position components are NaN at the circle center (0/0), and also
-    # where the center's coordinates overflow; only the first is singular.
+    # where the center's coordinates overflow; only the first is singular,
+    # and only the distance to the center tells them apart.
     if np.isnan(jac[2:]).any():
-        r = host.v / host.yaw_rate
-        if math.hypot(x + sin_a * r, y - cos_a * r) == 0.0:
+        if _arc(host.v, host.yaw_rate, x, y, sin_a, cos_a).dist == 0.0:
             raise SingularityError(
                 "offset gradient is undefined at the path circle center"
             )
@@ -281,7 +297,9 @@ def _transform_arrays(
     offset mean and standard deviation; one is NaN or infinite wherever
     `transform_to_path` would raise for a valid heading offset (non-finite
     input, negative speed, invalid variance, circle center, non-finite
-    result), and the caller validates.
+    result), and the caller validates.  `invalid` is the one test of those
+    input domains: `mc_validate` skips by it, and `_engine` fails by it,
+    adding only ObjectMeasurement's domain.
     """
     v, yaw_rate, x, y = np.moveaxis(inputs, -1, 0)
     mean = _lateral_offset_arrays(v, yaw_rate, x, y, sin_a, cos_a)

@@ -319,7 +319,8 @@ def _record(kind: str, values: Iterable) -> dict:
 
 
 def write_scenario(scenario: Scenario, out: TextIO) -> None:
-    """Write a scenario as scenario lines, which `parse_scenario` reads back."""
+    """Write a scenario as scenario lines, which `parse_scenario` reads back.
+    Numpy scalars are written as their Python values."""
     objects = [[] for _ in scenario.t]
     for frame_index, *values in zip(
         scenario.frame_of, *(getattr(scenario, name) for name in _FIELDS["object"])
@@ -332,7 +333,7 @@ def write_scenario(scenario: Scenario, out: TextIO) -> None:
         if bounds is not None:
             bounds = [_record("bounds entry", (b.mean, b.std)) for b in bounds.boundaries]
         frame = (t, _record("host", host), frame_objects, bounds)
-        out.write(json.dumps(_record("frame", frame)) + "\n")
+        out.write(json.dumps(_record("frame", frame), default=np.generic.item) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +659,8 @@ def sweep_parameters(
     if grid is None:
         grid = EPSILON_GRID if method == "discrete" else SIGMA_NU_GRID
     grid = [float(value) for value in grid]
-    results = filter_batch(list(scenarios), method, config, grid)
+    scenarios = list(scenarios)
+    results = filter_batch(scenarios, method, config, grid)
     # The results share one ground-truth list, checked once.
     on_host = _on_host(results[0], [len(scenario.id) for scenario in scenarios])
     return [

@@ -987,6 +987,21 @@ def test_singularity_names_the_earliest_failing_frame(method):
         (dict(alpha=2.0), {}, "heading offset must lie in (-pi/2, pi/2), got 2.0"),
         (dict(alpha=-math.inf), {}, "heading offset must lie in (-pi/2, pi/2), got -inf"),
         (dict(v=-1.0), {}, "speed must be finite and >= 0, got -1.0"),
+        # InputVector checks its mean and covariance before HostState sees them.
+        (dict(yaw_rate=math.nan), {}, "mean and covariance must be finite"),
+        (dict(yaw_rate=math.inf), {}, "mean and covariance must be finite"),
+        (dict(v=math.inf), {}, "mean and covariance must be finite"),
+        (dict(v=math.nan), {}, "mean and covariance must be finite"),
+        (dict(var_v=math.inf), {}, "mean and covariance must be finite"),
+        (None, dict(var_y=math.nan), "mean and covariance must be finite"),
+        (dict(alpha=math.nan), {}, "heading offset must lie in (-pi/2, pi/2), got nan"),
+        (dict(alpha=math.pi / 2), {},
+         f"heading offset must lie in (-pi/2, pi/2), got {math.pi / 2}"),
+        (dict(alpha=-math.pi / 2), {},
+         f"heading offset must lie in (-pi/2, pi/2), got {-math.pi / 2}"),
+        (None, dict(x=math.inf), "object position must be finite, got (inf, 0.0)"),
+        (dict(var_yaw=-1e-300), {}, "covariance diagonal must be nonnegative"),
+        (None, dict(var_x=-1e-300), "covariance diagonal must be nonnegative"),
     ],
 )
 def test_values_outside_the_domains_name_the_earliest_frame(method, host, obj, message):
@@ -999,6 +1014,29 @@ def test_values_outside_the_domains_name_the_earliest_frame(method, host, obj, m
     error = (InputDomainError, f"frame 2 (t=0.1): {message}")
     assert outcome(lambda: run_pipeline(scenario, method))[1] == error
     assert outcome(lambda: sweep_parameters([scenario], method))[1] == error
+    assert_run_matches_loop(scenario, method, PipelineConfig())
+
+
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+@pytest.mark.parametrize(
+    "host, obj",
+    [
+        (dict(v=0.0), {}),
+        (dict(alpha=math.nextafter(math.pi / 2, 0.0)), {}),
+        (dict(alpha=-math.nextafter(math.pi / 2, 0.0)), {}),
+        (None, dict(x=5e-324)),
+        (dict(var_v=0.0, var_yaw=0.0), dict(var_x=0.0, var_y=0.0)),
+        (dict(yaw_rate=1e-300), {}),
+    ],
+    ids=["standstill", "alpha below pi/2", "alpha above -pi/2", "least x",
+         "zero variances", "least yaw rate"],
+)
+def test_values_just_inside_the_domains_run(method, host, obj):
+    # The other side of each edge that the test above crosses.
+    scenario = frames_with(
+        4, (2, 3), host and dict(HOST, **host), [dict(lead("new"), **obj)]
+    )
+    assert outcome(lambda: run_pipeline(scenario, method))[1] is None
     assert_run_matches_loop(scenario, method, PipelineConfig())
 
 

@@ -619,6 +619,24 @@ def test_round_trip_through_serialization():
     assert parse_scenario(_serialized(scenario)) == scenario
 
 
+def test_numpy_scalars_round_trip_through_serialization():
+    # The pipeline, compute_roc and sweep_parameters take numpy scalars, so
+    # the writer does too, as their Python values.
+    scenario = generate_synthetic(SynthSpec(kind="target_lane_change", duration=1.0))
+    numpy = dataclasses.replace(
+        scenario,
+        t=[np.float64(t) for t in scenario.t],
+        v=[np.float32(v) for v in scenario.v],
+        x=[np.float32(x) for x in scenario.x],
+        gt=[np.int64(gt) for gt in scenario.gt],
+    )
+    parsed = parse_scenario(_serialized(numpy))
+    assert parsed == numpy
+    assert {type(value) for value in (*parsed.v, *parsed.x)} == {float}
+    assert {type(gt) for gt in parsed.gt} == {int}
+    assert sweep_parameters([parsed], "discrete") == sweep_parameters([numpy], "discrete")
+
+
 FINITE = dict(allow_nan=False, allow_infinity=False)
 
 
@@ -1354,6 +1372,17 @@ def test_sweep_accepts_multiple_scenarios():
         sweep_parameters([a], method="discrete", grid=(0.05,))[0].frames_evaluated
         + sweep_parameters([b], method="discrete", grid=(0.05,))[0].frames_evaluated
     )
+
+
+def test_sweep_names_the_failing_scenario_of_a_generator():
+    # The scenarios are read once, so a generator's error names the same
+    # scenario as a list's: the second, whose ground truth is missing.
+    complete = generate_synthetic(SynthSpec(kind="straight_follow", duration=0.5))
+    missing = dataclasses.replace(complete, gt=[None] * len(complete.gt))
+    for scenarios in ([complete, missing], (s for s in [complete, missing])):
+        with pytest.raises(InputDomainError, match="has no ground truth$") as got:
+            sweep_parameters(scenarios, "discrete")
+        assert got.value.scenario == 1
 
 
 def test_sweep_rejects_empty_grid():
