@@ -17,6 +17,7 @@ the lateral offset is positive for objects left of the path.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -30,6 +31,17 @@ class InputDomainError(ValueError):
 
 class SingularityError(ValueError):
     """The requested quantity is undefined at this input (circle center)."""
+
+
+def _check_count(name: str, value, low: int, high: float = math.inf) -> None:
+    """Raise an InputDomainError naming the setting `name` unless `value` is
+    an integer (Python or numpy, not a bool) in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputDomainError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InputDomainError(f"{name} must be >= {low}, got {value}")
+    if value > high:
+        raise InputDomainError(f"{name} must be <= {high}, got {value}")
 
 
 # Below this yaw rate the circular formula is replaced by its straight-line
@@ -282,9 +294,7 @@ def transform_to_path(inputs: InputVector, alpha: float = 0.0) -> GaussianScalar
     mean = lateral_path_offset(host, x, y)
     jac = jacobian_lateral_offset(host, x, y)
     with np.errstate(over="ignore", invalid="ignore"):
-        var = float(jac @ inputs.covariance @ jac)
-    if var < 0.0:
-        var = 0.0
+        var = max(float(jac @ inputs.covariance @ jac), 0.0)  # keeps NaN
     return GaussianScalar(mean, math.sqrt(var))
 
 
@@ -305,8 +315,9 @@ def _transform_arrays(
     mean = _lateral_offset_arrays(v, yaw_rate, x, y, sin_a, cos_a)
     jac = _jacobian_arrays(v, yaw_rate, x, y, sin_a, cos_a)
     with np.errstate(invalid="ignore", over="ignore"):
-        var = ((jac * variances) * jac).sum(axis=-1)
-    var = np.maximum(var, 0.0)  # clamp rounding negatives, keep NaN
+        t = (jac * variances) * jac  # summed as sum(axis=-1) does, but from t0, not +0.0
+        var = ((t[..., 0] + t[..., 1]) + t[..., 2]) + t[..., 3]
+    var = np.maximum(var, 0.0)  # clamp rounding negatives and -0.0, keep NaN
     invalid = (
         ~np.isfinite(variances).all(axis=-1)
         | (variances < 0.0).any(axis=-1)
@@ -328,23 +339,18 @@ def hellinger_distance(p: Sequence[float], q: Sequence[float]) -> float:
         raise InputDomainError(
             f"distributions must have equal length, got {p_arr.shape} and {q_arr.shape}"
         )
-    return float(_hellinger_rows(p_arr.reshape(1, -1), q_arr.reshape(1, -1))[0])
+    p_arr, q_arr = p_arr.reshape(1, -1), q_arr.reshape(1, -1)
+    # NaN is not nonnegative either; +inf fails the sum.
+    if not ((p_arr >= 0.0).all() and (q_arr >= 0.0).all()):
+        raise InputDomainError("distributions must be nonnegative")
+    for total in (p_arr.sum(), q_arr.sum()):
+        if abs(total - 1.0) > 1e-9:
+            raise InputDomainError(f"distribution must sum to 1, got {total}")
+    return float(_hellinger_rows(p_arr, q_arr)[0])
 
 
 def _hellinger_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """`hellinger_distance` of each row pair of two (P, K) arrays.  Raises
-    the error of the first failing row."""
-    # NaN is not nonnegative either; +inf fails the sum.
-    negative = ~(p >= 0.0).all(axis=-1) | ~(q >= 0.0).all(axis=-1)
-    totals = np.stack([p.sum(axis=-1), q.sum(axis=-1)], axis=-1)
-    unnormalized = np.abs(totals - 1.0) > 1e-9
-    failing = negative | unnormalized.any(axis=-1)
-    if failing.any():
-        row = int(np.argmax(failing))
-        if negative[row]:
-            raise InputDomainError("distributions must be nonnegative")
-        total = totals[row, int(np.argmax(unnormalized[row]))]
-        raise InputDomainError(f"distribution must sum to 1, got {total}")
+    """`hellinger_distance` of each row pair of two (P, K) arrays, unchecked."""
     coeff = np.sqrt(p * q).sum(axis=-1)
     return np.sqrt(1.0 - np.minimum(coeff, 1.0))
 
@@ -382,11 +388,11 @@ class GridSpec:
     yaw_steps: int = 4
 
     def __post_init__(self) -> None:
-        for name in ("x_steps", "bearing_steps", "v_steps", "yaw_steps"):
-            steps = getattr(self, name)
-            if steps < 1:
-                raise InputDomainError(f"{name} must be >= 1, got {steps}")
-        points = self.x_steps * self.bearing_steps * self.v_steps * self.yaw_steps
+        names = ("x_steps", "bearing_steps", "v_steps", "yaw_steps")
+        for name in names:
+            _check_count(name, getattr(self, name), 1)
+        # Multiplied as Python ints, which cannot wrap as numpy integers can.
+        points = math.prod(int(getattr(self, name)) for name in names)
         if points > MAX_MC_POINTS:
             raise InputDomainError(
                 f"the grid must have at most {MAX_MC_POINTS} points, got {points}"
@@ -398,11 +404,8 @@ class GridSpec:
         bearings = np.radians(np.linspace(-21.0, 21.0, self.bearing_steps))
         vs = np.linspace(1.0, 70.0, self.v_steps)
         yaws = np.linspace(-0.7, 0.7, self.yaw_steps)
-        for x in xs:
-            for b in bearings:
-                for v in vs:
-                    for yaw in yaws:
-                        yield float(x), float(x * math.tan(b)), float(v), float(yaw)
+        for x, b, v, yaw in itertools.product(xs, bearings, vs, yaws):
+            yield float(x), float(x * math.tan(b)), float(v), float(yaw)
 
 
 @dataclass(frozen=True)
@@ -638,16 +641,9 @@ def mc_validate(
     so results do not depend on evaluation order.  Speed draws are clipped at
     zero, where the offset map is still defined.
     """
-    if samples < 2:
-        raise InputDomainError(f"samples must be >= 2, got {samples}")
-    if samples > MAX_MC_SAMPLES:
-        raise InputDomainError(f"samples must be <= {MAX_MC_SAMPLES}, got {samples}")
-    if bins < 2:
-        raise InputDomainError(f"bins must be >= 2, got {bins}")
-    if bins > MAX_MC_BINS:
-        raise InputDomainError(f"bins must be <= {MAX_MC_BINS}, got {bins}")
-    if seed < 0:
-        raise InputDomainError(f"seed must be >= 0, got {seed}")
+    _check_count("samples", samples, 2, MAX_MC_SAMPLES)
+    _check_count("bins", bins, 2, MAX_MC_BINS)
+    _check_count("seed", seed, 0)
     return _mc_points(list(grid.points()), samples, bins, seed)
 
 

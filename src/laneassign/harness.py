@@ -43,6 +43,7 @@ import csv
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -50,7 +51,7 @@ import numpy as np
 
 from ._engine import METHODS, RunResult, _in_scenario, filter_batch
 from .estimator import DEFAULT_P_MIN
-from .geometry import GaussianScalar, HostState, InputDomainError, ObjectMeasurement
+from .geometry import GaussianScalar, HostState, InputDomainError, ObjectMeasurement, _check_count
 from .likelihood import DEFAULT_BOUNDS, HOST_PATH_INDEX, N_PATHS, BoundarySet
 
 
@@ -450,8 +451,7 @@ def generate_synthetic(spec: SynthSpec) -> Scenario:
         raise InputDomainError(
             f"duration must give the yaw flap a finite phase, got {spec.duration}"
         )
-    if spec.seed < 0:
-        raise InputDomainError(f"seed must be >= 0, got {spec.seed}")
+    _check_count("seed", spec.seed, 0)
 
     rng = np.random.default_rng(spec.seed)
     n_frames = int(round(spec.duration / spec.step))
@@ -663,9 +663,12 @@ def sweep_parameters(
     results = filter_batch(scenarios, method, config, grid)
     # The results share one ground-truth list, checked once.
     on_host = _on_host(results[0], [len(scenario.id) for scenario in scenarios])
+    # Distinct values that share a `:g` label are labelled by their repr.
+    shared = Counter(f"{value:g}" for value in set(grid))
+    labels = [repr(value) if shared[f"{value:g}"] > 1 else f"{value:g}" for value in grid]
     return [
-        _roc_point(on_host, result, f"{parameter}={value:g}")
-        for result, value in zip(results, grid)
+        _roc_point(on_host, result, f"{parameter}={label}")
+        for result, label in zip(results, labels)
     ]
 
 

@@ -6,6 +6,7 @@ oracle shares no code (and no rounding behaviour) with the implementation.
 
 import dataclasses
 import inspect
+import itertools
 import math
 import tracemalloc
 
@@ -474,6 +475,50 @@ def test_gaussian_scalar_validation():
         GaussianScalar(mean=math.inf, std=0.1)
 
 
+def test_transform_variance_has_the_bits_of_the_summed_products():
+    # The variance sums its four products column by column; after the clamp
+    # it has the bits of `((jac * variances) * jac).sum(axis=-1)`, whose +0.0
+    # start turns four -0.0 products into +0.0, on rows of zero and -0.0
+    # variances, infinities, NaN, huge gradients and mixed magnitudes.
+    inputs = np.array([
+        [20.0, 0.1, 40.0, 1.0],
+        [20.0, 0.0, 40.0, 1.0],  # straight: no speed gradient
+        [0.0, 0.0, 40.0, 1.0],  # standing: no yaw-rate gradient either
+        [70.0, 2e-12, 110.0, 40.0],  # a huge yaw-rate gradient
+        [1e200, 1e-200, 1e200, -1e200],  # overflowing gradients
+        [20.0, 2.0, 0.0, 10.0],  # the circle center: NaN gradients
+        [20.0, 0.1, math.inf, 1.0],
+    ])
+    variances = np.array([
+        [0.25, 1e-4, 0.04, 0.04],
+        [-0.0, -0.0, -0.0, -0.0],
+        [0.0, -0.0, 0.0, -0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [math.inf, 0.0, 0.04, 0.04],
+        [0.25, -math.inf, 0.04, math.inf],
+        [math.nan, 1e-4, 0.04, 0.04],
+        [1e300, 1e300, 5e-324, 1e-300],
+        [1.0, 1e16, -1e16, 1.0],  # negative, so the order of the sum shows
+    ])
+    rng = np.random.default_rng(30)
+    scale = 10.0 ** rng.integers(-150, 150, size=(500, 4))
+    random_inputs = rng.normal([20.0, 0.0, 60.0, 0.0], [10.0, 0.3, 50.0, 10.0], (500, 4))
+    random_variances = rng.normal(size=(500, 4)) * scale
+    rows = np.concatenate([
+        np.array([np.concatenate(pair) for pair in itertools.product(inputs, variances)]),
+        np.concatenate([random_inputs, random_variances], axis=1),
+    ])
+    alpha = 0.3
+    sin_a, cos_a = math.sin(alpha), math.cos(alpha)
+    _, stds = _transform_arrays(rows[:, :4], rows[:, 4:], sin_a, cos_a)
+    jac = _jacobian_arrays(*rows[:, :4].T, sin_a, cos_a)
+    with np.errstate(all="ignore"):
+        want = np.sqrt(np.maximum(((jac * rows[:, 4:]) * jac).sum(axis=-1), 0.0))
+    assert stds.tobytes() == want.tobytes()
+    zero = (rows[:, 4:] == 0.0).all(axis=-1) & np.isfinite(jac).all(axis=-1)
+    assert zero.any() and not np.signbit(stds[zero]).any()
+
+
 # ---------------------------------------------------------------------------
 # hellinger_distance
 # ---------------------------------------------------------------------------
@@ -548,6 +593,42 @@ def test_hellinger_validation():
         hellinger_distance([math.inf, 0.0], [0.5, 0.5])
 
 
+@pytest.mark.parametrize(
+    "p, q, message",
+    [
+        # Both sides are checked for signs before either for its sum.
+        ([0.5, 0.25], [1.5, -0.5], "distributions must be nonnegative"),
+        ([0.5, 0.25], [0.5, 0.75], "distribution must sum to 1, got 0.75"),
+        ([0.5, 0.5], [0.5, 0.75], "distribution must sum to 1, got 1.25"),
+        # The shapes are checked first of all.
+        ([0.5, 0.5], [1.5, -0.25, -0.25], "distributions must have equal length, got (2,) and (3,)"),
+        ([[0.5, 0.5]], [0.5, 0.5], "distributions must have equal length, got (1, 2) and (2,)"),
+        # NaN is not nonnegative; +inf is, and fails its sum.
+        ([math.nan, 1.0], [0.5, 0.5], "distributions must be nonnegative"),
+        ([0.5, 0.5], [1.0, math.nan], "distributions must be nonnegative"),
+        ([math.inf, 0.0], [math.nan, 1.0], "distributions must be nonnegative"),
+        ([0.5, 0.5], [-math.inf, 1.0], "distributions must be nonnegative"),
+        ([math.inf, 0.0], [0.5, 0.5], "distribution must sum to 1, got inf"),
+        ([0.5, 0.5], [0.0, math.inf], "distribution must sum to 1, got inf"),
+        ([0.5, 0.25], [math.inf, 0.0], "distribution must sum to 1, got 0.75"),
+        # Inputs of more dimensions are flattened.
+        ([[0.5, 0.25]], [[0.5, 0.5]], "distribution must sum to 1, got 0.75"),
+        ([[0.5], [0.5]], [[1.5], [-0.5]], "distributions must be nonnegative"),
+    ],
+)
+def test_hellinger_distance_checks_in_a_fixed_order(p, q, message):
+    with pytest.raises(InputDomainError) as excinfo:
+        hellinger_distance(p, q)
+    assert str(excinfo.value) == message
+
+
+def test_hellinger_distance_flattens_its_inputs():
+    assert hellinger_distance([[0.5, 0.5]], [[0.5, 0.5]]) == 0.0
+    assert hellinger_distance([[0.75, 0.25]], [[0.25, 0.75]]) == (
+        hellinger_distance([0.75, 0.25], [0.25, 0.75])
+    )
+
+
 # ---------------------------------------------------------------------------
 # mc_validate
 # ---------------------------------------------------------------------------
@@ -608,6 +689,39 @@ def test_every_grid_point_has_a_finite_first_order_gaussian(steps):
     )
     assert np.isfinite(means).all()
     assert (stds >= 0.2 * (1.0 - 1e-9)).all()
+
+
+NOT_INTEGERS = [2.0, 1.5, np.float64(3.0), True, False, np.True_, "3", None]
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("name", ["x_steps", "bearing_steps", "v_steps", "yaw_steps"])
+def test_grid_spec_takes_only_integer_steps(name, value):
+    with pytest.raises(InputDomainError) as excinfo:
+        GridSpec(**{name: value})
+    assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("name", ["samples", "bins", "seed"])
+def test_mc_validate_takes_only_integer_counts(name, value):
+    with pytest.raises(InputDomainError) as excinfo:
+        mc_validate(GridSpec(1, 1, 1, 1), **{name: value})
+    assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_mc_validate_takes_numpy_integers():
+    grid = GridSpec(np.int64(2), np.int32(1), np.uint8(2), np.int16(1))
+    assert list(grid.points()) == list(GridSpec(2, 1, 2, 1).points())
+    got = mc_validate(grid, samples=np.int64(50), bins=np.int32(10), seed=np.uint64(3))
+    assert got == mc_validate(GridSpec(2, 1, 2, 1), samples=50, bins=10, seed=3)
+    # The point count is a Python int: a product of numpy integers would
+    # wrap 2**32 * 2**32 to 0 and pass the cap.
+    with pytest.raises(
+        InputDomainError,
+        match=r"^the grid must have at most 1000000 points, got 18446744073709551616$",
+    ):
+        GridSpec(np.int64(2**32), np.int64(2**32), 1, 1)
 
 
 @pytest.mark.parametrize(

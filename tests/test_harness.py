@@ -819,6 +819,23 @@ def test_synthetic_rejects_bad_shape_fields_by_name(kind, changes, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize(
+    "seed", [2.0, 1.5, np.float64(3.0), True, False, np.True_, "3", None], ids=repr
+)
+def test_synthetic_takes_only_an_integer_seed(seed):
+    spec = SynthSpec("straight_follow", duration=1.0, seed=seed)
+    with pytest.raises(InputDomainError) as excinfo:
+        generate_synthetic(spec)
+    assert str(excinfo.value) == f"seed must be an integer, got {seed!r}"
+
+
+@pytest.mark.parametrize("seed", [np.int64(9), np.uint32(9), np.int8(9)], ids=repr)
+def test_synthetic_takes_a_numpy_integer_seed(seed):
+    assert generate_synthetic(SynthSpec("noisy_yaw", duration=2.0, seed=seed)) == (
+        generate_synthetic(SynthSpec("noisy_yaw", duration=2.0, seed=9))
+    )
+
+
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
 def test_synthetic_builds_a_ramp_only_where_a_lane_changes(kind):
     # Without noise an object's offset moves only over the 3 s lane change
@@ -1362,6 +1379,17 @@ def test_sweep_default_grids():
     for p in eps_points + nu_points:
         assert p.tp_rate is None or 0.0 <= p.tp_rate <= 1.0
         assert p.fp_rate is None or 0.0 <= p.fp_rate <= 1.0
+
+
+def test_sweep_labels_distinct_values_of_one_short_label_by_their_repr():
+    # 1.0000001e-3 and 1.0000002e-3 both print as 0.001 with `:g`; a value
+    # whose short label is its own, repeated or not, keeps it.
+    scenario = generate_synthetic(SynthSpec(kind="straight_follow", duration=1.0))
+    grid = [1.0000001e-3, 0.123456789, 1.0000002e-3, 0.123456789, 1e-4]
+    assert [p.parameter_label for p in sweep_parameters([scenario], "discrete", grid)] == [
+        "epsilon=0.0010000001", "epsilon=0.123457", "epsilon=0.0010000002",
+        "epsilon=0.123457", "epsilon=0.0001",
+    ]
 
 
 def test_sweep_accepts_multiple_scenarios():
