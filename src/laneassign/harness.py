@@ -704,6 +704,8 @@ def write_run_csv(result: RunResult, out: TextIO) -> None:
     out `WRITE_BLOCK` at a time, as the `repr`s of their floats joined into
     lines; a block with an id that is no plain string, or that holds a
     character the writer may quote, goes through `csv.writer` itself.
+    The `prob` cell is the row's p cell at `index`, which `probability`
+    equals on every result `run_pipeline` returns.
     """
     out.write(",".join(RUN_CSV_COLUMNS) + "\n")
     for start in range(0, len(result), WRITE_BLOCK):
@@ -713,11 +715,12 @@ def write_run_csv(result: RunResult, out: TextIO) -> None:
             str(i) if a else ""
             for i, a in zip(result.index[rows].tolist(), result.accepted[rows].tolist())
         ]
+        columns = [list(map(repr, p)) for p in result.posteriors[rows].T.tolist()]
         lines = zip(
             list(map(repr, map(float, result.t[rows]))), ids,
             itertools.repeat(result.method), assigned,
-            list(map(repr, result.probability[rows].tolist())),
-            *(list(map(repr, p)) for p in result.posteriors[rows].T.tolist()),
+            [columns[i][k] for k, i in enumerate(result.index[rows].tolist())],
+            *columns,
         )
         if set(map(type, ids)) <= {str} and not any(c in "".join(ids) for c in ',"\r\n'):
             out.write("\n".join(map(",".join, lines)) + "\n")

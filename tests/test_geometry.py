@@ -8,6 +8,8 @@ import dataclasses
 import inspect
 import itertools
 import math
+import threading
+import time
 import tracemalloc
 
 import mpmath
@@ -911,6 +913,65 @@ def test_mc_validate_memory_does_not_grow_with_bins_per_block():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 10**6
+
+
+def test_mc_validate_draws_at_most_two_points_ahead(monkeypatch):
+    # The helper thread draws each point's normals, (4, 10^5) floats or
+    # 3.2 MB, at most two points ahead of the loop: with the work on the
+    # current point's offsets, three points' draws peaked at 17.7 MB.  A
+    # third point ahead would add 3.2 MB, and drawing every point ahead
+    # (as `pool.map` over the points does) 9.6 MB more on these six.  The
+    # loop sleeps at each point, so that the helper is as far ahead as it
+    # may go.
+    offsets = _lateral_offset_arrays
+
+    def slow_offsets(*args):
+        time.sleep(0.05)
+        return offsets(*args)
+
+    monkeypatch.setattr("laneassign.geometry._lateral_offset_arrays", slow_offsets)
+    grid = GridSpec(x_steps=6, bearing_steps=1, v_steps=1, yaw_steps=1)
+    tracemalloc.start()
+    try:
+        mc_validate(grid, samples=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 19.3 * 10**6
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: mc_validate(GridSpec(x_steps=2, bearing_steps=2, v_steps=2, yaw_steps=2),
+                            samples=200),
+        # No point is scored, so no draw is submitted.
+        lambda: _mc_points(SINGULAR_POINTS, samples=200, bins=100, seed=0),
+    ],
+    ids=["small grid", "singular points only"],
+)
+def test_mc_validate_leaves_no_thread_behind(run):
+    before = threading.active_count()
+    run()
+    assert threading.active_count() == before
+
+
+def test_mc_validate_raises_a_draw_error_and_leaves_no_thread_behind(monkeypatch):
+    error = RuntimeError("no stream for the third point")
+    default_rng = np.random.default_rng
+
+    def failing_rng(seed):
+        if seed[1] == 2:
+            raise error
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", failing_rng)
+    grid = GridSpec(x_steps=6, bearing_steps=1, v_steps=1, yaw_steps=1)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        mc_validate(grid, samples=200)
+    assert raised.value is error
+    assert threading.active_count() == before
 
 
 def test_mc_default_variances_order():

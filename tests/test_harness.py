@@ -1504,6 +1504,19 @@ def test_write_run_csv_writes_the_csv_writer_bytes(result):
     assert buffer.getvalue().encode() == _csv_writer_bytes(result)
 
 
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+def test_write_run_csv_takes_prob_from_the_p_cell_at_the_index(method):
+    # The `prob` cell is the row's p cell at `index`; `_csv_writer_bytes`
+    # writes `probability` itself.
+    result = run_pipeline(parse_scenario(_valid_scenario("replay-1")), method=method)
+    rows = np.arange(len(result))
+    assert len(result) > 5000
+    np.testing.assert_array_equal(result.probability, result.posteriors[rows, result.index])
+    buffer = io.StringIO()
+    write_run_csv(result, buffer)
+    assert buffer.getvalue().encode() == _csv_writer_bytes(result)
+
+
 @pytest.mark.parametrize("object_id", AWKWARD_IDS + (7, None))
 def test_write_run_csv_writes_each_id_as_the_csv_writer_does(object_id):
     # Each id alone among plain ones, so that no other id decides the block.
