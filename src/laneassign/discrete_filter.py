@@ -9,7 +9,6 @@ with the occupancy vector from the inverse measurement model.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -17,8 +16,6 @@ import numpy as np
 
 from .geometry import InputDomainError
 from .likelihood import N_PATHS, PathPosterior
-
-logger = logging.getLogger(__name__)
 
 EPSILON_MAX = 0.3
 
@@ -123,8 +120,10 @@ def _bayes_update_arrays(predicted, measured):
     if not total.min() > 0.0:
         reset = total[..., 0, 0] <= 0.0
         if reset.any():
+            import logging  # Loaded only where a posterior resets.
+
             for _ in range(np.count_nonzero(reset.any(axis=-1))):
-                logger.warning(
+                logging.getLogger(__name__).warning(
                     "path posterior and measurement have zero overlap; "
                     "resetting filter to the measurement"
                 )

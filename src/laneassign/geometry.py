@@ -20,7 +20,6 @@ import collections
 import csv
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -645,16 +644,14 @@ def mc_validate(
     so results do not depend on evaluation order.  Speed draws are clipped at
     zero, where the offset map is still defined.
 
-    One helper thread draws each point's standard normals, up to two points
-    ahead of the loop that scores them; numpy fills them without holding
-    the GIL, so on two CPUs the default run takes about 0.16 s against
-    0.26 s with the draws in the loop.  Since each point's stream is its
-    own, the results, and the bytes of `write_mc_csv`, depend on neither
-    the thread nor the CPU count.  On one CPU the helper costs about 5 %
-    (best of 9 calls: 279-294 against 266-281 ms in four alternating pairs;
-    Python 3.11.7, numpy 2.4.6).  The loop scales and shifts the draws in
-    place, z * scale + loc: numpy's `normal` computes loc + scale * z per
-    element, and the two must keep giving the same bits.
+    The calling thread seeds each point's stream; one helper thread fills
+    its standard normals, which numpy does without holding the GIL, up to
+    two points ahead of the loop that scores them.  A point's draws depend
+    only on its own seeded stream, so the results, and the bytes of
+    `write_mc_csv`, depend on neither the thread nor the CPU count.  The
+    loop scales and shifts the draws in place, z * scale + loc: numpy's
+    `normal` computes loc + scale * z per element, and the two must keep
+    giving the same bits.
     """
     _check_count("samples", samples, 2, MAX_MC_SAMPLES)
     _check_count("bins", bins, 2, MAX_MC_BINS)
@@ -678,21 +675,20 @@ def _mc_points(
         means, stds = _transform_arrays(inputs, np.array(DEFAULT_MC_VARIANCES), sin_a, cos_a)
     valid = np.isfinite(means) & np.isfinite(stds)
 
-    def normals(index: int) -> np.ndarray:
-        # The stream of the four `normal` calls (v, yaw rate, x, y) of
-        # `samples` draws each, in the same order.
-        return np.random.default_rng([seed, index]).standard_normal((4, samples))
-
     # Each point's draws, offsets and histogram stay in the loop; the
     # Gaussian masses and the distances are taken over the rows of a block
-    # of points, which bounds the memory the rows take.  One helper thread
-    # draws the normals, which numpy fills without holding the GIL, at most
-    # two points ahead of the loop.
+    # of points, which bounds the memory the rows take.  The loop seeds each
+    # point's stream, that of the four `normal` calls (v, yaw rate, x, y) of
+    # `samples` draws each; one helper thread only fills it, which numpy does
+    # without holding the GIL, at most two points ahead of the loop.
+    from concurrent.futures import ThreadPoolExecutor
+
     hellinger = np.full(len(points), math.nan)
     scored = np.flatnonzero(valid)
     block = max(1, _MC_BLOCK_EDGES // (bins + 1))
     with ThreadPoolExecutor(1) as pool:
-        draws = (pool.submit(normals, index) for index in scored.tolist())
+        draws = (pool.submit(np.random.default_rng([seed, index]).standard_normal, (4, samples))
+                 for index in scored.tolist())
         ahead = collections.deque(itertools.islice(draws, 2))
         for start in range(0, len(scored), block):
             rows = scored[start:start + block]

@@ -716,13 +716,26 @@ def test_the_module_runs_as_a_script(tmp_path):
     assert done.stderr.startswith("error: ")
 
 
+def loaded_by_importing_the_cli(*packages):
+    """The modules of `packages` that a fresh `import laneassign.cli` loads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, laneassign.cli; print(sorted(m for m in sys.modules "
+             "for p in sys.argv[1:] if m == p or m.startswith(p + '.')))")
+    done = subprocess.run([sys.executable, "-c", probe, *packages],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_importing_the_cli_loads_no_scipy():
     # Phi is the package's own port; a fresh interpreter that imports the
     # command line loads numpy and nothing of scipy.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, laneassign.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert loaded_by_importing_the_cli("scipy") == "[]"
+
+
+def test_importing_the_cli_loads_neither_the_thread_pool_nor_the_logger():
+    # Only mc-validate starts a thread and only a posterior reset warns;
+    # `run` and `sweep` load neither module.
+    assert loaded_by_importing_the_cli("concurrent.futures", "logging") == "[]"

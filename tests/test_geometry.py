@@ -974,6 +974,33 @@ def test_mc_validate_raises_a_draw_error_and_leaves_no_thread_behind(monkeypatch
     assert threading.active_count() == before
 
 
+def test_mc_validate_raises_a_helper_fill_error_and_leaves_no_thread_behind(monkeypatch):
+    # The third point's stream is seeded on the calling thread and fails
+    # where the helper fills it; the same exception reaches the caller.
+    error = RuntimeError("no normals for the third point")
+    default_rng = np.random.default_rng
+    filled_on = []
+
+    class FailingFill:
+        def __init__(self, seed):
+            self.seed = seed
+
+        def standard_normal(self, size):
+            filled_on.append(threading.current_thread())
+            if self.seed[1] == 2:
+                raise error
+            return default_rng(self.seed).standard_normal(size)
+
+    monkeypatch.setattr(np.random, "default_rng", FailingFill)
+    grid = GridSpec(x_steps=6, bearing_steps=1, v_steps=1, yaw_steps=1)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        mc_validate(grid, samples=200)
+    assert raised.value is error
+    assert threading.active_count() == before
+    assert filled_on and threading.current_thread() not in filled_on
+
+
 def test_mc_default_variances_order():
     # (var_v, var_yaw, var_x, var_y)
     assert DEFAULT_MC_VARIANCES == (0.25, 1e-4, 0.04, 0.04)
