@@ -368,8 +368,8 @@ def _hellinger_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 # two the helper thread draws ahead, 96 MB.  The current point's offsets and
 # bin indices add to a peak of about 0.18 GB (by tracemalloc).  A block of
 # points holds their edges and counts, at most `_MC_BLOCK_EDGES` edges or one
-# point's, and the normal CDF of the edges peaks at about six times that:
-# about 8 MB at the bins cap (one point, by tracemalloc).
+# point's, and the normal CDF of the edges peaks at about nine times that:
+# about 11 MB at the bins cap (one point, by tracemalloc).
 MAX_MC_POINTS = 10**6
 MAX_MC_SAMPLES = 10**6
 MAX_MC_BINS = 10**5
@@ -481,28 +481,37 @@ _LN2_LO = 1.42860682030941723212e-6
 # Cephes' erfc(z) is 0 where z * z > MAXLOG, which for a double z holds
 # exactly where z > sqrt(MAXLOG).
 _ERFC_ZMAX = math.sqrt(7.09782712893383996843e2)
-# Branch keys 1..9 of `_ndtr`, whose first positions bound its groups.
-_NDTR_GROUPS = np.arange(1, 10)
 
 
-def _polevl(x: np.ndarray, coef: tuple, out: np.ndarray) -> np.ndarray:
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
     """Cephes polevl: the polynomial with coefficients `coef` at x, by
-    Horner's rule, in `out`."""
-    np.multiply(x, coef[0], out=out)
-    out += coef[1]
+    Horner's rule."""
+    y = x * coef[0]
+    y += coef[1]
     for c in coef[2:]:
-        out *= x
-        out += c
-    return out
+        y *= x
+        y += c
+    return y
 
 
-def _p1evl(x: np.ndarray, coef: tuple, out: np.ndarray) -> np.ndarray:
+def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
     """Cephes p1evl: `_polevl` with a leading coefficient 1 before `coef`."""
-    np.add(x, coef[0], out=out)
+    y = x + coef[0]
     for c in coef[1:]:
-        out *= x
-        out += c
-    return out
+        y *= x
+        y += c
+    return y
+
+
+def _exp_neg(xx: np.ndarray) -> np.ndarray:
+    """exp(-xx) for 0 <= xx <= MAXLOG by Cephes' exp: 2^n exp(r) with
+    n = floor(-xx log2(e) + 1/2) and r = -xx - n ln2, where exp(r) =
+    1 + 2 r P(r^2) / (Q(r^2) - r P(r^2))."""
+    n = np.floor(xx * -_LOG2E + 0.5)
+    u = n * _LN2_HI + xx + n * _LN2_LO  # -r
+    uu = u * u
+    up = _polevl(uu, _EXP_P) * u
+    return np.ldexp(1.0 - up / (_polevl(uu, _EXP_Q) + up) * 2.0, n.astype(np.int32))
 
 
 def _ndtr(a) -> np.ndarray:
@@ -516,80 +525,26 @@ def _ndtr(a) -> np.ndarray:
     so every step is +, -, *, /, floor or ldexp and the bits depend on
     neither the C library nor the CPU.  NaN stays NaN.
 
-    The values are sorted by branch and sign (a stable sort of a small
-    integer key), each branch runs on its contiguous slice, and the results
-    are scattered back.  Where the result is exactly 1 (z >= 8, a > 0) or
-    exactly 0 nothing is evaluated.
+    Each branch runs on the values its boolean mask picks.  Where the result
+    is exactly 1 (z >= 8, a > 0) or exactly 0 nothing is evaluated.
     """
-    shape = np.shape(a)
-    a = np.asarray(a, dtype=float).ravel()
-    z = a * _SQRT1_2
-    np.abs(z, out=z)
-    # key = 2 * branch + (a > 0); branch 0 takes erf, 1 takes erfc = 1 - erf,
-    # 2 P/Q, 3 R/S and 4 nothing.  NaN compares false: key 0.
-    key = (z >= _SQRT1_2).view(np.uint8)
-    key += z >= 1.0
-    key += z >= 8.0
-    key += z > _ERFC_ZMAX
-    key += key
-    key += a > 0.0
-    order = np.argsort(key, kind="stable")
-    b1, b2, b3, b4, b5, b6, b7, b8, b9 = np.searchsorted(key.take(order), _NDTR_GROUPS)
-    zs = z.take(order)
-    y = z  # z is not read again; y takes the results in sorted order
-    work = np.empty((2, b7))
-    if b4:
-        zt = zs[:b4]
-        zz, q = work[:, :b4]
-        np.multiply(zt, zt, out=zz)
-        erf = _polevl(zz, _ERF_T, y[:b4])
-        erf *= zt
-        erf /= _p1evl(zz, _ERF_U, q)
-        # 0.5 + 0.5 erf(x), erf odd; then 0.5 (1 - erf(z)), mirrored
-        y[:b2] *= 0.5
-        np.subtract(0.5, y[:b1], out=y[:b1])
-        y[b1:b2] += 0.5
-        np.subtract(1.0, y[b2:b4], out=y[b2:b4])
-        y[b2:b4] *= 0.5
-        np.subtract(1.0, y[b3:b4], out=y[b3:b4])
-    if b7 > b4:
-        zt = zs[b4:b7]
-        e = y[b4:b7]
-        zz, px = work[:, b4:b7]
-        # exp(-z^2) = 2^n exp(r) with n = floor(-z^2 log2(e) + 1/2); u = -r
-        np.multiply(zt, zt, out=zz)
-        np.multiply(zz, -_LOG2E, out=px)
-        px += 0.5
-        np.floor(px, out=px)
-        n = px.astype(np.int32)
-        u = np.multiply(px, _LN2_HI, out=e)
-        u += zz
-        px *= _LN2_LO
-        u += px
-        np.multiply(u, u, out=zz)
-        # exp(r) = 1 + 2 r P(r^2) / (Q(r^2) - r P(r^2))
-        rp = _polevl(zz, _EXP_P, px)
-        rp *= u
-        q = _polevl(zz, _EXP_Q, u)
-        q += rp
-        rp /= q
-        rp *= 2.0
-        np.subtract(1.0, rp, out=rp)
-        np.ldexp(rp, n, out=e)
-        m = b6 - b4
-        if m:
-            e[:m] *= _polevl(zt[:m], _ERFC_P, zz[:m])
-            e[:m] /= _p1evl(zt[:m], _ERFC_Q, px[:m])
-        if b7 > b6:
-            e[m:] *= _polevl(zt[m:], _ERFC_R, zz[m:])
-            e[m:] /= _p1evl(zt[m:], _ERFC_S, px[m:])
-        e *= 0.5
-        np.subtract(1.0, y[b5:b6], out=y[b5:b6])
-    y[b7:b8] = 1.0
-    y[b8:b9] = 0.0
-    y[b9:] = 1.0
-    zs[order] = y  # zs is free again: it takes the results in input order
-    return zs.reshape(shape)
+    a = np.asarray(a, dtype=float)
+    z = np.abs(a * _SQRT1_2)
+    y = np.zeros(z.shape)  # 0.5 erfc(z) before the mirror; Phi where z < 1/sqrt2
+    inner = ~(z >= 1.0)  # the erf tables, NaN included
+    x = z[inner]
+    xx = x * x
+    erf = _polevl(xx, _ERF_T) * x / _p1evl(xx, _ERF_U)
+    y[inner] = np.where(
+        x < _SQRT1_2, 0.5 + np.copysign(0.5 * erf, a[inner]), 0.5 * (1.0 - erf)
+    )
+    for branch, num, den in (
+        ((z >= 1.0) & (z < 8.0), _ERFC_P, _ERFC_Q),
+        ((z >= 8.0) & (z <= _ERFC_ZMAX) & (a <= 0.0), _ERFC_R, _ERFC_S),
+    ):
+        x = z[branch]
+        y[branch] = _exp_neg(x * x) * _polevl(x, num) / _p1evl(x, den) * 0.5
+    return np.where((a > 0.0) & (z >= _SQRT1_2), 1.0 - y, y)
 
 
 def _gaussian_bin_masses(means: np.ndarray, stds: np.ndarray, edges: np.ndarray) -> np.ndarray:
