@@ -32,10 +32,11 @@ transition matrices, with `take`.  The Bayes update builds its zero-overlap
 reset mask only when some normalizer is not positive, and the Kalman update
 its certain-state mask only when some measurement has zero variance; a
 certain state that contradicts a certain measurement becomes a NaN state,
-which fails like a state that overflows.  The step's formulas are the
-filter modules' array functions, which the per-object API calls with one
-row.  A sweep flattens all its scenarios into one schedule, so a level
-carries the tracks of every scenario.  The results go back to processing
+which fails like a state that overflows.  The transform and the step's
+formulas are the array functions of `geometry` and the filter modules,
+which the per-object API calls with one row, so a per-object loop gives
+`run`'s bits.  A sweep flattens all its scenarios into one schedule, so a
+level carries the tracks of every scenario.  The results go back to processing
 order, where one pass of `estimator._assign_arrays`, the kernel behind
 `assign`, checks every posterior and takes its gated median.  `filter_batch`
 returns one `RunResult` per parameter value, the type that `run_pipeline`

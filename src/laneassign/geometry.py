@@ -127,10 +127,10 @@ class ObjectMeasurement:
 
 @dataclass(frozen=True)
 class InputVector:
-    """Joint Gaussian over the transform inputs, ordered (v, yaw_rate, x, y).
+    """Gaussian over the independent transform inputs (v, yaw_rate, x, y).
 
-    mean is a length-4 vector, covariance a symmetric 4x4 matrix with
-    nonnegative diagonal in the same ordering.
+    mean is a length-4 vector, covariance a diagonal 4x4 matrix with
+    nonnegative diagonal in the same ordering, as scenario files carry them.
     """
 
     mean: np.ndarray
@@ -145,8 +145,8 @@ class InputVector:
             raise InputDomainError(f"covariance must be 4x4, got {cov.shape}")
         if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
             raise InputDomainError("mean and covariance must be finite")
-        if np.abs(cov - cov.T).max() > 1e-12:
-            raise InputDomainError("covariance must be symmetric")
+        if (cov[~np.eye(4, dtype=bool)] != 0.0).any():
+            raise InputDomainError("covariance must be diagonal")
         if (np.diag(cov) < 0.0).any():
             raise InputDomainError("covariance diagonal must be nonnegative")
         object.__setattr__(self, "mean", mean)
@@ -286,23 +286,22 @@ def jacobian_lateral_offset(host: HostState, x: float, y: float) -> np.ndarray:
 def transform_to_path(inputs: InputVector, alpha: float = 0.0) -> GaussianScalar:
     """First-order propagation of a Gaussian input through the offset map.
 
-    The mean is the offset evaluated at the input mean; the variance is
-    J V J^T with J the offset gradient at the mean.  A variance that comes
-    out negative by rounding is clamped to zero.
+    The mean is the offset at the input mean and the variance J V J^T, with
+    J the offset gradient there: `_transform_arrays` on one row, so it gives
+    `run`'s bits.  At the circle center it raises SingularityError.
     """
-    v, yaw_rate, x, y = (float(c) for c in inputs.mean)
-    host = HostState(v=v, yaw_rate=yaw_rate, alpha=alpha)
-    mean = lateral_path_offset(host, x, y)
-    jac = jacobian_lateral_offset(host, x, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        var = max(float(jac @ inputs.covariance @ jac), 0.0)  # keeps NaN
-    return GaussianScalar(mean, math.sqrt(var))
+    host = HostState(*inputs.mean[:2].tolist(), alpha)
+    sin_a, cos_a = math.sin(alpha), math.cos(alpha)
+    mean, std = _transform_arrays(inputs.mean, np.diag(inputs.covariance), sin_a, cos_a)
+    if math.isnan(std):
+        jacobian_lateral_offset(host, *inputs.mean[2:].tolist())
+    return GaussianScalar(float(mean), float(std))
 
 
 def _transform_arrays(
     inputs: np.ndarray, variances: np.ndarray, sin_a, cos_a
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized `transform_to_path` for diagonal input covariances.
+    """Vectorized `transform_to_path`; `variances` are the covariance diagonals.
 
     `inputs` and `variances` are (..., 4) in InputVector order.  Returns the
     offset mean and standard deviation; one is NaN or infinite wherever

@@ -97,11 +97,7 @@ def _occupancy_arrays(mean, std, bound_means, bound_stds) -> np.ndarray:
     # Degenerate sigma = 0 uses the limit convention: 0/0 -> 0 (so the CDF
     # gives 0.5, splitting mass across the boundary), x/0 -> signed infinity.
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(
-            sigma > 0.0,
-            delta / sigma,
-            np.where(delta == 0.0, 0.0, np.copysign(np.inf, delta)),
-        )
+        t = np.where((sigma == 0.0) & (delta == 0.0), 0.0, delta / sigma)
     raw = np.diff(_ndtr(t), axis=-1, prepend=0.0, append=1.0)
     raw = np.where(raw < 0.0, 0.0, raw)
     return raw / raw.sum(axis=-1, keepdims=True)

@@ -613,7 +613,8 @@ def test_invalid_utf8_names_its_line(tmp_path, capsys, lines, message):
 
 def write_huge_object_scenario(path, var=0.04):
     """One frame whose object lies at x = y = 1e300, where the offset
-    overflows; the parser takes it."""
+    overflows; the parser takes it.  The gradient terms overflow, so the
+    first-order variance, their sum, is +inf."""
     write_minimal_scenario(path, n_frames=1)
     frame = json.loads(path.read_text())
     frame["objects"][0].update(x=1e300, y=1e300, var_x=var, var_y=var)
@@ -629,7 +630,7 @@ def test_an_overflowing_offset_is_an_error_without_warnings(tmp_path, capsys, me
     write_huge_object_scenario(scenario)
     assert main(["run", "--scenario", str(scenario), "--method", method]) == 2
     assert capsys.readouterr().err == (
-        "error: frame 0 (t=0.0): std must be finite and >= 0, got nan\n"
+        "error: frame 0 (t=0.0): std must be finite and >= 0, got inf\n"
     )
 
 
@@ -642,7 +643,7 @@ def test_sweep_names_the_scenario_file_that_fails_in_the_engine(tmp_path, capsys
     argv = ["sweep", "--method", "discrete", "--scenario", *map(str, paths)]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"error: {bad}: frame 0 (t=0.0): std must be finite and >= 0, got nan\n"
+        f"error: {bad}: frame 0 (t=0.0): std must be finite and >= 0, got inf\n"
     )
 
 

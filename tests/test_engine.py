@@ -19,9 +19,10 @@ of all frames (frame times and ids) in the parser's words, then per object
 `assign`.  It is the reference for errors, and for values where the
 reference declines.
 
-Tolerances are fixed in advance: posteriors within 1e-12, identical
-assignments and ROC rates, and identical errors (type and message, frame
-context included).
+Tolerances are fixed in advance: posteriors within 1e-12 of the plain-math
+reference and bit for bit those of the per-object loop, whose functions
+are the engine's kernels on one row; identical assignments and ROC rates;
+and identical errors (type and message, frame context included).
 """
 
 import dataclasses
@@ -444,9 +445,15 @@ def frame_named(error):
     return int(re.match(r"frame (\d+) ", error[1]).group(1))
 
 
-def assert_results_equal(got, expected):
-    """The posteriors, indices and gates of one result against another."""
-    np.testing.assert_allclose(got.posteriors, expected.posteriors, rtol=0, atol=POSTERIOR_TOL)
+def assert_results_equal(got, expected, exact=False):
+    """The posteriors, indices and gates of one result against another;
+    the posteriors bit for bit if `exact`, else within POSTERIOR_TOL."""
+    if exact:
+        assert got.posteriors.tobytes() == expected.posteriors.tobytes()
+    else:
+        np.testing.assert_allclose(
+            got.posteriors, expected.posteriors, rtol=0, atol=POSTERIOR_TOL
+        )
     assert got.index.tolist() == expected.index.tolist()
     assert got.accepted.tolist() == expected.accepted.tolist()
 
@@ -454,13 +461,14 @@ def assert_results_equal(got, expected):
 def assert_batch_matches(scenario, method, config, values):
     """Every value of one batch against the plain-math reference; returns
     the expected results per value.  Where the batch fails or the reference
-    declines, each value's loop run is the reference instead; when loop runs
-    fail, the batch must raise the error of the earliest failing frame over
-    all values."""
+    declines, each value's loop run is the reference instead, to the bit;
+    when loop runs fail, the batch must raise the error of the earliest
+    failing frame over all values."""
     results, error = outcome(lambda: filter_batch([scenario], method, config, values))
     configs = [with_value(config, method, value) for value in values]
     expected = None if error else reference_runs(scenario, method, configs)
-    if expected is None:
+    exact = expected is None
+    if exact:
         transforms = {}
         runs = [outcome(lambda: loop_run(scenario, method, c, transforms)) for c in configs]
         loop_errors = [e for _, e in runs if e is not None]
@@ -471,24 +479,27 @@ def assert_batch_matches(scenario, method, config, values):
         expected = [result for result, _ in runs]
     assert len(results) == len(expected)
     for got, want in zip(results, expected):
-        assert_results_equal(got, want)
+        assert_results_equal(got, want, exact)
     return expected
 
 
-def assert_run_equal(got, want):
+def assert_run_equal(got, want, exact=False):
     assert (got.method, got.t, got.object_id, got.ground_truth) == (
         want.method, want.t, want.object_id, want.ground_truth
     )
-    assert_results_equal(got, want)
-    assert (np.abs(got.probability - want.probability) <= POSTERIOR_TOL).all()
+    assert_results_equal(got, want, exact)
+    tol = 0.0 if exact else POSTERIOR_TOL
+    assert (np.abs(got.probability - want.probability) <= tol).all()
 
 
 def assert_run_matches_loop(scenario, method, config):
+    """`run_pipeline` against the per-object loop: the same error, or the
+    same bits."""
     got, got_error = outcome(lambda: run_pipeline(scenario, method, config))
     want, want_error = outcome(lambda: loop_run(scenario, method, config))
     assert got_error == want_error
     if want is not None:
-        assert_run_equal(got, want)
+        assert_run_equal(got, want, exact=True)
 
 
 def assert_run_matches(scenario, method, config):
@@ -534,6 +545,14 @@ def test_discrete_sweep_with_lateral_velocity_drift_matches_loop():
         compute_roc(results, f"epsilon={value:g}")
         for results, value in zip(runs, EPSILON_GRID)
     ]
+
+
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+def test_the_per_object_loop_gives_the_bits_of_run_on_the_suite(method):
+    # The transform, the filter steps and `assign` are the engine's kernels
+    # on one row, so the loop over them reproduces every posterior byte.
+    for scenario in build_suite().values():
+        assert_run_matches_loop(scenario, method, PipelineConfig())
 
 
 @pytest.mark.parametrize("method", ["discrete", "continuous"])

@@ -432,15 +432,40 @@ def test_transform_variance_matches_sampling():
     assert got.std == pytest.approx(np.std(samples), rel=0.05)
 
 
-def test_transform_clamps_indefinite_covariance():
-    # A symmetric covariance with a negative eigenvalue can push the
-    # propagated variance below zero; it must clamp to zero.
-    cov = np.zeros((4, 4))
-    cov[2:, 2:] = [[1.0, -3.0], [-3.0, 1.0]]
-    vec = InputVector(np.array([20.0, 0.2, 50.0, 150.0]), cov)
-    jac = jacobian_lateral_offset(make_host(20.0, 0.2), 50.0, 150.0)
-    assert jac @ cov @ jac < 0.0
-    assert transform_to_path(vec).std == 0.0
+@pytest.mark.parametrize("value", [-3.0, 1e-300, 0.5])
+def test_input_vector_rejects_a_covariance_with_an_off_diagonal_entry(value):
+    # The inputs are independent, as scenario files carry them, so any
+    # correlation is rejected; a signed zero is none.
+    mean = np.array([20.0, 0.2, 50.0, 150.0])
+    cov = np.diag([0.25, 1e-4, 0.04, 0.04])
+    cov[2, 3] = cov[3, 2] = value
+    with pytest.raises(InputDomainError, match="^covariance must be diagonal$"):
+        InputVector(mean, cov)
+    cov[2, 3] = cov[3, 2] = -0.0
+    assert transform_to_path(InputVector(mean, cov)).std > 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("curved", [False, True])
+def test_transform_to_path_has_the_bits_of_the_array_transform(curved, alpha):
+    # `transform_to_path` is `_transform_arrays` on one row, so a loop over
+    # it gives the engine's means and stds to the bit.
+    rng = np.random.default_rng(34)
+    n = 5000
+    inputs = np.column_stack([
+        rng.uniform(1.0, 70.0, n),
+        rng.uniform(-0.7, 0.7, n) if curved else np.zeros(n),
+        rng.uniform(1.0, 110.0, n),
+        rng.uniform(-40.0, 40.0, n),
+    ])
+    variances = 10.0 ** rng.uniform(-6.0, 0.0, (n, 4))
+    means, stds = _transform_arrays(inputs, variances, math.sin(alpha), math.cos(alpha))
+    got = [
+        transform_to_path(InputVector(row, np.diag(var)), alpha)
+        for row, var in zip(inputs, variances)
+    ]
+    assert np.array([g.mean for g in got]).tobytes() == means.tobytes()
+    assert np.array([g.std for g in got]).tobytes() == stds.tobytes()
 
 
 @pytest.mark.filterwarnings("error")

@@ -268,6 +268,14 @@ def test_occupancy_degenerate_point_mass():
     np.testing.assert_array_equal(p.probs, want)
 
 
+@pytest.mark.parametrize("mean, std", [(0.0, math.nan), (math.nan, 0.0), (math.nan, 0.5)])
+def test_occupancy_of_a_nan_row_is_nan(mean, std):
+    # A NaN mean or std is no point mass: the row comes out NaN for the
+    # caller to reject, also where the boundaries are certain.
+    for bounds in (DEFAULT_BOUNDS, bounds_from_means((-5.25, -1.75, 1.75, 5.25))):
+        assert np.isnan(_occupancy_arrays(mean, std, *bounds.arrays())).all()
+
+
 def test_occupancy_outer_paths_are_open_ended():
     p = lane_occupancy(GaussianScalar(50.0, 1.0), STD_BOUNDS)
     assert p[4] == pytest.approx(1.0)
