@@ -15,7 +15,6 @@ import numpy as np
 from laneassign import (
     GridSpec,
     HostState,
-    InputVector,
     jacobian_lateral_offset,
     lateral_path_offset,
     mc_validate,
@@ -76,13 +75,13 @@ def show_jacobian_agreement():
 
 
 def show_propagation():
-    mean = np.array([20.0, 0.1, 40.0, 1.0])
-    cov = np.diag([0.25, 1e-4, 0.04, 0.04])
-    z = transform_to_path(InputVector(mean, cov))
+    mean = (20.0, 0.1, 40.0, 1.0)
+    variances = np.array([0.25, 1e-4, 0.04, 0.04])
+    z = transform_to_path(HostState(*mean[:2]), *mean[2:], variances)
     print("first-order propagation of a noisy detection")
-    print("  input mean  (v, yaw, x, y) =", tuple(float(m) for m in mean))
+    print("  input mean  (v, yaw, x, y) =", mean)
     print("  input sigma (v, yaw, x, y) =",
-          tuple(float(s) for s in np.sqrt(np.diag(cov)).round(3)))
+          tuple(float(s) for s in np.sqrt(variances).round(3)))
     print(f"  lateral offset ~ N({z.mean:.4f}, {z.std:.4f}^2) m")
     print()
 

@@ -47,12 +47,13 @@ The method, the parameter values and the settings (p_min, and epsilon and
 eta_gain or sigma_nu) are checked first, in that order, since no frame is
 at fault where one is out of range.  Invariants of the data are checked
 once per array, not per step.  The input domains are tested where the
-transform runs: `_transform_arrays` gives NaN outside those of
-`InputVector` and `HostState`, whose heading offset `flatten` sets to NaN
-before its sine, and `filter_batch` adds ObjectMeasurement's x > 0 and
-finite v_lat to the transform's non-finite results as its one domain
-term.  Where a check fails, the earliest failing object-frame is replayed
-through the per-object functions: `ObjectMeasurement`, `transform_to_path`,
+transform runs: `_transform_arrays` gives NaN outside those of `HostState`
+and of `transform_to_path`'s position and variances, and `flatten` sets the
+heading offset to NaN outside its domain before taking its sine;
+`filter_batch` adds ObjectMeasurement's x > 0 and finite v_lat to the
+transform's non-finite results as its one domain term.  Where a check
+fails, the earliest failing object-frame is replayed through the
+per-object functions: `ObjectMeasurement`, `HostState`, `transform_to_path`,
 then `build_transition_matrix`, `predict`, `update` and `lane_occupancy`, or
 `kf_init`, `kf_predict`, `kf_update` and `discretize_posterior`, then
 `assign`.  That replay runs the same formulas on the one object-frame, so
@@ -90,8 +91,8 @@ from .discrete_filter import (
 )
 from .estimator import _assign_arrays, assign
 from .geometry import (
+    HostState,
     InputDomainError,
-    InputVector,
     ObjectMeasurement,
     _transform_arrays,
     transform_to_path,
@@ -467,10 +468,10 @@ def _replay(flat, k, method, config, value, states):
     u = float(flat.lateral_velocity[k])
     p = flat.previous[k]
     try:
-        ObjectMeasurement(*flat.inputs[k, 2:].tolist(), u)
-        z = transform_to_path(
-            InputVector(flat.inputs[k], np.diag(flat.variances[k])), flat.alpha[f]
-        )
+        v, yaw_rate, x, y = flat.inputs[k].tolist()
+        ObjectMeasurement(x, y, u)
+        host = HostState(v, yaw_rate, flat.alpha[f])
+        z = transform_to_path(host, x, y, flat.variances[k])
         if method == "discrete":
             prior = PathPosterior(states[p]) if p >= 0 else PathPosterior.uniform()
             matrix = build_transition_matrix(TransitionParams(value, config.eta_gain * u))

@@ -100,6 +100,12 @@ class HostState:
             )
 
 
+def _check_position(x: float, y: float) -> None:
+    """Raise an InputDomainError unless the object position is finite."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InputDomainError(f"object position must be finite, got ({x}, {y})")
+
+
 @dataclass(frozen=True)
 class ObjectMeasurement:
     """One object detection in the host frame.
@@ -113,44 +119,13 @@ class ObjectMeasurement:
     lateral_velocity_input: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InputDomainError(
-                f"object position must be finite, got ({self.x}, {self.y})"
-            )
+        _check_position(self.x, self.y)
         if self.x <= 0.0:
             raise InputDomainError(f"objects must be ahead of the host, got x={self.x}")
         if self.lateral_velocity_input is not None and not math.isfinite(
             self.lateral_velocity_input
         ):
             raise InputDomainError("lateral velocity input must be finite")
-
-
-@dataclass(frozen=True)
-class InputVector:
-    """Gaussian over the independent transform inputs (v, yaw_rate, x, y).
-
-    mean is a length-4 vector, covariance a diagonal 4x4 matrix with
-    nonnegative diagonal in the same ordering, as scenario files carry them.
-    """
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
-        if mean.shape != (4,):
-            raise InputDomainError(f"mean must have shape (4,), got {mean.shape}")
-        if cov.shape != (4, 4):
-            raise InputDomainError(f"covariance must be 4x4, got {cov.shape}")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise InputDomainError("mean and covariance must be finite")
-        if (cov[~np.eye(4, dtype=bool)] != 0.0).any():
-            raise InputDomainError("covariance must be diagonal")
-        if (np.diag(cov) < 0.0).any():
-            raise InputDomainError("covariance diagonal must be nonnegative")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
 
 
 class _Arc(NamedTuple):
@@ -213,10 +188,10 @@ def _jacobian_arrays(v, yaw_rate, x, y, sin_a, cos_a) -> np.ndarray:
     v, yaw_rate, x, y, sin_a, cos_a = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (v, yaw_rate, x, y, sin_a, cos_a))
     )
-    across = x * cos_a + y * sin_a
     arc = _arc(v, yaw_rate, x, y, sin_a, cos_a)
     safe_yaw, r, sgn, dist = arc.safe_yaw, arc.r, arc.sgn, arc.dist
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        across = x * cos_a + y * sin_a
         d_yaw_line = np.where(v == 0.0, 0.0, -across * across / (2.0 * v))
         # d(offset)/dr = 1 - sgn * (r - line) / dist; when the two terms
         # nearly cancel (large |r|) use dist^2 - (r - line)^2 = across^2
@@ -246,8 +221,7 @@ def lateral_path_offset(host: HostState, x: float, y: float) -> float:
     x, y : float
         Object position in the host frame, meters.
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise InputDomainError(f"object position must be finite, got ({x}, {y})")
+    _check_position(x, y)
     return float(
         _lateral_offset_arrays(
             host.v, host.yaw_rate, x, y, math.sin(host.alpha), math.cos(host.alpha)
@@ -268,8 +242,7 @@ def jacobian_lateral_offset(host: HostState, x: float, y: float) -> np.ndarray:
         If (x, y) coincides with the circle center, where the offset is not
         differentiable.
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise InputDomainError(f"object position must be finite, got ({x}, {y})")
+    _check_position(x, y)
     sin_a, cos_a = math.sin(host.alpha), math.cos(host.alpha)
     jac = _jacobian_arrays(host.v, host.yaw_rate, x, y, sin_a, cos_a)
     # The position components are NaN at the circle center (0/0), and also
@@ -283,33 +256,41 @@ def jacobian_lateral_offset(host: HostState, x: float, y: float) -> np.ndarray:
     return jac
 
 
-def transform_to_path(inputs: InputVector, alpha: float = 0.0) -> GaussianScalar:
-    """First-order propagation of a Gaussian input through the offset map.
+def transform_to_path(host: HostState, x: float, y: float, variances) -> GaussianScalar:
+    """First-order propagation of the measured uncertainty through the offset map.
 
-    The mean is the offset at the input mean and the variance J V J^T, with
-    J the offset gradient there: `_transform_arrays` on one row, so it gives
-    `run`'s bits.  At the circle center it raises SingularityError.
+    `variances` are the four independent input variances in (v, yaw_rate,
+    x, y) order, as scenario files carry them.  The mean is the offset at
+    (host, x, y) and the variance J diag(variances) J^T, with J the offset
+    gradient there: `_transform_arrays` on one row, so it gives `run`'s
+    bits.  At the circle center it raises SingularityError.
     """
-    host = HostState(*inputs.mean[:2].tolist(), alpha)
-    sin_a, cos_a = math.sin(alpha), math.cos(alpha)
-    mean, std = _transform_arrays(inputs.mean, np.diag(inputs.covariance), sin_a, cos_a)
+    _check_position(x, y)
+    variances = np.asarray(variances, dtype=float)
+    if variances.shape != (4,):
+        raise InputDomainError(f"variances must have shape (4,), got {variances.shape}")
+    if not (np.isfinite(variances) & (variances >= 0.0)).all():
+        raise InputDomainError(f"variances must be finite and >= 0, got {variances.tolist()}")
+    sin_a, cos_a = math.sin(host.alpha), math.cos(host.alpha)
+    inputs = np.array([host.v, host.yaw_rate, x, y])
+    mean, std = _transform_arrays(inputs, variances, sin_a, cos_a)
     if math.isnan(std):
-        jacobian_lateral_offset(host, *inputs.mean[2:].tolist())
+        jacobian_lateral_offset(host, x, y)
     return GaussianScalar(float(mean), float(std))
 
 
 def _transform_arrays(
     inputs: np.ndarray, variances: np.ndarray, sin_a, cos_a
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized `transform_to_path`; `variances` are the covariance diagonals.
+    """Vectorized `transform_to_path`.
 
-    `inputs` and `variances` are (..., 4) in InputVector order.  Returns the
-    offset mean and standard deviation; one is NaN or infinite wherever
-    `transform_to_path` would raise for a valid heading offset (non-finite
-    input, negative speed, invalid variance, circle center, non-finite
-    result), and the caller validates.  `invalid` is the one test of those
-    input domains: `mc_validate` skips by it, and `_engine` fails by it,
-    adding only ObjectMeasurement's domain.
+    `inputs` and `variances` are (..., 4) in (v, yaw_rate, x, y) order.
+    Returns the offset mean and standard deviation; one is NaN or infinite
+    wherever `transform_to_path` would raise for a valid heading offset
+    (non-finite input, negative speed, invalid variance, circle center,
+    non-finite result), and the caller validates.  `invalid` is the one test
+    of those input domains: `mc_validate` skips by it, and `_engine` fails
+    by it, adding only ObjectMeasurement's domain.
     """
     v, yaw_rate, x, y = np.moveaxis(inputs, -1, 0)
     mean = _lateral_offset_arrays(v, yaw_rate, x, y, sin_a, cos_a)
@@ -422,7 +403,7 @@ class McPointResult:
     status: str  # "ok" or "skipped"
 
 
-# The input variances of every grid point, ordered like InputVector:
+# The input variances of every grid point, in `transform_to_path`'s order:
 # (v, yaw_rate, x, y).
 DEFAULT_MC_VARIANCES = (0.25, 1e-4, 0.04, 0.04)
 
@@ -586,9 +567,9 @@ def mc_validate(
 ) -> list[McPointResult]:
     """Score the first-order propagation against sampling on a grid.
 
-    For every grid point the input Gaussian (diagonal covariance
+    For every grid point the independent Gaussian inputs (variances
     `DEFAULT_MC_VARIANCES`, ordered v/yaw_rate/x/y, on a path with no
-    heading offset) is propagated two ways: the first-order transform, and
+    heading offset) are propagated two ways: the first-order transform, and
     ``samples`` exact evaluations of the offset at random input draws.  Both
     densities are binned on a common grid of ``bins`` equal-width bins
     spanning the sampled mean +/- 6 sigma plus two open tails, and compared

@@ -92,11 +92,12 @@ def _occupancy_arrays(mean, std, bound_means, bound_stds) -> np.ndarray:
     """
     mean = np.asarray(mean, dtype=float)[..., None]
     std = np.asarray(std, dtype=float)[..., None]
-    delta = bound_means - mean
     sigma = np.hypot(std, bound_stds)
     # Degenerate sigma = 0 uses the limit convention: 0/0 -> 0 (so the CDF
     # gives 0.5, splitting mass across the boundary), x/0 -> signed infinity.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A difference of huge finite values overflows to a signed infinity.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        delta = bound_means - mean
         t = np.where((sigma == 0.0) & (delta == 0.0), 0.0, delta / sigma)
     raw = np.diff(_ndtr(t), axis=-1, prepend=0.0, append=1.0)
     raw = np.where(raw < 0.0, 0.0, raw)

@@ -15,7 +15,6 @@ EXPORTS = [
     "HOST_PATH_INDEX",
     "HostState",
     "InputDomainError",
-    "InputVector",
     "KalmanState",
     "METHODS",
     "McPointResult",

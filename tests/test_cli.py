@@ -611,23 +611,32 @@ def test_invalid_utf8_names_its_line(tmp_path, capsys, lines, message):
     assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
 
 
-def write_huge_object_scenario(path, var=0.04):
-    """One frame whose object lies at x = y = 1e300, where the offset
-    overflows; the parser takes it.  The gradient terms overflow, so the
-    first-order variance, their sum, is +inf."""
+def write_huge_object_scenario(path, var=0.04, position=1e300, alpha=0.0):
+    """One frame whose object lies at x = y = `position`, by default 1e300,
+    where the offset overflows; the parser takes it.  The gradient terms
+    overflow, so the first-order variance, their sum, is +inf."""
     write_minimal_scenario(path, n_frames=1)
     frame = json.loads(path.read_text())
-    frame["objects"][0].update(x=1e300, y=1e300, var_x=var, var_y=var)
+    frame["host"]["alpha"] = alpha
+    frame["objects"][0].update(x=position, y=position, var_x=var, var_y=var)
     path.write_text(json.dumps(frame) + "\n")
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("method", ["discrete", "continuous"])
-def test_an_overflowing_offset_is_an_error_without_warnings(tmp_path, capsys, method):
+@pytest.mark.parametrize(
+    "position, alpha",
+    [(1e300, 0.0), (1.7e308, 0.3)],
+    # At 1.7e308 with a heading offset, x cos(alpha) + y sin(alpha) overflows.
+    ids=["1e300", "1.7e308 with a heading offset"],
+)
+def test_an_overflowing_offset_is_an_error_without_warnings(
+    tmp_path, capsys, method, position, alpha
+):
     # Under the "error" filter a numpy RuntimeWarning would end the command
     # in a traceback; the user sees the domain error and exit code 2 only.
     scenario = tmp_path / "huge.jsonl"
-    write_huge_object_scenario(scenario)
+    write_huge_object_scenario(scenario, position=position, alpha=alpha)
     assert main(["run", "--scenario", str(scenario), "--method", method]) == 2
     assert capsys.readouterr().err == (
         "error: frame 0 (t=0.0): std must be finite and >= 0, got inf\n"

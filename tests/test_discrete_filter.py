@@ -151,6 +151,13 @@ def test_transition_matrix_validation():
         TransitionMatrix(nan_on_band)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (5,), (5, 5, 1)])
+def test_transition_matrix_must_be_5x5(shape):
+    message = re.escape(f"matrix must be 5x5, got {shape}")
+    with pytest.raises(InputDomainError, match=f"^{message}$"):
+        TransitionMatrix(np.full(shape, 0.2))
+
+
 def _violations_by_entry(m):
     """The three checks of one 5x5 matrix, entry by entry."""
     values = m.tolist()

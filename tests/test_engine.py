@@ -13,7 +13,7 @@ covers.
 
 The per-object loop is the one the engine replaces: the `Scenario` contract
 of all frames (frame times and ids) in the parser's words, then per object
-`ObjectMeasurement`'s check, `transform_to_path`, then
+`ObjectMeasurement`'s check, `HostState`, `transform_to_path`, then
 `build_transition_matrix`, `predict`, `update` and `lane_occupancy`, or
 `kf_init`, `kf_predict`, `kf_update` and `discretize_posterior`, then
 `assign`.  It is the reference for errors, and for values where the
@@ -41,8 +41,8 @@ from laneassign import (
     STRAIGHT_YAW_THRESHOLD,
     BoundarySet,
     GaussianScalar,
+    HostState,
     InputDomainError,
-    InputVector,
     ObjectMeasurement,
     PathPosterior,
     PipelineConfig,
@@ -66,6 +66,7 @@ from laneassign import (
     sweep_parameters,
     transform_to_path,
 )
+from laneassign import _engine
 from laneassign._engine import ABSENCE_TIMEOUT, filter_batch, flatten
 from laneassign.discrete_filter import predict, update
 from laneassign.harness import EPSILON_GRID, SIGMA_NU_GRID, SWEEP_CONFIG
@@ -385,11 +386,10 @@ def loop_run(scenario, method, config, transforms=None):
             for k in objects:
                 if k not in transforms:
                     ObjectMeasurement(s.x[k], s.y[k], s.v_lat[k])
-                    inputs = InputVector(
-                        np.array([s.v[f], s.yaw_rate[f], s.x[k], s.y[k]]),
-                        np.diag([s.var_v[f], s.var_yaw[f], s.var_x[k], s.var_y[k]]),
+                    host = HostState(s.v[f], s.yaw_rate[f], s.alpha[f])
+                    transforms[k] = transform_to_path(
+                        host, s.x[k], s.y[k], [s.var_v[f], s.var_yaw[f], s.var_x[k], s.var_y[k]]
                     )
-                    transforms[k] = transform_to_path(inputs, s.alpha[f])
                 states[s.id[k]], posterior = loop_step(
                     method, config, states.get(s.id[k]), transforms[k], bounds,
                     t - last_seen.get(s.id[k], t), s.v_lat[k] or 0.0,
@@ -1006,21 +1006,24 @@ def test_singularity_names_the_earliest_failing_frame(method):
         (dict(alpha=2.0), {}, "heading offset must lie in (-pi/2, pi/2), got 2.0"),
         (dict(alpha=-math.inf), {}, "heading offset must lie in (-pi/2, pi/2), got -inf"),
         (dict(v=-1.0), {}, "speed must be finite and >= 0, got -1.0"),
-        # InputVector checks its mean and covariance before HostState sees them.
-        (dict(yaw_rate=math.nan), {}, "mean and covariance must be finite"),
-        (dict(yaw_rate=math.inf), {}, "mean and covariance must be finite"),
-        (dict(v=math.inf), {}, "mean and covariance must be finite"),
-        (dict(v=math.nan), {}, "mean and covariance must be finite"),
-        (dict(var_v=math.inf), {}, "mean and covariance must be finite"),
-        (None, dict(var_y=math.nan), "mean and covariance must be finite"),
+        (dict(yaw_rate=math.nan), {}, "yaw rate must be finite, got nan"),
+        (dict(yaw_rate=math.inf), {}, "yaw rate must be finite, got inf"),
+        (dict(v=math.inf), {}, "speed must be finite and >= 0, got inf"),
+        (dict(v=math.nan), {}, "speed must be finite and >= 0, got nan"),
+        (dict(var_v=math.inf), {},
+         "variances must be finite and >= 0, got [inf, 1e-06, 0.04, 0.04]"),
+        (None, dict(var_y=math.nan),
+         "variances must be finite and >= 0, got [0.01, 1e-06, 0.04, nan]"),
         (dict(alpha=math.nan), {}, "heading offset must lie in (-pi/2, pi/2), got nan"),
         (dict(alpha=math.pi / 2), {},
          f"heading offset must lie in (-pi/2, pi/2), got {math.pi / 2}"),
         (dict(alpha=-math.pi / 2), {},
          f"heading offset must lie in (-pi/2, pi/2), got {-math.pi / 2}"),
         (None, dict(x=math.inf), "object position must be finite, got (inf, 0.0)"),
-        (dict(var_yaw=-1e-300), {}, "covariance diagonal must be nonnegative"),
-        (None, dict(var_x=-1e-300), "covariance diagonal must be nonnegative"),
+        (dict(var_yaw=-1e-300), {},
+         "variances must be finite and >= 0, got [0.01, -1e-300, 0.04, 0.04]"),
+        (None, dict(var_x=-1e-300),
+         "variances must be finite and >= 0, got [0.01, 1e-06, -1e-300, 0.04]"),
     ],
 )
 def test_values_outside_the_domains_name_the_earliest_frame(method, host, obj, message):
@@ -1059,10 +1062,31 @@ def test_values_just_inside_the_domains_run(method, host, obj):
     assert_run_matches_loop(scenario, method, PipelineConfig())
 
 
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+@pytest.mark.parametrize("row", [0, 2], ids=["new track", "continued track"])
+def test_a_batch_check_the_replay_does_not_repeat_is_a_runtime_error(monkeypatch, method, row):
+    # Should the batch reject an object-frame that the per-object functions
+    # accept, the replay raises nothing and `filter_batch` says so.
+    def reject_row(posteriors, p_min):
+        index, probability, accepted = assign_arrays(posteriors, p_min)
+        index[row] = -1
+        return index, probability, accepted
+
+    assign_arrays = _engine._assign_arrays
+    monkeypatch.setattr(_engine, "_assign_arrays", reject_row)
+    scenario = frames_with(4, ())  # one object per frame, so row k is frame k
+    message = (
+        f"frame {row} (t={scenario.t[row]}): the batch check rejects an "
+        "object-frame that the per-object functions accept"
+    )
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        run_pipeline(scenario, method)
+
+
 def test_sweep_error_names_the_earliest_failing_frame():
     scenario = straight(5)
     scenario.var_v[3] = -1.0
-    with pytest.raises(InputDomainError, match=r"^frame 3 \(t=0\.15\): covariance"):
+    with pytest.raises(InputDomainError, match=r"^frame 3 \(t=0\.15\): variances"):
         sweep_parameters([scenario], "discrete", EPSILON_GRID)
 
 
@@ -1072,7 +1096,7 @@ def test_sweep_error_names_the_first_failing_scenario():
     scenarios = [straight(5) for _ in range(3)]
     scenarios[1].var_v[3] = -1.0
     scenarios[2].var_v[1] = -1.0
-    with pytest.raises(InputDomainError, match=r"^frame 3 \(t=0\.15\): covariance"):
+    with pytest.raises(InputDomainError, match=r"^frame 3 \(t=0\.15\): variances"):
         sweep_parameters(scenarios, "discrete", EPSILON_GRID)
 
 

@@ -8,6 +8,7 @@ import dataclasses
 import inspect
 import itertools
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -24,7 +25,6 @@ from laneassign import (
     GridSpec,
     HostState,
     InputDomainError,
-    InputVector,
     SingularityError,
     hellinger_distance,
     jacobian_lateral_offset,
@@ -193,6 +193,22 @@ def test_offset_input_validation():
         lateral_path_offset(make_host(20.0, 0.1), math.inf, 0.0)
 
 
+@pytest.mark.parametrize(
+    "path_function",
+    [
+        lateral_path_offset,
+        jacobian_lateral_offset,
+        lambda host, x, y: transform_to_path(host, x, y, [0.25, 1e-4, 0.04, 0.04]),
+    ],
+    ids=["offset", "jacobian", "transform"],
+)
+@pytest.mark.parametrize("x, y", [(math.nan, 1.0), (40.0, math.inf), (-math.inf, math.nan)])
+def test_the_path_functions_reject_a_non_finite_position(path_function, x, y):
+    message = re.escape(f"object position must be finite, got ({x}, {y})")
+    with pytest.raises(InputDomainError, match=f"^{message}$"):
+        path_function(make_host(20.0, 0.1), x, y)
+
+
 # ---------------------------------------------------------------------------
 # jacobian_lateral_offset
 # ---------------------------------------------------------------------------
@@ -278,9 +294,8 @@ def test_jacobian_overflow_is_not_the_circle_center(v, yaw_rate, x, y, alpha, me
     # and the transform rejects the result as a domain error.
     jac = jacobian_lateral_offset(make_host(v, yaw_rate, alpha), x, y)
     assert np.isnan(jac).any()
-    vec = InputVector(np.array([v, yaw_rate, x, y]), np.diag([0.25, 1e-4, 0.04, 0.04]))
     with pytest.raises(InputDomainError, match=message):
-        transform_to_path(vec, alpha)
+        transform_to_path(make_host(v, yaw_rate, alpha), x, y, [0.25, 1e-4, 0.04, 0.04])
 
 
 def test_jacobian_stable_at_tiny_yaw():
@@ -404,17 +419,13 @@ def test_vectorized_jacobian_marks_the_circle_center():
 
 
 def test_transform_zero_covariance():
-    vec = InputVector(np.array([20.0, 0.2, 10.0, 0.5]), np.zeros((4, 4)))
-    got = transform_to_path(vec)
+    got = transform_to_path(make_host(20.0, 0.2), 10.0, 0.5, np.zeros(4))
     assert got.std == 0.0
     assert got.mean == pytest.approx(lateral_path_offset(make_host(20.0, 0.2), 10.0, 0.5))
 
 
 def test_transform_lateral_noise_passes_through_when_straight():
-    cov = np.zeros((4, 4))
-    cov[3, 3] = 0.04
-    vec = InputVector(np.array([20.0, 0.0, 50.0, 2.0]), cov)
-    got = transform_to_path(vec)
+    got = transform_to_path(make_host(20.0, 0.0), 50.0, 2.0, [0.0, 0.0, 0.0, 0.04])
     assert got.mean == 2.0
     assert got.std == pytest.approx(0.2, rel=1e-12)
 
@@ -425,24 +436,11 @@ def test_transform_variance_matches_sampling():
     rng = np.random.default_rng(23)
     mean = np.array([20.0, 0.1, 40.0, 1.0])
     cov = np.diag([0.25, 1e-6, 0.04, 0.04])
-    got = transform_to_path(InputVector(mean, cov))
+    got = transform_to_path(make_host(20.0, 0.1), 40.0, 1.0, np.diag(cov))
     v, w, x, y = rng.multivariate_normal(mean, cov, size=200_000).T
     samples = _lateral_offset_arrays(v, w, x, y, 0.0, 1.0)
     assert got.mean == pytest.approx(np.mean(samples), abs=5e-3)
     assert got.std == pytest.approx(np.std(samples), rel=0.05)
-
-
-@pytest.mark.parametrize("value", [-3.0, 1e-300, 0.5])
-def test_input_vector_rejects_a_covariance_with_an_off_diagonal_entry(value):
-    # The inputs are independent, as scenario files carry them, so any
-    # correlation is rejected; a signed zero is none.
-    mean = np.array([20.0, 0.2, 50.0, 150.0])
-    cov = np.diag([0.25, 1e-4, 0.04, 0.04])
-    cov[2, 3] = cov[3, 2] = value
-    with pytest.raises(InputDomainError, match="^covariance must be diagonal$"):
-        InputVector(mean, cov)
-    cov[2, 3] = cov[3, 2] = -0.0
-    assert transform_to_path(InputVector(mean, cov)).std > 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
@@ -461,8 +459,8 @@ def test_transform_to_path_has_the_bits_of_the_array_transform(curved, alpha):
     variances = 10.0 ** rng.uniform(-6.0, 0.0, (n, 4))
     means, stds = _transform_arrays(inputs, variances, math.sin(alpha), math.cos(alpha))
     got = [
-        transform_to_path(InputVector(row, np.diag(var)), alpha)
-        for row, var in zip(inputs, variances)
+        transform_to_path(make_host(v, yaw_rate, alpha), x, y, var)
+        for (v, yaw_rate, x, y), var in zip(inputs.tolist(), variances)
     ]
     assert np.array([g.mean for g in got]).tobytes() == means.tobytes()
     assert np.array([g.std for g in got]).tobytes() == stds.tobytes()
@@ -474,23 +472,29 @@ def test_transform_rejects_an_overflowing_variance_without_warnings(v):
     # Near v = 0 the straight branch's yaw-rate gradient is huge (1e-300) or
     # infinite (5e-324), so the variance overflows or is NaN: the input is
     # rejected, and no numpy warning escapes before the error.
-    vec = InputVector(np.array([v, 0.0, 40.0, 1.0]), np.diag([0.25, 1e-4, 0.04, 0.04]))
     with pytest.raises(InputDomainError, match="std must be finite"):
-        transform_to_path(vec)
+        transform_to_path(make_host(v, 0.0), 40.0, 1.0, [0.25, 1e-4, 0.04, 0.04])
 
 
-def test_input_vector_validation():
-    mean = np.array([20.0, 0.1, 40.0, 1.0])
-    bad = np.eye(4)
-    bad[0, 1] = 0.5  # asymmetric
-    with pytest.raises(InputDomainError):
-        InputVector(mean, bad)
-    with pytest.raises(InputDomainError):
-        InputVector(mean, -np.eye(4))  # negative diagonal
-    with pytest.raises(InputDomainError):
-        InputVector(mean[:3], np.eye(3))  # wrong shape
-    with pytest.raises(InputDomainError):
-        InputVector(np.array([20.0, 0.1, np.nan, 1.0]), np.eye(4))
+@pytest.mark.parametrize(
+    "variances, message",
+    [
+        ([0.25, 1e-4, 0.04], "have shape (4,), got (3,)"),
+        (np.eye(4), "have shape (4,), got (4, 4)"),
+        ([0.25, -1e-300, 0.04, 0.04], "be finite and >= 0, got [0.25, -1e-300, 0.04, 0.04]"),
+        ([0.25, 1e-4, math.nan, 0.04], "be finite and >= 0, got [0.25, 0.0001, nan, 0.04]"),
+        ([math.inf, 1e-4, 0.04, 0.04], "be finite and >= 0, got [inf, 0.0001, 0.04, 0.04]"),
+    ],
+    ids=["three", "matrix", "negative", "nan", "inf"],
+)
+def test_transform_to_path_rejects_bad_variances(variances, message):
+    host = make_host(20.0, 0.1)
+    with pytest.raises(InputDomainError, match=f"^variances must {re.escape(message)}$"):
+        transform_to_path(host, 40.0, 1.0, variances)
+    # The position is checked before the variances.
+    with pytest.raises(InputDomainError, match="^object position must be finite"):
+        transform_to_path(host, math.nan, 1.0, variances)
+    assert transform_to_path(host, 40.0, 1.0, [0.25, 1e-4, 0.04, 0.04]).std > 0.0
 
 
 def test_gaussian_scalar_validation():

@@ -929,20 +929,17 @@ def test_synthetic_host_curve_objects_on_arc():
     assert scenario.yaw_rate == pytest.approx([25.0 / 500.0] * len(scenario))
     expected = {"lead": 0.0, "adjacent": -3.5}
     for k, object_id in enumerate(scenario.id):
-        alpha = scenario.alpha[scenario.frame_of[k]]
-        z = transform_to_path(_inputs(scenario, k, exact=True), alpha)
+        z = _transform(scenario, k, exact=True)
         assert z.mean == pytest.approx(expected[object_id], abs=1e-9)
 
 
-def _inputs(scenario, k, exact=False):
-    """The transform inputs of object-frame k, without variances if exact."""
-    from laneassign import InputVector
-
+def _transform(scenario, k, exact=False):
+    """The path offset of object-frame k, without variances if exact."""
     f = scenario.frame_of[k]
+    host = HostState(scenario.v[f], scenario.yaw_rate[f], scenario.alpha[f])
     variances = [scenario.var_v[f], scenario.var_yaw[f], scenario.var_x[k], scenario.var_y[k]]
-    return InputVector(
-        np.array([scenario.v[f], scenario.yaw_rate[f], scenario.x[k], scenario.y[k]]),
-        np.diag([0.0] * 4 if exact else variances),
+    return transform_to_path(
+        host, scenario.x[k], scenario.y[k], [0.0] * 4 if exact else variances
     )
 
 
@@ -1204,7 +1201,7 @@ def test_pipeline_first_step_semantics():
     )
     assert len(scenario) == 1
     lead = scenario.id.index("lead")
-    z = transform_to_path(_inputs(scenario, lead), scenario.alpha[0])
+    z = _transform(scenario, lead)
     want = lane_occupancy(z, scenario.bounds[0])
     for method in ("discrete", "continuous"):
         result = run_pipeline(scenario, method=method)

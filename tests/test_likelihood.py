@@ -276,6 +276,15 @@ def test_occupancy_of_a_nan_row_is_nan(mean, std):
         assert np.isnan(_occupancy_arrays(mean, std, *bounds.arrays())).all()
 
 
+@pytest.mark.filterwarnings("error")
+def test_occupancy_of_an_overflowing_distance_warns_nothing():
+    # 1.7e308 - (-1.7e308) overflows to inf: that boundary lies infinitely
+    # far below, and no numpy warning escapes.
+    bounds = bounds_from_means((-1.7e308, -1.0, 1.0, 1.7e308))
+    p = lane_occupancy(GaussianScalar(1.7e308, 1.0), bounds)
+    assert p.probs.tolist() == [0.0, 0.0, 0.0, 0.5, 0.5]
+
+
 def test_occupancy_outer_paths_are_open_ended():
     p = lane_occupancy(GaussianScalar(50.0, 1.0), STD_BOUNDS)
     assert p[4] == pytest.approx(1.0)
