@@ -9,7 +9,6 @@ synthetic scenarios and evaluates both methods with ROC sweeps.
 
 from .continuous_filter import (
     KalmanState,
-    ProcessNoise,
     discretize_posterior,
     kf_init,
     kf_predict,
@@ -18,7 +17,6 @@ from .continuous_filter import (
 from .discrete_filter import (
     EPSILON_MAX,
     TransitionMatrix,
-    TransitionParams,
     build_transition_matrix,
 )
 from .estimator import (
@@ -35,7 +33,6 @@ from .geometry import (
     HostState,
     InputDomainError,
     McPointResult,
-    ObjectMeasurement,
     SingularityError,
     hellinger_distance,
     jacobian_lateral_offset,
@@ -95,11 +92,9 @@ __all__ = [
     "METHODS",
     "McPointResult",
     "N_PATHS",
-    "ObjectMeasurement",
     "PATH_LABELS",
     "PathPosterior",
     "PipelineConfig",
-    "ProcessNoise",
     "RocPoint",
     "RunResult",
     "SCENARIO_KINDS",
@@ -110,7 +105,6 @@ __all__ = [
     "SingularityError",
     "SynthSpec",
     "TransitionMatrix",
-    "TransitionParams",
     "assign",
     "build_suite",
     "build_transition_matrix",

@@ -50,10 +50,10 @@ once per array, not per step.  The input domains are tested where the
 transform runs: `_transform_arrays` gives NaN outside those of `HostState`
 and of `transform_to_path`'s position and variances, and `flatten` sets the
 heading offset to NaN outside its domain before taking its sine;
-`filter_batch` adds ObjectMeasurement's x > 0 and finite v_lat to the
-transform's non-finite results as its one domain term.  Where a check
+`filter_batch` adds `geometry._check_object`'s x > 0 and finite v_lat to
+the transform's non-finite results as its one domain term.  Where a check
 fails, the earliest failing object-frame is replayed through the
-per-object functions: `ObjectMeasurement`, `HostState`, `transform_to_path`,
+per-object functions: `_check_object`, `HostState`, `transform_to_path`,
 then `build_transition_matrix`, `predict`, `update` and `lane_occupancy`, or
 `kf_init`, `kf_predict`, `kf_update` and `discretize_posterior`, then
 `assign`.  That replay runs the same formulas on the one object-frame, so
@@ -71,7 +71,7 @@ import numpy as np
 
 from .continuous_filter import (
     KalmanState,
-    ProcessNoise,
+    _check_sigma_nu,
     _kf_motion_arrays,
     _kf_predict_arrays,
     _kf_update_arrays,
@@ -81,7 +81,6 @@ from .continuous_filter import (
     kf_update,
 )
 from .discrete_filter import (
-    TransitionParams,
     _bayes_update_arrays,
     _clamp,
     _transition_entries,
@@ -89,11 +88,11 @@ from .discrete_filter import (
     predict,
     update,
 )
-from .estimator import _assign_arrays, assign
+from .estimator import _assign_arrays, _check_p_min, assign
 from .geometry import (
     HostState,
     InputDomainError,
-    ObjectMeasurement,
+    _check_object,
     _transform_arrays,
     transform_to_path,
 )
@@ -418,8 +417,7 @@ def filter_batch(scenarios, method: str, config, values=None) -> list[RunResult]
     values = np.asarray(values, dtype=float)
     if not len(values):
         raise InputDomainError("parameter grid must be nonempty")
-    if not 0.0 <= config.p_min <= 1.0:
-        raise InputDomainError(f"p_min must lie in [0, 1], got {config.p_min}")
+    _check_p_min(config.p_min)
     if method == "discrete":
         for epsilon in values.tolist():
             if not math.isfinite(epsilon):
@@ -428,7 +426,7 @@ def filter_batch(scenarios, method: str, config, values=None) -> list[RunResult]
             raise InputDomainError(f"eta_gain must be finite, got {config.eta_gain}")
     else:
         for sigma_nu in values.tolist():
-            ProcessNoise(sigma_nu)
+            _check_sigma_nu(sigma_nu)
     with np.errstate(all="ignore"):
         flat = flatten(scenarios)
         z_mean, z_std = _transform_arrays(
@@ -441,7 +439,7 @@ def filter_batch(scenarios, method: str, config, values=None) -> list[RunResult]
         else:
             posteriors, failed, states = _continuous(flat, z_mean, z_std, values)
         index, probability, accepted = _assign_arrays(posteriors, config.p_min)
-        # The transform's domains, and ObjectMeasurement's x > 0 and finite v_lat.
+        # The transform's domains, and `_check_object`'s x > 0 and finite v_lat.
         inside = np.isfinite(z_mean) & np.isfinite(z_std) & (flat.inputs[:, 2] > 0.0)
         inside &= np.isfinite(flat.lateral_velocity)
         failed = failed | (index < 0) | ~inside[:, None]
@@ -469,20 +467,19 @@ def _replay(flat, k, method, config, value, states):
     p = flat.previous[k]
     try:
         v, yaw_rate, x, y = flat.inputs[k].tolist()
-        ObjectMeasurement(x, y, u)
+        _check_object(x, y, u)
         host = HostState(v, yaw_rate, flat.alpha[f])
         z = transform_to_path(host, x, y, flat.variances[k])
         if method == "discrete":
             prior = PathPosterior(states[p]) if p >= 0 else PathPosterior.uniform()
-            matrix = build_transition_matrix(TransitionParams(value, config.eta_gain * u))
+            matrix = build_transition_matrix(value, config.eta_gain * u)
             posterior = update(predict(prior, matrix), lane_occupancy(z, bounds))
         else:
             if p < 0:
                 state = kf_init(z)
             else:
                 state = KalmanState(*states[p].tolist())
-                noise = ProcessNoise(value)
-                state = kf_update(kf_predict(state, u, float(flat.dt[k]), noise), z)
+                state = kf_update(kf_predict(state, u, float(flat.dt[k]), value), z)
             posterior = discretize_posterior(state, bounds)
         assign(posterior, config.p_min)
     except ValueError as exc:

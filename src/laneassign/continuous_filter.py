@@ -18,18 +18,12 @@ from .geometry import GaussianScalar, InputDomainError
 from .likelihood import BoundarySet, PathPosterior, lane_occupancy
 
 
-@dataclass(frozen=True)
-class ProcessNoise:
-    """White process noise on the offset rate, in m/s.  Strictly positive:
-    a zero here would let the filter collapse to false certainty."""
-
-    sigma_nu: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.sigma_nu) or self.sigma_nu <= 0.0:
-            raise InputDomainError(
-                f"sigma_nu must be finite and > 0, got {self.sigma_nu}"
-            )
+def _check_sigma_nu(sigma_nu: float) -> None:
+    """Raise an InputDomainError unless the process noise sigma_nu, white
+    noise on the offset rate in m/s, is finite and strictly positive: a zero
+    would let the filter collapse to false certainty."""
+    if not math.isfinite(sigma_nu) or sigma_nu <= 0.0:
+        raise InputDomainError(f"sigma_nu must be finite and > 0, got {sigma_nu}")
 
 
 @dataclass(frozen=True)
@@ -81,14 +75,14 @@ def _kf_update_arrays(mean, var, z, r, may_contradict=True):
     return mean + gain * (z - mean), (1.0 - gain) * var
 
 
-def kf_predict(
-    state: KalmanState, u: float, dt: float, noise: ProcessNoise
-) -> KalmanState:
-    """Propagate by dt seconds with offset rate u."""
+def kf_predict(state: KalmanState, u: float, dt: float, sigma_nu: float) -> KalmanState:
+    """Propagate by dt seconds with offset rate u and process noise sigma_nu;
+    sigma_nu is checked first, then dt."""
+    _check_sigma_nu(sigma_nu)
     if dt <= 0.0 or not math.isfinite(dt):
         raise InputDomainError(f"dt must be positive, got {dt}")
     mean, var = _kf_predict_arrays(
-        state.mean, state.variance, *_kf_motion_arrays(dt, u, noise.sigma_nu)
+        state.mean, state.variance, *_kf_motion_arrays(dt, u, sigma_nu)
     )
     return KalmanState(mean, var)
 

@@ -20,21 +20,6 @@ from .likelihood import N_PATHS, PathPosterior
 EPSILON_MAX = 0.3
 
 
-@dataclass(frozen=True)
-class TransitionParams:
-    """Leak rate epsilon and drift asymmetry eta of the transition matrix."""
-
-    epsilon: float
-    eta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.epsilon) or not math.isfinite(self.eta):
-            raise InputDomainError(
-                f"transition parameters must be finite, got "
-                f"epsilon={self.epsilon}, eta={self.eta}"
-            )
-
-
 def _clamp(epsilon, eta):
     """Clamp broadcast (epsilon, eta) arrays into the domain where all matrix
     entries are valid probabilities: epsilon in [0, 0.3],
@@ -88,15 +73,20 @@ def _transition_entries(epsilon, eta) -> np.ndarray:
     return entries
 
 
-def build_transition_matrix(params: TransitionParams) -> TransitionMatrix:
-    """Build the transition matrix, clamping parameters into the valid domain.
+def build_transition_matrix(epsilon: float, eta: float = 0.0) -> TransitionMatrix:
+    """Build the transition matrix of leak rate epsilon and drift asymmetry
+    eta, which must be finite, clamping them into the valid domain.
 
     Column j holds the outgoing probabilities of path j.  Positive eta shifts
     leak mass toward higher indices; the interior columns lose 2*epsilon+|eta|
     to their neighbors.  Entry [3, 4] is epsilon - eta, the one corner where
     the drift term enters with a bare minus sign.
     """
-    eps, eta = _clamp(params.epsilon, params.eta)
+    if not math.isfinite(epsilon) or not math.isfinite(eta):
+        raise InputDomainError(
+            f"transition parameters must be finite, got epsilon={epsilon}, eta={eta}"
+        )
+    eps, eta = _clamp(epsilon, eta)
     return TransitionMatrix(_transition_entries(float(eps), float(eta)))
 
 

@@ -28,6 +28,12 @@ class Assignment:
     accepted: bool
 
 
+def _check_p_min(p_min: float) -> None:
+    """Raise an InputDomainError unless the gate p_min lies in [0, 1]."""
+    if not 0.0 <= p_min <= 1.0:
+        raise InputDomainError(f"p_min must lie in [0, 1], got {p_min}")
+
+
 def _assign_arrays(probs: np.ndarray, p_min: float):
     """Vectorized `assign` over the last axis, without the p_min check:
     index, probability and accepted.  The index is -1 on a row that is not
@@ -62,8 +68,7 @@ def median_index(posterior: PathPosterior) -> int:
 
 def assign(posterior: PathPosterior, p_min: float = DEFAULT_P_MIN) -> Assignment:
     """Assign the median index, accepted iff its posterior mass reaches p_min."""
-    if not 0.0 <= p_min <= 1.0:
-        raise InputDomainError(f"p_min must lie in [0, 1], got {p_min}")
+    _check_p_min(p_min)
     index, probability, accepted = _assign_arrays(posterior.probs, p_min)
     if index < 0:
         raise RuntimeError("no median index; posterior violates its invariants")

@@ -106,26 +106,16 @@ def _check_position(x: float, y: float) -> None:
         raise InputDomainError(f"object position must be finite, got ({x}, {y})")
 
 
-@dataclass(frozen=True)
-class ObjectMeasurement:
-    """One object detection in the host frame.
-
-    lateral_velocity_input is the object's lateral velocity along the path
-    normal, used as the control input of both filters when available.
-    """
-
-    x: float
-    y: float
-    lateral_velocity_input: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_position(self.x, self.y)
-        if self.x <= 0.0:
-            raise InputDomainError(f"objects must be ahead of the host, got x={self.x}")
-        if self.lateral_velocity_input is not None and not math.isfinite(
-            self.lateral_velocity_input
-        ):
-            raise InputDomainError("lateral velocity input must be finite")
+def _check_object(x: float, y: float, v_lat: float | None) -> None:
+    """Raise an InputDomainError unless the detection lies in the domain of
+    the filters: a finite position, ahead of the host (x > 0), and a finite
+    lateral velocity v_lat (the control input of both filters) where one is
+    given."""
+    _check_position(x, y)
+    if x <= 0.0:
+        raise InputDomainError(f"objects must be ahead of the host, got x={x}")
+    if v_lat is not None and not math.isfinite(v_lat):
+        raise InputDomainError("lateral velocity input must be finite")
 
 
 class _Arc(NamedTuple):
@@ -290,7 +280,7 @@ def _transform_arrays(
     (non-finite input, negative speed, invalid variance, circle center,
     non-finite result), and the caller validates.  `invalid` is the one test
     of those input domains: `mc_validate` skips by it, and `_engine` fails
-    by it, adding only ObjectMeasurement's domain.
+    by it, adding only `_check_object`'s x > 0 and finite v_lat.
     """
     v, yaw_rate, x, y = np.moveaxis(inputs, -1, 0)
     mean = _lateral_offset_arrays(v, yaw_rate, x, y, sin_a, cos_a)

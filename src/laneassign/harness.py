@@ -51,7 +51,7 @@ import numpy as np
 
 from ._engine import METHODS, RunResult, _in_scenario, filter_batch
 from .estimator import DEFAULT_P_MIN
-from .geometry import GaussianScalar, HostState, InputDomainError, ObjectMeasurement, _check_count
+from .geometry import GaussianScalar, HostState, InputDomainError, _check_count, _check_object
 from .likelihood import DEFAULT_BOUNDS, HOST_PATH_INDEX, N_PATHS, BoundarySet
 
 
@@ -76,7 +76,7 @@ class Scenario:
     per id (as `id` has); `frame_of` never decreases and indexes the
     frames; the frame times are finite and strictly increase, and an id
     appears at most once per frame; the host's values lie in the domain of
-    `HostState` and each object's in that of `ObjectMeasurement`.  The
+    `HostState` and each object's in that of `geometry._check_object`.  The
     parser and the generator check all of it; the engine checks the column
     lengths, `frame_of`, the frame times and the ids before anything else,
     and rejects an object-frame outside the domains.
@@ -165,7 +165,7 @@ def _parse_line(raw: str, scenario: Scenario) -> None:
     The checks run in this order, and the first that fails raises: the
     frame's keys, `t`, its increase, the host's keys, `alpha`, `v` and
     `yaw_rate`, the `HostState` domain, a finite `t`, `objects`, each object
-    in turn (keys, `id`, `v_lat`, `gt`, `x`, `y`, the `ObjectMeasurement`
+    in turn (keys, `id`, `v_lat`, `gt`, `x`, `y`, the `_check_object`
     domain, `var_x`, `var_y`), duplicate ids, `bounds` (each entry in turn,
     then their order), and the host's `var_v` and `var_yaw`.  The object loop
     tests each value inline and calls a helper, or the constructor, only to
@@ -226,7 +226,7 @@ def _parse_line(raw: str, scenario: Scenario) -> None:
             y = _number(record, "y", "object")
         if not (0.0 < x < inf and -inf < y < inf) or (
                 v_lat is not None and not -inf < v_lat < inf):
-            ObjectMeasurement(x, y, v_lat)
+            _check_object(x, y, v_lat)
         if type(var_x) is not float or not 0.0 <= var_x < inf:
             var_x = _variance(record, "var_x", "object")
         if type(var_y) is not float or not 0.0 <= var_y < inf:

@@ -19,11 +19,9 @@ EXPORTS = [
     "METHODS",
     "McPointResult",
     "N_PATHS",
-    "ObjectMeasurement",
     "PATH_LABELS",
     "PathPosterior",
     "PipelineConfig",
-    "ProcessNoise",
     "RocPoint",
     "RunResult",
     "SCENARIO_KINDS",
@@ -34,7 +32,6 @@ EXPORTS = [
     "SingularityError",
     "SynthSpec",
     "TransitionMatrix",
-    "TransitionParams",
     "assign",
     "build_suite",
     "build_transition_matrix",

@@ -16,7 +16,6 @@ from laneassign import (
     Assignment,
     GridSpec,
     HostState,
-    ObjectMeasurement,
     PathPosterior,
     SynthSpec,
     build_suite,
@@ -31,6 +30,7 @@ from laneassign import (
     write_run_csv,
     write_scenario,
 )
+from laneassign import harness
 from laneassign.cli import build_parser, main
 from laneassign.harness import SCENARIO_KINDS, SWEEP_CONFIG
 
@@ -221,21 +221,28 @@ def test_text_file_and_run_read_the_same_ids(tmp_path, separator):
 
 def count_constructions(monkeypatch):
     """The class names of the per-object and per-frame values built from
-    here on."""
+    here on, and "_check_object" for each per-object check of the parser."""
     calls = []
-    for cls in (HostState, ObjectMeasurement, PathPosterior, Assignment):
+    for cls in (HostState, PathPosterior, Assignment):
         def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             calls.append(_name)
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting)
+
+    def counting_check(*args, _check=harness._check_object):
+        calls.append("_check_object")
+        _check(*args)
+
+    monkeypatch.setattr(harness, "_check_object", counting_check)
     return calls
 
 
 @pytest.mark.parametrize("method", ["discrete", "continuous"])
 def test_run_builds_no_per_object_objects(tmp_path, monkeypatch, method):
     # `run` stays columnar from file to CSV: no object of these classes is
-    # built, whatever the number of object-frames.
+    # built and no object is checked on its own, whatever the number of
+    # object-frames.
     scenario = tmp_path / "s.jsonl"
     with open(scenario, "w", encoding="utf-8") as handle:
         write_scenario(generate_synthetic(SynthSpec("noisy_yaw", duration=2.0)), handle)
@@ -243,8 +250,8 @@ def test_run_builds_no_per_object_objects(tmp_path, monkeypatch, method):
     assert main(["run", "--scenario", str(scenario), "--method", method,
                  "--out", str(tmp_path / "run.csv")]) == 0
     assert calls == []
-    ObjectMeasurement(1.0, 0.0)  # the count works
-    assert calls == ["ObjectMeasurement"]
+    harness._check_object(1.0, 0.0, None)  # the count works
+    assert calls == ["_check_object"]
 
 
 def write_synth_files(tmp_path):

@@ -14,7 +14,6 @@ from laneassign import (
     InputDomainError,
     KalmanState,
     PipelineConfig,
-    ProcessNoise,
     discretize_posterior,
     kf_init,
     kf_predict,
@@ -29,14 +28,13 @@ from laneassign import (
 # ---------------------------------------------------------------------------
 
 
-def test_process_noise_must_be_positive():
-    ProcessNoise(0.1)
-    with pytest.raises(InputDomainError):
-        ProcessNoise(0.0)
-    with pytest.raises(InputDomainError):
-        ProcessNoise(-0.5)
-    with pytest.raises(InputDomainError):
-        ProcessNoise(math.inf)
+@pytest.mark.parametrize("dt", [0.1, 0.0])
+@pytest.mark.parametrize("sigma_nu", [0.0, -0.5, math.inf, math.nan])
+def test_process_noise_must_be_positive(sigma_nu, dt):
+    # sigma_nu is checked before dt, so a bad sigma_nu is named first.
+    message = f"sigma_nu must be finite and > 0, got {sigma_nu}"
+    with pytest.raises(InputDomainError, match=f"^{re.escape(message)}$"):
+        kf_predict(KalmanState(0.0, 1.0), 0.0, dt, sigma_nu)
 
 
 def test_state_validation():
@@ -54,10 +52,10 @@ def test_init_copies_measurement():
 
 
 def test_predict_examples():
-    s = kf_predict(KalmanState(0.0, 1.0), u=0.0, dt=0.1, noise=ProcessNoise(0.4))
+    s = kf_predict(KalmanState(0.0, 1.0), u=0.0, dt=0.1, sigma_nu=0.4)
     assert s.mean == 0.0
     assert s.variance == pytest.approx(1.0016, abs=1e-12)
-    s = kf_predict(KalmanState(1.0, 0.5), u=2.0, dt=0.5, noise=ProcessNoise(0.1))
+    s = kf_predict(KalmanState(1.0, 0.5), u=2.0, dt=0.5, sigma_nu=0.1)
     assert s.mean == pytest.approx(2.0)
     assert s.variance == pytest.approx(0.5025, abs=1e-12)
 
@@ -65,9 +63,9 @@ def test_predict_examples():
 def test_predict_rejects_bad_dt():
     s = KalmanState(0.0, 1.0)
     with pytest.raises(InputDomainError):
-        kf_predict(s, 0.0, 0.0, ProcessNoise(0.1))
+        kf_predict(s, 0.0, 0.0, 0.1)
     with pytest.raises(InputDomainError):
-        kf_predict(s, 0.0, -0.1, ProcessNoise(0.1))
+        kf_predict(s, 0.0, -0.1, 0.1)
 
 
 def test_predict_never_decreases_variance():
@@ -75,7 +73,7 @@ def test_predict_never_decreases_variance():
     for _ in range(100):
         var = rng.uniform(0.0, 4.0)
         s = KalmanState(rng.normal(), var)
-        out = kf_predict(s, rng.normal(), rng.uniform(0.01, 1.0), ProcessNoise(rng.uniform(0.01, 1.0)))
+        out = kf_predict(s, rng.normal(), rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0))
         assert out.variance > var
 
 
@@ -162,14 +160,13 @@ def test_innovations_are_white_on_matched_model():
     # Simulate the exact motion model and check the normalized innovations.
     rng = np.random.default_rng(19)
     dt, sigma_nu, sigma_z = 0.1, 0.3, 0.5
-    noise = ProcessNoise(sigma_nu)
     truth = 0.0
     state = kf_init(GaussianScalar(truth + rng.normal(0.0, sigma_z), sigma_z))
     normalized = []
     for _ in range(2000):
         truth += rng.normal(0.0, dt * sigma_nu)
         z = truth + rng.normal(0.0, sigma_z)
-        pred = kf_predict(state, 0.0, dt, noise)
+        pred = kf_predict(state, 0.0, dt, sigma_nu)
         s = pred.variance + sigma_z**2
         normalized.append((z - pred.mean) / math.sqrt(s))
         state = kf_update(pred, GaussianScalar(z, sigma_z))
@@ -179,8 +176,7 @@ def test_innovations_are_white_on_matched_model():
 
 def test_filter_tracks_moving_object():
     rng = np.random.default_rng(23)
-    noise = ProcessNoise(0.5)
-    dt = 0.05
+    sigma_nu, dt = 0.5, 0.05
     state = None
     for k in range(200):
         truth = 3.5 * min(k * dt / 5.0, 1.0)  # drifts one lane left over 5 s
@@ -188,7 +184,7 @@ def test_filter_tracks_moving_object():
         if state is None:
             state = kf_init(z)
         else:
-            state = kf_update(kf_predict(state, 0.0, dt, noise), z)
+            state = kf_update(kf_predict(state, 0.0, dt, sigma_nu), z)
     assert state.mean == pytest.approx(3.5, abs=0.3)
 
 
@@ -242,6 +238,6 @@ def test_stateful_filter_applies_lateral_velocity():
     # One second at +1 m/s shifts the prediction a meter before the update.
     scenario = one_object([(0.0, 0.0, 0.25, None), (1.0, 0.8, 0.25, 1.0)])
     got = run_pipeline(scenario, "continuous", PipelineConfig(sigma_nu=0.1)).posteriors[1]
-    pred = kf_predict(kf_init(GaussianScalar(0.0, 0.5)), 1.0, 1.0, ProcessNoise(0.1))
+    pred = kf_predict(kf_init(GaussianScalar(0.0, 0.5)), 1.0, 1.0, 0.1)
     want = discretize_posterior(kf_update(pred, GaussianScalar(0.8, 0.5)), DEFAULT_BOUNDS)
     np.testing.assert_allclose(got, want.probs, atol=1e-15)

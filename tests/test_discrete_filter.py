@@ -18,7 +18,6 @@ from laneassign import (
     PathPosterior,
     PipelineConfig,
     TransitionMatrix,
-    TransitionParams,
     build_transition_matrix,
     lane_occupancy,
     run_pipeline,
@@ -39,7 +38,7 @@ def random_params(rng):
     eps = rng.uniform(0.0, EPSILON_MAX)
     cap = min(eps, 1.0 - 3.0 * eps)
     eta = rng.uniform(-cap, cap)
-    return TransitionParams(epsilon=eps, eta=eta)
+    return eps, eta
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +47,7 @@ def random_params(rng):
 
 
 def test_matrix_symmetric_drift():
-    m = build_transition_matrix(TransitionParams(epsilon=0.1)).entries
+    m = build_transition_matrix(epsilon=0.1).entries
     # No bias: stay 0.8 in the interior, neighbours get 0.1 each.
     assert m[2, 2] == pytest.approx(0.8)
     assert m[1, 2] == pytest.approx(0.1)
@@ -63,7 +62,7 @@ def test_matrix_documented_bias_column():
     # epsilon=0.1, eta=0.05: the column for path 1 reads top-to-bottom
     # (0.075, 0.75, 0.175, 0, 0) -- the drift tilts mass toward higher
     # indices at the expense of the move down.
-    m = build_transition_matrix(TransitionParams(epsilon=0.1, eta=0.05)).entries
+    m = build_transition_matrix(epsilon=0.1, eta=0.05).entries
     np.testing.assert_allclose(m[:, 1], [0.075, 0.75, 0.175, 0.0, 0.0], atol=1e-15)
     assert m[:, 1].sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -72,7 +71,7 @@ def test_matrix_is_column_stochastic_and_banded():
     rng = np.random.default_rng(17)
     band = np.abs(np.subtract.outer(np.arange(5), np.arange(5))) > 1
     for _ in range(300):
-        m = build_transition_matrix(random_params(rng)).entries
+        m = build_transition_matrix(*random_params(rng)).entries
         np.testing.assert_allclose(m.sum(axis=0), np.ones(5), atol=1e-12)
         assert np.all(m >= 0.0)
         assert np.all(m <= 1.0)
@@ -82,7 +81,7 @@ def test_matrix_is_column_stochastic_and_banded():
 def test_matrix_corner_columns_are_asymmetric():
     # The last column spills only downward and keeps the eta term whole.
     eps, eta = 0.1, 0.05
-    m = build_transition_matrix(TransitionParams(eps, eta)).entries
+    m = build_transition_matrix(eps, eta).entries
     assert m[3, 4] == pytest.approx(eps - eta)
     assert m[4, 4] == pytest.approx(1.0 - eps + eta)
     # Interior down-moves carry eps + |eta|/2 - eta instead.
@@ -90,8 +89,8 @@ def test_matrix_corner_columns_are_asymmetric():
 
 
 def test_matrix_eta_shifts_mass_leftward():
-    base = build_transition_matrix(TransitionParams(0.1, 0.0)).entries
-    biased = build_transition_matrix(TransitionParams(0.1, 0.08)).entries
+    base = build_transition_matrix(0.1, 0.0).entries
+    biased = build_transition_matrix(0.1, 0.08).entries
     for col in range(4):
         assert biased[col + 1, col] > base[col + 1, col]  # more up-moves
     for col in range(1, 5):
@@ -99,7 +98,7 @@ def test_matrix_eta_shifts_mass_leftward():
 
 
 def entries(epsilon, eta=0.0):
-    return build_transition_matrix(TransitionParams(epsilon, eta)).entries
+    return build_transition_matrix(epsilon, eta).entries
 
 
 def test_clamp_params():
@@ -123,17 +122,17 @@ def test_matrix_flags_clamp():
 
 
 def test_params_validation():
-    with pytest.raises(InputDomainError):
-        TransitionParams(math.nan, 0.0)
-    with pytest.raises(InputDomainError):
-        TransitionParams(0.1, math.inf)
+    for epsilon, eta in ((math.nan, 0.0), (0.1, math.inf), (-math.inf, math.nan)):
+        message = f"transition parameters must be finite, got epsilon={epsilon}, eta={eta}"
+        with pytest.raises(InputDomainError, match=f"^{re.escape(message)}$"):
+            build_transition_matrix(epsilon, eta)
     # Out-of-range but finite values are a clamping matter, not an error.
     np.testing.assert_array_equal(entries(-0.01), entries(0.0))
     np.testing.assert_array_equal(entries(0.0), np.eye(5))
 
 
 def test_transition_matrix_validation():
-    good = build_transition_matrix(TransitionParams(0.1, 0.0)).entries
+    good = build_transition_matrix(0.1, 0.0).entries
     bad = good.copy()
     bad[0, 0] += 0.1
     with pytest.raises(InputDomainError):
@@ -182,7 +181,7 @@ MESSAGES = (
 def test_matrix_violations_match_an_entry_by_entry_check():
     rng = np.random.default_rng(11)
     matrices = np.stack(
-        [build_transition_matrix(random_params(rng)).entries for _ in range(400)]
+        [build_transition_matrix(*random_params(rng)).entries for _ in range(400)]
     )
     # Nudge two entries of most matrices across or short of a tolerance;
     # a NaN must not hide a fault elsewhere in the matrix.
@@ -230,13 +229,13 @@ def test_clamped_parameters_build_a_valid_matrix(epsilon, eta):
 
 def test_predict_identity_when_epsilon_zero():
     prior = posterior(0.1, 0.2, 0.4, 0.2, 0.1)
-    m = build_transition_matrix(TransitionParams(0.0, 0.0))
+    m = build_transition_matrix(0.0, 0.0)
     np.testing.assert_array_equal(predict(prior, m).probs, prior.probs)
 
 
 def test_predict_reads_off_matrix_column():
     # A point-mass prior turns prediction into a column lookup.
-    m = build_transition_matrix(TransitionParams(0.1, 0.0))
+    m = build_transition_matrix(0.1, 0.0)
     out = predict(posterior(0.0, 0.0, 1.0, 0.0, 0.0), m)
     np.testing.assert_allclose(out.probs, [0.0, 0.1, 0.8, 0.1, 0.0], atol=1e-15)
 
@@ -245,7 +244,7 @@ def test_predict_matches_matrix_vector_product():
     rng = np.random.default_rng(31)
     for _ in range(100):
         prior = PathPosterior(rng.dirichlet(np.ones(5)))
-        m = build_transition_matrix(random_params(rng))
+        m = build_transition_matrix(*random_params(rng))
         np.testing.assert_allclose(
             predict(prior, m).probs, m.entries @ prior.probs, atol=1e-15
         )
@@ -254,7 +253,7 @@ def test_predict_matches_matrix_vector_product():
 def test_predict_converges_to_stationary_distribution():
     # Iterated prediction must converge to the dominant eigenvector of the
     # transition matrix, computed independently with numpy's eigensolver.
-    m = build_transition_matrix(TransitionParams(0.12, 0.06))
+    m = build_transition_matrix(0.12, 0.06)
     values, vectors = np.linalg.eig(m.entries)
     idx = int(np.argmax(values.real))
     stationary = np.abs(vectors[:, idx].real)
@@ -292,8 +291,7 @@ def test_filter_reversal_symmetry():
     # With no bias the model is symmetric under index reversal, so feeding
     # mirrored measurements must produce exactly mirrored posteriors.
     rng = np.random.default_rng(41)
-    params = TransitionParams(0.1, 0.0)
-    m = build_transition_matrix(params)
+    m = build_transition_matrix(0.1, 0.0)
     p = PathPosterior(rng.dirichlet(np.ones(5)))
     q = PathPosterior(p.probs[::-1].copy())
     for _ in range(20):
@@ -308,8 +306,7 @@ def test_recursion_matches_batch_forward_algorithm():
     # must match an unnormalized forward pass over the whole sequence.
     rng = np.random.default_rng(43)
     for _ in range(50):
-        params = random_params(rng)
-        m = build_transition_matrix(params).entries
+        m = build_transition_matrix(*random_params(rng)).entries
         likes = rng.uniform(0.01, 1.01, size=(30, 5))
         likes /= likes.sum(axis=1, keepdims=True)
 
@@ -337,7 +334,7 @@ def test_filter_first_step_equals_measurement_likelihood():
 
 
 def test_filter_converges_on_constant_measurement():
-    matrix = build_transition_matrix(TransitionParams(0.05))
+    matrix = build_transition_matrix(0.05)
     measured = lane_occupancy(GaussianScalar(3.5, 0.5), DEFAULT_BOUNDS)
     p = PathPosterior.uniform()
     for _ in range(30):
@@ -354,7 +351,7 @@ def test_filter_lateral_velocity_sets_bias():
     config = PipelineConfig(epsilon=0.1, eta_gain=0.5)
     got = run_pipeline(scenario, "discrete", config).posteriors[0]
     want = update(
-        predict(PathPosterior.uniform(), build_transition_matrix(TransitionParams(0.1, 0.05))),
+        predict(PathPosterior.uniform(), build_transition_matrix(0.1, 0.05)),
         lane_occupancy(GaussianScalar(0.5, math.sqrt(0.36)), DEFAULT_BOUNDS),
     )
     np.testing.assert_allclose(got, want.probs, atol=1e-15)
@@ -366,7 +363,7 @@ def test_filter_clamps_out_of_range_epsilon():
     # a uniform prior is invariant under any leak without drift.
     scenario = one_object([(0.0, 0.5, 0.36, None), (0.05, 2.0, 0.36, None)])
     got = run_pipeline(scenario, "discrete", PipelineConfig(epsilon=0.9)).posteriors
-    matrix = build_transition_matrix(TransitionParams(EPSILON_MAX, 0.0))
+    matrix = build_transition_matrix(EPSILON_MAX, 0.0)
     p = PathPosterior.uniform()
     for y, row in zip((0.5, 2.0), got):
         measured = lane_occupancy(GaussianScalar(y, math.sqrt(0.36)), DEFAULT_BOUNDS)

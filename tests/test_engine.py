@@ -13,7 +13,7 @@ covers.
 
 The per-object loop is the one the engine replaces: the `Scenario` contract
 of all frames (frame times and ids) in the parser's words, then per object
-`ObjectMeasurement`'s check, `HostState`, `transform_to_path`, then
+`geometry._check_object`, `HostState`, `transform_to_path`, then
 `build_transition_matrix`, `predict`, `update` and `lane_occupancy`, or
 `kf_init`, `kf_predict`, `kf_update` and `discretize_posterior`, then
 `assign`.  It is the reference for errors, and for values where the
@@ -43,15 +43,12 @@ from laneassign import (
     GaussianScalar,
     HostState,
     InputDomainError,
-    ObjectMeasurement,
     PathPosterior,
     PipelineConfig,
-    ProcessNoise,
     RunResult,
     Scenario,
     SingularityError,
     SynthSpec,
-    TransitionParams,
     assign,
     build_suite,
     build_transition_matrix,
@@ -68,7 +65,9 @@ from laneassign import (
 )
 from laneassign import _engine
 from laneassign._engine import ABSENCE_TIMEOUT, filter_batch, flatten
+from laneassign.continuous_filter import _check_sigma_nu
 from laneassign.discrete_filter import predict, update
+from laneassign.geometry import _check_object
 from laneassign.harness import EPSILON_GRID, SIGMA_NU_GRID, SWEEP_CONFIG
 
 POSTERIOR_TOL = 1e-12
@@ -329,17 +328,16 @@ def loop_step(method, config, state, z, bounds, dt, u):
     if method == "discrete":
         if not math.isfinite(config.eta_gain):
             raise InputDomainError(f"eta_gain must be finite, got {config.eta_gain}")
-        params = TransitionParams(config.epsilon, config.eta_gain * u)
+        matrix = build_transition_matrix(config.epsilon, config.eta_gain * u)
         prior = state if state is not None else PathPosterior.uniform()
-        state = update(
-            predict(prior, build_transition_matrix(params)), lane_occupancy(z, bounds)
-        )
+        state = update(predict(prior, matrix), lane_occupancy(z, bounds))
         return state, state
-    noise = ProcessNoise(config.sigma_nu)
+    # kf_predict checks sigma_nu, but a new track does not predict.
+    _check_sigma_nu(config.sigma_nu)
     if state is None:
         state = kf_init(z)
     else:
-        state = kf_update(kf_predict(state, u, dt, noise), z)
+        state = kf_update(kf_predict(state, u, dt, config.sigma_nu), z)
     return state, discretize_posterior(state, bounds)
 
 
@@ -385,7 +383,7 @@ def loop_run(scenario, method, config, transforms=None):
             bounds = s.bounds[f] if s.bounds[f] is not None else DEFAULT_BOUNDS
             for k in objects:
                 if k not in transforms:
-                    ObjectMeasurement(s.x[k], s.y[k], s.v_lat[k])
+                    _check_object(s.x[k], s.y[k], s.v_lat[k])
                     host = HostState(s.v[f], s.yaw_rate[f], s.alpha[f])
                     transforms[k] = transform_to_path(
                         host, s.x[k], s.y[k], [s.var_v[f], s.var_yaw[f], s.var_x[k], s.var_y[k]]
@@ -1027,8 +1025,8 @@ def test_singularity_names_the_earliest_failing_frame(method):
     ],
 )
 def test_values_outside_the_domains_name_the_earliest_frame(method, host, obj, message):
-    # A Scenario is not built through HostState and ObjectMeasurement, so a
-    # run checks their domains.  The object that is out, or the one that
+    # A Scenario is not checked by HostState and `_check_object`, so a run
+    # checks their domains.  The object that is out, or the one that
     # sees the host that is out, is new at frame 2 and seen again at 3.
     scenario = frames_with(
         4, (2, 3), host and dict(HOST, **host), [dict(lead("new"), **obj)]

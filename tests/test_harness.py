@@ -22,7 +22,6 @@ from laneassign import (
     GaussianScalar,
     HostState,
     InputDomainError,
-    ObjectMeasurement,
     PipelineConfig,
     RunResult,
     Scenario,
@@ -257,6 +256,36 @@ def _parse_bounds(records: list) -> BoundarySet:
         parsed.append(GaussianScalar(_number(record, "mu", "bounds entry"),
                                      _number(record, "sigma", "bounds entry")))
     return BoundarySet(tuple(parsed))
+
+
+# The object check as the package had it when objects were values of their
+# own type.
+def _check_position(x: float, y: float) -> None:
+    """Raise an InputDomainError unless the object position is finite."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InputDomainError(f"object position must be finite, got ({x}, {y})")
+
+
+@dataclasses.dataclass(frozen=True)
+class ObjectMeasurement:
+    """One object detection in the host frame.
+
+    lateral_velocity_input is the object's lateral velocity along the path
+    normal, used as the control input of both filters when available.
+    """
+
+    x: float
+    y: float
+    lateral_velocity_input: float | None = None
+
+    def __post_init__(self) -> None:
+        _check_position(self.x, self.y)
+        if self.x <= 0.0:
+            raise InputDomainError(f"objects must be ahead of the host, got x={self.x}")
+        if self.lateral_velocity_input is not None and not math.isfinite(
+            self.lateral_velocity_input
+        ):
+            raise InputDomainError("lateral velocity input must be finite")
 
 
 def _reference_parse_object(record):
